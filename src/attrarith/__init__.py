@@ -60,6 +60,7 @@ _LAZY = {
     "HCPResult": "modular",
     "certify_attractor_cm": "modular",
     "CMCertificate": "modular",
+    "hcp_record_valid": "modular",
     "load_hcp_cache": "modular",
     "store_hcp_cache": "modular",
     "WeierstrassModel": "elliptic",

@@ -2,29 +2,18 @@
 
 The gradient flow runs in the rescaled radial variable in which the warp
 factor decouples: drho = exp(-U) dsigma, dU = -|Z| dsigma, and tau moves by
-minus the hyperbolic gradient of |Z|.  Everything here is scalar float64 so
-numba can compile the stepping loop; set ATTRARITH_NO_NUMBA=1 to run the
-same code as plain Python (the benchmark in benchmarks/bench_flow.py times
-both modes).
+minus the hyperbolic gradient of |Z|.  Everything here is scalar float
+arithmetic in plain Python; `step` is the one accepted-step rule, shared by
+`trajectory` and `flow.flow_step`.
 """
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and not os.environ.get("ATTRARITH_NO_NUMBA")
 
 # accepted steps may raise |Z|^2 by a few ulps of rounding, never more
 Z2_SLACK = 1e-14
 MAX_HALVINGS = 60
-_INF = float("inf")
 
 STATUS_CONVERGED = 0
 STATUS_MAX_STEPS = 1
@@ -38,12 +27,12 @@ def charge_sq(p2, q2, pq, x, y):
 
 def deriv(p2, q2, pq, u, x, y):
     """(drho, dU, dx, dy) per unit sigma at warp u and tau = x + iy."""
-    f = (q2 - 2.0 * pq * x + p2 * (x * x + y * y)) / (2.0 * y)
+    f = charge_sq(p2, q2, pq, x, y)
     z = math.sqrt(f)
     dx = -2.0 * y * (p2 * x - pq) / z
     dy = -2.0 * y * (y * p2 - f) / z
-    # plain exp raises OverflowError outside numba; an inf step gets rejected
-    dr = math.exp(-u) if -u < 709.0 else _INF
+    # plain exp raises OverflowError; an inf step gets rejected instead
+    dr = math.exp(-u) if -u < 709.0 else math.inf
     return dr, -z, dx, dy
 
 
@@ -72,65 +61,43 @@ def rk4_try(p2, q2, pq, rho, u, x, y, h):
     return ok, nrho, nu, nx, ny
 
 
+def step(p2, q2, pq, rho, u, x, y, z2, h0):
+    """One accepted RK4 step from (rho, u, x + iy), where |Z|^2 = z2.
+
+    A step is accepted when Im tau stays positive and |Z|^2 does not grow
+    beyond rounding slack; otherwise it is halved, up to MAX_HALVINGS times.
+    Returns (rho, u, x, y, z2, h) of the accepted step, or None when the
+    halving budget runs out.
+    """
+    h = h0
+    for _ in range(MAX_HALVINGS + 1):
+        ok, nrho, nu, nx, ny = rk4_try(p2, q2, pq, rho, u, x, y, h)
+        if ok:
+            nz2 = charge_sq(p2, q2, pq, nx, ny)
+            if math.isfinite(nz2) and nz2 <= z2 * (1.0 + Z2_SLACK):
+                return nrho, nu, nx, ny, nz2, h
+        h *= 0.5
+    return None
+
+
 def trajectory(p2, q2, pq, x0, y0, h0, tol, max_steps):
     """Integrate until |dtau| per full step drops below tol.
 
     Returns (status, n_accepted, traj) with traj rows (rho, U, x, y, Z2);
-    row 0 is the start, rows 1..n the accepted steps.  A step is accepted
-    when Im tau stays positive and |Z|^2 does not grow beyond rounding
-    slack; otherwise the step is halved, up to MAX_HALVINGS times.
+    row 0 is the start, rows 1..n the accepted steps.
     """
     traj = np.empty((max_steps + 1, 5))
-    rho = 0.0
-    u = 0.0
-    x = x0
-    y = y0
-    z2 = charge_sq(p2, q2, pq, x, y)
-    traj[0, 0] = rho
-    traj[0, 1] = u
-    traj[0, 2] = x
-    traj[0, 3] = y
-    traj[0, 4] = z2
+    traj[0] = row = (0.0, 0.0, x0, y0, charge_sq(p2, q2, pq, x0, y0))
     n = 0
     while n < max_steps:
-        h = h0
-        halvings = 0
-        while True:
-            ok, nrho, nu, nx, ny = rk4_try(p2, q2, pq, rho, u, x, y, h)
-            if ok:
-                nz2 = charge_sq(p2, q2, pq, nx, ny)
-                if math.isfinite(nz2) and nz2 <= z2 * (1.0 + Z2_SLACK):
-                    break
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                return STATUS_UNDERFLOW, n, traj
-            h *= 0.5
-        dtau = math.sqrt((nx - x) ** 2 + (ny - y) ** 2)
-        rho = nrho
-        u = nu
-        x = nx
-        y = ny
-        z2 = nz2
+        nxt = step(p2, q2, pq, *row, h0)
+        if nxt is None:
+            return STATUS_UNDERFLOW, n, traj
+        dtau = math.sqrt((nxt[2] - row[2]) ** 2 + (nxt[3] - row[3]) ** 2)
+        row = nxt[:5]
         n += 1
-        traj[n, 0] = rho
-        traj[n, 1] = u
-        traj[n, 2] = x
-        traj[n, 3] = y
-        traj[n, 4] = z2
+        traj[n] = row
         # scale the displacement test so halved steps do not fake convergence
-        if dtau * (h0 / h) < tol:
+        if dtau * (h0 / nxt[5]) < tol:
             return STATUS_CONVERGED, n, traj
     return STATUS_MAX_STEPS, n, traj
-
-
-# undecorated references: the plain-Python path the env flag selects
-charge_sq_numpy = charge_sq
-deriv_numpy = deriv
-rk4_try_numpy = rk4_try
-trajectory_numpy = trajectory
-
-if USE_NUMBA:
-    charge_sq = njit(cache=True)(charge_sq)
-    deriv = njit(cache=True)(deriv)
-    rk4_try = njit(cache=True)(rk4_try)
-    trajectory = njit(cache=True)(trajectory)

@@ -51,12 +51,15 @@ def _dec_f(v) -> str:
     return repr(float(v))
 
 
-def _parse_pair(text: str, prec: int):
+def _parse_pair(text: str, prec: int, flag: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected RE,IM, got {text!r}")
+        raise ValueError(f"{flag}: expected RE,IM, got {text!r}")
     with mp.workprec(prec + 32):
-        return mp.mpc(mp.mpf(parts[0].strip()), mp.mpf(parts[1].strip()))
+        z = mp.mpc(mp.mpf(parts[0].strip()), mp.mpf(parts[1].strip()))
+    if not mp.isfinite(z):
+        raise ValueError(f"{flag}: RE and IM must be finite, got {text!r}")
+    return z
 
 
 def _int_csv(text: str) -> tuple:
@@ -150,15 +153,21 @@ def _cmd_certify(args, prec: int):
 
 
 def _cmd_hcp(args, prec: int):
-    from .modular import hilbert_class_polynomial, load_hcp_cache, store_hcp_cache
+    from .modular import (hcp_record_valid, hilbert_class_polynomial, load_hcp_cache,
+                          store_hcp_cache)
 
     disc = args.disc
     coeffs = None
     if args.cache:
+        directory = os.path.dirname(os.path.abspath(args.cache))
+        if not os.path.isdir(directory):
+            raise ValueError(f"--cache: directory {directory} does not exist")
         cache = load_hcp_cache(args.cache)
-        hit = cache.get(disc)
-        if hit is not None:
-            coeffs = tuple(hit)
+        coeffs = cache.get(disc)
+        if coeffs is not None and not hcp_record_valid(disc, coeffs):
+            print(f"warning: hcp cache record for {disc} fails its check; recomputing",
+                  file=sys.stderr)
+            coeffs = None
     if coeffs is None:
         res = hilbert_class_polynomial(disc, prec=args.prec)
         coeffs = res.coeffs
@@ -186,7 +195,7 @@ def _cmd_hcp(args, prec: int):
 def _cmd_jval(args, prec: int):
     from .modular import j_value_with_bound
 
-    tau = _parse_pair(args.tau, prec)
+    tau = _parse_pair(args.tau, prec, "--tau")
     ev = j_value_with_bound(tau, prec)
     inputs = {"tau": args.tau}
     result = {
@@ -355,7 +364,7 @@ def _cmd_flow(args, prec: int):
     from .flow import FlowConfig, export_trajectory, flow_integrate
 
     c, inputs = _charge_from_args(args)
-    tau0 = complex(_parse_pair(args.tau0, 64))
+    tau0 = complex(_parse_pair(args.tau0, 64, "--tau0"))
     cfg = FlowConfig(step=args.step, tol=args.tol, max_steps=args.max_steps)
     res = flow_integrate(c, tau0, cfg)
     if args.trace:

@@ -1,12 +1,12 @@
 """Weierstrass models, analytic torsion points, and the Weber function.
 
 The curve attached to tau is y^2 = x^3 + Ax + B with A = -g2/4, B = -g3/4
-built from Eisenstein values; torsion points come from the exponentially
-convergent q-series for the Weierstrass functions, evaluated with respect to
-the fundamental-domain representative of tau and scaled back through the
-lattice covariance factor.  Quadratic twists scale (A, B, x, y) by powers of
-u, and the Weber function is the case selection that cancels exactly that
-freedom.
+built from E4 and E6 of the modular theta kernel; torsion points come from
+the exponentially convergent q-series for the Weierstrass functions,
+evaluated with respect to the fundamental-domain representative of tau and
+scaled back through the lattice covariance factor.  Quadratic twists scale
+(A, B, x, y) by powers of u, and the Weber function is the case selection
+that cancels exactly that freedom.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .arith import QuadraticSurd
-from .errors import AmbiguousCase, NotUpperHalfPlane, OutOfRange, ZeroTwist
-from .modular import _integer_coefficients, _horner, _truncation_order, reduce_to_fundamental
+from .errors import AmbiguousCase, OutOfRange, ZeroTwist
+from .modular import _render, _theta, _truncation_order, reduce_to_fundamental
 
 __all__ = [
     "WeierstrassModel",
@@ -53,33 +52,14 @@ class TorsionPoint:
     y: mp.mpc
 
 
-def _render(tau, prec: int):
-    if isinstance(tau, QuadraticSurd):
-        return tau.to_mpc(prec)
-    with mp.workprec(prec):
-        return mp.mpc(tau)
-
-
 def _reduced_frame(tau, prec: int):
-    """Reduce tau; returns (tau_red, matrix, mu) with mu = c*tau + d."""
+    """Reduce tau; returns (tau, tau_red, matrix, mu) with mu = c*tau + d."""
     z = _render(tau, prec + 64)
-    if mp.im(z) <= 0:
-        raise NotUpperHalfPlane(f"Im tau = {mp.im(z)} <= 0")
     zred, mat = reduce_to_fundamental(z, prec + 48)
     (_, _), (c, d) = mat
     with mp.workprec(prec + 48):
         mu = c * z + d
     return z, zred, mat, mu
-
-
-def _eisenstein_values(zred, prec: int):
-    """(E4(tau'), E6(tau'), q) at a fundamental-domain point."""
-    y = float(mp.im(zred))
-    mag = 2 * math.pi * y * math.log2(math.e)
-    N = _truncation_order(mag, prec + 64)
-    e4c, e6c, _ = _integer_coefficients(N)
-    q = mp.expjpi(2 * zred)
-    return _horner(e4c, q), _horner(e6c, q), q, N
 
 
 def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
@@ -89,7 +69,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     wp = prec + 96
     z, zred, mat, mu = _reduced_frame(tau, wp)
     with mp.workprec(wp):
-        e4, e6, _, _ = _eisenstein_values(zred, wp)
+        th = _theta(zred, wp)
+        (e4, _), (e6, _) = th.e4(), th.e6()
         g2 = 4 * mp.pi**4 / 3 * e4 / mu**4
         g3 = 8 * mp.pi**6 / 27 * e6 / mu**6
         a = -g2 / 4

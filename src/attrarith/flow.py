@@ -141,17 +141,12 @@ def flow_step(state: FlowState, c: ChargeData, config: FlowConfig = None) -> Flo
         raise NotUpperHalfPlane(f"Im tau = {y} <= 0")
     p2, q2, pq = float(c.p2), float(c.q2), float(c.pq)
     z2 = _kernels.charge_sq(p2, q2, pq, x, y)
-    h = config.step
-    for _ in range(_kernels.MAX_HALVINGS + 1):
-        ok, nrho, nu, nx, ny = _kernels.rk4_try(
-            p2, q2, pq, state.rho, state.U, x, y, h)
-        if ok:
-            nz2 = _kernels.charge_sq(p2, q2, pq, nx, ny)
-            if math.isfinite(nz2) and nz2 <= z2 * (1.0 + _kernels.Z2_SLACK):
-                return FlowState(rho=nrho, U=nu, tau=complex(nx, ny), Z2=nz2)
-        h *= 0.5
-    raise StepUnderflow(
-        f"step shrank below {config.step * 0.5**_kernels.MAX_HALVINGS} without acceptance")
+    nxt = _kernels.step(p2, q2, pq, state.rho, state.U, x, y, z2, config.step)
+    if nxt is None:
+        raise StepUnderflow(
+            f"step shrank below {config.step * 0.5**_kernels.MAX_HALVINGS} without acceptance")
+    nrho, nu, nx, ny, nz2, _ = nxt
+    return FlowState(rho=nrho, U=nu, tau=complex(nx, ny), Z2=nz2)
 
 
 def _certificate(point: AttractorPoint, d: int, traj: np.ndarray) -> FlowCertificate:
@@ -199,7 +194,7 @@ def flow_integrate(c: ChargeData, tau0, config: FlowConfig = None) -> FlowResult
         config=config,
         trajectory=traj,
         converged=True,
-        steps=int(n),
+        steps=n,
         certificate=_certificate(point, d, traj),
     )
 

@@ -1,12 +1,14 @@
 """Arbitrary-precision modular forms: E4, E6, Delta, j, class polynomials.
 
-Coefficients of all q-expansions are exact integers (divisor sums, and the
-discriminant series extracted from (E4^3 - E6^2)/1728 by exact division);
-floating point enters only at evaluation time, inside an explicit working
-precision chosen from rigorous tail bounds after reducing the argument to
-the fundamental domain.  On top of j sit Hilbert class polynomials with a
-rounding-residual gate and the algebraic-integer certificate for attractor
-points.
+E4, E6 and Delta are evaluated in one place, the Jacobi theta kernel: after
+the argument is reduced to the fundamental domain, three sparse theta sums
+of O(sqrt(bits)) terms give all three forms, each sum with a proven
+geometric tail bound and a rounding bound, inside a working precision chosen
+from the reduced height.  The exact integer q-expansions (divisor sums, and
+the discriminant series extracted from (E4^3 - E6^2)/1728 by exact division)
+stay available as eisenstein_series and delta_series; no evaluation uses
+them.  On top of j sit Hilbert class polynomials with a rounding-residual
+gate and the algebraic-integer certificate for attractor points.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "hilbert_class_polynomial",
     "hcp_heuristic_bits",
     "certify_attractor_cm",
+    "hcp_record_valid",
     "load_hcp_cache",
     "store_hcp_cache",
 ]
@@ -81,46 +84,28 @@ def _poly_mul(p: list[int], q: list[int], n_max: int) -> list[int]:
     return out
 
 
-_cache: dict = {"N": -1, "e4": [], "e6": [], "delta": []}
-
-
-def _integer_coefficients(n_max: int):
-    """Exact coefficient lists (e4, e6, delta) through q^n_max, cached."""
-    if _cache["N"] < n_max:
-        s3 = _sigma_table(3, n_max)
-        s5 = _sigma_table(5, n_max)
-        e4 = [1] + [240 * s3[n] for n in range(1, n_max + 1)]
-        e6 = [1] + [-504 * s5[n] for n in range(1, n_max + 1)]
-        e4sq = _poly_mul(e4, e4, n_max)
-        e4cu = _poly_mul(e4sq, e4, n_max)
-        e6sq = _poly_mul(e6, e6, n_max)
-        delta = []
-        for a, b in zip(e4cu, e6sq):
-            num = a - b
-            assert num % 1728 == 0
-            delta.append(num // 1728)
-        assert delta[0] == 0 and delta[1] == 1
-        _cache.update(N=n_max, e4=e4, e6=e6, delta=delta)
-    cut = n_max + 1
-    return _cache["e4"][:cut], _cache["e6"][:cut], _cache["delta"][:cut]
-
-
 def eisenstein_series(k: int, N: int) -> QSeries:
     """E4 or E6 through q^N, constant term 1, exact divisor-sum coefficients."""
     if k not in (4, 6):
         raise UnsupportedWeight(f"only weights 4 and 6 are supported, got {k}")
     if N < 1:
         raise OutOfRange(f"truncation order must be >= 1, got {N}")
-    e4, e6, _ = _integer_coefficients(N)
-    return QSeries(weight=k, coefficients=tuple(e4 if k == 4 else e6), truncation_order=N)
+    scale = 240 if k == 4 else -504
+    coeffs = (1,) + tuple(scale * s for s in _sigma_table(k - 1, N)[1:])
+    return QSeries(weight=k, coefficients=coeffs, truncation_order=N)
 
 
 def delta_series(N: int) -> QSeries:
     """The discriminant cusp form (E4^3 - E6^2)/1728 through q^N, exact integers."""
     if N < 1:
         raise OutOfRange(f"truncation order must be >= 1, got {N}")
-    _, _, delta = _integer_coefficients(N)
-    return QSeries(weight=12, coefficients=tuple(delta), truncation_order=N)
+    e4 = eisenstein_series(4, N).coefficients
+    e6 = eisenstein_series(6, N).coefficients
+    e4cu = _poly_mul(_poly_mul(e4, e4, N), e4, N)
+    e6sq = _poly_mul(e6, e6, N)
+    num = [a - b for a, b in zip(e4cu, e6sq)]
+    assert all(v % 1728 == 0 for v in num)
+    return QSeries(weight=12, coefficients=tuple(v // 1728 for v in num), truncation_order=N)
 
 
 def reduce_to_fundamental(tau, prec: int = 256):
@@ -175,14 +160,76 @@ def _horner(coeffs, q):
     return acc
 
 
+class _Theta(NamedTuple):
+    """Fourth powers of the Jacobi thetas at a reduced point, with one error bound.
+
+    With |theta_2^4| < 1.08 and |theta_3^4|, |theta_4^4| < 1.7 on the
+    fundamental domain, the bounds below are first order in err, rounded up.
+    """
+
+    t2: mp.mpc    # theta_2^4 = 16 r S2^4
+    t3: mp.mpc    # theta_3^4 = (1 + 2 S3)^4
+    t4: mp.mpc    # theta_4^4 = (1 + 2 S4)^4
+    terms: int
+    err: mp.mpf   # bounds each |computed - exact|, plus slack for combining them
+
+    def e4(self):
+        """E4 = (theta_2^8 + theta_3^8 + theta_4^8)/2 and its error bound."""
+        return (self.t2**2 + self.t3**2 + self.t4**2) / 2, 5 * self.err
+
+    def e6(self):
+        """E6 = (theta_2^4 + theta_3^4)(theta_3^4 + theta_4^4)(theta_4^4 - theta_2^4)/2."""
+        return (self.t2 + self.t3) * (self.t3 + self.t4) * (self.t4 - self.t2) / 2, 27 * self.err
+
+    def delta(self):
+        """Delta = (theta_2 theta_3 theta_4)^8/256 = q S2^8 theta_3^8 theta_4^8."""
+        return (self.t2 * self.t3 * self.t4) ** 2 / 256, self.err / 4
+
+
+def _theta(zred, wp: int) -> _Theta:
+    """Theta kernel: the sparse sums behind E4, E6 and Delta at a reduced point.
+
+    With r = e^(pi i tau'), S2 = sum_{n>=0} r^(n(n+1)), S3 = sum_{n>=1} r^(n^2)
+    and S4 = sum_{n>=1} (-1)^n r^(n^2) are summed over n < M; three
+    multiplications per n turn r^((n-1)n) into r^(n^2) and r^(n(n+1)).  Every
+    omitted term is r^k for a distinct k >= M^2, so each tail is at most
+    |r|^(M^2)/(1-|r|).  Term k carries a relative rounding error below 18k
+    ulps, and sum_k k|r|^k < 0.08, so the rounding of each sum stays below
+    (4M + 16) ulps.
+    """
+    half_mag = math.pi * float(mp.im(zred)) * math.log2(math.e)  # bits in 1/|r|
+    M = max(2, math.ceil(math.sqrt((wp + 1) / half_mag)))
+    with mp.workprec(wp):
+        r = mp.expjpi(zred)
+        s2, s3, s4 = mp.mpc(1), mp.mpc(0), mp.mpc(0)
+        rn = t = mp.mpc(1)
+        for n in range(1, M):
+            rn *= r            # r^n
+            t *= rn            # r^(n^2)
+            s3 += t
+            s4 += -t if n % 2 else t
+            t *= rn            # r^(n(n+1))
+            s2 += t
+        x = abs(r)
+        eps = mp.mpf(2) ** (-wp)
+        sum_err = x ** (M * M) / (1 - x) + (4 * M + 16) * eps
+        return _Theta(
+            t2=16 * r * s2**4,
+            t3=(1 + 2 * s3) ** 4,
+            t4=(1 + 2 * s4) ** 4,
+            terms=M,
+            err=12 * sum_err + 64 * eps,
+        )
+
+
 class JEvaluation(NamedTuple):
-    """j(tau) with interval-style error data from one series evaluation."""
+    """j(tau) with interval-style error data from one theta-kernel evaluation."""
 
     j: mp.mpc
     error_bound: mp.mpf
     delta: mp.mpc
     delta_lower: mp.mpf   # certified |Delta| > error: nonvanishing witness
-    truncation_order: int
+    truncation_order: int  # terms of each theta sum
     working_prec: int
 
 
@@ -195,47 +242,36 @@ def _render(tau, prec: int):
 
 
 def _evaluate_j(tau_src, prec: int) -> JEvaluation:
-    """Evaluate j after fundamental-domain reduction, with a propagated bound.
+    """Evaluate j = E4^3/Delta after fundamental-domain reduction, with a bound.
 
     Two passes: a scouting reduction fixes the matrix and the reduced height
     (hence the magnitude of 1/q), then the input is re-rendered and mapped at
-    a working precision scaled to that magnitude.
+    a working precision scaled to that magnitude.  E4 and Delta come from the
+    theta kernel; their tail and rounding bounds are propagated through the
+    cube and the quotient into error_bound, and delta_lower = |Delta| minus
+    its bound certifies that Delta does not vanish.
     """
-    z1 = _render(tau_src, prec + 80)
-    if mp.im(z1) <= 0:
-        raise NotUpperHalfPlane(f"Im tau = {mp.im(z1)} <= 0")
-    zr1, mat = reduce_to_fundamental(z1, prec + 64)
-    y = float(mp.im(zr1))
-    mag = 2 * math.pi * y * math.log2(math.e)  # bits in 1/|q|
+    zr1, mat = reduce_to_fundamental(_render(tau_src, prec + 80), prec + 64)
+    mag = 2 * math.pi * float(mp.im(zr1)) * math.log2(math.e)  # bits in 1/|q|
     wp = prec + 2 * math.ceil(mag) + 96
     if wp > 10_000_000:
         raise PrecisionExhausted(f"required working precision {wp} bits is intractable")
-    N = _truncation_order(mag, wp - 64)
-    e4c, e6c, dc = _integer_coefficients(N)
     (a, b), (cc, d) = mat
     with mp.workprec(wp):
         z = _render(tau_src, wp)
         zred = (a * z + b) / (cc * z + d)
-        q = mp.expjpi(2 * zred)
-        x = abs(q)
-        e4 = _horner(e4c, q)
-        e6 = _horner(e6c, q)
-        dv = _horner(dc, q)
-        tail = 6000 * mp.mpf(N + 1) ** 7 * x ** (N + 1) / mp.mpf("0.36")
-        eps = mp.mpf(2) ** (-wp)
-        # Horner partial sums are bounded by the coefficient sum 2000*(N+1)^8
-        round_err = 12000 * eps * mp.mpf(N + 1) ** 8
-        d4 = tail + round_err
-        d6 = tail + round_err
-        dd = tail + round_err
+        th = _theta(zred, wp)
+        (e4, d4), (dv, dd) = th.e4(), th.delta()
         dv_abs = abs(dv)
         if not dv_abs > dd:
             raise PrecisionExhausted("cannot certify Delta away from zero")
-        e43 = e4**3
-        jv = e43 / dv
-        d43 = mp.mpf("3.3") * abs(e4) ** 2 * d4
-        dj = d43 / dv_abs + abs(e43) * dd / dv_abs**2 * mp.mpf("1.1") \
-            + abs(jv) * eps * (64 + 4 * N + 8 * int(abs(zred)))
+        jv = e4**3 / dv
+        d43 = 3 * (abs(e4) + d4) ** 2 * d4
+        eps = mp.mpf(2) ** (-wp)
+        # |a/b - A/B| <= (|a - A| + |a/b| |b - B|) / |B|, plus the rounding
+        # of the cube and quotient and of the reduced point itself
+        dj = (d43 + abs(jv) * dd) / (dv_abs - dd) \
+            + abs(jv) * eps * (64 + 8 * int(abs(zred)))
         if not dj < mp.mpf(2) ** (-(prec // 2)):
             raise PrecisionExhausted(
                 f"j error bound {mp.nstr(dj, 5)} misses 2^-{prec // 2} target")
@@ -244,7 +280,7 @@ def _evaluate_j(tau_src, prec: int) -> JEvaluation:
             error_bound=dj,
             delta=dv,
             delta_lower=dv_abs - dd,
-            truncation_order=N,
+            truncation_order=th.terms,
             working_prec=wp,
         )
 
@@ -279,12 +315,6 @@ class HCPResult:
     residual: float
     class_number: int
     precision_bits: int
-
-    def polynomial_value(self, x):
-        acc = mp.mpf(0)
-        for cn in reversed(self.coeffs):
-            acc = acc * x + cn
-        return acc
 
 
 def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult:
@@ -365,6 +395,16 @@ class CMCertificate:
         return self.value + self.error_bound < self.tolerance
 
 
+def _residual(coeffs, ev: JEvaluation, wp: int):
+    """|H(j)| at wp + 32 bits and the bound on its error from ev's bound and rounding."""
+    h = len(coeffs) - 1
+    with mp.workprec(wp + 32):
+        deriv = abs(_horner([n * cn for n, cn in enumerate(coeffs)][1:], ev.j))
+        scale = max(mp.mpf(1), abs(ev.j)) ** h * max(abs(cn) for cn in coeffs)
+        err = deriv * ev.error_bound + (4 * h + 8) * scale * mp.mpf(2) ** (-(wp + 32))
+        return abs(_horner(coeffs, ev.j)), err
+
+
 def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
     """Certify |H_4D(j(tau_pq))| < 2^(-prec/4) for the attractor point of c."""
     if prec < 64:
@@ -372,38 +412,43 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
     at = attractor_point(c)
     disc = 4 * at.D
     hcp = hilbert_class_polynomial(disc)
-    wp = 2 * hcp_heuristic_bits(disc) + prec
+    wp = 2 * hcp.precision_bits + prec
     ev = j_value_with_bound(at.tau, wp)
-    with mp.workprec(wp + 32):
-        value = abs(hcp.polynomial_value(ev.j))
-        dcoeffs = [n * cn for n, cn in enumerate(hcp.coeffs)][1:]
-        deriv = abs(_horner(dcoeffs, ev.j))
-        h = hcp.class_number
-        eps = mp.mpf(2) ** (-(wp + 32))
-        scale = max(mp.mpf(1), abs(ev.j)) ** h * max(abs(cn) for cn in hcp.coeffs)
-        err = deriv * ev.error_bound + (4 * h + 8) * scale * eps
-        tol = mp.mpf(2) ** (-(prec // 4))
-        field_disc = _field_discriminant(at.D)
-        f2 = disc // field_disc
-        conductor = math.isqrt(f2)
-        assert conductor * conductor == f2
-        with mp.workprec(prec):
-            j_out = +ev.j
-        return CMCertificate(
-            charge=c,
-            point=at,
-            disc=disc,
-            field_disc=field_disc,
-            conductor=conductor,
-            field_label="Hilbert class field" if conductor == 1 else "ring class field",
-            class_number=h,
-            j=j_out,
-            hcp=hcp,
-            value=float(value),
-            error_bound=float(err),
-            tolerance=float(tol),
-            precision_bits=prec,
-        )
+    value, err = _residual(hcp.coeffs, ev, wp)
+    field_disc = _field_discriminant(at.D)
+    f2 = disc // field_disc
+    conductor = math.isqrt(f2)
+    assert conductor * conductor == f2
+    with mp.workprec(prec):
+        j_out = +ev.j
+    return CMCertificate(
+        charge=c,
+        point=at,
+        disc=disc,
+        field_disc=field_disc,
+        conductor=conductor,
+        field_label="Hilbert class field" if conductor == 1 else "ring class field",
+        class_number=hcp.class_number,
+        j=j_out,
+        hcp=hcp,
+        value=float(value),
+        error_bound=float(err),
+        tolerance=float(mp.mpf(2) ** (-(prec // 4))),
+        precision_bits=prec,
+    )
+
+
+def hcp_record_valid(disc: int, coeffs) -> bool:
+    """True when a cached class polynomial of disc has degree h and, as in a
+    64-bit CM certificate, vanishes within 2^-16 at j of the principal root."""
+    forms = class_group_forms(disc)
+    if len(coeffs) != len(forms) + 1:
+        return False
+    f = forms[0]
+    wp = 2 * hcp_heuristic_bits(disc) + 64
+    ev = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), wp)
+    value, err = _residual(coeffs, ev, wp)
+    return value + err < 2.0**-16
 
 
 def load_hcp_cache(path) -> dict[int, tuple]:

@@ -2,13 +2,17 @@
 
 These deliberately use different algorithms from the package (exact Fraction
 Moebius maps instead of form reduction, sieves instead of factorization,
-brute-force enumeration instead of closed forms) so agreement is meaningful.
+brute-force enumeration instead of closed forms, dense integer q-series
+instead of theta sums) so agreement is meaningful.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+
+import mpmath as mp
 
 from attrarith.arith import QuadraticSurd
 
@@ -91,3 +95,85 @@ def sigma_power(n: int, k: int) -> int:
         if n % d == 0:
             total += d**k
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def dense_q_coefficients(n_max: int):
+    """Exact E4, E6 and Delta coefficients through q^n_max.
+
+    Divisor sums by trial division; Delta = (E4^3 - E6^2)/1728 by dense
+    convolution and exact division.
+    """
+    e4 = [1] + [240 * sigma_power(n, 3) for n in range(1, n_max + 1)]
+    e6 = [1] + [-504 * sigma_power(n, 5) for n in range(1, n_max + 1)]
+
+    def mul(p, q):
+        out = [0] * (n_max + 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q[: n_max + 1 - i]):
+                out[i + j] += pi * qj
+        return out
+
+    num = [a - b for a, b in zip(mul(mul(e4, e4), e4), mul(e6, e6))]
+    assert all(v % 1728 == 0 for v in num)
+    return e4, e6, [v // 1728 for v in num]
+
+
+def _horner(coeffs, q):
+    acc = mp.mpf(0)
+    for cn in reversed(coeffs):
+        acc = acc * q + cn
+    return acc
+
+
+def eisenstein_dense(zred, wp: int):
+    """(E4, E6, Delta, bound, N) at a fundamental-domain point by dense Horner sums.
+
+    Every coefficient is at most 2000*n^7 in absolute value and |q| <= e^(-pi
+    sqrt(3)) makes the term ratio at most 0.56, so the tail after q^N is at
+    most 6000 (N+1)^7 |q|^(N+1) / 0.36; the Horner rounding is bounded by the
+    coefficient sum 2000 (N+1)^8.  bound covers each of the three values.
+    Must be called inside mp.workprec(wp).
+    """
+    mag = 2 * math.pi * float(mp.im(zred)) * math.log2(math.e)
+    n = 4
+    while 14.2 + 7 * math.log2(n + 1.0) - (n + 1) * mag > -(wp - 64):
+        n += 1
+    n = -(-n // 256) * 256  # share coefficient tables between nearby orders
+    e4c, e6c, dc = dense_q_coefficients(n)
+    q = mp.expjpi(2 * zred)
+    tail = 6000 * mp.mpf(n + 1) ** 7 * abs(q) ** (n + 1) / mp.mpf("0.36")
+    round_err = 12000 * mp.mpf(2) ** (-wp) * mp.mpf(n + 1) ** 8
+    return _horner(e4c, q), _horner(e6c, q), _horner(dc, q), tail + round_err, n
+
+
+def j_dense(tau, prec: int):
+    """(j, bound) by dense q-series after an exact integer reduction of tau.
+
+    The reduction matrix is found at low precision and applied once at the
+    working precision, which is the package's policy prec + 2 log2(1/|q|) + 96.
+    """
+    with mp.workprec(prec + 64):
+        z = mp.mpc(tau)
+        a, b, c, d = 1, 0, 0, 1
+        w = z
+        while True:
+            n = int(mp.floor(mp.re(w) + mp.mpf(1) / 2))
+            w -= n
+            a, b = a - n * c, b - n * d
+            if abs(w) >= 1 - mp.mpf(2) ** (-prec):
+                break
+            w = -1 / w
+            a, b, c, d = -c, -d, a, b
+        mag = 2 * math.pi * float(mp.im(w)) * math.log2(math.e)
+    wp = prec + 2 * math.ceil(mag) + 96
+    with mp.workprec(wp):
+        z = mp.mpc(tau)
+        zred = (a * z + b) / (c * z + d)
+        e4, _, dv, bound, n = eisenstein_dense(zred, wp)
+        jv = e4**3 / dv
+        d43 = 3 * (abs(e4) + bound) ** 2 * bound
+        eps = mp.mpf(2) ** (-wp)
+        dj = (d43 + abs(jv) * bound) / (abs(dv) - bound) \
+            + abs(jv) * eps * (64 + 4 * n + 8 * int(abs(zred)))
+        return jv, dj

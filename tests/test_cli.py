@@ -105,6 +105,45 @@ class TestHcp:
         code, _, err = invoke(capsys, "hcp", "--disc", "-5")
         assert code == 2
 
+    def test_valid_cache_hit_is_served(self, capsys, tmp_path, monkeypatch):
+        cache = str(tmp_path / "hcp.json")
+        code, cold, _ = invoke(capsys, "hcp", "--disc", "-23", "--cache", cache)
+        assert code == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a valid cache hit was recomputed")
+
+        monkeypatch.setattr("attrarith.modular.hilbert_class_polynomial", fail)
+        code, warm, err = invoke(capsys, "hcp", "--disc", "-23", "--cache", cache)
+        assert code == 0 and warm == cold and err == ""
+
+    @pytest.mark.parametrize("coeffs", [["5", "1"], ["12771880859376", "-5151296875",
+                                                     "3491750", "1"]])
+    def test_wrong_cache_record_recomputed(self, capsys, tmp_path, coeffs):
+        cache = tmp_path / "hcp.json"
+        code, cold, _ = invoke(capsys, "hcp", "--disc", "-23")
+        assert code == 0
+        cache.write_text(json.dumps([{"disc": "-23", "coeffs": coeffs}]))
+        code, out, err = invoke(capsys, "hcp", "--disc", "-23", "--cache", str(cache))
+        assert code == 0
+        env = json.loads(out)
+        assert env["result"]["degree"] == env["result"]["class_number"] == "3"
+        assert all(c["passed"] for c in env["certificates"])
+        assert json.loads(out)["result"] == json.loads(cold)["result"]
+        assert len(err.splitlines()) == 1 and "fails its check" in err
+        assert json.loads(cache.read_text())[0]["coeffs"] == env["result"]["coeffs"]
+
+    def test_missing_cache_directory_fails_before_computing(self, capsys, tmp_path,
+                                                            monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before checking the cache path")
+
+        monkeypatch.setattr("attrarith.modular.hilbert_class_polynomial", fail)
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = invoke(capsys, "hcp", "--disc", "-23", "--cache", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "does not exist" in err
+
 
 class TestJval:
     def test_square_lattice(self, capsys):
@@ -239,6 +278,19 @@ class TestGlobalFlags:
         monkeypatch.setenv("ATTRARITH_PREC", "128")
         env = invoke_json(capsys, "jval", "--tau", "0,2", "--prec", "192")
         assert env["precision_bits"] == 192
+
+    @pytest.mark.parametrize("argv", [
+        ("jval", "--tau", "0.5,nan"),
+        ("jval", "--tau", "inf,1"),
+        ("jval", "--tau", "0.5,-inf"),
+        ("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "nan,1.2"),
+        ("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,inf"),
+    ])
+    def test_non_finite_pair_exit_2(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert argv[-2] in err and "finite" in err
 
     def test_too_low_precision_exit_2(self, capsys):
         code, _, _ = invoke(capsys, "jval", "--tau", "0,1", "--prec", "32")

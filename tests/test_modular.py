@@ -1,6 +1,7 @@
 """Tests for q-expansions, j evaluation, class polynomials, CM certificates."""
 
 import json
+import math
 import random
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from attrarith.errors import (
     UnsupportedWeight,
 )
 from attrarith.modular import (
+    _theta,
     certify_attractor_cm,
     delta_series,
     eisenstein_series,
@@ -28,7 +30,7 @@ from attrarith.modular import (
     store_hcp_cache,
 )
 
-from oracles import random_sl2, sigma_power
+from oracles import eisenstein_dense, j_dense, random_sl2, sigma_power
 
 
 class TestEisenstein:
@@ -166,6 +168,42 @@ class TestJValue:
             assert ev.delta_lower > 0
             with mp.workprec(ev.working_prec):
                 assert abs(ev.delta) > ev.delta_lower
+
+
+class TestThetaKernelAgainstDenseOracle:
+    """The theta kernel against dense integer q-series, each with its own bound."""
+
+    def test_eisenstein_and_delta_at_reduced_points(self):
+        rng = random.Random(4406)
+        points = [mp.mpc(0, 1), mp.mpc("0.5", "0.8660254037844386"), mp.mpc(0, 9)]
+        points += [mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4)) for _ in range(5)]
+        for k, zred in enumerate(points):
+            wp = (256, 1024, 4096, 8192)[k % 4]
+            with mp.workprec(wp):
+                zred = mp.mpc(zred)
+                th = _theta(zred, wp)
+                e4o, e6o, do, bound, _ = eisenstein_dense(zred, wp)
+                for (val, err), ref in ((th.e4(), e4o), (th.e6(), e6o), (th.delta(), do)):
+                    assert err < mp.mpf(2) ** (16 - wp)
+                    assert abs(val - ref) <= err + bound, (zred, wp)
+
+    def test_j_at_random_points(self):
+        rng = random.Random(8192)
+        for prec in (256, 1024, 4096, 8192):
+            for _ in range(3):
+                with mp.workprec(prec + 64):
+                    tau = mp.mpc(rng.uniform(-20, 20), rng.uniform(0.02, 3))
+                ev = j_value_with_bound(tau, prec)
+                jo, bound = j_dense(tau, prec)
+                with mp.workprec(ev.working_prec):
+                    assert abs(ev.j - jo) <= ev.error_bound + bound, (tau, prec)
+
+    def test_truncation_order_counts_theta_terms(self):
+        # the theta sums stop at the first M with |r|^(M^2) <= 2^-(wp+1);
+        # at tau = i, |r| = e^-pi
+        ev = j_value_with_bound(mp.mpc(0, 1), 256)
+        m, bits = ev.truncation_order, math.pi * math.log2(math.e)
+        assert m * m * bits >= ev.working_prec + 1 > (m - 1) ** 2 * bits
 
 
 class TestHilbertClassPolynomial:
