@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .arith import QuadraticSurd, class_group_forms
+from .arith import QuadraticSurd
 from .attractor import ChargeData, attractor_point, entropy_invariant
 from .errors import AttrarithError, ComputationFailure
 
@@ -169,12 +169,15 @@ def _cmd_hcp(args, prec: int):
                   file=sys.stderr)
             coeffs = None
     if coeffs is None:
-        res = hilbert_class_polynomial(disc, prec=args.prec)
+        # the coefficients are exact, so the proven bound, not --prec, sets the precision
+        res = hilbert_class_polynomial(disc)
         coeffs = res.coeffs
         if args.cache:
             cache[disc] = coeffs
             store_hcp_cache(args.cache, cache)
-    h = len(class_group_forms(disc))
+        h = res.class_number
+    else:
+        h = len(coeffs) - 1  # hcp_record_valid matched the degree to the form count
     if args.csv:
         _emit_csv(["power", "coeff"], list(enumerate(coeffs)))
         return None

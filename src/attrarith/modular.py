@@ -7,8 +7,14 @@ geometric tail bound and a rounding bound, inside a working precision chosen
 from the reduced height.  The exact integer q-expansions (divisor sums, and
 the discriminant series extracted from (E4^3 - E6^2)/1728 by exact division)
 stay available as eisenstein_series and delta_series; no evaluation uses
-them.  On top of j sit Hilbert class polynomials with a rounding-residual
-gate and the algebraic-integer certificate for attractor points.
+them.  On top of j sit Hilbert class polynomials and the algebraic-integer
+certificate for attractor points.  Their working precision comes from
+Enge's proven bound on the class-polynomial coefficients (A. Enge, Math.
+Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079 on the fundamental domain,
+every coefficient of H_D is at most C(h, h//2) * prod_forms
+(e^(pi sqrt|D|/a) + 2079), so the default precision always rounds to the
+exact coefficients and the rounding-residual gate only guards a precision
+forced by the caller.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ __all__ = [
     "j_value",
     "j_value_with_bound",
     "hilbert_class_polynomial",
-    "hcp_heuristic_bits",
     "certify_attractor_cm",
     "hcp_record_valid",
     "load_hcp_cache",
@@ -175,7 +180,7 @@ class _Theta(NamedTuple):
 
     def e4(self):
         """E4 = (theta_2^8 + theta_3^8 + theta_4^8)/2 and its error bound."""
-        return (self.t2**2 + self.t3**2 + self.t4**2) / 2, 5 * self.err
+        return (self.t2 * self.t2 + self.t3 * self.t3 + self.t4 * self.t4) / 2, 5 * self.err
 
     def e6(self):
         """E6 = (theta_2^4 + theta_3^4)(theta_3^4 + theta_4^4)(theta_4^4 - theta_2^4)/2."""
@@ -183,7 +188,14 @@ class _Theta(NamedTuple):
 
     def delta(self):
         """Delta = (theta_2 theta_3 theta_4)^8/256 = q S2^8 theta_3^8 theta_4^8."""
-        return (self.t2 * self.t3 * self.t4) ** 2 / 256, self.err / 4
+        t = self.t2 * self.t3 * self.t4
+        return t * t / 256, self.err / 4
+
+
+def _fourth(z):
+    """z^4 as a square squared."""
+    z2 = z * z
+    return z2 * z2
 
 
 def _theta(zred, wp: int) -> _Theta:
@@ -196,6 +208,15 @@ def _theta(zred, wp: int) -> _Theta:
     |r|^(M^2)/(1-|r|).  Term k carries a relative rounding error below 18k
     ulps, and sum_k k|r|^k < 0.08, so the rounding of each sum stays below
     (4M + 16) ulps.
+
+    Every power is formed by explicit products, a fourth power as a square
+    squared: mpmath's integer power switches to exp(n log z) at high
+    precision, which is slow and not one rounded product.  Each complex
+    product adds a relative error below sqrt(2) ulps, so each fourth power,
+    with the rounding of 1 + 2S or of r and the factor 16 r, carries a
+    relative rounding error below 9 ulps, under 16 ulps on values below 1.7;
+    the 64 ulps of slack in err cover that with room for the sums and
+    products that combine the fourth powers into E4, E6 and Delta.
     """
     half_mag = math.pi * float(mp.im(zred)) * math.log2(math.e)  # bits in 1/|r|
     M = max(2, math.ceil(math.sqrt((wp + 1) / half_mag)))
@@ -214,9 +235,9 @@ def _theta(zred, wp: int) -> _Theta:
         eps = mp.mpf(2) ** (-wp)
         sum_err = x ** (M * M) / (1 - x) + (4 * M + 16) * eps
         return _Theta(
-            t2=16 * r * s2**4,
-            t3=(1 + 2 * s3) ** 4,
-            t4=(1 + 2 * s4) ** 4,
+            t2=16 * r * _fourth(s2),
+            t3=_fourth(1 + 2 * s3),
+            t4=_fourth(1 + 2 * s4),
             terms=M,
             err=12 * sum_err + 64 * eps,
         )
@@ -265,7 +286,7 @@ def _evaluate_j(tau_src, prec: int) -> JEvaluation:
         dv_abs = abs(dv)
         if not dv_abs > dd:
             raise PrecisionExhausted("cannot certify Delta away from zero")
-        jv = e4**3 / dv
+        jv = e4 * e4 * e4 / dv
         d43 = 3 * (abs(e4) + d4) ** 2 * d4
         eps = mp.mpf(2) ** (-wp)
         # |a/b - A/B| <= (|a - A| + |a/b| |b - B|) / |B|, plus the rounding
@@ -299,11 +320,31 @@ def j_value(tau, prec: int = 256):
         return +ev.j
 
 
-def hcp_heuristic_bits(disc: int) -> int:
-    """Working precision guess for the class polynomial of disc; gate-validated."""
-    h = len(class_group_forms(disc))
-    bits = math.pi * math.sqrt(abs(disc)) * h / math.log(2)
-    return max(256, math.ceil(bits) + 64 * h)
+def _log2_root_bound(disc: int, a: int) -> float:
+    """log2(e^(pi sqrt|disc|/a) + 2079), an upper bound on log2 |j(tau)| for
+    tau the root of a reduced form (a, b, c) of discriminant disc.
+
+    Im tau = sqrt|disc|/(2a) puts 1/|q| at e^(pi sqrt|disc|/a), and Enge's
+    |j - 1/q| <= 2079 holds on the whole fundamental domain.
+    """
+    x = math.pi * math.sqrt(-disc) / a
+    return x / math.log(2) + math.log2(1 + 2079 * math.exp(-x))
+
+
+def _hcp_precision(disc: int, forms) -> tuple[int, int]:
+    """(coefficient bits, working precision) of the class polynomial of disc.
+
+    B = sum_forms log2(e^(pi sqrt|D|/a) + 2079) + log2 C(h, h//2) bounds
+    log2 of every coefficient (Enge 2009): the coefficient of x^(h-k) is the
+    k-th elementary symmetric function of the roots, at most C(h, k) times
+    the product of the root bounds, each of them >= 1.  The coefficient bits
+    are ceil(B + log2(h+1)); the working precision adds 2h + 64 guard bits,
+    which also absorb the floating-point error in computing B.
+    """
+    h = len(forms)
+    bound = sum(_log2_root_bound(disc, f.a) for f in forms) + math.log2(math.comb(h, h // 2))
+    coeff_bits = math.ceil(bound + math.log2(h + 1))
+    return coeff_bits, coeff_bits + 2 * h + 64
 
 
 @dataclass(frozen=True)
@@ -320,20 +361,48 @@ class HCPResult:
 def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult:
     """Monic integer polynomial whose roots are j of the reduced forms of disc.
 
-    Coefficients are recovered by rounding a floating product; the maximum
-    rounding residual is reported and must stay below 0.25, otherwise the
-    caller should retry with more precision.
+    Coefficients are recovered by rounding a floating product of the x - J_i
+    at wp + 32 bits, and the maximum rounding residual must stay below 0.25.
+    By default wp and the coefficient bits c = ceil(B + log2(h+1)) come from
+    _hcp_precision, and every root J_i is evaluated at wp with a certified
+    error delta_i < 2^-(c+8), which makes the gate unreachable:
+
+    - Root errors.  Coefficient k of prod(x + J_i + delta_i) - prod(x + J_i)
+      is at most that of the majorant prod(x + |J_i| + delta) - prod(x + |J_i|)
+      with delta = max delta_i, and the majorant's coefficients sum to its
+      value at x = 1, at most prod(1 + |J_i|) ((1 + delta)^h - 1).  Each |J_i| is at
+      most its root bound A_i >= 2079, so prod(1 + |J_i|) <= prod A_i e^(h/2079)
+      <= 2^(B+1), and h delta < 2^-8 gives (1 + delta)^h - 1 < 1.01 h delta.
+      Every coefficient is therefore off by less than 2^(B+1) 1.01 h 2^-(c+8)
+      < 2^-7.
+    - Product rounding.  Each of the h multiply-add passes rounds with a
+      relative error below 6 ulps at wp + 32 bits, on values bounded by the
+      same majorant (now <= 2^(B+2)), so the rounding adds less than
+      7h 2^(B+2) 2^-(wp+32) < 2^-90.
+
+    So every real part lies within 2^-7 of its integer and every imaginary
+    part within 2^-7 of zero.  An explicit prec forces wp = prec for the
+    roots and the product, skips the per-root requirement, and leaves the
+    0.25 gate to decide; RoundingFailed means that prec was too small.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise InvalidDiscriminant(f"need disc < 0 and disc = 0,1 mod 4, got {disc}")
     forms = class_group_forms(disc)
     h = len(forms)
-    wp = prec if prec is not None else hcp_heuristic_bits(disc)
+    if prec is None:
+        coeff_bits, wp = _hcp_precision(disc, forms)
+        root_err = mp.mpf(2) ** (-(coeff_bits + 8))
+    else:
+        wp, root_err = prec, None
     roots = []
     for f in forms:
-        root = QuadraticSurd(-f.b, 1, 2 * f.a, disc)
-        roots.append(j_value_with_bound(root, 2 * wp).j)
-    with mp.workprec(2 * wp + 32):
+        ev = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), wp)
+        if root_err is not None and not ev.error_bound < root_err:
+            raise PrecisionExhausted(
+                f"j error bound {mp.nstr(ev.error_bound, 5)} misses the "
+                f"2^-{coeff_bits + 8} needed for disc {disc}")
+        roots.append(ev.j)
+    with mp.workprec(wp + 32):
         poly = [mp.mpc(1)]
         for r in roots:
             nxt = [mp.mpc(0)] * (len(poly) + 1)
@@ -349,8 +418,8 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
             coeffs.append(int(nearest))
     if not residual < 0.25:
         raise RoundingFailed(
-            f"rounding residual {mp.nstr(residual, 5)} >= 0.25 for disc {disc}; "
-            f"retry with precision above {wp} bits")
+            f"rounding residual {mp.nstr(residual, 5)} >= 0.25 for disc {disc} "
+            f"at {wp} bits")
     assert coeffs[-1] == 1 and len(coeffs) == h + 1
     return HCPResult(
         disc=disc,
@@ -395,26 +464,50 @@ class CMCertificate:
         return self.value + self.error_bound < self.tolerance
 
 
-def _residual(coeffs, ev: JEvaluation, wp: int):
-    """|H(j)| at wp + 32 bits and the bound on its error from ev's bound and rounding."""
+def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
+    """j at tau and |H(j)| with its error bound, at a precision that lets
+    |H(j)| + error fall below 2^-(prec/4) when H(j(tau)) = 0.
+
+    tau is a root of a form of discriminant disc whose reduced form has
+    leading coefficient a, so |j(tau)| <= 2^L with L = _log2_root_bound(disc,
+    a); hcp_bits is at least the class polynomial's working precision from
+    _hcp_precision, so hcp_bits >= B + log2(4h + 8) + 62 with B the
+    coefficient bound.  |H(j)| is evaluated at wp + 32 bits, and its error
+    bound has two parts:
+
+    - Horner rounding, (4h + 8) max(1, |j|)^h max|c_k| 2^-(wp+32), is below
+      2^(log2(4h + 8) + hL + B - wp - 32); wp >= hcp_bits + hL + prec/4
+      makes it at most 2^-(prec/4 + 94).
+    - The error of j times |H'(j)| <= h(h+1) 2^(B + (h-1)L): the evaluated
+      j carries an error bound below 2^-(wp+64) (its theta kernel runs more
+      than 96 bits above wp), so this part is smaller still.
+
+    wp is also at least prec, the precision at which j is reported.
+    """
     h = len(coeffs) - 1
+    wp = max(prec, hcp_bits + math.ceil(h * _log2_root_bound(disc, a)) + prec // 4)
+    ev = j_value_with_bound(tau, wp)
     with mp.workprec(wp + 32):
         deriv = abs(_horner([n * cn for n, cn in enumerate(coeffs)][1:], ev.j))
         scale = max(mp.mpf(1), abs(ev.j)) ** h * max(abs(cn) for cn in coeffs)
         err = deriv * ev.error_bound + (4 * h + 8) * scale * mp.mpf(2) ** (-(wp + 32))
-        return abs(_horner(coeffs, ev.j)), err
+        return ev, abs(_horner(coeffs, ev.j)), err
 
 
 def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
-    """Certify |H_4D(j(tau_pq))| < 2^(-prec/4) for the attractor point of c."""
+    """Certify |H_4D(j(tau_pq))| < 2^(-prec/4) for the attractor point of c.
+
+    The working precision is chosen by _root_residual from the class
+    polynomial's coefficient bound and the bound on |j| at the attractor's
+    reduced form.
+    """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     at = attractor_point(c)
     disc = 4 * at.D
     hcp = hilbert_class_polynomial(disc)
-    wp = 2 * hcp.precision_bits + prec
-    ev = j_value_with_bound(at.tau, wp)
-    value, err = _residual(hcp.coeffs, ev, wp)
+    ev, value, err = _root_residual(hcp.coeffs, at.tau, at.form.a, disc,
+                                    hcp.precision_bits, prec)
     field_disc = _field_discriminant(at.D)
     f2 = disc // field_disc
     conductor = math.isqrt(f2)
@@ -445,9 +538,8 @@ def hcp_record_valid(disc: int, coeffs) -> bool:
     if len(coeffs) != len(forms) + 1:
         return False
     f = forms[0]
-    wp = 2 * hcp_heuristic_bits(disc) + 64
-    ev = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), wp)
-    value, err = _residual(coeffs, ev, wp)
+    _, value, err = _root_residual(coeffs, QuadraticSurd(-f.b, 1, 2 * f.a, disc), f.a, disc,
+                                   _hcp_precision(disc, forms)[1], 64)
     return value + err < 2.0**-16
 
 

@@ -105,6 +105,15 @@ class TestHcp:
         code, _, err = invoke(capsys, "hcp", "--disc", "-5")
         assert code == 2
 
+    def test_prec_does_not_force_class_polynomial_precision(self, capsys):
+        # the coefficients are exact: --prec 256 is below what D = -479 needs,
+        # and the proven bound, not --prec, picks the working precision
+        forced = invoke_json(capsys, "hcp", "--disc", "-479", "--prec", "256")
+        default = invoke_json(capsys, "hcp", "--disc", "-479")
+        assert forced["result"]["coeffs"] == default["result"]["coeffs"]
+        assert forced["result"]["degree"] == forced["result"]["class_number"] == "25"
+        assert all(c["passed"] for c in forced["certificates"])
+
     def test_valid_cache_hit_is_served(self, capsys, tmp_path, monkeypatch):
         cache = str(tmp_path / "hcp.json")
         code, cold, _ = invoke(capsys, "hcp", "--disc", "-23", "--cache", cache)

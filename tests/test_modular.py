@@ -1,5 +1,6 @@
 """Tests for q-expansions, j evaluation, class polynomials, CM certificates."""
 
+import hashlib
 import json
 import math
 import random
@@ -253,6 +254,50 @@ class TestHilbertClassPolynomial:
             assert res.residual < 0.25
 
 
+# SHA-256 over "D:c0 c1 ... ch" lines, one per valid D from -3 down to -500,
+# computed with every root at 2 (pi h sqrt|D|/ln 2 + 64h) bits, far above the bound
+HCP_DIGEST_3_TO_500 = "7bccb2c439d3ddab6a33bf3427d3eaf7a137205c9fbf7459407de7c4b337b2f4"
+
+
+class TestCoefficientBound:
+    def test_precision_covers_coefficients(self):
+        rng = random.Random(2009)
+        discs = rng.sample([d for d in range(-2000, -2) if d % 4 in (0, 1)], 24)
+        for disc in discs:
+            res = hilbert_class_polynomial(disc)
+            coeff_bits = max(abs(c) for c in res.coeffs).bit_length()
+            assert res.precision_bits >= coeff_bits + math.log2(res.class_number), disc
+            assert res.residual < 2.0**-7, disc
+
+    def test_precision_is_tight(self):
+        # the coefficients of H_-479 need 552 bits
+        res = hilbert_class_polynomial(-479)
+        assert max(abs(c) for c in res.coeffs).bit_length() == 552
+        assert res.precision_bits <= 800
+
+    def test_one_class_group_listing_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(disc):
+            calls.append(disc)
+            return class_group_forms(disc)
+
+        monkeypatch.setattr("attrarith.modular.class_group_forms", counting)
+        for disc in (-3, -23, -479):
+            calls.clear()
+            hilbert_class_polynomial(disc)
+            assert calls == [disc]
+
+    def test_coefficients_match_regression_digest(self):
+        lines = []
+        for disc in range(-3, -501, -1):
+            if disc % 4 in (0, 1):
+                coeffs = hilbert_class_polynomial(disc).coeffs
+                lines.append(f"{disc}:" + " ".join(str(c) for c in coeffs))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == HCP_DIGEST_3_TO_500
+
+
 class TestCertifyCM:
     def test_square_torus(self):
         cert = certify_attractor_cm(ChargeData(1, 1, 0), 256)
@@ -288,6 +333,14 @@ class TestCertifyCM:
     def test_higher_class_numbers(self):
         for p2, q2, pq in ((1, 6, 1), (3, 5, 2), (1, 11, 1)):
             cert = certify_attractor_cm(ChargeData(p2, q2, pq), 192)
+            assert cert.passed, (p2, q2, pq)
+
+    def test_principal_attractor_points(self):
+        # each attractor is the root of its principal form, where |j| is
+        # largest and evaluating H at j cancels the most bits
+        for p2, q2, pq in ((1, 100, 0), (1, 89, 0), (1, 59, 1)):
+            cert = certify_attractor_cm(ChargeData(p2, q2, pq), 256)
+            assert cert.point.form.a == 1
             assert cert.passed, (p2, q2, pq)
 
 
