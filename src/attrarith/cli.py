@@ -21,6 +21,8 @@ from .attractor import ChargeData, attractor_point, entropy_invariant
 from .errors import AttrarithError, ComputationFailure
 
 _DEFAULT_PREC = 256
+# largest weber --n: 2499 points at 256 bits take about 2 s on one core
+_MAX_WEBER_N = 50
 
 
 def _minus(s: str) -> str:
@@ -215,6 +217,8 @@ def _cmd_jval(args, prec: int):
 def _cmd_weber(args, prec: int):
     from .elliptic import model_from_tau, torsion_points, weber_function
 
+    if args.n > _MAX_WEBER_N:
+        raise ValueError(f"--n must be at most {_MAX_WEBER_N}, got {args.n}")
     c, inputs = _charge_from_args(args)
     inputs["n"] = str(args.n)
     ap = attractor_point(c)
@@ -443,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weber", parents=[common],
                         help="Weber values at torsion points of the attractor curve")
     _add_charge_flags(sp)
-    sp.add_argument("--n", type=int, required=True, help="torsion order")
+    sp.add_argument("--n", type=int, required=True,
+                    help=f"torsion order, at most {_MAX_WEBER_N}")
 
     sp = sub.add_parser("curve", parents=[common],
                         help="CM decomposition of a Brieskorn-Pham Jacobian")

@@ -143,21 +143,6 @@ def reduce_to_fundamental(tau, prec: int = 256):
         return mp.mpc(zf), ((a, b), (c, d))
 
 
-def _truncation_order(mag_bits: float, tail_bits: int) -> int:
-    """Smallest N with 6000*(N+1)^7*|q|^(N+1)/0.36 below 2^-tail_bits.
-
-    Valid because every coefficient of E4, E6 and Delta is bounded by
-    2000*n^7 and |q| <= e^(-pi*sqrt(3)) after reduction, which makes the
-    term ratio at most 0.56.
-    """
-    n = 4
-    while n < 250_000:
-        if 14.2 + 7 * math.log2(n + 1.0) - (n + 1) * mag_bits <= -tail_bits:
-            return n
-        n += max(4, n // 4)
-    raise PrecisionExhausted("tail bound unreachable at any tractable truncation order")
-
-
 def _horner(coeffs, q):
     acc = mp.mpf(0)
     for cn in reversed(coeffs):

@@ -177,3 +177,51 @@ def j_dense(tau, prec: int):
         dj = (d43 + abs(jv) * bound) / (abs(dv) - bound) \
             + abs(jv) * eps * (64 + 4 * n + 8 * int(abs(zred)))
         return jv, dj
+
+
+def wp_direct(tau, a: int, b: int, n: int, prec: int):
+    """(p(z), p'(z)/2) at z = (a tau + b)/n on the lattice Z tau + Z, by the direct series.
+
+    The basis is reduced by reduce_to_fundamental (checked on its own against
+    reduce_root_exact), but the point is carried over numerically: z' = z/mu
+    with mu = c tau + d, and its coordinates on the reduced basis are read off
+    and rounded to the n-grid, so the integer coordinate map of torsion_points
+    is not reused.  On the reduced lattice, with u = e^(2 pi i z'),
+    t1 = q^k u and t2 = q^k/u, each term of
+
+        p/(2 pi i)^2  = 1/12 + u/(1-u)^2
+                        + sum_k t1/(1-t1)^2 + t2/(1-t2)^2 - 2 q^k/(1-q^k)^2,
+        p'/(2 pi i)^3 = u(1+u)/(1-u)^3 + sum_k t1(1+t1)/(1-t1)^3 - t2(1+t2)/(1-t2)^3
+
+    is summed as it stands, six divisions each.  With coordinates in [0, n),
+    |t1| <= |q|^k and |t2| <= |q|^(k-1), and |q| < 0.0044 after reduction, so
+    for k >= 2 each term is below 1.04 |q|^(k-1) and the tail after N terms
+    is below 1.05 |q|^N.  N = (wp + 64)/log2(1/|q|) + 2 leaves it more than
+    60 bits under 2^-wp.
+    """
+    from attrarith.modular import reduce_to_fundamental
+
+    wp = prec + 96
+    with mp.workprec(wp):
+        tau = mp.mpc(tau)
+        zred, ((_, _), (c, d)) = reduce_to_fundamental(tau, wp)
+        mu = c * tau + d
+        zp = (a * tau + b) / n / mu
+        s = mp.im(zp) / mp.im(zred)
+        ar = int(mp.nint(n * s)) % n
+        br = int(mp.nint(n * (mp.re(zp) - s * mp.re(zred)))) % n
+        mag = 2 * math.pi * float(mp.im(zred)) * math.log2(math.e)
+        N = math.ceil((wp + 64) / mag) + 2
+        q = mp.expjpi(2 * zred)
+        u = mp.expjpi(2 * (ar * zred + br) / n)
+        p_acc = mp.mpf(1) / 12 + u / (1 - u) ** 2
+        dp_acc = u * (1 + u) / (1 - u) ** 3
+        qn = mp.mpc(1)
+        for _ in range(N):
+            qn *= q
+            t1 = qn * u
+            t2 = qn / u
+            p_acc += t1 / (1 - t1) ** 2 + t2 / (1 - t2) ** 2 - 2 * qn / (1 - qn) ** 2
+            dp_acc += t1 * (1 + t1) / (1 - t1) ** 3 - t2 * (1 + t2) / (1 - t2) ** 3
+        tp = 2j * mp.pi / mu
+        return tp**2 * p_acc, tp**3 * dp_acc / 2

@@ -191,6 +191,16 @@ class TestWeber:
         assert lines[0] == "a,b,x_re,x_im,y_re,y_im,weber_re,weber_im"
         assert len(lines) == 4
 
+    def test_torsion_order_cap_exit_2(self, capsys):
+        # the order is checked before any computing, so a rejected call returns at once
+        code, out, err = invoke(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
+                                "--n", "200")
+        assert code == 2 and out == ""
+        assert err.strip() == "attrarith weber: --n must be at most 50, got 200"
+        env = invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
+                          "--n", "50", "--prec", "64")
+        assert len(env["result"]["points"]) == 50 * 50 - 1
+
 
 class TestCurve:
     def test_fermat_quartic(self, capsys):

@@ -17,6 +17,7 @@ from attrarith.elliptic import (
 )
 from attrarith.errors import AmbiguousCase, NotUpperHalfPlane, OutOfRange, ZeroTwist
 from attrarith.modular import j_value
+from oracles import wp_direct
 
 
 def random_tau(rng):
@@ -143,6 +144,66 @@ class TestTorsionPoints:
         m = model_from_tau(mp.mpc(0, 1), prec=128)
         with pytest.raises(OutOfRange):
             torsion_points(m, 1)
+
+
+def oracle_cases():
+    """(tau, n, prec, twist): eight seeded tau, every n in 2..7 and every precision.
+
+    Two tau have Im >= 5, three have |Re| in [10, 20] and Im <= 0.3 (several
+    reduction steps), three lie near the fundamental domain; one model is
+    twisted.  The costlier (n, prec) pairs go to the larger Im tau, where the
+    direct series is short.
+    """
+    rng = random.Random(66)
+
+    def far():
+        return mp.mpc(rng.choice((-1, 1)) * rng.uniform(10, 20), rng.uniform(0.02, 0.3))
+
+    def near():
+        return mp.mpc(rng.uniform(-0.6, 0.6), rng.uniform(0.8, 1.6))
+
+    def high():
+        return mp.mpc(rng.uniform(-20, 20), rng.uniform(5, 8))
+
+    return [
+        (high(), 7, 512, None),
+        (high(), 6, 256, None),
+        (far(), 7, 128, None),
+        (far(), 5, 512, None),
+        (far(), 4, 256, None),
+        (near(), 6, 128, mp.mpc(rng.uniform(0.5, 2), rng.uniform(-2, 2))),
+        (near(), 3, 256, None),
+        (near(), 2, 512, None),
+    ]
+
+
+class TestTorsionAgainstDirectSeries:
+    def test_every_point_matches_direct_series(self):
+        for tau, n, prec, twist in oracle_cases():
+            m = model_from_tau(tau, prec=prec)
+            u = mp.mpc(1) if twist is None else twist
+            if twist is not None:
+                m = twist_model(m, twist)
+            pts = torsion_points(m, n)
+            assert len(pts) == n * n - 1
+            with mp.workprec(prec + 64):
+                tol = mp.mpf(2) ** -(prec - 8)
+                for p in pts:
+                    a, b = (int(c * n) for c in p.lattice_coords)
+                    x, y = wp_direct(tau, a, b, n, prec)
+                    x, y = u**2 * x, u**3 * y
+                    assert abs(p.x - x) <= tol * max(1, abs(x)), (tau, n, prec, a, b)
+                    assert abs(p.y - y) <= tol * max(1, abs(y)), (tau, n, prec, a, b)
+
+    def test_pairs_share_x_and_negate_y(self):
+        rng = random.Random(67)
+        for n in range(2, 8):
+            tau = mp.mpc(rng.uniform(-20, 20), rng.uniform(0.02, 6))
+            table = {p.lattice_coords: p for p in torsion_points(model_from_tau(tau, 128), n)}
+            for (a, b), p in table.items():
+                neg = table[(-a) % 1, (-b) % 1]
+                if neg is not p:  # points of order 2 are their own partners
+                    assert neg.x == p.x and neg.y + p.y == 0
 
 
 class TestWeberFunction:
