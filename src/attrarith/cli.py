@@ -21,8 +21,12 @@ from .attractor import ChargeData, attractor_point, entropy_invariant
 from .errors import AttrarithError, ComputationFailure
 
 _DEFAULT_PREC = 256
-# largest weber --n: 2499 points at 256 bits take about 2 s on one core
+# largest --prec: decimal output stays under Python's 4300-digit int-to-str limit
+_MAX_PREC = 8192
+# largest weber --n, and largest (n^2 - 1) * prec: 2499 points at 256 bits
+# take about 2 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
+_MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
 
 
 def _minus(s: str) -> str:
@@ -219,6 +223,10 @@ def _cmd_weber(args, prec: int):
 
     if args.n > _MAX_WEBER_N:
         raise ValueError(f"--n must be at most {_MAX_WEBER_N}, got {args.n}")
+    work = (args.n * args.n - 1) * prec
+    if work > _MAX_WEBER_WORK:
+        raise ValueError(f"(n^2 - 1) * prec must be at most {_MAX_WEBER_WORK}, "
+                         f"got {args.n * args.n - 1} * {prec} = {work}")
     c, inputs = _charge_from_args(args)
     inputs["n"] = str(args.n)
     ap = attractor_point(c)
@@ -418,7 +426,8 @@ def _add_charge_flags(sp):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=None,
-                        help="working precision in bits (default 256; env ATTRARITH_PREC)")
+                        help=f"working precision in bits, 64 to {_MAX_PREC} "
+                             "(default 256; env ATTRARITH_PREC)")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON envelope output (default)")
     fmt.add_argument("--csv", action="store_true", help="CSV output where tabular")
@@ -517,8 +526,8 @@ def run(argv=None) -> int:
     try:
         prec = args.prec if args.prec is not None else int(
             os.environ.get("ATTRARITH_PREC", _DEFAULT_PREC))
-        if prec < 64:
-            raise ValueError(f"precision must be at least 64 bits, got {prec}")
+        if not 64 <= prec <= _MAX_PREC:
+            raise ValueError(f"precision must be between 64 and {_MAX_PREC} bits, got {prec}")
         if args.csv and args.cmd not in _TABULAR:
             raise ValueError(f"{args.cmd} has no tabular output; use --json")
         envelope = _HANDLERS[args.cmd](args, prec)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
 
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _render, _theta, reduce_to_fundamental
+from .modular import _from_fixed, _render, _theta, _to_fixed, reduce_to_fundamental
 
 __all__ = [
     "WeierstrassModel",
@@ -43,6 +43,28 @@ class WeierstrassModel:
     source_tau: mp.mpc
     scale: mp.mpc
     precision_bits: int
+
+    @cached_property
+    def weber_case(self):
+        """(constant, k) of the Weber function constant * x^k.
+
+        Generic curves use (AB/delta, 1); j = 1728 uses (A^2/delta, 2); j = 0
+        uses (B/delta, 3), each decided within 2^-(prec/4).  Both
+        degeneracies at once is impossible, so that signals the model's
+        precision is broken.
+        """
+        tol = mp.mpf(2) ** (-(self.precision_bits // 4))
+        j_is_zero = abs(self.j) < tol
+        j_is_1728 = abs(self.j - 1728) < tol
+        if j_is_zero and j_is_1728:
+            raise AmbiguousCase(
+                "model j is within tolerance of both 0 and 1728; raise precision")
+        with mp.workprec(max(self.precision_bits, 53) + 32):
+            if j_is_1728:
+                return self.A**2 / self.delta, 2
+            if j_is_zero:
+                return self.B / self.delta, 3
+            return self.A * self.B / self.delta, 1
 
 
 @dataclass(frozen=True)
@@ -84,16 +106,6 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
             A=+a, B=+b, delta=+delta, j=+jv,
             source_tau=+z, scale=mp.mpc(1), precision_bits=prec,
         )
-
-
-def _to_fixed(z, F: int):
-    """mpc z as a pair of integers, each component truncated to a multiple of 2^-F."""
-    re, im = z._mpc_
-    return to_fixed(re, F), to_fixed(im, F)
-
-
-def _from_fixed(s, F: int):
-    return mp.mpc(mp.mpf((s[0], -F)), mp.mpf((s[1], -F)))
 
 
 def _lambert_count(ratio_bits: float, wp: int) -> int:
@@ -245,28 +257,13 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
 
 
 def weber_function(model: WeierstrassModel, point: TorsionPoint):
-    """Twist-invariant coordinate of a torsion point.
-
-    Generic curves use (AB/delta)x; j = 1728 uses (A^2/delta)x^2; j = 0 uses
-    (B/delta)x^3.  Both degeneracies at once is impossible, so that signals
-    the model's precision is broken.
-    """
-    prec = model.precision_bits
-    tol = mp.mpf(2) ** (-(prec // 4))
-    j_is_zero = abs(model.j) < tol
-    j_is_1728 = abs(model.j - 1728) < tol
-    if j_is_zero and j_is_1728:
-        raise AmbiguousCase(
-            "model j is within tolerance of both 0 and 1728; raise precision")
-    with mp.workprec(max(prec, 53) + 32):
+    """Twist-invariant coordinate of a torsion point: constant * x^k, with the
+    constant and k chosen once per model (WeierstrassModel.weber_case)."""
+    const, k = model.weber_case
+    with mp.workprec(max(model.precision_bits, 53) + 32):
         x = mp.mpc(point.x)
-        if j_is_1728:
-            val = model.A**2 / model.delta * x**2
-        elif j_is_zero:
-            val = model.B / model.delta * x**3
-        else:
-            val = model.A * model.B / model.delta * x
-    with mp.workprec(max(prec, 53)):
+        val = const * x**k
+    with mp.workprec(max(model.precision_bits, 53)):
         return +val
 
 

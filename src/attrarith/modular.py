@@ -4,17 +4,21 @@ E4, E6 and Delta are evaluated in one place, the Jacobi theta kernel: after
 the argument is reduced to the fundamental domain, three sparse theta sums
 of O(sqrt(bits)) terms give all three forms, each sum with a proven
 geometric tail bound and a rounding bound, inside a working precision chosen
-from the reduced height.  The exact integer q-expansions (divisor sums, and
-the discriminant series extracted from (E4^3 - E6^2)/1728 by exact division)
-stay available as eisenstein_series and delta_series; no evaluation uses
-them.  On top of j sit Hilbert class polynomials and the algebraic-integer
-certificate for attractor points.  Their working precision comes from
-Enge's proven bound on the class-polynomial coefficients (A. Enge, Math.
-Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079 on the fundamental domain,
-every coefficient of H_D is at most C(h, h//2) * prod_forms
-(e^(pi sqrt|D|/a) + 2079), so the default precision always rounds to the
-exact coefficients and the rounding-residual gate only guards a precision
-forced by the caller.
+from the reduced height.  Only e^(pi i tau) comes from mpmath: the sums,
+their fourth powers and j = E4^3/Delta run on fixed-point Python integers
+(the helpers _to_fixed and _from_fixed also serve the torsion kernel in
+elliptic), and j converts to mpc once.  The exact integer q-expansions
+(divisor sums, and the discriminant series extracted from (E4^3 - E6^2)/1728
+by exact division) stay available as eisenstein_series and delta_series; no
+evaluation uses them.  On top of j sit Hilbert class polynomials, with one j
+evaluation per pair of complex-conjugate roots and the product formed on
+integers, and the algebraic-integer certificate for attractor points.  Their
+working precision comes from Enge's proven bound on the class-polynomial
+coefficients (A. Enge, Math. Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079
+on the fundamental domain, every coefficient of H_D is at most
+C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the default precision
+always rounds to the exact coefficients and the rounding-residual gate only
+guards a precision forced by the caller.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .arith import QuadraticSurd, class_group_forms, squarefree_decompose
 from .attractor import AttractorPoint, ChargeData, attractor_point
@@ -150,37 +155,74 @@ def _horner(coeffs, q):
     return acc
 
 
+def _to_fixed(z, F: int):
+    """mpc z as a pair of integers, each component floored to a multiple of 2^-F."""
+    re, im = z._mpc_
+    return to_fixed(re, F), to_fixed(im, F)
+
+
+def _from_fixed(s, F: int):
+    """The fixed-point pair s as an mpc, exactly."""
+    return mp.make_mpc((from_man_exp(s[0], -F), from_man_exp(s[1], -F)))
+
+
+def _mul(x, y, F: int):
+    """Product of two fixed-point complex pairs, each component floored to 2^-F."""
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi) >> F, (xr * yi + xi * yr) >> F
+
+
+def _fourth(z, F: int):
+    """z^4 as a square squared, in fixed point."""
+    z2 = _mul(z, z, F)
+    return _mul(z2, z2, F)
+
+
 class _Theta(NamedTuple):
     """Fourth powers of the Jacobi thetas at a reduced point, with one error bound.
 
+    Values are (re, im) integers scaled by 2^F and err is in units of 2^-F.
     With |theta_2^4| < 1.08 and |theta_3^4|, |theta_4^4| < 1.7 on the
-    fundamental domain, the bounds below are first order in err, rounded up.
+    fundamental domain, err >= 64 covers the products below, and each form's
+    bound is first order in err with that slack, rounded up.
     """
 
-    t2: mp.mpc    # theta_2^4 = 16 r S2^4
-    t3: mp.mpc    # theta_3^4 = (1 + 2 S3)^4
-    t4: mp.mpc    # theta_4^4 = (1 + 2 S4)^4
+    t2: tuple     # theta_2^4 = 16 r S2^4
+    t3: tuple     # theta_3^4 = (1 + 2 S3)^4
+    t4: tuple     # theta_4^4 = (1 + 2 S4)^4
+    F: int
     terms: int
-    err: mp.mpf   # bounds each |computed - exact|, plus slack for combining them
+    err: int      # bounds each |computed - exact|, plus slack for combining them
+
+    def e4_fixed(self):
+        """E4 = (theta_2^8 + theta_3^8 + theta_4^8)/2 and its bound, in fixed point."""
+        F = self.F
+        (ar, ai), (br, bi), (cr, ci) = (_mul(t, t, F) for t in (self.t2, self.t3, self.t4))
+        return ((ar + br + cr) >> 1, (ai + bi + ci) >> 1), 5 * self.err
+
+    def delta_fixed(self):
+        """Delta = (theta_2 theta_3 theta_4)^8/256 = q S2^8 theta_3^8 theta_4^8."""
+        F = self.F
+        t = _mul(_mul(self.t2, self.t3, F), self.t4, F)
+        tr, ti = _mul(t, t, F)
+        return (tr >> 8, ti >> 8), (self.err + 3) // 4
 
     def e4(self):
-        """E4 = (theta_2^8 + theta_3^8 + theta_4^8)/2 and its error bound."""
-        return (self.t2 * self.t2 + self.t3 * self.t3 + self.t4 * self.t4) / 2, 5 * self.err
+        return self._exact(*self.e4_fixed())
 
     def e6(self):
         """E6 = (theta_2^4 + theta_3^4)(theta_3^4 + theta_4^4)(theta_4^4 - theta_2^4)/2."""
-        return (self.t2 + self.t3) * (self.t3 + self.t4) * (self.t4 - self.t2) / 2, 27 * self.err
+        F = self.F
+        (ar, ai), (br, bi), (cr, ci) = self.t2, self.t3, self.t4
+        er, ei = _mul(_mul((ar + br, ai + bi), (br + cr, bi + ci), F), (cr - ar, ci - ai), F)
+        return self._exact((er >> 1, ei >> 1), 27 * self.err)
 
     def delta(self):
-        """Delta = (theta_2 theta_3 theta_4)^8/256 = q S2^8 theta_3^8 theta_4^8."""
-        t = self.t2 * self.t3 * self.t4
-        return t * t / 256, self.err / 4
+        return self._exact(*self.delta_fixed())
 
-
-def _fourth(z):
-    """z^4 as a square squared."""
-    z2 = z * z
-    return z2 * z2
+    def _exact(self, value, err):
+        """A fixed-point value and its bound in ulps as an exact mpc and mpf."""
+        return _from_fixed(value, self.F), mp.make_mpf(from_man_exp(err, -self.F))
 
 
 def _theta(zred, wp: int) -> _Theta:
@@ -189,43 +231,61 @@ def _theta(zred, wp: int) -> _Theta:
     With r = e^(pi i tau'), S2 = sum_{n>=0} r^(n(n+1)), S3 = sum_{n>=1} r^(n^2)
     and S4 = sum_{n>=1} (-1)^n r^(n^2) are summed over n < M; three
     multiplications per n turn r^((n-1)n) into r^(n^2) and r^(n(n+1)).  Every
-    omitted term is r^k for a distinct k >= M^2, so each tail is at most
-    |r|^(M^2)/(1-|r|).  Term k carries a relative rounding error below 18k
-    ulps, and sum_k k|r|^k < 0.08, so the rounding of each sum stays below
-    (4M + 16) ulps.
+    omitted term is r^k for a distinct k >= M^2, and M is the first count with
+    |r|^(M^2) <= 2^-(wp+1), so each tail is at most |r|^(M^2)/(1-|r|).  On the
+    fundamental domain Im tau' >= sqrt(3)/2 gives |r| < 0.0659, so the tail is
+    below 1.071 * 2^-(M^2 log2(1/|r|)), computed in floats and rounded up to
+    whole ulps plus one: their relative error in the exponent is below 1e-8,
+    and the factor 1.071 exceeds 1/(1 - 0.0659) by more than that.
 
-    Every power is formed by explicit products, a fourth power as a square
-    squared: mpmath's integer power switches to exp(n log z) at high
-    precision, which is slow and not one rounded product.  Each complex
-    product adds a relative error below sqrt(2) ulps, so each fourth power,
-    with the rounding of 1 + 2S or of r and the factor 16 r, carries a
-    relative rounding error below 9 ulps, under 16 ulps on values below 1.7;
-    the 64 ulps of slack in err cover that with room for the sums and
-    products that combine the fourth powers into E4, E6 and Delta.
+    Rounding, in ulps u = 2^-F.  Only r comes from mpmath, at F bits; the
+    sums, the fourth powers and every later product run on (re, im) Python
+    integers scaled by 2^F, and each floored product errs by at most sqrt(2).
+    r and 16 r, each floored from its own conversion, are within 1.6 of
+    exact.  A product of two computed powers of r errs by at most
+    |r|(e_a + e_b) + sqrt(2), so every power stays within 2 and each sum of
+    at most M terms within 2M.  With E = tail + 2M the error of each sum,
+    1 + 2 S3 is within 2E and below 1.1414 in modulus, so its square squared
+    is within 8 (1.1414)^3 E + (2 (1.1414)^2 + 1) sqrt(2) < 12 E + 6, and the
+    same holds for theta_4^4.  theta_2^4 = (16 r) S2^4 with |S2| < 1.0044
+    is within 4.3 E + 8.  err = 12 E + 64 covers all three, and the
+    remaining slack covers the products that combine them into E4, E6 and
+    Delta (at most 4 ulps each).  F = wp + ceil(log2 M) + 4 keeps the
+    rounding part of err, (24 M + 64) 2^-F, below (1.5 + 4/M) 2^-wp.
     """
     half_mag = math.pi * float(mp.im(zred)) * math.log2(math.e)  # bits in 1/|r|
     M = max(2, math.ceil(math.sqrt((wp + 1) / half_mag)))
-    with mp.workprec(wp):
-        r = mp.expjpi(zred)
-        s2, s3, s4 = mp.mpc(1), mp.mpc(0), mp.mpc(0)
-        rn = t = mp.mpc(1)
-        for n in range(1, M):
-            rn *= r            # r^n
-            t *= rn            # r^(n^2)
-            s3 += t
-            s4 += -t if n % 2 else t
-            t *= rn            # r^(n(n+1))
-            s2 += t
-        x = abs(r)
-        eps = mp.mpf(2) ** (-wp)
-        sum_err = x ** (M * M) / (1 - x) + (4 * M + 16) * eps
-        return _Theta(
-            t2=16 * r * _fourth(s2),
-            t3=_fourth(1 + 2 * s3),
-            t4=_fourth(1 + 2 * s4),
-            terms=M,
-            err=12 * sum_err + 64 * eps,
-        )
+    F = wp + (M - 1).bit_length() + 4
+    with mp.workprec(F):
+        rv = mp.expjpi(zred)
+    r, r16 = _to_fixed(rv, F), _to_fixed(rv, F + 4)
+    one = 1 << F
+    rr, ri = r
+    s2r, s2i, s3r, s3i, s4r, s4i = one, 0, 0, 0, 0, 0
+    nr, ni, tr, ti = one, 0, one, 0
+    for n in range(1, M):
+        nr, ni = (nr * rr - ni * ri) >> F, (nr * ri + ni * rr) >> F   # r^n
+        tr, ti = (tr * nr - ti * ni) >> F, (tr * ni + ti * nr) >> F   # r^(n^2)
+        s3r += tr
+        s3i += ti
+        if n % 2:
+            s4r -= tr
+            s4i -= ti
+        else:
+            s4r += tr
+            s4i += ti
+        tr, ti = (tr * nr - ti * ni) >> F, (tr * ni + ti * nr) >> F   # r^(n(n+1))
+        s2r += tr
+        s2i += ti
+    tail = math.ceil(1.071 * 2.0 ** (F - M * M * half_mag)) + 1
+    return _Theta(
+        t2=_mul(r16, _fourth((s2r, s2i), F), F),
+        t3=_fourth((one + 2 * s3r, 2 * s3i), F),
+        t4=_fourth((one + 2 * s4r, 2 * s4i), F),
+        F=F,
+        terms=M,
+        err=12 * (tail + 2 * M) + 64,
+    )
 
 
 class JEvaluation(NamedTuple):
@@ -247,48 +307,71 @@ def _render(tau, prec: int):
         return mp.mpc(tau)
 
 
+_IDENTITY = ((1, 0), (0, 1))
+
+
 def _evaluate_j(tau_src, prec: int) -> JEvaluation:
     """Evaluate j = E4^3/Delta after fundamental-domain reduction, with a bound.
 
     Two passes: a scouting reduction fixes the matrix and the reduced height
     (hence the magnitude of 1/q), then the input is re-rendered and mapped at
-    a working precision scaled to that magnitude.  E4 and Delta come from the
-    theta kernel; their tail and rounding bounds are propagated through the
-    cube and the quotient into error_bound, and delta_lower = |Delta| minus
-    its bound certifies that Delta does not vanish.
+    a working precision scaled to that magnitude; the Moebius map is skipped
+    when the matrix is the identity, as it is at the root of a reduced form.
+    E4 and Delta come from the theta kernel, and E4^3 and the quotient are
+    formed on the same fixed-point integers (F fractional bits), with one
+    floor division by the norm of Delta.  j converts to mpc exactly.
+
+    The bound is computed on integers counting units u = 2^-F, every step
+    rounded up: |E4| <= A u and |Delta| >= L u come from integer square roots
+    of the norms (plus one, and floored), and every quotient is a ceiling.
+    With d4 u and dd u the kernel's bounds on E4 and Delta:
+
+    - the cube errs by at most 3 (A + d4)^2 d4 u^3 + 8 u, the 8 u covering
+      its two floored products on |E4| < 3.5;
+    - |a/b - A/B| <= (|a - A| + |a/b| |b - B|)/|B| with |B| >= L - dd, and
+      |a/b| below J, the modulus of the computed quotient plus 3;
+    - the floor division errs by at most sqrt(2) < 2;
+    - the rounding of the reduced point itself adds |j| 2^-wp (64 + 8|tau'|).
+
+    delta_lower = L - dd certifies that Delta does not vanish.
     """
     zr1, mat = reduce_to_fundamental(_render(tau_src, prec + 80), prec + 64)
     mag = 2 * math.pi * float(mp.im(zr1)) * math.log2(math.e)  # bits in 1/|q|
     wp = prec + 2 * math.ceil(mag) + 96
     if wp > 10_000_000:
         raise PrecisionExhausted(f"required working precision {wp} bits is intractable")
-    (a, b), (cc, d) = mat
     with mp.workprec(wp):
-        z = _render(tau_src, wp)
-        zred = (a * z + b) / (cc * z + d)
+        zred = _render(tau_src, wp)
+        if mat != _IDENTITY:
+            (a, b), (cc, d) = mat
+            zred = (a * zred + b) / (cc * zred + d)
         th = _theta(zred, wp)
-        (e4, d4), (dv, dd) = th.e4(), th.delta()
-        dv_abs = abs(dv)
-        if not dv_abs > dd:
-            raise PrecisionExhausted("cannot certify Delta away from zero")
-        jv = e4 * e4 * e4 / dv
-        d43 = 3 * (abs(e4) + d4) ** 2 * d4
-        eps = mp.mpf(2) ** (-wp)
-        # |a/b - A/B| <= (|a - A| + |a/b| |b - B|) / |B|, plus the rounding
-        # of the cube and quotient and of the reduced point itself
-        dj = (d43 + abs(jv) * dd) / (dv_abs - dd) \
-            + abs(jv) * eps * (64 + 8 * int(abs(zred)))
-        if not dj < mp.mpf(2) ** (-(prec // 2)):
-            raise PrecisionExhausted(
-                f"j error bound {mp.nstr(dj, 5)} misses 2^-{prec // 2} target")
-        return JEvaluation(
-            j=jv,
-            error_bound=dj,
-            delta=dv,
-            delta_lower=dv_abs - dd,
-            truncation_order=th.terms,
-            working_prec=wp,
-        )
+    F = th.F
+    (er, ei), d4 = th.e4_fixed()
+    (dr, di), dd = th.delta_fixed()
+    norm = dr * dr + di * di
+    low = math.isqrt(norm)
+    if not low > dd:
+        raise PrecisionExhausted("cannot certify Delta away from zero")
+    cr, ci = _mul(_mul((er, ei), (er, ei), F), (er, ei), F)
+    jr, ji = ((cr * dr + ci * di) << F) // norm, ((ci * dr - cr * di) << F) // norm
+    big_a = math.isqrt(er * er + ei * ei) + 1
+    big_j = math.isqrt(jr * jr + ji * ji) + 3
+    # in units of 2^-F, each -(-x // y) and -(-x >> k) a ceiling
+    d43 = -(-3 * (big_a + d4) ** 2 * d4 >> 2 * F) + 8
+    dj = (-(-((d43 << F) + big_j * dd) // (low - dd)) + 2
+          - (-big_j * (64 + 8 * int(abs(complex(zred)))) >> wp))
+    if not dj < 1 << (F - prec // 2):
+        raise PrecisionExhausted(
+            f"j error bound {mp.nstr(mp.ldexp(dj, -F), 5)} misses 2^-{prec // 2} target")
+    return JEvaluation(
+        j=_from_fixed((jr, ji), F),
+        error_bound=mp.make_mpf(from_man_exp(dj, -F)),
+        delta=_from_fixed((dr, di), F),
+        delta_lower=mp.make_mpf(from_man_exp(low - dd, -F)),
+        truncation_order=th.terms,
+        working_prec=wp,
+    )
 
 
 def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
@@ -346,13 +429,22 @@ class HCPResult:
 def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult:
     """Monic integer polynomial whose roots are j of the reduced forms of disc.
 
-    Coefficients are recovered by rounding a floating product of the x - J_i
-    at wp + 32 bits, and the maximum rounding residual must stay below 0.25.
-    By default wp and the coefficient bits c = ceil(B + log2(h+1)) come from
-    _hcp_precision, and every root J_i is evaluated at wp with a certified
-    error delta_i < 2^-(c+8), which makes the gate unreachable:
+    j is evaluated once per pair of complex-conjugate roots: only at forms
+    with b >= 0, since (a, -b, c) has the root -conj(tau) and j(-conj(tau))
+    = conj(j(tau)).  An ambiguous form (b = 0, a = b or a = c) is its own
+    partner with real j and contributes x - Re J; every other form
+    contributes x^2 - 2 Re J x + |J|^2 for itself and (a, -b, c).  The
+    factors are multiplied on integers with G = wp + 32 fractional bits, and
+    the coefficients are recovered by rounding, with the maximum rounding
+    residual required below 0.25.  By default wp and the coefficient bits
+    c = ceil(B + log2(h+1)) come from _hcp_precision, and every evaluated
+    root J_i carries a certified error delta_i < 2^-(c+8), which makes the
+    gate unreachable:
 
-    - Root errors.  Coefficient k of prod(x + J_i + delta_i) - prod(x + J_i)
+    - Root errors.  The conjugate of J_i is within delta_i of the conjugate
+      root, and Re J_i of a real root within delta_i of it, so every one of
+      the h roots is known within delta_i; flooring to G bits adds at most
+      sqrt(2) 2^-G.  Coefficient k of prod(x + J_i + delta_i) - prod(x + J_i)
       is at most that of the majorant prod(x + |J_i| + delta) - prod(x + |J_i|)
       with delta = max delta_i, and the majorant's coefficients sum to its
       value at x = 1, at most prod(1 + |J_i|) ((1 + delta)^h - 1).  Each |J_i| is at
@@ -360,15 +452,16 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
       <= 2^(B+1), and h delta < 2^-8 gives (1 + delta)^h - 1 < 1.01 h delta.
       Every coefficient is therefore off by less than 2^(B+1) 1.01 h 2^-(c+8)
       < 2^-7.
-    - Product rounding.  Each of the h multiply-add passes rounds with a
-      relative error below 6 ulps at wp + 32 bits, on values bounded by the
-      same majorant (now <= 2^(B+2)), so the rounding adds less than
-      7h 2^(B+2) 2^-(wp+32) < 2^-90.
+    - Product rounding.  |J|^2 is floored once, and each pass floors at most
+      two products per coefficient; an error of 2^-G in one factor or one
+      partial product reaches the result multiplied by the remaining
+      factors, whose coefficients sum to at most 2^(B+1).  So the rounding
+      adds less than 3h 2^(B+2) 2^-G < 2^-90.
 
-    So every real part lies within 2^-7 of its integer and every imaginary
-    part within 2^-7 of zero.  An explicit prec forces wp = prec for the
-    roots and the product, skips the per-root requirement, and leaves the
-    0.25 gate to decide; RoundingFailed means that prec was too small.
+    The product is real, so every coefficient lies within 2^-7 of its
+    integer.  An explicit prec forces wp = prec for the roots and the
+    product, skips the per-root requirement, and leaves the 0.25 gate to
+    decide; RoundingFailed means that prec was too small.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise InvalidDiscriminant(f"need disc < 0 and disc = 0,1 mod 4, got {disc}")
@@ -379,37 +472,38 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
         root_err = mp.mpf(2) ** (-(coeff_bits + 8))
     else:
         wp, root_err = prec, None
-    roots = []
+    G = wp + 32
+    poly = [1 << G]   # ascending coefficients, G fractional bits
     for f in forms:
+        if f.b < 0:
+            continue   # the partner of (a, -b, c), which carries both roots
         ev = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), wp)
         if root_err is not None and not ev.error_bound < root_err:
             raise PrecisionExhausted(
                 f"j error bound {mp.nstr(ev.error_bound, 5)} misses the "
                 f"2^-{coeff_bits + 8} needed for disc {disc}")
-        roots.append(ev.j)
-    with mp.workprec(wp + 32):
-        poly = [mp.mpc(1)]
-        for r in roots:
-            nxt = [mp.mpc(0)] * (len(poly) + 1)
-            for i, ci in enumerate(poly):
-                nxt[i] += -r * ci
-                nxt[i + 1] += ci
-            poly = nxt
-        coeffs = []
-        residual = mp.mpf(0)
-        for cv in poly:
-            nearest = mp.nint(mp.re(cv))
-            residual = max(residual, abs(mp.re(cv) - nearest), abs(mp.im(cv)))
-            coeffs.append(int(nearest))
-    if not residual < 0.25:
+        jr, ji = _to_fixed(ev.j, G)
+        if f.b == 0 or f.b == f.a or f.a == f.c:
+            low = (-jr,)
+        else:
+            low = ((jr * jr + ji * ji) >> G, -2 * jr)
+        nxt = [0] * len(low) + poly
+        for i, pv in enumerate(poly):
+            for k, cv in enumerate(low):
+                nxt[i + k] += (cv * pv) >> G
+        poly = nxt
+    half = 1 << (G - 1)
+    coeffs = [(v + half) >> G for v in poly]
+    worst = max(abs(v - (cv << G)) for v, cv in zip(poly, coeffs))
+    residual = worst / (1 << G)
+    if not 4 * worst < 1 << G:
         raise RoundingFailed(
-            f"rounding residual {mp.nstr(residual, 5)} >= 0.25 for disc {disc} "
-            f"at {wp} bits")
+            f"rounding residual {residual:.5g} >= 0.25 for disc {disc} at {wp} bits")
     assert coeffs[-1] == 1 and len(coeffs) == h + 1
     return HCPResult(
         disc=disc,
         coeffs=tuple(coeffs),
-        residual=float(residual),
+        residual=residual,
         class_number=h,
         precision_bits=wp,
     )

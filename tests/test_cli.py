@@ -201,6 +201,19 @@ class TestWeber:
                           "--n", "50", "--prec", "64")
         assert len(env["result"]["points"]) == 50 * 50 - 1
 
+    def test_points_times_precision_cap_exit_2(self, capsys):
+        # (n^2 - 1) * prec may not exceed 2499 * 256, the largest call at the default precision
+        code, out, err = invoke(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
+                                "--n", "50", "--prec", "257")
+        assert code == 2 and out == ""
+        assert err == ("attrarith weber: (n^2 - 1) * prec must be at most 639744, "
+                       "got 2499 * 257 = 642243\n")
+        # the --n check keeps its message and comes first
+        code, _, err = invoke(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
+                              "--n", "51", "--prec", "4096")
+        assert code == 2
+        assert err.strip() == "attrarith weber: --n must be at most 50, got 51"
+
 
 class TestCurve:
     def test_fermat_quartic(self, capsys):
@@ -314,6 +327,24 @@ class TestGlobalFlags:
     def test_too_low_precision_exit_2(self, capsys):
         code, _, _ = invoke(capsys, "jval", "--tau", "0,1", "--prec", "32")
         assert code == 2
+
+    @pytest.mark.parametrize("prec", ["8193", "14300", "2000000"])
+    def test_precision_cap_exit_2(self, capsys, prec):
+        # refused before any computing: 14300 bits used to fail only after the
+        # evaluation, in the decimal rendering, and 2000000 used to hang
+        code, out, err = invoke(capsys, "jval", "--tau", "0,1", "--prec", prec)
+        assert code == 2 and out == ""
+        assert err == f"attrarith jval: precision must be between 64 and 8192 bits, got {prec}\n"
+
+    def test_precision_cap_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATTRARITH_PREC", "9000")
+        code, out, err = invoke(capsys, "hcp", "--disc", "-4")
+        assert code == 2 and out == ""
+        assert err == "attrarith hcp: precision must be between 64 and 8192 bits, got 9000\n"
+
+    def test_precision_at_cap_runs(self, capsys):
+        env = invoke_json(capsys, "jval", "--tau", "0,1", "--prec", "8192")
+        assert env["precision_bits"] == 8192
 
     def test_no_command_exit_2(self, capsys):
         code, _, _ = invoke(capsys)

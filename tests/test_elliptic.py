@@ -236,6 +236,36 @@ class TestWeberFunction:
                 assert p.lattice_coords == q.lattice_coords
                 assert abs(weber_function(mt, q) - v) < mp.mpf(10) ** -40
 
+    def test_constant_per_model_matches_per_point_formula(self):
+        # the case choice and constant are computed once per model; the
+        # values must equal the formula evaluated anew at every point
+        def per_point(model, point):
+            prec = model.precision_bits
+            tol = mp.mpf(2) ** (-(prec // 4))
+            j_is_zero = abs(model.j) < tol
+            j_is_1728 = abs(model.j - 1728) < tol
+            with mp.workprec(max(prec, 53) + 32):
+                x = mp.mpc(point.x)
+                if j_is_1728:
+                    val = model.A**2 / model.delta * x**2
+                elif j_is_zero:
+                    val = model.B / model.delta * x**3
+                else:
+                    val = model.A * model.B / model.delta * x
+            with mp.workprec(max(prec, 53)):
+                return +val
+
+        taus = (mp.mpc(0, 1), QuadraticSurd(1, 1, 2, -3), QuadraticSurd(1, 1, 2, -5),
+                mp.mpc("0.31", "1.7"))
+        for k, tau in enumerate(taus):
+            m = model_from_tau(tau, prec=(128, 256, 256, 192)[k])
+            for n in (2, 3):
+                m_t = twist_model(m, mp.mpc("0.7", "1.9")) if n == 3 else m
+                for p in torsion_points(m_t, n):
+                    assert weber_function(m_t, p) == per_point(m_t, p), (tau, n, p)
+            assert m.weber_case[1] == (2, 3, 1, 1)[k]
+            assert m.weber_case is m.weber_case
+
     def test_ambiguous_case(self):
         tiny = mp.mpf(2) ** -200
         broken = WeierstrassModel(

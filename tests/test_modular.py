@@ -160,6 +160,19 @@ class TestJValue:
                 diff = abs(j_value(gtau, 192) - j_value(tau, 192))
             assert diff < mp.mpf(2) ** (-192 // 2 + 8), (mat, tau, diff)
 
+    def test_bound_holds_against_higher_precision(self):
+        # a reference 256 bits higher carries a bound 2^-128 times smaller, so
+        # this checks each reported bound nearly on its own, at j = 0 too
+        rng = random.Random(1234)
+        points = [mp.mpc(0, 1), QuadraticSurd(1, 1, 2, -3), QuadraticSurd(-1, 1, 2, -7)]
+        points += [mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 2)) for _ in range(10)]
+        for prec in (64, 256, 1024):
+            for tau in points:
+                ev = j_value_with_bound(tau, prec)
+                ref = j_value_with_bound(tau, prec + 256)
+                with mp.workprec(ev.working_prec + 300):
+                    assert abs(ev.j - ref.j) <= ev.error_bound + ref.error_bound, (tau, prec)
+
     def test_bound_reported_and_delta_positive(self):
         rng = random.Random(909)
         for _ in range(20):
@@ -257,6 +270,18 @@ class TestHilbertClassPolynomial:
 # SHA-256 over "D:c0 c1 ... ch" lines, one per valid D from -3 down to -500,
 # computed with every root at 2 (pi h sqrt|D|/ln 2 + 64h) bits, far above the bound
 HCP_DIGEST_3_TO_500 = "7bccb2c439d3ddab6a33bf3427d3eaf7a137205c9fbf7459407de7c4b337b2f4"
+# the same over every valid D from -501 down to -1000 (h up to 36 at D = -959),
+# computed with one mpc root per form and the product in mpc
+HCP_DIGEST_501_TO_1000 = "98f99bde4ef82350cb98939d2405812918179013b1e7c9a7dbd4a2fb4660c86d"
+
+
+def _hcp_digest(first, last):
+    lines = []
+    for disc in range(first, last - 1, -1):
+        if disc % 4 in (0, 1):
+            coeffs = hilbert_class_polynomial(disc).coeffs
+            lines.append(f"{disc}:" + " ".join(str(c) for c in coeffs))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestCoefficientBound:
@@ -289,13 +314,67 @@ class TestCoefficientBound:
             assert calls == [disc]
 
     def test_coefficients_match_regression_digest(self):
-        lines = []
-        for disc in range(-3, -501, -1):
-            if disc % 4 in (0, 1):
-                coeffs = hilbert_class_polynomial(disc).coeffs
-                lines.append(f"{disc}:" + " ".join(str(c) for c in coeffs))
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == HCP_DIGEST_3_TO_500
+        assert _hcp_digest(-3, -500) == HCP_DIGEST_3_TO_500
+
+    def test_coefficients_match_regression_digest_501_to_1000(self):
+        assert _hcp_digest(-501, -1000) == HCP_DIGEST_501_TO_1000
+
+
+def _is_ambiguous(f):
+    return f.b == 0 or f.b == f.a or f.a == f.c
+
+
+def _oracle_class_polynomial(disc, prec):
+    """prod (x - j) over every reduced form, with j from the dense q-series
+    oracle and the product in mpc, rounded; also the largest residual."""
+    with mp.workprec(prec + 32):
+        poly = [mp.mpc(1)]
+        for f in class_group_forms(disc):
+            jv, bound = j_dense(QuadraticSurd(-f.b, 1, 2 * f.a, disc).to_mpc(prec + 64), prec)
+            assert bound < mp.mpf(2) ** -(prec // 2)
+            poly = [mp.mpc(0)] + poly
+            for i in range(len(poly) - 1):
+                poly[i] -= jv * poly[i + 1]
+        coeffs = [int(mp.nint(mp.re(c))) for c in poly]
+        residual = max(max(abs(mp.re(c) - n), abs(mp.im(c))) for c, n in zip(poly, coeffs))
+    return tuple(coeffs), residual
+
+
+class TestConjugatePairing:
+    """j is evaluated once per pair of conjugate roots; the factors multiply on integers."""
+
+    def test_one_j_evaluation_per_form_with_nonnegative_b(self, monkeypatch):
+        seen = []
+
+        def spy(tau, prec=256):
+            seen.append(tau)
+            return j_value_with_bound(tau, prec)
+
+        monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
+        for disc in (-3, -23, -420, -479, -971):
+            seen.clear()
+            hilbert_class_polynomial(disc)
+            forms = class_group_forms(disc)
+            assert seen == [QuadraticSurd(-f.b, 1, 2 * f.a, disc) for f in forms if f.b >= 0]
+            assert len(seen) < len(forms) or all(_is_ambiguous(f) for f in forms)
+
+    def test_all_forms_ambiguous_minus_420(self):
+        forms = class_group_forms(-420)
+        assert len(forms) == 8 and all(_is_ambiguous(f) for f in forms)
+        res = hilbert_class_polynomial(-420)
+        coeffs, residual = _oracle_class_polynomial(-420, 512)
+        assert residual < 2.0**-20
+        assert res.coeffs == coeffs
+
+    def test_only_principal_form_ambiguous_minus_971(self):
+        forms = class_group_forms(-971)
+        assert len(forms) == 15
+        assert [f for f in forms if _is_ambiguous(f)] == [forms[0]] and forms[0].a == 1
+        res = hilbert_class_polynomial(-971)
+        coeffs, residual = _oracle_class_polynomial(-971, 1024)
+        assert residual < 2.0**-20
+        assert res.coeffs == coeffs
+        assert res.residual < 2.0**-7
 
 
 class TestCertifyCM:
