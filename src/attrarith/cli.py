@@ -27,6 +27,8 @@ _MAX_PREC = 8192
 # take about 2 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
+# largest flow --max-steps: a flow needing more rows builds this many for exit 3
+_MAX_FLOW_STEPS = 10**6
 
 
 def _minus(s: str) -> str:
@@ -378,6 +380,8 @@ def _cmd_sk_check(args, prec: int):
 def _cmd_flow(args, prec: int):
     from .flow import FlowConfig, export_trajectory, flow_integrate
 
+    if args.max_steps > _MAX_FLOW_STEPS:
+        raise ValueError(f"--max-steps must be at most {_MAX_FLOW_STEPS}, got {args.max_steps}")
     c, inputs = _charge_from_args(args)
     tau0 = complex(_parse_pair(args.tau0, 64, "--tau0"))
     cfg = FlowConfig(step=args.step, tol=args.tol, max_steps=args.max_steps)
@@ -405,8 +409,10 @@ def _cmd_flow(args, prec: int):
         "entropy_exact": _dec_f(cert.entropy_exact),
     }
     certs = [
-        {"name": "endpoint_vs_exact_attractor", "residual": _dec_f(cert.tau_error)},
-        {"name": "entropy_vs_sqrt_disc", "residual": _dec_f(cert.entropy_error)},
+        {"name": "endpoint_vs_exact_attractor", "passed": cert.endpoint_passed,
+         "residual": _dec_f(cert.tau_error)},
+        {"name": "entropy_vs_sqrt_disc", "passed": cert.entropy_passed,
+         "residual": _dec_f(cert.entropy_error), "bound": _dec_f(cert.entropy_bound)},
         {"name": "central_charge_monotone", "passed": bool(cert.monotone),
          "max_increase": _dec_f(cert.max_z2_increase)},
         {"name": "converged", "passed": bool(res.converged)},
@@ -492,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", default=None, help="write trajectory CSV here")
     sp.add_argument("--step", type=float, default=1e-2)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--max-steps", type=int, default=10**6, dest="max_steps")
+    sp.add_argument("--max-steps", type=int, default=_MAX_FLOW_STEPS, dest="max_steps")
 
     return parser
 

@@ -90,10 +90,6 @@ class AmbiguousCase(ComputationFailure):
     pass
 
 
-class StepUnderflow(ComputationFailure):
-    pass
-
-
 class NonConvergence(ComputationFailure):
     def __init__(self, message, trajectory=None):
         super().__init__(message)

@@ -3,7 +3,8 @@
 These deliberately use different algorithms from the package (exact Fraction
 Moebius maps instead of form reduction, sieves instead of factorization,
 brute-force enumeration instead of closed forms, dense integer q-series
-instead of theta sums) so agreement is meaningful.
+instead of theta sums, RK4 integration instead of the closed-form flow) so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from attrarith.arith import QuadraticSurd
 
@@ -225,3 +227,100 @@ def wp_direct(tau, a: int, b: int, n: int, prec: int):
             dp_acc += t1 * (1 + t1) / (1 - t1) ** 3 - t2 * (1 + t2) / (1 - t2) ** 3
         tp = 2j * mp.pi / mu
         return tp**2 * p_acc, tp**3 * dp_acc / 2
+
+
+# --------------------------------------------------------------------------
+# the attractor flow by explicit float64 RK4 with step halving, the package's
+# integrator before the closed form; rows are (rho, U, x, y, Z2) at sigma = n*h0
+# while no step is halved
+
+# accepted steps may raise |Z|^2 by a few ulps of rounding, never more
+RK4_Z2_SLACK = 1e-14
+RK4_MAX_HALVINGS = 60
+
+RK4_CONVERGED = 0
+RK4_MAX_STEPS = 1
+RK4_UNDERFLOW = 2
+
+
+def rk4_charge_sq(p2, q2, pq, x, y):
+    """|Z|^2 = (q2 - 2 pq x + p2 (x^2 + y^2)) / (2y); caller ensures y > 0."""
+    return (q2 - 2.0 * pq * x + p2 * (x * x + y * y)) / (2.0 * y)
+
+
+def rk4_deriv(p2, q2, pq, u, x, y):
+    """(drho, dU, dx, dy) per unit sigma at warp u and tau = x + iy."""
+    f = rk4_charge_sq(p2, q2, pq, x, y)
+    z = math.sqrt(f)
+    dx = -2.0 * y * (p2 * x - pq) / z
+    dy = -2.0 * y * (y * p2 - f) / z
+    # plain exp raises OverflowError; an inf step gets rejected instead
+    dr = math.exp(-u) if -u < 709.0 else math.inf
+    return dr, -z, dx, dy
+
+
+def rk4_try(p2, q2, pq, rho, u, x, y, h):
+    """One tentative RK4 step; ok=False when a stage leaves the half-plane."""
+    a1, b1, c1, d1 = rk4_deriv(p2, q2, pq, u, x, y)
+    y2 = y + 0.5 * h * d1
+    if not (y2 > 0.0):
+        return False, rho, u, x, y
+    a2, b2, c2, d2 = rk4_deriv(p2, q2, pq, u + 0.5 * h * b1, x + 0.5 * h * c1, y2)
+    y3 = y + 0.5 * h * d2
+    if not (y3 > 0.0):
+        return False, rho, u, x, y
+    a3, b3, c3, d3 = rk4_deriv(p2, q2, pq, u + 0.5 * h * b2, x + 0.5 * h * c2, y3)
+    y4 = y + h * d3
+    if not (y4 > 0.0):
+        return False, rho, u, x, y
+    a4, b4, c4, d4 = rk4_deriv(p2, q2, pq, u + h * b3, x + h * c3, y4)
+    s = h / 6.0
+    nrho = rho + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    nu = u + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    nx = x + s * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    ny = y + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    ok = (ny > 0.0 and math.isfinite(nrho) and math.isfinite(nu)
+          and math.isfinite(nx) and math.isfinite(ny))
+    return ok, nrho, nu, nx, ny
+
+
+def rk4_step(p2, q2, pq, rho, u, x, y, z2, h0):
+    """One accepted RK4 step from (rho, u, x + iy), where |Z|^2 = z2.
+
+    A step is accepted when Im tau stays positive and |Z|^2 does not grow
+    beyond rounding slack; otherwise it is halved, up to RK4_MAX_HALVINGS times.
+    Returns (rho, u, x, y, z2, h) of the accepted step, or None when the
+    halving budget runs out.
+    """
+    h = h0
+    for _ in range(RK4_MAX_HALVINGS + 1):
+        ok, nrho, nu, nx, ny = rk4_try(p2, q2, pq, rho, u, x, y, h)
+        if ok:
+            nz2 = rk4_charge_sq(p2, q2, pq, nx, ny)
+            if math.isfinite(nz2) and nz2 <= z2 * (1.0 + RK4_Z2_SLACK):
+                return nrho, nu, nx, ny, nz2, h
+        h *= 0.5
+    return None
+
+
+def rk4_trajectory(p2, q2, pq, x0, y0, h0, tol, max_steps):
+    """Integrate until |dtau| per full step drops below tol.
+
+    Returns (status, n_accepted, traj) with traj rows (rho, U, x, y, Z2);
+    row 0 is the start, rows 1..n the accepted steps.
+    """
+    traj = np.empty((max_steps + 1, 5))
+    traj[0] = row = (0.0, 0.0, x0, y0, rk4_charge_sq(p2, q2, pq, x0, y0))
+    n = 0
+    while n < max_steps:
+        nxt = rk4_step(p2, q2, pq, *row, h0)
+        if nxt is None:
+            return RK4_UNDERFLOW, n, traj
+        dtau = math.sqrt((nxt[2] - row[2]) ** 2 + (nxt[3] - row[3]) ** 2)
+        row = nxt[:5]
+        n += 1
+        traj[n] = row
+        # scale the displacement test so halved steps do not fake convergence
+        if dtau * (h0 / nxt[5]) < tol:
+            return RK4_CONVERGED, n, traj
+    return RK4_MAX_STEPS, n, traj

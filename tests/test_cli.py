@@ -282,6 +282,7 @@ class TestFlow:
         names = {c["name"] for c in env["certificates"]}
         assert "central_charge_monotone" in names
         assert float(env["certificates"][0]["residual"]) < 1e-8
+        assert all(c["passed"] is True for c in env["certificates"])
 
     def test_trace_and_csv(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"
@@ -298,6 +299,28 @@ class TestFlow:
         code, _, err = invoke(capsys, "flow", "--p2", "1", "--q2", "1", "--pq", "0",
                               "--tau0", "0.3,1.7", "--max-steps", "4")
         assert code == 3 and "computation failed" in err
+
+    @pytest.mark.parametrize("flag", ["--step", "--tol"])
+    def test_non_finite_step_and_tol_exit_2(self, capsys, flag):
+        code, out, err = invoke(capsys, "flow", "--p2", "2", "--q2", "3", "--pq", "1",
+                                "--tau0", "0,1.2", flag, "inf")
+        assert code == 2 and out == ""
+        assert err == f"attrarith flow: {flag[2:]} must be positive and finite, got inf\n"
+
+    def test_max_steps_cap_exit_2(self, capsys):
+        # refused before any computing; the flow itself would need about 900 rows
+        code, out, err = invoke(capsys, "flow", "--p2", "2", "--q2", "3", "--pq", "1",
+                                "--tau0", "0,1.2", "--max-steps", "1000000000000")
+        assert code == 2 and out == ""
+        assert err == ("attrarith flow: --max-steps must be at most 1000000, "
+                       "got 1000000000000\n")
+
+    def test_tiny_step_exit_3(self, capsys):
+        # sigma = 1e-300 per row cannot reach tau* within the default 10^6 rows
+        code, out, err = invoke(capsys, "flow", "--p2", "2", "--q2", "3", "--pq", "1",
+                                "--tau0", "0,1.2", "--step", "1e-300")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "within 1000000 steps" in err
 
 
 class TestGlobalFlags:
