@@ -27,7 +27,7 @@ _MAX_PREC = 8192
 # take about 2 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
-# largest flow --max-steps: a flow needing more rows builds this many for exit 3
+# largest flow --max-steps, which bounds the rows a converging flow builds
 _MAX_FLOW_STEPS = 10**6
 
 

@@ -91,6 +91,19 @@ class AmbiguousCase(ComputationFailure):
 
 
 class NonConvergence(ComputationFailure):
+    """A procedure missed its tolerance within its step budget.
+
+    trajectory is the data computed so far, given either as a value or as a
+    zero-argument callable that builds it on the first read, so a caller
+    that never reads it never pays for it.
+    """
+
     def __init__(self, message, trajectory=None):
         super().__init__(message)
-        self.trajectory = trajectory
+        self._trajectory = trajectory
+
+    @property
+    def trajectory(self):
+        if callable(self._trajectory):
+            self._trajectory = self._trajectory()
+        return self._trajectory

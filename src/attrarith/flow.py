@@ -38,6 +38,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import mpmath as mp
@@ -276,8 +277,10 @@ def _certificate(point: AttractorPoint, c: ChargeData, traj: np.ndarray,
 def flow_integrate(c: ChargeData, tau0, config: FlowConfig = None) -> FlowResult:
     """Rows at sigma = n config.step up to the first one within tol/2 of tau*, certified.
 
-    Raises NonConvergence with the first max_steps + 1 rows when more rows are
-    needed, and with all rows when the certified distance misses tol.
+    Raises NonConvergence when more than max_steps rows are needed, before
+    any row is built: its trajectory, the first max_steps + 1 rows, is built
+    when first read.  Raises it with all rows when the certified distance
+    misses tol.
     """
     config = config or FlowConfig()
     point = attractor_point(c)  # validates the charge
@@ -289,7 +292,7 @@ def flow_integrate(c: ChargeData, tau0, config: FlowConfig = None) -> FlowResult
     if need > config.max_steps:
         raise NonConvergence(f"no convergence to tol={config.tol} within "
                              f"{config.max_steps} steps (needs {need:.4g})",
-                             trajectory=_rows(g, config.max_steps, config.step))
+                             trajectory=partial(_rows, g, config.max_steps, config.step))
     traj = _rows(g, math.ceil(need), config.step)
     cert = _certificate(point, c, traj, config.tol, d_tol)
     if not cert.endpoint_passed:

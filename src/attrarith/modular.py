@@ -310,16 +310,33 @@ def _render(tau, prec: int):
 _IDENTITY = ((1, 0), (0, 1))
 
 
-def _evaluate_j(tau_src, prec: int) -> JEvaluation:
-    """Evaluate j = E4^3/Delta after fundamental-domain reduction, with a bound.
+def _reduced_height(tau, prec: int):
+    """(Im of the reduced point as a float, reduction matrix) for the input.
 
-    Two passes: a scouting reduction fixes the matrix and the reduced height
-    (hence the magnitude of 1/q), then the input is re-rendered and mapped at
-    a working precision scaled to that magnitude; the Moebius map is skipped
-    when the matrix is the identity, as it is at the root of a reduced form.
-    E4 and Delta come from the theta kernel, and E4^3 and the quotient are
-    formed on the same fixed-point integers (F fractional bits), with one
-    floor division by the norm of Delta.  j converts to mpc exactly.
+    A QuadraticSurd in the closed fundamental domain, tested exactly on its
+    Fractions (y > 0, |x| <= 1/2 and x^2 + y^2 |disc| >= 1), is its own
+    reduced point: the matrix is the identity and Im tau = y sqrt|disc|.
+    Any other input is rendered and reduced once at prec + 64 bits.
+    """
+    if (isinstance(tau, QuadraticSurd) and tau.y > 0 and 2 * abs(tau.x) <= 1
+            and tau.norm_squared() >= 1):
+        return float(tau.y) * math.sqrt(-tau.disc), _IDENTITY
+    zr1, mat = reduce_to_fundamental(_render(tau, prec + 80), prec + 64)
+    return float(mp.im(zr1)), mat
+
+
+def _evaluate_j(tau_src, prec: int) -> JEvaluation:
+    """Evaluate j = E4^3/Delta after fundamental-domain reduction, with a
+    certified absolute error bound below 2^-prec.
+
+    _reduced_height fixes the matrix and the reduced height (hence the
+    magnitude 2^mag of 1/q), with no reduction at all for a surd already in
+    the fundamental domain, such as the root of a reduced form.  The input
+    is then rendered and mapped at wp = prec + 2 ceil(mag) + 32 bits; the
+    Moebius map is skipped when the matrix is the identity.  E4 and Delta
+    come from the theta kernel, and E4^3 and the quotient are formed on the
+    same fixed-point integers (F fractional bits), with one floor division
+    by the norm of Delta.  j converts to mpc exactly.
 
     The bound is computed on integers counting units u = 2^-F, every step
     rounded up: |E4| <= A u and |Delta| >= L u come from integer square roots
@@ -333,11 +350,25 @@ def _evaluate_j(tau_src, prec: int) -> JEvaluation:
     - the floor division errs by at most sqrt(2) < 2;
     - the rounding of the reduced point itself adds |j| 2^-wp (64 + 8|tau'|).
 
+    The sum must lie below 2^-prec, or PrecisionExhausted is raised.  The 32
+    guard bits meet it everywhere on the fundamental domain, where
+    mag >= pi sqrt3 log2(e) > 7.85, |q| < 0.00434, |E4| < 2.1, |Delta| >
+    0.9 |q| and so |j| < 10.3 / |q|.  The kernel's err u is below 11 2^-wp
+    (12 tail u <= 6.5 2^-wp and the rounding part below 4.25 2^-wp), so
+    d4 u < 55 2^-wp and dd u < 2.8 2^-wp.  With L - dd > 0.89 |q|, the cube
+    term is below 820 2^(mag-wp) <= 3.6 2^-(prec+32), J dd/(L - dd) below
+    33 2^(2 mag - wp) <= 33 2^-(prec+32), and the rendering term below
+    3.4 2^-(prec+32), since (64 + 8|tau'|) |q| < 0.33.  The total stays
+    below 41 2^-(prec+32) < 2^-(prec+26): 6 guard bits would do, and the
+    other 26 keep the gate unreachable even for a height misestimated by 13
+    bits.  They also make j at prec + 64 work at prec + 2 ceil(mag) + 96
+    bits, the precision the CM certificates are sized for.
+
     delta_lower = L - dd certifies that Delta does not vanish.
     """
-    zr1, mat = reduce_to_fundamental(_render(tau_src, prec + 80), prec + 64)
-    mag = 2 * math.pi * float(mp.im(zr1)) * math.log2(math.e)  # bits in 1/|q|
-    wp = prec + 2 * math.ceil(mag) + 96
+    height, mat = _reduced_height(tau_src, prec)
+    mag = 2 * math.pi * height * math.log2(math.e)  # bits in 1/|q|
+    wp = prec + 2 * math.ceil(min(mag, 10_000_000)) + 32  # a height past 1e308 is inf
     if wp > 10_000_000:
         raise PrecisionExhausted(f"required working precision {wp} bits is intractable")
     with mp.workprec(wp):
@@ -361,9 +392,9 @@ def _evaluate_j(tau_src, prec: int) -> JEvaluation:
     d43 = -(-3 * (big_a + d4) ** 2 * d4 >> 2 * F) + 8
     dj = (-(-((d43 << F) + big_j * dd) // (low - dd)) + 2
           - (-big_j * (64 + 8 * int(abs(complex(zred)))) >> wp))
-    if not dj < 1 << (F - prec // 2):
+    if not dj < 1 << (F - prec):
         raise PrecisionExhausted(
-            f"j error bound {mp.nstr(mp.ldexp(dj, -F), 5)} misses 2^-{prec // 2} target")
+            f"j error bound {mp.nstr(mp.ldexp(dj, -F), 5)} misses 2^-{prec} target")
     return JEvaluation(
         j=_from_fixed((jr, ji), F),
         error_bound=mp.make_mpf(from_man_exp(dj, -F)),
@@ -375,14 +406,19 @@ def _evaluate_j(tau_src, prec: int) -> JEvaluation:
 
 
 def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
-    """j(tau) plus the certified absolute error bound (below 2^(-prec/2))."""
+    """j(tau) plus a certified bound on its absolute error, below 2^-prec.
+
+    tau is an mpc-compatible value or a QuadraticSurd; a surd in the closed
+    fundamental domain is evaluated without any reduction pass.
+    """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     return _evaluate_j(tau, prec)
 
 
 def j_value(tau, prec: int = 256):
-    """The modular j-invariant at tau, absolute error below 2^(-prec/2)."""
+    """The modular j-invariant at tau, rounded to prec bits: within
+    2^-prec (1 + |j|), the certified 2^-prec plus the final rounding."""
     ev = j_value_with_bound(tau, prec)
     with mp.workprec(prec):
         return +ev.j
@@ -437,9 +473,11 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
     factors are multiplied on integers with G = wp + 32 fractional bits, and
     the coefficients are recovered by rounding, with the maximum rounding
     residual required below 0.25.  By default wp and the coefficient bits
-    c = ceil(B + log2(h+1)) come from _hcp_precision, and every evaluated
-    root J_i carries a certified error delta_i < 2^-(c+8), which makes the
-    gate unreachable:
+    c = ceil(B + log2(h+1)) come from _hcp_precision, and every root is
+    asked of j_value_with_bound at max(64, c + 24) bits, so its certified
+    error delta_i is below 2^-(c+24).  The argument below needs only
+    2^-(c+8), which makes the gate unreachable; the other 16 bits keep every
+    rounding residual below 2^-23.
 
     - Root errors.  The conjugate of J_i is within delta_i of the conjugate
       root, and Re J_i of a real root within delta_i of it, so every one of
@@ -460,8 +498,8 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
 
     The product is real, so every coefficient lies within 2^-7 of its
     integer.  An explicit prec forces wp = prec for the roots and the
-    product, skips the per-root requirement, and leaves the 0.25 gate to
-    decide; RoundingFailed means that prec was too small.
+    product and leaves the 0.25 gate to decide; RoundingFailed means that
+    prec was too small.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise InvalidDiscriminant(f"need disc < 0 and disc = 0,1 mod 4, got {disc}")
@@ -469,19 +507,15 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
     h = len(forms)
     if prec is None:
         coeff_bits, wp = _hcp_precision(disc, forms)
-        root_err = mp.mpf(2) ** (-(coeff_bits + 8))
+        root_prec = max(64, coeff_bits + 24)
     else:
-        wp, root_err = prec, None
+        wp = root_prec = prec
     G = wp + 32
     poly = [1 << G]   # ascending coefficients, G fractional bits
     for f in forms:
         if f.b < 0:
             continue   # the partner of (a, -b, c), which carries both roots
-        ev = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), wp)
-        if root_err is not None and not ev.error_bound < root_err:
-            raise PrecisionExhausted(
-                f"j error bound {mp.nstr(ev.error_bound, 5)} misses the "
-                f"2^-{coeff_bits + 8} needed for disc {disc}")
+        ev = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), root_prec)
         jr, ji = _to_fixed(ev.j, G)
         if f.b == 0 or f.b == f.a or f.a == f.c:
             low = (-jr,)
@@ -557,15 +591,15 @@ def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
     - Horner rounding, (4h + 8) max(1, |j|)^h max|c_k| 2^-(wp+32), is below
       2^(log2(4h + 8) + hL + B - wp - 32); wp >= hcp_bits + hL + prec/4
       makes it at most 2^-(prec/4 + 94).
-    - The error of j times |H'(j)| <= h(h+1) 2^(B + (h-1)L): the evaluated
-      j carries an error bound below 2^-(wp+64) (its theta kernel runs more
-      than 96 bits above wp), so this part is smaller still.
+    - The error of j times |H'(j)| <= h(h+1) 2^(B + (h-1)L): j is asked
+      for at wp + 64 bits, so it carries an error bound below 2^-(wp+64),
+      and this part is smaller still.
 
     wp is also at least prec, the precision at which j is reported.
     """
     h = len(coeffs) - 1
     wp = max(prec, hcp_bits + math.ceil(h * _log2_root_bound(disc, a)) + prec // 4)
-    ev = j_value_with_bound(tau, wp)
+    ev = j_value_with_bound(tau, wp + 64)
     with mp.workprec(wp + 32):
         deriv = abs(_horner([n * cn for n, cn in enumerate(coeffs)][1:], ev.j))
         scale = max(mp.mpf(1), abs(ev.j)) ** h * max(abs(cn) for cn in coeffs)
@@ -612,11 +646,13 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
 
 def hcp_record_valid(disc: int, coeffs) -> bool:
     """True when a cached class polynomial of disc has degree h and, as in a
-    64-bit CM certificate, vanishes within 2^-16 at j of the principal root."""
+    64-bit CM certificate, vanishes within 2^-16 at j of the root of the form
+    with the largest a, where the bound on |j| and so the precision needed
+    are smallest."""
     forms = class_group_forms(disc)
     if len(coeffs) != len(forms) + 1:
         return False
-    f = forms[0]
+    f = max(forms, key=lambda form: form.a)
     _, value, err = _root_residual(coeffs, QuadraticSurd(-f.b, 1, 2 * f.a, disc), f.a, disc,
                                    _hcp_precision(disc, forms)[1], 64)
     return value + err < 2.0**-16

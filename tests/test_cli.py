@@ -5,6 +5,7 @@ import json
 import mpmath as mp
 import pytest
 
+import attrarith.flow as flow_mod
 from attrarith.cli import run
 from attrarith.modular import j_value
 
@@ -168,6 +169,13 @@ class TestJval:
             assert mp.mpf(env["result"]["j"]["re"]) == mp.re(want)
             assert mp.mpf(env["result"]["j"]["im"]) == mp.im(want)
 
+    @pytest.mark.parametrize("tau", ["0,1e400", "0.25,1e-400"])
+    def test_extreme_height_exit_3(self, capsys, tau):
+        # the reduced height overflows a float; refused before any theta sum
+        code, out, err = invoke(capsys, "jval", "--tau", tau)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "intractable" in err
+
     def test_bad_tau_exit_2(self, capsys):
         code, _, err = invoke(capsys, "jval", "--tau", "1+2j")
         assert code == 2
@@ -321,6 +329,20 @@ class TestFlow:
                                 "--tau0", "0,1.2", "--step", "1e-300")
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "within 1000000 steps" in err
+
+    def test_tiny_step_exit_3_builds_no_rows(self, capsys, monkeypatch):
+        built = []
+        rows = flow_mod._rows
+
+        def spy(g, n, step):
+            built.append(n + 1)
+            return rows(g, n, step)
+
+        monkeypatch.setattr(flow_mod, "_rows", spy)
+        code, out, _ = invoke(capsys, "flow", "--p2", "2", "--q2", "3", "--pq", "1",
+                              "--tau0", "0,1.2", "--step", "1e-300")
+        assert code == 3 and out == ""
+        assert built == []
 
 
 class TestGlobalFlags:

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import attrarith.flow as flow_mod
 from attrarith.arith import QuadraticSurd
 from attrarith.attractor import ChargeData, attractor_point
 from attrarith.errors import (
@@ -193,6 +194,23 @@ class TestFlowIntegrate:
             flow_integrate(ChargeData(1, 1, 0), mp.mpc('0.3', '1.7'),
                            FlowConfig(max_steps=5))
         assert exc.value.trajectory.shape == (6, 5)
+
+    def test_nonconvergence_builds_rows_only_when_read(self, monkeypatch):
+        built = []
+        rows = flow_mod._rows
+
+        def spy(g, n, step):
+            built.append(n + 1)
+            return rows(g, n, step)
+
+        monkeypatch.setattr(flow_mod, "_rows", spy)
+        with pytest.raises(NonConvergence) as exc:
+            flow_integrate(ChargeData(1, 1, 0), mp.mpc('0.3', '1.7'),
+                           FlowConfig(max_steps=5))
+        assert built == []
+        assert exc.value.trajectory.shape == (6, 5)
+        assert exc.value.trajectory is exc.value.trajectory
+        assert built == [6]
 
     def test_tiny_imaginary_start_converges(self):
         # cosh d0 is about 5e307 here; the RK4 oracle underflows from this start

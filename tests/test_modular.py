@@ -23,6 +23,7 @@ from attrarith.modular import (
     certify_attractor_cm,
     delta_series,
     eisenstein_series,
+    hcp_record_valid,
     hilbert_class_polynomial,
     j_value,
     j_value_with_bound,
@@ -182,6 +183,70 @@ class TestJValue:
             assert ev.delta_lower > 0
             with mp.workprec(ev.working_prec):
                 assert abs(ev.delta) > ev.delta_lower
+
+
+def _reduction_counter(monkeypatch):
+    calls = []
+
+    def counting(tau, prec=256):
+        calls.append(prec)
+        return reduce_to_fundamental(tau, prec)
+
+    monkeypatch.setattr("attrarith.modular.reduce_to_fundamental", counting)
+    return calls
+
+
+class TestJErrorTarget:
+    """j_value_with_bound(tau, prec) certifies an absolute error below 2^-prec."""
+
+    # roots of reduced forms (the exact fast path), surds outside the
+    # fundamental domain, and mpc points near and far from it
+    REDUCED = [QuadraticSurd(0, 1, 1, -1), QuadraticSurd(1, 1, 2, -3),
+               QuadraticSurd(-1, 1, 2, -7), QuadraticSurd(7, 1, 22, -479)]
+    NOT_REDUCED = [QuadraticSurd(3, 1, 2, -7), QuadraticSurd(-1, 1, 4, -7),
+                   QuadraticSurd(5, 1, 3, -2)]
+    POINTS = [mp.mpc("0.25", "1.5"), mp.mpc("-7.3", "0.05"), mp.mpc("0.5", "0.8660254")]
+
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_bound_below_target_and_holds(self, prec):
+        for tau in self.REDUCED + self.NOT_REDUCED + self.POINTS:
+            ev = j_value_with_bound(tau, prec)
+            ref = j_value_with_bound(tau, prec + 256)
+            assert ev.error_bound < mp.mpf(2) ** -prec, (tau, prec)
+            with mp.workprec(ev.working_prec + 300):
+                assert abs(ev.j - ref.j) <= ev.error_bound + ref.error_bound, (tau, prec)
+
+    def test_fast_path_only_inside_the_fundamental_domain(self, monkeypatch):
+        calls = _reduction_counter(monkeypatch)
+        for tau in self.REDUCED:
+            j_value_with_bound(tau, 128)
+        assert calls == []
+        for tau in self.NOT_REDUCED + self.POINTS:
+            calls.clear()
+            j_value_with_bound(tau, 128)
+            assert len(calls) == 1, tau
+
+    def test_equivalent_surds_agree(self):
+        # (3 + sqrt-7)/2 = T^2 tau and (-1 + sqrt-7)/4 = S T tau, for the reduced
+        # tau = (-1 + sqrt-7)/2, reach j through the reduction, tau through the fast path
+        base = j_value_with_bound(QuadraticSurd(-1, 1, 2, -7), 256)
+        for tau in (QuadraticSurd(3, 1, 2, -7), QuadraticSurd(-1, 1, 4, -7)):
+            ev = j_value_with_bound(tau, 256)
+            with mp.workprec(ev.working_prec):
+                assert abs(ev.j - base.j) <= ev.error_bound + base.error_bound
+        with mp.workprec(300):
+            assert abs(base.j + 3375) < mp.mpf(2) ** -256
+
+    def test_rejects_lower_half_plane_surd(self):
+        with pytest.raises(NotUpperHalfPlane):
+            j_value_with_bound(QuadraticSurd(0, -1, 1, -1), 128)
+
+    def test_no_reduction_in_class_polynomials(self, monkeypatch):
+        calls = _reduction_counter(monkeypatch)
+        for disc in range(-3, -401, -1):
+            if disc % 4 in (0, 1):
+                hilbert_class_polynomial(disc)
+        assert calls == []
 
 
 class TestThetaKernelAgainstDenseOracle:
@@ -447,3 +512,26 @@ class TestHcpCache:
         path.write_text('[{"disc": "-4", "coeffs": ["-1728", "2"]}]')
         assert load_hcp_cache(path) == {}
         assert "warning" in capsys.readouterr().err
+
+    def test_record_check_accepts_true_and_rejects_altered(self):
+        coeffs = hilbert_class_polynomial(-479).coeffs
+        assert hcp_record_valid(-479, coeffs)
+        for k in range(len(coeffs) - 1):
+            for delta in (-1, 1):
+                bad = coeffs[:k] + (coeffs[k] + delta,) + coeffs[k + 1:]
+                assert not hcp_record_valid(-479, bad), (k, delta)
+
+    def test_record_check_at_the_largest_a(self, monkeypatch):
+        # the root of (11, -7, 12), where |j| is about 375, needs about 1100 bits;
+        # the principal root would need about 3200
+        seen = []
+
+        def spy(tau, prec=256):
+            seen.append((tau, prec))
+            return j_value_with_bound(tau, prec)
+
+        monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
+        assert hcp_record_valid(-479, hilbert_class_polynomial(-479).coeffs)
+        tau, prec = seen[-1]
+        assert tau == QuadraticSurd(7, 1, 22, -479)
+        assert prec < 1200
