@@ -497,9 +497,10 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
       adds less than 3h 2^(B+2) 2^-G < 2^-90.
 
     The product is real, so every coefficient lies within 2^-7 of its
-    integer.  An explicit prec forces wp = prec for the roots and the
-    product and leaves the 0.25 gate to decide; RoundingFailed means that
-    prec was too small.
+    integer.  An explicit prec sets wp = prec for the product, asks j for
+    each root at prec + 64 bits (so j works at prec + 2 ceil(mag) + 96) and
+    leaves the 0.25 gate to decide; RoundingFailed means that prec was too
+    small, but passing the gate does not certify the coefficients.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise InvalidDiscriminant(f"need disc < 0 and disc = 0,1 mod 4, got {disc}")
@@ -509,7 +510,7 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
         coeff_bits, wp = _hcp_precision(disc, forms)
         root_prec = max(64, coeff_bits + 24)
     else:
-        wp = root_prec = prec
+        wp, root_prec = prec, prec + 64
     G = wp + 32
     poly = [1 << G]   # ascending coefficients, G fractional bits
     for f in forms:
@@ -644,15 +645,31 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
     )
 
 
+_LN_CACHE_J_FLOOR = math.log(2079 + 2**17)
+
+
 def hcp_record_valid(disc: int, coeffs) -> bool:
     """True when a cached class polynomial of disc has degree h and, as in a
-    64-bit CM certificate, vanishes within 2^-16 at j of the root of the form
-    with the largest a, where the bound on |j| and so the precision needed
-    are smallest."""
+    64-bit CM certificate, vanishes within 2^-16 at j of one root.
+
+    The root is that of the form with the largest a for which
+    pi sqrt|disc| / a >= ln(2079 + 2^17), so that |j| >= 1/|q| - 2079 >=
+    2^17 by Enge's bound; the precision needed grows with a bound on |j|,
+    so this is the cheapest root that keeps |j| large.  A record Q that
+    differs from the true H by at most 2^16 in every coefficient then fails:
+    Q - H is nonzero with integer coefficients and top degree m, so
+    |Q(j)| = |(Q - H)(j)| >= |j|^m - 2^16 (|j|^m - 1)/(|j| - 1) >= 1, and
+    value + err bounds |Q(j)| from above.  At a root near rho |j| can be
+    below 1, where a change to a high coefficient would pass.  Only for
+    |disc| < 15 does no form qualify, and the principal form is used: there
+    h = 1, or h = 2 at disc = -12 with j = 54000 at the principal root, so a
+    change of one coefficient by 1 still moves H(j) by at least 1.
+    """
     forms = class_group_forms(disc)
     if len(coeffs) != len(forms) + 1:
         return False
-    f = max(forms, key=lambda form: form.a)
+    far = [f for f in forms if math.pi * math.sqrt(-disc) / f.a >= _LN_CACHE_J_FLOOR]
+    f = max(far, key=lambda form: form.a, default=forms[0])
     _, value, err = _root_residual(coeffs, QuadraticSurd(-f.b, 1, 2 * f.a, disc), f.a, disc,
                                    _hcp_precision(disc, forms)[1], 64)
     return value + err < 2.0**-16

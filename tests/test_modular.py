@@ -322,6 +322,19 @@ class TestHilbertClassPolynomial:
         with pytest.raises(RoundingFailed):
             hilbert_class_polynomial(-479, prec=64)
 
+    def test_explicit_prec_roots_get_64_more_bits(self, monkeypatch):
+        seen = []
+
+        def spy(tau, prec=256):
+            seen.append(prec)
+            return j_value_with_bound(tau, prec)
+
+        monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
+        res = hilbert_class_polynomial(-479, prec=520)
+        assert set(seen) == {584} and res.precision_bits == 520
+        monkeypatch.undo()
+        assert res.coeffs == hilbert_class_polynomial(-479).coeffs
+
     def test_degree_matches_class_number(self):
         for disc in range(-500, -2):
             if disc % 4 not in (0, 1):
@@ -513,17 +526,28 @@ class TestHcpCache:
         assert load_hcp_cache(path) == {}
         assert "warning" in capsys.readouterr().err
 
-    def test_record_check_accepts_true_and_rejects_altered(self):
-        coeffs = hilbert_class_polynomial(-479).coeffs
-        assert hcp_record_valid(-479, coeffs)
+    @pytest.mark.parametrize("disc", [-479, -2820, -4960, -12, -15])
+    def test_record_check_accepts_true_and_rejects_altered(self, disc):
+        # -2820 and -4960: the form with the largest a, (30, 30, 31) or
+        # (40, 40, 41), has its root near rho, where |j| is 0.31 or 0.13
+        coeffs = hilbert_class_polynomial(disc).coeffs
+        assert hcp_record_valid(disc, coeffs)
         for k in range(len(coeffs) - 1):
             for delta in (-1, 1):
                 bad = coeffs[:k] + (coeffs[k] + delta,) + coeffs[k + 1:]
-                assert not hcp_record_valid(-479, bad), (k, delta)
+                assert not hcp_record_valid(disc, bad), (k, delta)
 
-    def test_record_check_at_the_largest_a(self, monkeypatch):
-        # the root of (11, -7, 12), where |j| is about 375, needs about 1100 bits;
-        # the principal root would need about 3200
+    def test_record_check_rejects_changes_up_to_2_16(self):
+        coeffs = hilbert_class_polynomial(-4960).coeffs
+        rng = random.Random(7)
+        for _ in range(20):
+            bad = [c + rng.randint(-2**16, 2**16) for c in coeffs[:-1]] + [1]
+            assert not hcp_record_valid(-4960, tuple(bad))
+
+    def test_record_check_root_keeps_j_large(self, monkeypatch):
+        # for -479 the largest a with |j| >= 2^17 at its root is 5, form
+        # (5, +-1, 24): about 1300 bits; the principal root would need about
+        # 3300, and (11, -7, 12), where |j| is only 375, about 1100
         seen = []
 
         def spy(tau, prec=256):
@@ -533,5 +557,6 @@ class TestHcpCache:
         monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
         assert hcp_record_valid(-479, hilbert_class_polynomial(-479).coeffs)
         tau, prec = seen[-1]
-        assert tau == QuadraticSurd(7, 1, 22, -479)
-        assert prec < 1200
+        assert tau in (QuadraticSurd(1, 1, 10, -479), QuadraticSurd(-1, 1, 10, -479))
+        assert abs(j_value(tau, 64)) >= 2**17
+        assert prec < 1400
