@@ -537,16 +537,19 @@ def run(argv=None) -> int:
         if args.csv and args.cmd not in _TABULAR:
             raise ValueError(f"{args.cmd} has no tabular output; use --json")
         envelope = _HANDLERS[args.cmd](args, prec)
+        if envelope is not None:
+            print(json.dumps(envelope, indent=2, ensure_ascii=False))
+        sys.stdout.flush()
     except ComputationFailure as exc:
         print(f"attrarith {args.cmd}: computation failed: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:
-        return 0  # downstream consumer closed the stream
+        # the reader closed stdout; devnull takes the rest, so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (AttrarithError, ValueError, OSError) as exc:
         print(f"attrarith {args.cmd}: {exc}", file=sys.stderr)
         return 2
-    if envelope is not None:
-        print(json.dumps(envelope, indent=2, ensure_ascii=False))
     return 0
 
 

@@ -1,13 +1,15 @@
 """Weierstrass models, analytic torsion points, and the Weber function.
 
 The curve attached to tau is y^2 = x^3 + Ax + B with A = -g2/4, B = -g3/4
-built from E4 and E6 of the modular theta kernel; torsion points come from
-the Lambert form of the q-series for the Weierstrass functions, one series
-per pair +-P summed on fixed-point integers, evaluated with respect to the
-fundamental-domain representative of tau and scaled back through the
-lattice covariance factor.  Quadratic twists scale (A, B, x, y) by powers
-of u, and the Weber function is the case selection that cancels exactly
-that freedom.
+built from E4 and E6 of the modular theta kernel, and its discriminant and j
+come from the same kernel's Delta, as j_value does, so neither is a
+difference of large terms.  The fundamental-domain frame (reduction matrix,
+reduced point and covariance factor mu) is modular._frame, the one j uses.
+Torsion points come from the Lambert form of the q-series for the
+Weierstrass functions, one series per pair +-P summed on fixed-point
+integers, evaluated at the reduced point and scaled back through mu.
+Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
+is the case selection that cancels exactly that freedom.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import mpmath as mp
 
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _from_fixed, _render, _theta, _to_fixed, reduce_to_fundamental
+from .modular import _frame, _from_fixed, _theta, _to_fixed
 
 __all__ = [
     "WeierstrassModel",
@@ -76,31 +78,40 @@ class TorsionPoint:
     y: mp.mpc
 
 
-def _reduced_frame(tau, prec: int):
-    """Reduce tau; returns (tau, tau_red, matrix, mu) with mu = c*tau + d."""
-    z = _render(tau, prec + 64)
-    zred, mat = reduce_to_fundamental(z, prec + 48)
-    (_, _), (c, d) = mat
-    with mp.workprec(prec + 48):
-        mu = c * z + d
-    return z, zred, mat, mu
-
-
 def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
-    """Curve y^2 = x^3 + Ax + B from g2 = (4pi^4/3)E4, g3 = (8pi^6/27)E6 at tau."""
+    """Curve y^2 = x^3 + Ax + B of the lattice Z + Z tau, at prec bits.
+
+    With tau' = (a tau + b)/mu the reduced point, mu = c tau + d and E4, E6,
+    Delta the theta kernel's values at tau':
+
+        A = -g2/4 = -(pi^4/3) E4/mu^4,   B = -g3/4 = -(2 pi^6/27) E6/mu^6,
+        delta = -16 (4A^3 + 27B^2) = (2 pi)^12 Delta/mu^12,   j = E4^3/Delta.
+
+    Neither delta nor j is formed from the cancelling expressions on the
+    left, which lose about mag bits, 2^mag = 1/|q| at tau'.  The kernel runs
+    at wp = prec + ceil(mag) + 96 bits.  Its bound on Delta is
+    dd u < 2.8 2^-wp (derived for j_value_with_bound), and |Delta| > 0.9 |q|
+    on the fundamental domain, so the kernel's Delta has relative error
+    below 3.2 2^(mag-wp) <= 2^-(prec+94); mu^12, (2 pi)^12 and the quotient,
+    a few roundings at wp each, keep delta within relative 2^-(prec+90) at
+    every height.  In j the kernel's E4 error d4 u < 55 2^-wp, with
+    |E4| < 2.1, adds at most 3 (2.1)^2 55 2^-wp/(0.89 |q|) < 820 2^(mag-wp)
+    <= 2^-(prec+86), so j is within 2^-(prec+86) (1 + |j|).  A height that
+    would need more than 10^7 bits raises PrecisionExhausted before any
+    computing.
+    """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
-    wp = prec + 96
-    z, zred, mat, mu = _reduced_frame(tau, wp)
+    frame = _frame(tau, prec)
+    wp = prec + math.ceil(frame.mag) + 96
+    z, zred, mu = frame.point(wp)
+    th = _theta(zred, wp)
     with mp.workprec(wp):
-        th = _theta(zred, wp)
-        (e4, _), (e6, _) = th.e4(), th.e6()
-        g2 = 4 * mp.pi**4 / 3 * e4 / mu**4
-        g3 = 8 * mp.pi**6 / 27 * e6 / mu**6
-        a = -g2 / 4
-        b = -g3 / 4
-        delta = -16 * (4 * a**3 + 27 * b**2)
-        jv = 1728 * g2**3 / (g2**3 - 27 * g3**2)
+        (e4, _), (e6, _), (dk, _) = th.e4(), th.e6(), th.delta()
+        a = -mp.pi**4 / 3 * e4 / mu**4
+        b = -2 * mp.pi**6 / 27 * e6 / mu**6
+        delta = (2 * mp.pi) ** 12 * dk / mu**12
+        jv = e4**3 / dk
     with mp.workprec(prec):
         return WeierstrassModel(
             A=+a, B=+b, delta=+delta, j=+jv,
@@ -206,9 +217,9 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
         raise OutOfRange(f"torsion order must be >= 2, got {n}")
     prec = model.precision_bits
     wp = prec + 96
-    z, zred, mat, mu = _reduced_frame(model.source_tau, wp)
-    (ma, mb), (mc, md) = mat
-    mag = 2 * math.pi * float(mp.im(zred)) * math.log2(math.e)  # bits in 1/|q|
+    frame = _frame(model.source_tau, prec)
+    _, zred, mu = frame.point(wp)
+    (ma, mb), (mc, md) = frame.mat
     layout = []   # (source coords, representative, sign of y)
     counts = {}   # representative -> terms of its v sum and of its w sum
     for a_z in range(n):
@@ -224,8 +235,8 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
                 rep, sign = (ar, br), 1
             layout.append(((a_z, b_z), rep, sign))
             if rep not in counts:
-                counts[rep] = (_lambert_count((1 + rep[0] / n) * mag, wp),
-                               _lambert_count((1 - rep[0] / n) * mag, wp))
+                counts[rep] = (_lambert_count((1 + rep[0] / n) * frame.mag, wp),
+                               _lambert_count((1 - rep[0] / n) * frame.mag, wp))
     m_max = max(cw for _, cw in counts.values())
     F = wp + 3 * math.ceil(math.log2(m_max + 1)) + 5
     with mp.workprec(wp):

@@ -1,8 +1,9 @@
 """Arbitrary-precision modular forms: E4, E6, Delta, j, class polynomials.
 
 E4, E6 and Delta are evaluated in one place, the Jacobi theta kernel: after
-the argument is reduced to the fundamental domain, three sparse theta sums
-of O(sqrt(bits)) terms give all three forms, each sum with a proven
+the argument is reduced to the fundamental domain (by _frame, which the
+Weierstrass models and torsion points in elliptic share), three sparse
+theta sums of O(sqrt(bits)) terms give all three forms, each sum with a proven
 geometric tail bound and a rounding bound, inside a working precision chosen
 from the reduced height.  Only e^(pi i tau) comes from mpmath: the sums,
 their fourth powers and j = E4^3/Delta run on fixed-point Python integers
@@ -16,9 +17,9 @@ integers, and the algebraic-integer certificate for attractor points.  Their
 working precision comes from Enge's proven bound on the class-polynomial
 coefficients (A. Enge, Math. Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079
 on the fundamental domain, every coefficient of H_D is at most
-C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the default precision
-always rounds to the exact coefficients and the rounding-residual gate only
-guards a precision forced by the caller.
+C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the working precision
+always rounds to the exact coefficients and the rounding-residual gate stays
+a safety check that the bound keeps unreachable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, to_fixed
@@ -310,33 +311,64 @@ def _render(tau, prec: int):
 _IDENTITY = ((1, 0), (0, 1))
 
 
-def _reduced_height(tau, prec: int):
-    """(Im of the reduced point as a float, reduction matrix) for the input.
+class _Frame(NamedTuple):
+    """Fundamental-domain frame of an input tau, shared by j, the Weierstrass
+    model and the torsion points: the reduction matrix ((a,b),(c,d)) and the
+    bits mag of 1/|q| at the reduced point, capped at 10^7."""
+
+    tau: object
+    mat: tuple
+    mag: float
+
+    def point(self, wp: int):
+        """(tau, tau', mu) at wp bits: tau rendered once, mu = c tau + d and
+        tau' = (a tau + b)/mu, with no Moebius map (and mu = 1) for the
+        identity.
+
+        Raises PrecisionExhausted, before any rendering, when wp passes 10^7.
+        """
+        if wp > 10_000_000:
+            raise PrecisionExhausted(f"required working precision {wp} bits is intractable")
+        with mp.workprec(wp):
+            z = _render(self.tau, wp)
+            if self.mat == _IDENTITY:
+                return z, z, 1
+            (a, b), (c, d) = self.mat
+            mu = c * z + d
+            return z, (a * z + b) / mu, mu
+
+
+def _frame(tau, prec: int) -> _Frame:
+    """The frame of tau; the caller then picks its working precision from mag.
 
     A QuadraticSurd in the closed fundamental domain, tested exactly on its
     Fractions (y > 0, |x| <= 1/2 and x^2 + y^2 |disc| >= 1), is its own
     reduced point: the matrix is the identity and Im tau = y sqrt|disc|.
-    Any other input is rendered and reduced once at prec + 64 bits.
+    Any other input is rendered and reduced once at prec + 64 bits to scout
+    the matrix.  A height past 1e308 is inf, and the cap on mag keeps every
+    working precision finite.
     """
     if (isinstance(tau, QuadraticSurd) and tau.y > 0 and 2 * abs(tau.x) <= 1
             and tau.norm_squared() >= 1):
-        return float(tau.y) * math.sqrt(-tau.disc), _IDENTITY
-    zr1, mat = reduce_to_fundamental(_render(tau, prec + 80), prec + 64)
-    return float(mp.im(zr1)), mat
+        height, mat = float(tau.y) * math.sqrt(-tau.disc), _IDENTITY
+    else:
+        zr1, mat = reduce_to_fundamental(_render(tau, prec + 80), prec + 64)
+        height = float(mp.im(zr1))
+    return _Frame(tau, mat, min(2 * math.pi * height * math.log2(math.e), 10_000_000))
 
 
-def _evaluate_j(tau_src, prec: int) -> JEvaluation:
-    """Evaluate j = E4^3/Delta after fundamental-domain reduction, with a
-    certified absolute error bound below 2^-prec.
+def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
+    """j(tau) = E4^3/Delta plus a certified bound on its absolute error,
+    below 2^-prec.
 
-    _reduced_height fixes the matrix and the reduced height (hence the
-    magnitude 2^mag of 1/q), with no reduction at all for a surd already in
-    the fundamental domain, such as the root of a reduced form.  The input
-    is then rendered and mapped at wp = prec + 2 ceil(mag) + 32 bits; the
-    Moebius map is skipped when the matrix is the identity.  E4 and Delta
-    come from the theta kernel, and E4^3 and the quotient are formed on the
-    same fixed-point integers (F fractional bits), with one floor division
-    by the norm of Delta.  j converts to mpc exactly.
+    tau is an mpc-compatible value or a QuadraticSurd.  _frame fixes the
+    matrix and the magnitude 2^mag of 1/q at the reduced point, with no
+    reduction at all for a surd already in the fundamental domain, such as
+    the root of a reduced form.  The input is then rendered and mapped at
+    wp = prec + 2 ceil(mag) + 32 bits.  E4 and Delta come from the theta
+    kernel, and E4^3 and the quotient are formed on the same fixed-point
+    integers (F fractional bits), with one floor division by the norm of
+    Delta.  j converts to mpc exactly.
 
     The bound is computed on integers counting units u = 2^-F, every step
     rounded up: |E4| <= A u and |Delta| >= L u come from integer square roots
@@ -366,17 +398,12 @@ def _evaluate_j(tau_src, prec: int) -> JEvaluation:
 
     delta_lower = L - dd certifies that Delta does not vanish.
     """
-    height, mat = _reduced_height(tau_src, prec)
-    mag = 2 * math.pi * height * math.log2(math.e)  # bits in 1/|q|
-    wp = prec + 2 * math.ceil(min(mag, 10_000_000)) + 32  # a height past 1e308 is inf
-    if wp > 10_000_000:
-        raise PrecisionExhausted(f"required working precision {wp} bits is intractable")
-    with mp.workprec(wp):
-        zred = _render(tau_src, wp)
-        if mat != _IDENTITY:
-            (a, b), (cc, d) = mat
-            zred = (a * zred + b) / (cc * zred + d)
-        th = _theta(zred, wp)
+    if prec < 64:
+        raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
+    frame = _frame(tau, prec)
+    wp = prec + 2 * math.ceil(frame.mag) + 32
+    _, zred, _ = frame.point(wp)
+    th = _theta(zred, wp)
     F = th.F
     (er, ei), d4 = th.e4_fixed()
     (dr, di), dd = th.delta_fixed()
@@ -403,17 +430,6 @@ def _evaluate_j(tau_src, prec: int) -> JEvaluation:
         truncation_order=th.terms,
         working_prec=wp,
     )
-
-
-def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
-    """j(tau) plus a certified bound on its absolute error, below 2^-prec.
-
-    tau is an mpc-compatible value or a QuadraticSurd; a surd in the closed
-    fundamental domain is evaluated without any reduction pass.
-    """
-    if prec < 64:
-        raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
-    return _evaluate_j(tau, prec)
 
 
 def j_value(tau, prec: int = 256):
@@ -462,7 +478,7 @@ class HCPResult:
     precision_bits: int
 
 
-def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult:
+def hilbert_class_polynomial(disc: int) -> HCPResult:
     """Monic integer polynomial whose roots are j of the reduced forms of disc.
 
     j is evaluated once per pair of complex-conjugate roots: only at forms
@@ -472,7 +488,7 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
     contributes x^2 - 2 Re J x + |J|^2 for itself and (a, -b, c).  The
     factors are multiplied on integers with G = wp + 32 fractional bits, and
     the coefficients are recovered by rounding, with the maximum rounding
-    residual required below 0.25.  By default wp and the coefficient bits
+    residual required below 0.25.  wp and the coefficient bits
     c = ceil(B + log2(h+1)) come from _hcp_precision, and every root is
     asked of j_value_with_bound at max(64, c + 24) bits, so its certified
     error delta_i is below 2^-(c+24).  The argument below needs only
@@ -497,20 +513,14 @@ def hilbert_class_polynomial(disc: int, prec: Optional[int] = None) -> HCPResult
       adds less than 3h 2^(B+2) 2^-G < 2^-90.
 
     The product is real, so every coefficient lies within 2^-7 of its
-    integer.  An explicit prec sets wp = prec for the product, asks j for
-    each root at prec + 64 bits (so j works at prec + 2 ceil(mag) + 96) and
-    leaves the 0.25 gate to decide; RoundingFailed means that prec was too
-    small, but passing the gate does not certify the coefficients.
+    integer.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
         raise InvalidDiscriminant(f"need disc < 0 and disc = 0,1 mod 4, got {disc}")
     forms = class_group_forms(disc)
     h = len(forms)
-    if prec is None:
-        coeff_bits, wp = _hcp_precision(disc, forms)
-        root_prec = max(64, coeff_bits + 24)
-    else:
-        wp, root_prec = prec, prec + 64
+    coeff_bits, wp = _hcp_precision(disc, forms)
+    root_prec = max(64, coeff_bits + 24)
     G = wp + 32
     poly = [1 << G]   # ascending coefficients, G fractional bits
     for f in forms:

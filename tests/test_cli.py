@@ -1,6 +1,10 @@
 """Tests for the command-line envelope, exit codes, and the HCP cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -222,6 +226,28 @@ class TestWeber:
         assert code == 2
         assert err.strip() == "attrarith weber: --n must be at most 50, got 51"
 
+    def test_high_attractor_matches_jval(self, capsys):
+        # tau = 40i.  With A = -g2/4, B = -g3/4 and delta = 1728 g2^3/j, the
+        # Weber value AB x/delta is g3 j x/(27648 g2^2).  The 2-torsion x are
+        # the roots e_k of 4x^3 - g2 x - g3, so g2 = 2 sum e_k^2, g3 = 4 prod e_k.
+        env = invoke_json(capsys, "weber", "--p2", "1", "--q2", "1600", "--pq", "0",
+                          "--n", "2")
+        ref = invoke_json(capsys, "jval", "--tau", "0,40")
+        with mp.workprec(320):
+            j_ref = mp.mpc(ref["result"]["j"]["re"], ref["result"]["j"]["im"])
+            j = mp.mpc(env["result"]["j"]["re"], env["result"]["j"]["im"])
+            assert mp.sign(j.real) == mp.sign(j_ref.real) == 1
+            assert abs(j - j_ref) <= mp.mpf(2) ** -200 * abs(j_ref)
+            pts = env["result"]["points"]
+            xs = [mp.mpc(p["x"]["re"], p["x"]["im"]) for p in pts]
+            g2 = 2 * sum(x**2 for x in xs)
+            g3 = 4 * xs[0] * xs[1] * xs[2]
+            for p, x in zip(pts, xs):
+                w = mp.mpc(p["weber"]["re"], p["weber"]["im"])
+                want = g3 * j_ref * x / (27648 * g2**2)
+                assert mp.sign(w.real) == mp.sign(want.real)
+                assert abs(w - want) <= mp.mpf(2) ** -200 * abs(want)
+
 
 class TestCurve:
     def test_fermat_quartic(self, capsys):
@@ -398,6 +424,20 @@ class TestGlobalFlags:
     def test_unknown_command_exit_2(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 2
+
+    def test_closed_stdout_pipe_exits_0(self):
+        # the reader closes the pipe before the envelope is written
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "attrarith.cli", "weber", "--p2", "1", "--q2", "1",
+             "--pq", "0", "--n", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")

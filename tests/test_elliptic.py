@@ -15,8 +15,14 @@ from attrarith.elliptic import (
     twist_model,
     weber_function,
 )
-from attrarith.errors import AmbiguousCase, NotUpperHalfPlane, OutOfRange, ZeroTwist
-from attrarith.modular import j_value
+from attrarith.errors import (
+    AmbiguousCase,
+    NotUpperHalfPlane,
+    OutOfRange,
+    PrecisionExhausted,
+    ZeroTwist,
+)
+from attrarith.modular import delta_series, j_value, j_value_with_bound
 from oracles import wp_direct
 
 
@@ -67,6 +73,38 @@ class TestModelFromTau:
             m2 = model_from_tau(tau + 1, prec=224)
             assert abs(m1.A - m2.A) < mp.mpf(2) ** -200 * abs(m1.A)
             assert abs(m1.B - m2.B) < mp.mpf(2) ** -200 * abs(m1.B)
+
+
+class TestHighLattices:
+    """At Im tau = 40 and 100 the discriminant is about (2 pi)^12 q, more than
+    360 bits below A^3 and B^2, so it must not be their difference."""
+
+    @pytest.mark.parametrize("height", [40, 100])
+    def test_j_matches_certified_j(self, height):
+        tau = mp.mpc(0, height)
+        m = model_from_tau(tau, prec=256)
+        ev = j_value_with_bound(tau, 256)
+        with mp.workprec(300):
+            assert abs(m.j - ev.j) <= mp.mpf(2) ** -248 * abs(ev.j)
+
+    @pytest.mark.parametrize("height", [40, 100])
+    def test_delta_matches_exact_series(self, height):
+        m = model_from_tau(mp.mpc(0, height), prec=256)
+        with mp.workprec(2048):
+            q = mp.exp(-2 * mp.pi * height)
+            series = mp.mpf(0)
+            for cn in reversed(delta_series(8).coefficients):  # q^9 < 2^-3000
+                series = series * q + cn
+            want = (2 * mp.pi) ** 12 * series
+            assert abs(m.delta - want) <= mp.mpf(2) ** -200 * abs(want)
+
+    def test_intractable_height_refused_before_computing(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("theta kernel ran")
+
+        monkeypatch.setattr("attrarith.elliptic._theta", no_kernel)
+        with pytest.raises(PrecisionExhausted):
+            model_from_tau(mp.mpc(0, 1e7))
 
 
 class TestTorsionPoints:

@@ -15,7 +15,6 @@ from attrarith.errors import (
     NotAttractor,
     NotUpperHalfPlane,
     OutOfRange,
-    RoundingFailed,
     UnsupportedWeight,
 )
 from attrarith.modular import (
@@ -317,23 +316,6 @@ class TestHilbertClassPolynomial:
             hilbert_class_polynomial(4)
         with pytest.raises(InvalidDiscriminant):
             hilbert_class_polynomial(-6)
-
-    def test_rounding_gate(self):
-        with pytest.raises(RoundingFailed):
-            hilbert_class_polynomial(-479, prec=64)
-
-    def test_explicit_prec_roots_get_64_more_bits(self, monkeypatch):
-        seen = []
-
-        def spy(tau, prec=256):
-            seen.append(prec)
-            return j_value_with_bound(tau, prec)
-
-        monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
-        res = hilbert_class_polynomial(-479, prec=520)
-        assert set(seen) == {584} and res.precision_bits == 520
-        monkeypatch.undo()
-        assert res.coeffs == hilbert_class_polynomial(-479).coeffs
 
     def test_degree_matches_class_number(self):
         for disc in range(-500, -2):
