@@ -76,6 +76,7 @@ _LAZY = {
     "central_charge_sq": "flow",
     "flow_step": "flow",
     "flow_integrate": "flow",
+    "trajectory_table": "flow",
     "export_trajectory": "flow",
 }
 

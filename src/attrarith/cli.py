@@ -4,11 +4,18 @@ stdout carries exactly one JSON envelope (or a CSV table under --csv);
 stderr carries diagnostics.  All numeric results are serialized as decimal
 strings so arbitrary-precision values survive the trip.  Exit codes:
 0 success, 2 invalid input, 3 computation failure.
+
+A subcommand is declared in one place, build_parser: its flags, its handler
+and whether it has a tabular form.  The parser is built once per process.
+A handler only computes: it returns (inputs, result, certificates), or a CSV
+(header, rows) under --csv.  run alone renders, the envelope from the
+subcommand name and the precision, or the CSV table.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,17 +81,6 @@ def _int_csv(text: str) -> tuple:
     return tuple(int(v.strip()) for v in text.split(","))
 
 
-def _envelope(command: str, inputs: dict, result: dict,
-              certificates: list, prec: int) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "certificates": certificates,
-        "precision_bits": prec,
-    }
-
-
 def _charge_from_args(args) -> tuple[ChargeData, dict]:
     vector_mode = args.gram or args.p or args.q
     if vector_mode:
@@ -106,12 +102,6 @@ def _charge_from_args(args) -> tuple[ChargeData, dict]:
     return c, inputs
 
 
-def _emit_csv(header: list, rows: list) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(v) for v in row))
-
-
 def _cmd_attract(args, prec: int):
     c, inputs = _charge_from_args(args)
     ap = attractor_point(c)
@@ -131,7 +121,7 @@ def _cmd_attract(args, prec: int):
         {"name": "tau_satisfies_charge_quadratic", "passed": quad == 0},
         {"name": "form_discriminant_is_4D", "passed": f.disc == 4 * ap.D},
     ]
-    return _envelope("attract", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_certify(args, prec: int):
@@ -157,7 +147,7 @@ def _cmd_certify(args, prec: int):
         "tolerance": _dec_f(cert.tolerance),
         "passed": bool(cert.passed),
     }]
-    return _envelope("certify", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_hcp(args, prec: int):
@@ -187,8 +177,7 @@ def _cmd_hcp(args, prec: int):
     else:
         h = len(coeffs) - 1  # hcp_record_valid matched the degree to the form count
     if args.csv:
-        _emit_csv(["power", "coeff"], list(enumerate(coeffs)))
-        return None
+        return ["power", "coeff"], enumerate(coeffs)
     inputs = {"disc": str(disc), "cache": args.cache}
     result = {
         "disc": str(disc),
@@ -200,7 +189,7 @@ def _cmd_hcp(args, prec: int):
         {"name": "degree_equals_class_number", "passed": len(coeffs) - 1 == h},
         {"name": "monic", "passed": coeffs[-1] == 1},
     ]
-    return _envelope("hcp", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_jval(args, prec: int):
@@ -217,7 +206,7 @@ def _cmd_jval(args, prec: int):
     }
     certs = [{"name": "certified_error_bound",
               "value": _dec(ev.error_bound, 64), "passed": True}]
-    return _envelope("jval", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_weber(args, prec: int):
@@ -233,47 +222,39 @@ def _cmd_weber(args, prec: int):
     inputs["n"] = str(args.n)
     ap = attractor_point(c)
     model = model_from_tau(ap.tau, prec=prec)
-    pts = torsion_points(model, args.n)
     rows = []
     worst = mp.mpf(0)
     with mp.workprec(prec + 32):
-        for p in pts:
+        for p in torsion_points(model, args.n):
             resid = abs((2 * p.y) ** 2
                         - (4 * p.x**3 + 4 * model.A * p.x + 4 * model.B))
             worst = max(worst, resid)
-            rows.append((p, weber_function(model, p)))
-    bound = mp.mpf(2) ** (-prec // 2 + 10)
+            a, b = (int(v * args.n) for v in p.lattice_coords)
+            rows.append((a, b, p.x, p.y, weber_function(model, p)))
     if args.csv:
-        table = []
-        for p, w in rows:
-            a = int(p.lattice_coords[0] * args.n)
-            b = int(p.lattice_coords[1] * args.n)
-            table.append([a, b,
-                          _dec(mp.re(p.x), prec), _dec(mp.im(p.x), prec),
-                          _dec(mp.re(p.y), prec), _dec(mp.im(p.y), prec),
-                          _dec(mp.re(w), prec), _dec(mp.im(w), prec)])
-        _emit_csv(["a", "b", "x_re", "x_im", "y_re", "y_im", "weber_re", "weber_im"],
-                  table)
-        return None
+        return (["a", "b", "x_re", "x_im", "y_re", "y_im", "weber_re", "weber_im"],
+                [[a, b, *(_dec(v, prec) for z in (x, y, w) for v in (mp.re(z), mp.im(z)))]
+                 for a, b, x, y, w in rows])
     result = {
         "tau": _surd_str(ap.tau),
         "j": _dec_c(model.j, prec),
         "n": str(args.n),
         "points": [{
-            "a": str(int(p.lattice_coords[0] * args.n)),
-            "b": str(int(p.lattice_coords[1] * args.n)),
-            "x": _dec_c(p.x, prec),
-            "y": _dec_c(p.y, prec),
+            "a": str(a),
+            "b": str(b),
+            "x": _dec_c(x, prec),
+            "y": _dec_c(y, prec),
             "weber": _dec_c(w, prec),
-        } for p, w in rows],
+        } for a, b, x, y, w in rows],
     }
+    bound = mp.mpf(2) ** (-prec // 2 + 10)
     certs = [{
         "name": "wp_ode_max_residual",
         "value": _dec(worst, 64),
         "bound": _dec(bound, 64),
         "passed": bool(worst < bound),
     }]
-    return _envelope("weber", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_curve(args, prec: int):
@@ -283,10 +264,8 @@ def _cmd_curve(args, prec: int):
     factors = decompose_jacobian(sig)
     g = genus(sig)
     if args.csv:
-        _emit_csv(["factor", "level", "dimension", "orbit_size"],
-                  [[i, f.level, f.dimension, len(f.orbit)]
-                   for i, f in enumerate(factors)])
-        return None
+        return (["factor", "level", "dimension", "orbit_size"],
+                [[i, f.level, f.dimension, len(f.orbit)] for i, f in enumerate(factors)])
     inputs = {"d": str(args.d), "k": str(args.k), "l": str(args.l)}
     recs = []
     for f in factors:
@@ -306,7 +285,7 @@ def _cmd_curve(args, prec: int):
     }
     certs = [{"name": "dimensions_sum_to_genus",
               "passed": sum(f.dimension for f in factors) == g}]
-    return _envelope("curve", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_resolve(args, prec: int):
@@ -314,8 +293,7 @@ def _cmd_resolve(args, prec: int):
 
     res = hj_expand(args.n, args.q)
     if args.csv:
-        _emit_csv(["index", "step"], list(enumerate(res.steps)))
-        return None
+        return ["index", "step"], enumerate(res.steps)
     inputs = {"n": str(args.n), "q": str(args.q)}
     result = {
         "n": str(args.n),
@@ -331,7 +309,7 @@ def _cmd_resolve(args, prec: int):
         result["delta_h3"] = str(d3)
     certs = [{"name": "reconstruction_round_trip",
               "passed": hj_reconstruct(res.steps) == Fraction(args.n, args.q)}]
-    return _envelope("resolve", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_fermat(args, prec: int):
@@ -342,8 +320,7 @@ def _cmd_fermat(args, prec: int):
     if args.csv:
         if hodge is None:
             raise ValueError("--csv requires --hodge (the tabular output)")
-        _emit_csv(["p", "hodge"], list(enumerate(hodge)))
-        return None
+        return ["p", "hodge"], enumerate(hodge)
     inputs = {"d": str(args.d), "dim": str(args.dim)}
     result = {
         "d": str(args.d),
@@ -355,7 +332,7 @@ def _cmd_fermat(args, prec: int):
         result["hodge"] = [str(v) for v in hodge]
         certs.append({"name": "hodge_sums_to_primitive",
                       "passed": sum(hodge) == dim})
-    return _envelope("fermat", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_sk_check(args, prec: int):
@@ -374,11 +351,11 @@ def _cmd_sk_check(args, prec: int):
         "rhs_terms": [str(v) for v in chk.rhs_terms],
     }
     certs = [{"name": "dimension_identity", "passed": chk.equal}]
-    return _envelope("sk-check", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _cmd_flow(args, prec: int):
-    from .flow import FlowConfig, export_trajectory, flow_integrate
+    from .flow import FlowConfig, export_trajectory, flow_integrate, trajectory_table
 
     if args.max_steps > _MAX_FLOW_STEPS:
         raise ValueError(f"--max-steps must be at most {_MAX_FLOW_STEPS}, got {args.max_steps}")
@@ -389,9 +366,7 @@ def _cmd_flow(args, prec: int):
     if args.trace:
         export_trajectory(res, args.trace)
     if args.csv:
-        _emit_csv(["rho", "U", "re_tau", "im_tau", "Z2"],
-                  [[f"{float(v):.17g}" for v in row] for row in res.trajectory])
-        return None
+        return trajectory_table(res)
     inputs.update({"tau0": args.tau0, "step": _dec_f(cfg.step),
                    "tol": _dec_f(cfg.tol), "max_steps": str(cfg.max_steps)})
     if args.trace:
@@ -417,7 +392,7 @@ def _cmd_flow(args, prec: int):
          "max_increase": _dec_f(cert.max_z2_increase)},
         {"name": "converged", "passed": bool(res.converged)},
     ]
-    return _envelope("flow", inputs, result, certs, prec)
+    return inputs, result, certs
 
 
 def _add_charge_flags(sp):
@@ -429,7 +404,14 @@ def _add_charge_flags(sp):
     sp.add_argument("--q", default=None, help="comma-separated q vector")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call, so no
+    caller may change it.
+
+    Each subcommand binds its handler and whether it is tabular (--csv);
+    every other subcommand refuses --csv.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=None,
                         help=f"working precision in bits, 64 to {_MAX_PREC} "
@@ -444,55 +426,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "CM decompositions, resolutions, flows")
     sub = parser.add_subparsers(dest="cmd")
 
-    sp = sub.add_parser("attract", parents=[common],
-                        help="exact attractor point, form, class data")
+    def command(name, handler, summary, tabular=False):
+        sp = sub.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(handler=handler, tabular=tabular)
+        return sp
+
+    sp = command("attract", _cmd_attract, "exact attractor point, form, class data")
     _add_charge_flags(sp)
 
-    sp = sub.add_parser("certify", parents=[common],
-                        help="CM certificate: class polynomial root residual")
+    sp = command("certify", _cmd_certify, "CM certificate: class polynomial root residual")
     _add_charge_flags(sp)
 
-    sp = sub.add_parser("hcp", parents=[common], help="Hilbert class polynomial")
+    sp = command("hcp", _cmd_hcp, "Hilbert class polynomial", tabular=True)
     sp.add_argument("--disc", type=int, required=True)
     sp.add_argument("--cache", default=None, help="JSON cache file path")
 
-    sp = sub.add_parser("jval", parents=[common], help="j(tau) with certified error bound")
+    sp = command("jval", _cmd_jval, "j(tau) with certified error bound")
     sp.add_argument("--tau", required=True, metavar="RE,IM")
 
-    sp = sub.add_parser("weber", parents=[common],
-                        help="Weber values at torsion points of the attractor curve")
+    sp = command("weber", _cmd_weber,
+                 "Weber values at torsion points of the attractor curve", tabular=True)
     _add_charge_flags(sp)
     sp.add_argument("--n", type=int, required=True,
                     help=f"torsion order, at most {_MAX_WEBER_N}")
 
-    sp = sub.add_parser("curve", parents=[common],
-                        help="CM decomposition of a Brieskorn-Pham Jacobian")
+    sp = command("curve", _cmd_curve,
+                 "CM decomposition of a Brieskorn-Pham Jacobian", tabular=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--orbits", action="store_true", help="include orbits and CM sets")
 
-    sp = sub.add_parser("resolve", parents=[common],
-                        help="Hirzebruch-Jung resolution of a cyclic singularity")
+    sp = command("resolve", _cmd_resolve,
+                 "Hirzebruch-Jung resolution of a cyclic singularity", tabular=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--genus", type=int, default=None,
                     help="genus of the singular curve, adds cohomology shifts")
 
-    sp = sub.add_parser("fermat", parents=[common],
-                        help="primitive cohomology of a Fermat hypersurface")
+    sp = command("fermat", _cmd_fermat,
+                 "primitive cohomology of a Fermat hypersurface", tabular=True)
     sp.add_argument("--d", type=int, required=True, help="degree")
     sp.add_argument("--dim", type=int, required=True, help="dimension n")
     sp.add_argument("--hodge", action="store_true", help="include Hodge numbers")
 
-    sp = sub.add_parser("sk-check", parents=[common],
-                        help="dimension check of the inductive Fermat identity")
+    sp = command("sk-check", _cmd_sk_check, "dimension check of the inductive Fermat identity")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
 
-    sp = sub.add_parser("flow", parents=[common],
-                        help="integrate the attractor flow from tau0")
+    sp = command("flow", _cmd_flow, "integrate the attractor flow from tau0", tabular=True)
     _add_charge_flags(sp)
     sp.add_argument("--tau0", required=True, metavar="RE,IM")
     sp.add_argument("--trace", default=None, help="write trajectory CSV here")
@@ -501,23 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-steps", type=int, default=_MAX_FLOW_STEPS, dest="max_steps")
 
     return parser
-
-
-_HANDLERS = {
-    "attract": _cmd_attract,
-    "certify": _cmd_certify,
-    "hcp": _cmd_hcp,
-    "jval": _cmd_jval,
-    "weber": _cmd_weber,
-    "curve": _cmd_curve,
-    "resolve": _cmd_resolve,
-    "fermat": _cmd_fermat,
-    "sk-check": _cmd_sk_check,
-    "flow": _cmd_flow,
-}
-
-# subcommands with a tabular rendering; others reject --csv
-_TABULAR = {"hcp", "weber", "curve", "resolve", "fermat", "flow"}
 
 
 def run(argv=None) -> int:
@@ -534,11 +500,17 @@ def run(argv=None) -> int:
             os.environ.get("ATTRARITH_PREC", _DEFAULT_PREC))
         if not 64 <= prec <= _MAX_PREC:
             raise ValueError(f"precision must be between 64 and {_MAX_PREC} bits, got {prec}")
-        if args.csv and args.cmd not in _TABULAR:
+        if args.csv and not args.tabular:
             raise ValueError(f"{args.cmd} has no tabular output; use --json")
-        envelope = _HANDLERS[args.cmd](args, prec)
-        if envelope is not None:
-            print(json.dumps(envelope, indent=2, ensure_ascii=False))
+        out = args.handler(args, prec)
+        if args.csv:
+            header, rows = out
+            sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        else:
+            inputs, result, certificates = out
+            print(json.dumps({"command": args.cmd, "inputs": inputs, "result": result,
+                              "certificates": certificates, "precision_bits": prec},
+                             indent=2, ensure_ascii=False))
         sys.stdout.flush()
     except ComputationFailure as exc:
         print(f"attrarith {args.cmd}: computation failed: {exc}", file=sys.stderr)

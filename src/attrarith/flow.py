@@ -34,7 +34,6 @@ bound on sqrt|D| in the denominator of
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +55,7 @@ __all__ = [
     "central_charge_sq",
     "flow_step",
     "flow_integrate",
+    "trajectory_table",
     "export_trajectory",
 ]
 
@@ -302,11 +302,17 @@ def flow_integrate(c: ChargeData, tau0, config: FlowConfig = None) -> FlowResult
                       steps=len(traj) - 1, certificate=cert)
 
 
-def export_trajectory(result, path) -> None:
-    """Write the trajectory as CSV (rho,U,re_tau,im_tau,Z2) at 17 significant digits."""
+def trajectory_table(result) -> tuple[list, list]:
+    """The trajectory as a CSV header (rho,U,re_tau,im_tau,Z2) and rows of
+    strings at 17 significant digits."""
     traj = result.trajectory if isinstance(result, FlowResult) else result
+    return (["rho", "U", "re_tau", "im_tau", "Z2"],
+            [[f"{float(v):.17g}" for v in row] for row in traj])
+
+
+def export_trajectory(result, path) -> None:
+    """Write trajectory_table(result) as CSV with LF line ends, the bytes
+    `attrarith flow --csv` prints."""
+    header, rows = trajectory_table(result)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "U", "re_tau", "im_tau", "Z2"])
-        for row in traj:
-            writer.writerow([f"{float(v):.17g}" for v in row])
+        fh.writelines(",".join(row) + "\n" for row in [header, *rows])

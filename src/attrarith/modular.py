@@ -345,12 +345,13 @@ def _frame(tau, prec: int) -> _Frame:
     Fractions (y > 0, |x| <= 1/2 and x^2 + y^2 |disc| >= 1), is its own
     reduced point: the matrix is the identity and Im tau = y sqrt|disc|.
     Any other input is rendered and reduced once at prec + 64 bits to scout
-    the matrix.  A height past 1e308 is inf, and the cap on mag keeps every
-    working precision finite.
+    the matrix.  A surd's y is clamped at 10^7 before it turns float, and a
+    reduced height past 1e308 is inf: the cap on mag, reached from a height
+    of 1.1e6, keeps every working precision finite either way.
     """
     if (isinstance(tau, QuadraticSurd) and tau.y > 0 and 2 * abs(tau.x) <= 1
             and tau.norm_squared() >= 1):
-        height, mat = float(tau.y) * math.sqrt(-tau.disc), _IDENTITY
+        height, mat = float(min(tau.y, 10**7)) * math.sqrt(-tau.disc), _IDENTITY
     else:
         zr1, mat = reduce_to_fundamental(_render(tau, prec + 80), prec + 64)
         height = float(mp.im(zr1))

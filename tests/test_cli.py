@@ -1,5 +1,7 @@
 """Tests for the command-line envelope, exit codes, and the HCP cache."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+import attrarith.cli as cli
 import attrarith.flow as flow_mod
 from attrarith.cli import run
 from attrarith.modular import j_value
@@ -324,10 +327,9 @@ class TestFlow:
                               "--tau0", "0.3,1.7", "--tol", "1e-6",
                               "--trace", str(trace), "--csv")
         assert code == 0
-        lines = trace.read_text().splitlines()
-        assert lines[0] == "rho,U,re_tau,im_tau,Z2"
-        assert out.splitlines()[0] == "rho,U,re_tau,im_tau,Z2"
-        assert out.splitlines()[1:] == lines[1:]
+        assert out.startswith("rho,U,re_tau,im_tau,Z2\n")
+        # one formatter for both, LF line ends: the file is the printed bytes
+        assert trace.read_bytes() == out.encode()
 
     def test_nonconvergence_exit_3(self, capsys):
         code, _, err = invoke(capsys, "flow", "--p2", "1", "--q2", "1", "--pq", "0",
@@ -443,3 +445,135 @@ class TestGlobalFlags:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "attract" in out and "flow" in out
+
+
+# SHA-256 of stdout for fixed argv lists, pinned so that any change in the
+# rendering of an envelope, a CSV table or the help text shows.  Paths are
+# relative to a scratch working directory, so the envelopes that echo them
+# are the same on every run; help is rendered at 80 columns.
+GOLDEN_ARGV = {
+    "attract": ("attract", "--p2", "2", "--q2", "3", "--pq", "1"),
+    "certify": ("certify", "--p2", "2", "--q2", "3", "--pq", "1"),
+    "hcp": ("hcp", "--disc", "-23"),
+    "jval": ("jval", "--tau", "0.25,1.5", "--prec", "128"),
+    "weber": ("weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "3"),
+    "curve": ("curve", "--d", "4", "--k", "1", "--l", "1"),
+    "resolve": ("resolve", "--n", "12", "--q", "5"),
+    "fermat": ("fermat", "--d", "5", "--dim", "3"),
+    "sk-check": ("sk-check", "--d", "3", "--r", "1", "--s", "1"),
+    "flow": ("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2"),
+    "hcp --csv": ("hcp", "--disc", "-23", "--csv"),
+    "weber --csv": ("weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "3", "--csv"),
+    "curve --csv": ("curve", "--d", "4", "--k", "1", "--l", "1", "--csv"),
+    "resolve --csv": ("resolve", "--n", "12", "--q", "5", "--csv"),
+    "fermat --csv": ("fermat", "--d", "5", "--dim", "3", "--hodge", "--csv"),
+    "flow --csv": ("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2",
+                   "--csv"),
+    "curve --orbits": ("curve", "--d", "4", "--k", "1", "--l", "1", "--orbits"),
+    "resolve --genus": ("resolve", "--n", "5", "--q", "2", "--genus", "2"),
+    "fermat --hodge": ("fermat", "--d", "5", "--dim", "3", "--hodge"),
+    "flow --trace": ("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2",
+                     "--trace", "traj.csv"),
+    "hcp --cache": ("hcp", "--disc", "-23", "--cache", "hcp.json"),
+    "--help": ("--help",),
+    "weber --help": ("weber", "--help"),
+    "flow --help": ("flow", "--help"),
+}
+
+GOLDEN_SHA256 = {
+    "attract": "35005b88891428abf09ba5231bbbb1965d11ac625ada64521e9cba8e9a1e56fe",
+    "certify": "2cdef337a1b2892bafa37a97de7b677c49beaa2ba81c48f4805f95816a4772b6",
+    "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
+    "jval": "f1e061705915a3f00b5e2226dde35d18041530d5973b9141cff8d793244fe196",
+    "weber": "d5c042f6d2356a442e3b3bc59f4dbbbfaa2b966692c5ddcb49c52c85eedac1da",
+    "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
+    "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
+    "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",
+    "sk-check": "a6fa28114f63cc884ed48a4004ce96bf855beacad3f1421b0a5959b2a90a0312",
+    "flow": "27dc279eeaff3345a1d3c05f7052aa22676308beb05b09b5a2f3f3670a6d350c",
+    "hcp --csv": "1f33e8ce4d4f85f6b0deff93b5757bed4fd59796fc13d9a89a0b616430854c25",
+    "weber --csv": "f43213a5eef17dcb89dc07e2c1b8a5be313411fefb3e2545bd390178627ce3a3",
+    "curve --csv": "321012dcae8c4a22e99b010fcb851ac8244ff0ba8299bb87c770398c18470e87",
+    "resolve --csv": "7ebdf7e1c80b6526665505903546884316c219857a37d31cb23652fe12357abd",
+    "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",
+    "flow --csv": "0363665332cc096f80203463fd1b459f8dbfba6828cfc531ed98a7f548f9d46b",
+    "curve --orbits": "36e0e20cf499e1cb65d54d10bb00c9942471f4f117a6ab4dc5b980ea90a6ff76",
+    "resolve --genus": "f3558d243b45591ad980940843785bcf87637df58bafaef8f1abb8eefe082a1c",
+    "fermat --hodge": "0d6bfd7a99da641738f2b2ab472ea5f6c41284fccd97a2d015ddb98cb26d3892",
+    "flow --trace": "abba57763500d9b1a970c401025d1aeea653325d8fe4fac6786ac7f0058e9509",
+    "hcp --cache": "3af950090b4223382d89edef571be47d653fd0c5dc108477c650723c0941cf13",
+    "--help": "5560e5e9f15c84b48ce893ea625ef101393a916963603372b77af3b478c3921a",
+    "weber --help": "1384450a7305b924bfb30b18ea6a3dba016dc9c4fdb1282a7c5d5d0839fb8cd3",
+    "flow --help": "a9eff95ed7e9fd8facf684448c7d7364db757238febdd24e104bc78d76fd5fba",
+}
+
+
+class TestGoldenStdout:
+    @pytest.fixture(autouse=True)
+    def _scratch_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("ATTRARITH_PREC", raising=False)
+
+    @staticmethod
+    def digest(capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", [k for k in GOLDEN_ARGV if k != "hcp --cache"])
+    def test_stdout_digest(self, capsys, name):
+        assert self.digest(capsys, GOLDEN_ARGV[name]) == GOLDEN_SHA256[name]
+
+    def test_cache_cold_then_hit(self, capsys):
+        argv = GOLDEN_ARGV["hcp --cache"]
+        assert self.digest(capsys, argv) == GOLDEN_SHA256["hcp --cache"]  # cold
+        assert os.path.exists("hcp.json")
+        assert self.digest(capsys, argv) == GOLDEN_SHA256["hcp --cache"]  # hit
+
+
+# pairs of runs that differ only in optional flags or in the environment
+REUSE_STEPS = [
+    (("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2", "--trace", "t.csv"),
+     None),
+    (("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2"), None),
+    (("fermat", "--d", "5", "--dim", "3", "--hodge"), None),
+    (("fermat", "--d", "5", "--dim", "3"), None),
+    (("curve", "--d", "4", "--k", "1", "--l", "1", "--orbits"), None),
+    (("curve", "--d", "4", "--k", "1", "--l", "1"), None),
+    (("hcp", "--disc", "-23", "--csv"), None),
+    (("hcp", "--disc", "-23"), None),
+    (("jval", "--tau", "0.25,1.5"), "128"),
+    (("jval", "--tau", "0.25,1.5"), None),
+]
+
+
+class TestParserReuse:
+    @staticmethod
+    def outputs(capsys, monkeypatch):
+        outs = []
+        for argv, prec in REUSE_STEPS:
+            if prec is None:
+                monkeypatch.delenv("ATTRARITH_PREC", raising=False)
+            else:
+                monkeypatch.setenv("ATTRARITH_PREC", prec)
+            outs.append(invoke(capsys, *argv))
+        return outs
+
+    def test_shared_parser_matches_fresh_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with monkeypatch.context() as m:
+            # the uncached builder gives every call a parser of its own
+            m.setattr(cli, "build_parser", getattr(cli.build_parser, "__wrapped__",
+                                                   cli.build_parser))
+            fresh = self.outputs(capsys, m)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert self.outputs(capsys, monkeypatch) == fresh
+        assert built.count("attrarith") <= 1

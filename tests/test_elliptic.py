@@ -106,6 +106,11 @@ class TestHighLattices:
         with pytest.raises(PrecisionExhausted):
             model_from_tau(mp.mpc(0, 1e7))
 
+    def test_surd_height_past_float_range_refused(self):
+        # y = 10^400 is too large for a float; the height is clamped first
+        with pytest.raises(PrecisionExhausted):
+            model_from_tau(QuadraticSurd(0, 10**400, 1, -4), 64)
+
 
 class TestTorsionPoints:
     def test_two_torsion_roots_of_cubic(self):

@@ -256,6 +256,7 @@ class TestFlowIntegrate:
                              FlowConfig(tol=1e-6))
         out = tmp_path / "traj.csv"
         export_trajectory(res, out)
+        assert b"\r" not in out.read_bytes()
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "rho,U,re_tau,im_tau,Z2"
         assert len(lines) == res.steps + 2

@@ -15,6 +15,7 @@ from attrarith.errors import (
     NotAttractor,
     NotUpperHalfPlane,
     OutOfRange,
+    PrecisionExhausted,
     UnsupportedWeight,
 )
 from attrarith.modular import (
@@ -144,6 +145,11 @@ class TestJValue:
             j_value(mp.mpc(0.3, -2), 256)
         with pytest.raises(OutOfRange):
             j_value(mp.mpc(0, 1), 32)
+
+    def test_surd_height_past_float_range_refused(self):
+        # y = 10^400 is too large for a float; the height is clamped first
+        with pytest.raises(PrecisionExhausted):
+            j_value_with_bound(QuadraticSurd(0, 10**400, 1, -4), 64)
 
     def test_modular_invariance(self):
         rng = random.Random(5005)
