@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .arith import BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form
@@ -96,14 +97,19 @@ class AttractorPoint:
     tau: QuadraticSurd
     D: int
     form: BinaryQuadraticForm
-    class_number: int
+
+    @cached_property
+    def class_number(self) -> int:
+        """The number of reduced forms of discriminant 4D, enumerated on the
+        first read: O(|D|) work that most callers never need."""
+        return len(class_group_forms(4 * self.D))
 
 
 def attractor_point(c: ChargeData) -> AttractorPoint:
     """Exact attractor modulus tau = (pq + sqrt(D))/p2 with its reduced form.
 
     The associated form (p2, -2pq, q2) has discriminant 4D and tau as its
-    upper-half-plane root; class_number counts the reduced forms of disc 4D.
+    upper-half-plane root.
     """
     if c.p2 <= 0:
         raise DegenerateCharge(f"p2 must be positive, got {c.p2}")
@@ -112,8 +118,7 @@ def attractor_point(c: ChargeData) -> AttractorPoint:
         raise NotAttractor(f"discriminant {D} >= 0: no attractor point")
     tau = QuadraticSurd(c.pq, 1, c.p2, D)
     form, _ = reduce_form(BinaryQuadraticForm(c.p2, -2 * c.pq, c.q2))
-    h = len(class_group_forms(4 * D))
-    return AttractorPoint(tau=tau, D=D, form=form, class_number=h)
+    return AttractorPoint(tau=tau, D=D, form=form)
 
 
 def entropy_invariant(c: ChargeData, prec: int = 256):

@@ -223,14 +223,9 @@ def _cmd_weber(args, prec: int):
     ap = attractor_point(c)
     model = model_from_tau(ap.tau, prec=prec)
     rows = []
-    worst = mp.mpf(0)
-    with mp.workprec(prec + 32):
-        for p in torsion_points(model, args.n):
-            resid = abs((2 * p.y) ** 2
-                        - (4 * p.x**3 + 4 * model.A * p.x + 4 * model.B))
-            worst = max(worst, resid)
-            a, b = (int(v * args.n) for v in p.lattice_coords)
-            rows.append((a, b, p.x, p.y, weber_function(model, p)))
+    for p in torsion_points(model, args.n):
+        a, b = (int(v * args.n) for v in p.lattice_coords)
+        rows.append((a, b, p.x, p.y, weber_function(model, p)))
     if args.csv:
         return (["a", "b", "x_re", "x_im", "y_re", "y_im", "weber_re", "weber_im"],
                 [[a, b, *(_dec(v, prec) for z in (x, y, w) for v in (mp.re(z), mp.im(z)))]
@@ -247,6 +242,9 @@ def _cmd_weber(args, prec: int):
             "weber": _dec_c(w, prec),
         } for a, b, x, y, w in rows],
     }
+    with mp.workprec(prec + 32):
+        worst = max(abs((2 * y) ** 2 - (4 * x**3 + 4 * model.A * x + 4 * model.B))
+                    for _, _, x, y, _ in rows)
     bound = mp.mpf(2) ** (-prec // 2 + 10)
     certs = [{
         "name": "wp_ode_max_residual",
@@ -363,10 +361,9 @@ def _cmd_flow(args, prec: int):
     tau0 = complex(_parse_pair(args.tau0, 64, "--tau0"))
     cfg = FlowConfig(step=args.step, tol=args.tol, max_steps=args.max_steps)
     res = flow_integrate(c, tau0, cfg)
-    if args.trace:
-        export_trajectory(res, args.trace)
+    table = export_trajectory(res, args.trace) if args.trace else None
     if args.csv:
-        return trajectory_table(res)
+        return table or trajectory_table(res)
     inputs.update({"tau0": args.tau0, "step": _dec_f(cfg.step),
                    "tol": _dec_f(cfg.tol), "max_steps": str(cfg.max_steps)})
     if args.trace:

@@ -310,9 +310,10 @@ def trajectory_table(result) -> tuple[list, list]:
             [[f"{float(v):.17g}" for v in row] for row in traj])
 
 
-def export_trajectory(result, path) -> None:
+def export_trajectory(result, path) -> tuple[list, list]:
     """Write trajectory_table(result) as CSV with LF line ends, the bytes
-    `attrarith flow --csv` prints."""
-    header, rows = trajectory_table(result)
+    `attrarith flow --csv` prints, and return that table."""
+    header, rows = table = trajectory_table(result)
     with open(path, "w", newline="") as fh:
         fh.writelines(",".join(row) + "\n" for row in [header, *rows])
+    return table

@@ -2,10 +2,13 @@
 
 E4, E6 and Delta are evaluated in one place, the Jacobi theta kernel: after
 the argument is reduced to the fundamental domain (by _frame, which the
-Weierstrass models and torsion points in elliptic share), three sparse
-theta sums of O(sqrt(bits)) terms give all three forms, each sum with a proven
-geometric tail bound and a rounding bound, inside a working precision chosen
-from the reduced height.  Only e^(pi i tau) comes from mpmath: the sums,
+Weierstrass models and torsion points in elliptic share, and which takes
+every tau exactly: the matrix comes from arith.reduce_form on the integer
+form whose root is tau, and the reduced point and its covariance factor are
+exact before they are rendered), three sparse theta sums of O(sqrt(bits))
+terms give all three forms, each sum with a proven geometric tail bound and
+a rounding bound, inside a working precision chosen from the reduced height.
+Only e^(pi i tau) comes from mpmath: the sums,
 their fourth powers and j = E4^3/Delta run on fixed-point Python integers
 (the helpers _to_fixed and _from_fixed also serve the torsion kernel in
 elliptic), and j converts to mpc once.  The exact integer q-expansions
@@ -35,7 +38,8 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .arith import QuadraticSurd, class_group_forms, squarefree_decompose
+from .arith import (BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form,
+                    squarefree_decompose)
 from .attractor import AttractorPoint, ChargeData, attractor_point
 from .errors import (
     InvalidDiscriminant,
@@ -53,7 +57,6 @@ __all__ = [
     "CMCertificate",
     "eisenstein_series",
     "delta_series",
-    "reduce_to_fundamental",
     "j_value",
     "j_value_with_bound",
     "hilbert_class_polynomial",
@@ -117,36 +120,6 @@ def delta_series(N: int) -> QSeries:
     num = [a - b for a, b in zip(e4cu, e6sq)]
     assert all(v % 1728 == 0 for v in num)
     return QSeries(weight=12, coefficients=tuple(v // 1728 for v in num), truncation_order=N)
-
-
-def reduce_to_fundamental(tau, prec: int = 256):
-    """Map tau into |Re| <= 1/2, |tau| >= 1; returns (tau', matrix).
-
-    The matrix ((a,b),(c,d)) has determinant 1 and tau' = (a*tau+b)/(c*tau+d),
-    applied once at full precision after the step sequence is known.
-    """
-    wp = prec + 16
-    with mp.workprec(wp):
-        z0 = mp.mpc(tau)
-        if mp.im(z0) <= 0:
-            raise NotUpperHalfPlane(f"Im tau = {mp.im(z0)} <= 0")
-        eps = mp.mpf(2) ** (-(wp - 12))
-        a, b, c, d = 1, 0, 0, 1
-        z = z0
-        for _ in range(20_000):
-            n = int(mp.nint(mp.re(z)))
-            if n != 0:
-                z -= n
-                a, b = a - n * c, b - n * d
-            if mp.re(z) ** 2 + mp.im(z) ** 2 < 1 - eps:
-                z = -1 / z
-                a, b, c, d = -c, -d, a, b
-                continue
-            break
-        else:
-            raise PrecisionExhausted("fundamental-domain reduction did not settle")
-        zf = (a * z0 + b) / (c * z0 + d)
-        return mp.mpc(zf), ((a, b), (c, d))
 
 
 def _horner(coeffs, q):
@@ -308,68 +281,116 @@ def _render(tau, prec: int):
         return mp.mpc(tau)
 
 
+def _render_exact(r: int, s: int, n: int, disc: int, wp: int):
+    """(r + s sqrt(disc))/n at wp bits, each component rounded from the exact
+    integers; sqrt(disc) = i is exact for disc = -1."""
+    with mp.workprec(wp):
+        return mp.mpc(mp.mpf(r) / n, mp.mpf(s) / n * mp.sqrt(-disc))
+
+
+# most bits from the lowest to the highest set bit of an input mpc: the exact
+# frame squares integers of this size, about 0.05 s each at 2^20 bits in
+# CPython 3.11
+_MAX_EXACT_BITS = 1 << 20
+
+
+def _dyadic(z):
+    """A finite mpc z as integers (r, s, n) with z = (r + s i)/n, n a power of two."""
+    if not mp.isfinite(z):
+        raise OutOfRange(f"tau must be finite, got {z}")
+    (rsign, rman, rexp, rbc), (isign, iman, iexp, ibc) = z._mpc_
+    low = min(rexp, iexp, 0)
+    bits = max(rexp + rbc, iexp + ibc, 1) - low
+    if bits > _MAX_EXACT_BITS:
+        raise PrecisionExhausted(f"tau spans {bits} bits, more than {_MAX_EXACT_BITS}")
+    return ((-rman if rsign else rman) << (rexp - low),
+            (-iman if isign else iman) << (iexp - low), 1 << -low)
+
+
 _IDENTITY = ((1, 0), (0, 1))
 
 
 class _Frame(NamedTuple):
     """Fundamental-domain frame of an input tau, shared by j, the Weierstrass
-    model and the torsion points: the reduction matrix ((a,b),(c,d)) and the
-    bits mag of 1/|q| at the reduced point, capped at 10^7."""
+    model and the torsion points: the reduction matrix ((a,b),(c,d)), the
+    bits mag of 1/|q| at the reduced point, capped at 10^7, and, unless the
+    matrix is the identity, the reduced point tau' and mu = c tau + d as exact
+    (disc, (r, s, n)_tau', (r, s, n)_mu), each meaning (r + s sqrt(disc))/n."""
 
     tau: object
     mat: tuple
     mag: float
+    exact: tuple
 
     def point(self, wp: int):
-        """(tau, tau', mu) at wp bits: tau rendered once, mu = c tau + d and
-        tau' = (a tau + b)/mu, with no Moebius map (and mu = 1) for the
-        identity.
+        """(tau, tau', mu) at wp bits, each rendered once from an exact value:
+        tau' = tau and mu = 1 for the identity.
 
         Raises PrecisionExhausted, before any rendering, when wp passes 10^7.
         """
         if wp > 10_000_000:
             raise PrecisionExhausted(f"required working precision {wp} bits is intractable")
-        with mp.workprec(wp):
-            z = _render(self.tau, wp)
-            if self.mat == _IDENTITY:
-                return z, z, 1
-            (a, b), (c, d) = self.mat
-            mu = c * z + d
-            return z, (a * z + b) / mu, mu
+        z = _render(self.tau, wp)
+        if self.exact is None:
+            return z, z, 1
+        disc, red, mu = self.exact
+        return z, _render_exact(*red, disc, wp), _render_exact(*mu, disc, wp)
 
 
 def _frame(tau, prec: int) -> _Frame:
     """The frame of tau; the caller then picks its working precision from mag.
 
-    A QuadraticSurd in the closed fundamental domain, tested exactly on its
-    Fractions (y > 0, |x| <= 1/2 and x^2 + y^2 |disc| >= 1), is its own
-    reduced point: the matrix is the identity and Im tau = y sqrt|disc|.
-    Any other input is rendered and reduced once at prec + 64 bits to scout
-    the matrix.  A surd's y is clamped at 10^7 before it turns float, and a
-    reduced height past 1e308 is inf: the cap on mag, reached from a height
-    of 1.1e6, keeps every working precision finite either way.
+    Every input is taken exactly as tau = (r + s sqrt(disc))/n on integers:
+    a QuadraticSurd as it is, any other value as the dyadic rationals of its
+    mpc components (disc = -1; a value that is not an mpc is made one at
+    prec bits).  Non-finite input raises OutOfRange, an mpc spanning more
+    than 2^20 bits raises PrecisionExhausted before any integer of that size
+    is formed, and Im tau <= 0 raises NotUpperHalfPlane.  A point in the
+    closed fundamental domain (|r| <= n/2 and r^2 - s^2 disc >= n^2) is its
+    own reduced point, with the identity matrix.  Any other point is the root
+    of the form f = (n^2, -2rn, r^2 - s^2 disc), of discriminant
+    4 n^2 s^2 disc, and reduce_form finds M with g = f(M) reduced.  The root
+    (-g.b + 2ns sqrt(disc))/(2 g.a) of g is tau' = M^-1 tau, so the matrix
+    is M^-1, and mu = c tau + d follows exactly.  The height
+    Im tau' = (s/n) sqrt|disc| of the reduced triple is capped at 10^7
+    before it turns float; the cap on mag, reached from a height of 1.1e6,
+    keeps every working precision finite.
     """
-    if (isinstance(tau, QuadraticSurd) and tau.y > 0 and 2 * abs(tau.x) <= 1
-            and tau.norm_squared() >= 1):
-        height, mat = float(min(tau.y, 10**7)) * math.sqrt(-tau.disc), _IDENTITY
+    if isinstance(tau, QuadraticSurd):
+        x, y, disc = tau.x, tau.y, tau.disc
+        n = math.lcm(x.denominator, y.denominator)
+        r, s = x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)
     else:
-        zr1, mat = reduce_to_fundamental(_render(tau, prec + 80), prec + 64)
-        height = float(mp.im(zr1))
-    return _Frame(tau, mat, min(2 * math.pi * height * math.log2(math.e), 10_000_000))
+        if not isinstance(tau, mp.mpc):
+            tau = _render(tau, prec)
+        (r, s, n), disc = _dyadic(tau), -1
+    if s <= 0:
+        raise NotUpperHalfPlane(f"Im tau <= 0 at tau = {tau}")
+    if 2 * abs(r) <= n and r * r - s * s * disc >= n * n:
+        mat, exact = _IDENTITY, None
+    else:
+        form, ((p, q), (u, v)) = reduce_form(
+            BinaryQuadraticForm(n * n, -2 * r * n, r * r - s * s * disc))
+        mat, mu = ((v, -q), (-u, p)), (p * n - u * r, -u * s, n)
+        r, s, n = -form.b, 2 * n * s, 2 * form.a
+        exact = (disc, (r, s, n), mu)
+    height = (s / n if s < 10**7 * n else 1e7) * math.sqrt(-disc)
+    return _Frame(tau, mat, min(2 * math.pi * height * math.log2(math.e), 10_000_000), exact)
 
 
 def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     """j(tau) = E4^3/Delta plus a certified bound on its absolute error,
     below 2^-prec.
 
-    tau is an mpc-compatible value or a QuadraticSurd.  _frame fixes the
-    matrix and the magnitude 2^mag of 1/q at the reduced point, with no
-    reduction at all for a surd already in the fundamental domain, such as
-    the root of a reduced form.  The input is then rendered and mapped at
-    wp = prec + 2 ceil(mag) + 32 bits.  E4 and Delta come from the theta
-    kernel, and E4^3 and the quotient are formed on the same fixed-point
-    integers (F fractional bits), with one floor division by the norm of
-    Delta.  j converts to mpc exactly.
+    tau is an mpc-compatible value or a QuadraticSurd.  _frame takes it
+    exactly and fixes the matrix and the magnitude 2^mag of 1/q at the
+    reduced point, with no reduction at all for a point already in the
+    closed fundamental domain, such as the root of a reduced form.  The
+    exact reduced point is then rendered at wp = prec + 2 ceil(mag) + 32
+    bits.  E4 and Delta come from the theta kernel, and E4^3 and the
+    quotient are formed on the same fixed-point integers (F fractional
+    bits), with one floor division by the norm of Delta.  j converts to mpc
+    exactly.
 
     The bound is computed on integers counting units u = 2^-F, every step
     rounded up: |E4| <= A u and |Delta| >= L u come from integer square roots
@@ -381,7 +402,10 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     - |a/b - A/B| <= (|a - A| + |a/b| |b - B|)/|B| with |B| >= L - dd, and
       |a/b| below J, the modulus of the computed quotient plus 3;
     - the floor division errs by at most sqrt(2) < 2;
-    - the rounding of the reduced point itself adds |j| 2^-wp (64 + 8|tau'|).
+    - the rounding of the reduced point itself adds |j| 2^-wp (64 + 8|tau'|):
+      tau' is rendered from exact integers, each component within a few
+      units of 2^-wp relative, so this holds for any matrix (no Moebius map
+      runs at wp, where a large matrix would cancel).
 
     The sum must lie below 2^-prec, or PrecisionExhausted is raised.  The 32
     guard bits meet it everywhere on the fundamental domain, where

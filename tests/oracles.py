@@ -29,29 +29,41 @@ def phi_sieve(limit: int) -> list[int]:
     return phi
 
 
-def reduce_root_exact(tau: QuadraticSurd) -> QuadraticSurd:
+def reduce_root_exact(tau: QuadraticSurd):
     """Canonicalize an upper-half-plane surd into the fundamental domain.
 
     Uses exact Fraction Moebius steps (T shifts and S inversions) with the
     boundary convention Re = -1/2 on vertical edges and Re <= 0 on the unit
-    arc, matching roots of reduced quadratic forms.
+    arc, matching roots of reduced quadratic forms.  Returns (tau', M) with M
+    in SL(2,Z) and tau' = M tau.
     """
     assert tau.is_upper_half_plane()
     t = tau
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(10_000):
         # shift Re into [-1/2, 1/2)
         n = math.floor(t.real + Fraction(1, 2))
         if n != 0:
             t = t - n
+            a, b = a - n * c, b - n * d
         nrm = t.norm_squared()
-        if nrm < 1:
+        if nrm < 1 or (nrm == 1 and t.real > 0):
             t = QuadraticSurd.from_rational(-1) / t
+            a, b, c, d = -c, -d, a, b
             continue
-        if nrm == 1 and t.real > 0:
-            t = QuadraticSurd.from_rational(-1) / t
-            continue
-        return t
+        return t, ((a, b), (c, d))
     raise RuntimeError("fundamental-domain reduction did not terminate")
+
+
+def dyadic_surd(z) -> QuadraticSurd:
+    """The value of an mpc as an exact surd of disc -1, from each component's
+    mantissa and exponent."""
+    def fraction(x):
+        man, exp = x.man_exp   # |x| = man 2^exp
+        return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+    i = QuadraticSurd(0, 1, 1, -1)
+    return QuadraticSurd.from_rational(fraction(z.real)) + fraction(z.imag) * i
 
 
 def forms_brute(disc: int, bound: int = 64) -> list[tuple[int, int, int]]:
@@ -184,11 +196,10 @@ def j_dense(tau, prec: int):
 def wp_direct(tau, a: int, b: int, n: int, prec: int):
     """(p(z), p'(z)/2) at z = (a tau + b)/n on the lattice Z tau + Z, by the direct series.
 
-    The basis is reduced by reduce_to_fundamental (checked on its own against
-    reduce_root_exact), but the point is carried over numerically: z' = z/mu
-    with mu = c tau + d, and its coordinates on the reduced basis are read off
-    and rounded to the n-grid, so the integer coordinate map of torsion_points
-    is not reused.  On the reduced lattice, with u = e^(2 pi i z'),
+    The basis is reduced by reduce_root_exact on the exact value of tau, but
+    the point is carried over numerically: z' = z/mu with mu = c tau + d,
+    and its coordinates on the reduced basis are read off and rounded to the
+    n-grid, so the integer coordinate map of torsion_points is not reused.  On the reduced lattice, with u = e^(2 pi i z'),
     t1 = q^k u and t2 = q^k/u, each term of
 
         p/(2 pi i)^2  = 1/12 + u/(1-u)^2
@@ -201,12 +212,11 @@ def wp_direct(tau, a: int, b: int, n: int, prec: int):
     is below 1.05 |q|^N.  N = (wp + 64)/log2(1/|q|) + 2 leaves it more than
     60 bits under 2^-wp.
     """
-    from attrarith.modular import reduce_to_fundamental
-
     wp = prec + 96
     with mp.workprec(wp):
         tau = mp.mpc(tau)
-        zred, ((_, _), (c, d)) = reduce_to_fundamental(tau, wp)
+        red, ((_, _), (c, d)) = reduce_root_exact(dyadic_surd(tau))
+        zred = red.to_mpc(wp)
         mu = c * tau + d
         zp = (a * tau + b) / n / mu
         s = mp.im(zp) / mp.im(zred)

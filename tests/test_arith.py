@@ -114,7 +114,10 @@ class TestReduceForm:
             if f.disc >= 0:
                 continue
             red, _ = reduce_form(f)
-            assert reduce_root_exact(f.root()) == red.root()
+            tau = f.root()
+            t, ((ma, mb), (mc, md)) = reduce_root_exact(tau)
+            assert t == red.root() == (ma * tau + mb) / (mc * tau + md)
+            assert ma * md - mb * mc == 1
 
 
 class TestClassGroupForms:
@@ -159,7 +162,7 @@ class TestClassGroupForms:
             for f in forms:
                 assert f.is_reduced()
                 assert f.disc == disc
-                roots.add(reduce_root_exact(f.root()))
+                roots.add(reduce_root_exact(f.root())[0])
             # distinct fundamental-domain roots = pairwise inequivalent
             assert len(roots) == len(forms)
             # random translates reduce back into the list

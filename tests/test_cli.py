@@ -176,12 +176,27 @@ class TestJval:
             assert mp.mpf(env["result"]["j"]["re"]) == mp.re(want)
             assert mp.mpf(env["result"]["j"]["im"]) == mp.im(want)
 
-    @pytest.mark.parametrize("tau", ["0,1e400", "0.25,1e-400"])
+    @pytest.mark.parametrize("tau", ["0,1e400", "0.25,1e-400", "0.3,1e-200", "0.3,1e-300"])
     def test_extreme_height_exit_3(self, capsys, tau):
         # the reduced height overflows a float; refused before any theta sum
         code, out, err = invoke(capsys, "jval", "--tau", tau)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "intractable" in err
+
+    def test_exact_size_cap_exit_3(self, capsys):
+        code, out, err = invoke(capsys, "jval", "--tau", "0,1e-1000000")
+        assert code == 3 and out == ""
+        assert err == ("attrarith jval: computation failed: "
+                       "tau spans 3322217 bits, more than 1048576\n")
+
+    def test_deep_point_within_bound(self, capsys):
+        # reduced exactly; the reference is mpmath's kleinj after a 6000-bit reduction
+        env = invoke_json(capsys, "jval", "--tau=1e-100,1e-200")
+        j, bound = env["result"]["j"], mp.mpf(env["result"]["error_bound"])
+        with mp.workprec(256):
+            ref = mp.mpc("1712.0178199847212424", "-0.40485499451098208866")
+            assert bound < mp.mpf(2) ** -256
+            assert abs(mp.mpc(j["re"], j["im"]) - ref) <= bound + mp.mpf(10) ** -16
 
     def test_bad_tau_exit_2(self, capsys):
         code, _, err = invoke(capsys, "jval", "--tau", "1+2j")
@@ -321,15 +336,33 @@ class TestFlow:
         assert float(env["certificates"][0]["residual"]) < 1e-8
         assert all(c["passed"] is True for c in env["certificates"])
 
-    def test_trace_and_csv(self, capsys, tmp_path):
+    def test_trace_and_csv(self, capsys, tmp_path, monkeypatch):
+        tables = []
+        table = flow_mod.trajectory_table
+
+        def spy(result):
+            tables.append(result)
+            return table(result)
+
+        monkeypatch.setattr(flow_mod, "trajectory_table", spy)
         trace = tmp_path / "t.csv"
         code, out, _ = invoke(capsys, "flow", "--p2", "1", "--q2", "1", "--pq", "0",
                               "--tau0", "0.3,1.7", "--tol", "1e-6",
                               "--trace", str(trace), "--csv")
         assert code == 0
         assert out.startswith("rho,U,re_tau,im_tau,Z2\n")
-        # one formatter for both, LF line ends: the file is the printed bytes
+        # one table for both, LF line ends: the file is the printed bytes
+        assert len(tables) == 1
         assert trace.read_bytes() == out.encode()
+
+    def test_large_charge_needs_no_class_number(self, capsys, monkeypatch):
+        # D = -10^11: listing the reduced forms of 4D would take minutes
+        listed = []
+        monkeypatch.setattr("attrarith.attractor.class_group_forms", listed.append)
+        env = invoke_json(capsys, "flow", "--p2", "1", "--q2", "100000000001", "--pq", "0",
+                          "--tau0", "0,1")
+        assert listed == []
+        assert all(c["passed"] is True for c in env["certificates"])
 
     def test_nonconvergence_exit_3(self, capsys):
         code, _, err = invoke(capsys, "flow", "--p2", "1", "--q2", "1", "--pq", "0",

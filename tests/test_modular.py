@@ -8,7 +8,7 @@ import random
 import mpmath as mp
 import pytest
 
-from attrarith.arith import QuadraticSurd, class_group_forms
+from attrarith.arith import QuadraticSurd, class_group_forms, reduce_form
 from attrarith.attractor import ChargeData
 from attrarith.errors import (
     InvalidDiscriminant,
@@ -19,6 +19,7 @@ from attrarith.errors import (
     UnsupportedWeight,
 )
 from attrarith.modular import (
+    _frame,
     _theta,
     certify_attractor_cm,
     delta_series,
@@ -28,11 +29,11 @@ from attrarith.modular import (
     j_value,
     j_value_with_bound,
     load_hcp_cache,
-    reduce_to_fundamental,
     store_hcp_cache,
 )
 
-from oracles import eisenstein_dense, j_dense, random_sl2, sigma_power
+from oracles import (dyadic_surd, eisenstein_dense, j_dense, random_sl2, reduce_root_exact,
+                     sigma_power)
 
 
 class TestEisenstein:
@@ -86,40 +87,91 @@ class TestDeltaSeries:
             assert 1728 * delta[n] == e4cu[n] - e6sq[n]
 
 
+def exact_input(tau):
+    """The exact value _frame takes for tau."""
+    return tau if isinstance(tau, QuadraticSurd) else dyadic_surd(tau)
+
+
+def exact_reduced(frame, tau):
+    """(tau', mu) of a frame as exact surds."""
+    if frame.exact is None:
+        return exact_input(tau), 1
+    disc, red, mu = frame.exact
+    return QuadraticSurd(*red, disc), QuadraticSurd(*mu, disc)
+
+
 class TestReduceToFundamental:
+    """_frame: the exact reduction of every tau to the fundamental domain."""
+
     def test_translation(self):
-        z, mat = reduce_to_fundamental(mp.mpc(7, 1))
-        assert mat == ((1, -7), (0, 1))
-        assert abs(z - mp.mpc(0, 1)) < 1e-70
+        frame = _frame(mp.mpc(7, 1), 64)
+        assert frame.mat == ((1, -7), (0, 1))
+        assert exact_reduced(frame, mp.mpc(7, 1)) == (QuadraticSurd(0, 1, 1, -1), 1)
 
     def test_deep_point(self):
-        z, mat = reduce_to_fundamental(mp.mpc("0.1", "0.1"))
-        assert abs(mp.re(z)) <= 0.5 + 1e-70
-        assert abs(z) >= 1 - 1e-70
-        (a, b), (c, d) = mat
+        tau = mp.mpc("0.1", "0.1")
+        frame = _frame(tau, 64)
+        (a, b), (c, d) = frame.mat
         assert a * d - b * c == 1
+        red, mu = exact_reduced(frame, tau)
+        assert 2 * abs(red.x) <= 1 and red.norm_squared() >= 1
+        assert mu == c * dyadic_surd(tau) + d
 
     def test_already_reduced(self):
-        tau = QuadraticSurd(1, 1, 2, -5).to_mpc(256)
-        z, mat = reduce_to_fundamental(tau)
-        assert mat == ((1, 0), (0, 1))
-        assert abs(z - tau) < 1e-70
+        tau = QuadraticSurd(1, 1, 2, -5)
+        frame = _frame(tau, 64)
+        assert frame.mat == ((1, 0), (0, 1)) and frame.exact is None
+        z, zred, mu = frame.point(256)
+        assert z == zred == tau.to_mpc(256) and mu == 1
 
     def test_rejects_lower_half_plane(self):
-        with pytest.raises(NotUpperHalfPlane):
-            reduce_to_fundamental(mp.mpc(0, -1))
+        for tau in (mp.mpc(0, -1), mp.mpc(3, 0), QuadraticSurd(0, -1, 2, -7)):
+            with pytest.raises(NotUpperHalfPlane):
+                _frame(tau, 64)
 
     def test_random_points(self):
-        rng = random.Random(321)
-        for _ in range(60):
-            with mp.workprec(220):
-                tau = mp.mpc(rng.uniform(-8, 8), rng.uniform(0.01, 8))
-                z, mat = reduce_to_fundamental(tau, 192)
-                (a, b), (c, d) = mat
-                assert a * d - b * c == 1
-                assert abs(mp.re(z)) <= 0.5 + 1e-40
-                assert abs(z) >= 1 - 1e-40
-                assert abs((a * tau + b) / (c * tau + d) - z) < 1e-40
+        # SL(2,Z) images of random surds, and of dyadic points rounded back to
+        # dyadic mpc inputs, against the exact Moebius oracle
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(seed=st.integers(0, 2**32), dyadic=st.booleans())
+        def check(seed, dyadic):
+            rng = random.Random(seed)
+            if dyadic:
+                base = QuadraticSurd(rng.randrange(-2**12, 2**12), rng.randrange(1, 2**14),
+                                     2**12, -1)
+            else:
+                base = QuadraticSurd(rng.randrange(-30, 31), rng.randrange(1, 5),
+                                     rng.randrange(1, 30), -rng.randrange(1, 200))
+            (a, b), (c, d) = random_sl2(rng)
+            tau = (a * base + b) / (c * base + d)
+            if dyadic:
+                tau = tau.to_mpc(80)
+            t = exact_input(tau)
+            frame = _frame(tau, 64)
+            (a, b), (c, d) = frame.mat
+            assert a * d - b * c == 1
+            red, mu = exact_reduced(frame, tau)
+            assert red == (a * t + b) / (c * t + d) and mu == c * t + d
+            if 2 * abs(t.x) <= 1 and t.norm_squared() >= 1:
+                assert frame.mat == ((1, 0), (0, 1)) and frame.exact is None
+            else:
+                assert red == reduce_root_exact(t)[0]
+            with mp.workprec(200):
+                zred = frame.point(192)[1]
+                assert abs(zred - red.to_mpc(200)) <= abs(zred) * mp.mpf(2) ** -189
+            with pytest.raises(NotUpperHalfPlane):
+                _frame(mp.conj(tau) if dyadic else t.conjugate(), 64)
+
+        check()
+
+    @pytest.mark.parametrize("tau", [mp.mpc(mp.nan, 1), mp.mpc(0, mp.inf),
+                                     mp.mpc(mp.inf, 1), mp.mpc(0, mp.nan)])
+    def test_non_finite_tau_refused(self, tau):
+        with pytest.raises(OutOfRange):
+            j_value_with_bound(tau, 64)
 
 
 class TestJValue:
@@ -193,11 +245,11 @@ class TestJValue:
 def _reduction_counter(monkeypatch):
     calls = []
 
-    def counting(tau, prec=256):
-        calls.append(prec)
-        return reduce_to_fundamental(tau, prec)
+    def counting(form):
+        calls.append(form)
+        return reduce_form(form)
 
-    monkeypatch.setattr("attrarith.modular.reduce_to_fundamental", counting)
+    monkeypatch.setattr("attrarith.modular.reduce_form", counting)
     return calls
 
 
@@ -222,11 +274,12 @@ class TestJErrorTarget:
                 assert abs(ev.j - ref.j) <= ev.error_bound + ref.error_bound, (tau, prec)
 
     def test_fast_path_only_inside_the_fundamental_domain(self, monkeypatch):
+        # POINTS[0] = 0.25 + 1.5i lies in the fundamental domain as well
         calls = _reduction_counter(monkeypatch)
-        for tau in self.REDUCED:
+        for tau in self.REDUCED + self.POINTS[:1]:
             j_value_with_bound(tau, 128)
         assert calls == []
-        for tau in self.NOT_REDUCED + self.POINTS:
+        for tau in self.NOT_REDUCED + self.POINTS[1:]:
             calls.clear()
             j_value_with_bound(tau, 128)
             assert len(calls) == 1, tau
@@ -241,6 +294,17 @@ class TestJErrorTarget:
                 assert abs(ev.j - base.j) <= ev.error_bound + base.error_bound
         with mp.workprec(300):
             assert abs(base.j + 3375) < mp.mpf(2) ** -256
+
+    def test_deep_point_against_exact_reduction(self):
+        # 1e-100 + 1e-200 i, reduced by the exact Moebius oracle; mpmath's kleinj
+        # at the oracle's reduced point is the reference
+        with mp.workprec(288):
+            tau = mp.mpc("1e-100", "1e-200")
+        ev = j_value_with_bound(tau, 256)
+        red, _ = reduce_root_exact(dyadic_surd(tau))
+        with mp.workprec(1024):
+            ref = 1728 * mp.kleinj(red.to_mpc(1024))
+            assert abs(ev.j - ref) <= ev.error_bound + mp.mpf(2) ** -900
 
     def test_rejects_lower_half_plane_surd(self):
         with pytest.raises(NotUpperHalfPlane):
