@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,9 +32,12 @@ _DEFAULT_PREC = 256
 # largest --prec: decimal output stays under Python's 4300-digit int-to-str limit
 _MAX_PREC = 8192
 # largest weber --n, and largest (n^2 - 1) * prec: 2499 points at 256 bits
-# take about 2 s on one core, and the cost grows with points times bits
+# take about 1 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
+# largest jval working precision prec + 2 ceil(mag) + 32, 2^mag = 1/|q| at the
+# reduced point: j at 131072 bits takes about 2 s on one core
+_MAX_JVAL_WORK = 2**17
 # largest flow --max-steps, which bounds the rows a converging flow builds
 _MAX_FLOW_STEPS = 10**6
 
@@ -193,9 +197,14 @@ def _cmd_hcp(args, prec: int):
 
 
 def _cmd_jval(args, prec: int):
-    from .modular import j_value_with_bound
+    from .modular import _frame, j_value_with_bound
 
     tau = _parse_pair(args.tau, prec, "--tau")
+    work = prec + 2 * math.ceil(_frame(tau, prec).mag) + 32
+    # past 10^7 bits j_value_with_bound itself refuses the height as intractable
+    if _MAX_JVAL_WORK < work <= 10_000_000:
+        raise ValueError(f"working precision prec + 2 ceil(mag) + 32 must be at most "
+                         f"{_MAX_JVAL_WORK} bits, got {work}")
     ev = j_value_with_bound(tau, prec)
     inputs = {"tau": args.tau}
     result = {
@@ -211,6 +220,7 @@ def _cmd_jval(args, prec: int):
 
 def _cmd_weber(args, prec: int):
     from .elliptic import model_from_tau, torsion_points, weber_function
+    from .modular import j_value_with_bound
 
     if args.n > _MAX_WEBER_N:
         raise ValueError(f"--n must be at most {_MAX_WEBER_N}, got {args.n}")
@@ -242,15 +252,24 @@ def _cmd_weber(args, prec: int):
             "weber": _dec_c(w, prec),
         } for a, b, x, y, w in rows],
     }
+    ev = j_value_with_bound(ap.tau, prec)
     with mp.workprec(prec + 32):
         worst = max(abs((2 * y) ** 2 - (4 * x**3 + 4 * model.A * x + 4 * model.B))
                     for _, _, x, y, _ in rows)
+        # the model's j is within 2^-(prec+86) (1 + |j|) before its rounding to prec
+        dj = abs(model.j - ev.j)
+        j_bound = ev.error_bound + mp.mpf(2) ** -(prec - 1) * (1 + abs(ev.j))
     bound = mp.mpf(2) ** (-prec // 2 + 10)
     certs = [{
         "name": "wp_ode_max_residual",
         "value": _dec(worst, 64),
         "bound": _dec(bound, 64),
         "passed": bool(worst < bound),
+    }, {
+        "name": "model_j_matches_modular",
+        "value": _dec(dj, 64),
+        "bound": _dec(j_bound, 64),
+        "passed": bool(dj <= j_bound),
     }]
     return inputs, result, certs
 

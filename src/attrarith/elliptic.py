@@ -6,8 +6,11 @@ come from the same kernel's Delta, as j_value does, so neither is a
 difference of large terms.  The fundamental-domain frame (reduction matrix,
 reduced point and covariance factor mu) is modular._frame, the one j uses.
 Torsion points come from the Lambert form of the q-series for the
-Weierstrass functions, one series per pair +-P summed on fixed-point
-integers, evaluated at the reduced point and scaled back through mu.
+Weierstrass functions at the reduced point.  Every input of the series is a
+product of powers of two mpmath values, e^(2 pi i tau'/n) and e^(2 pi i/n),
+and the whole series, leading term included, is summed on fixed-point
+integers, once per pair +-P; the result turns mpc once, to be scaled back
+through mu and rounded.
 Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
 is the case selection that cancels exactly that freedom.
 """
@@ -18,11 +21,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import (
+    from_rational, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, mpf_cos_sin_pi, round_nearest,
+)
 
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _frame, _from_fixed, _theta, _to_fixed
+from .modular import _frame, _from_fixed, _mul, _theta, _to_fixed
 
 __all__ = [
     "WeierstrassModel",
@@ -164,6 +171,59 @@ def _lambert_sums(b, d, count: int, F: int):
     return (s0, s1), (t0, t1)
 
 
+def _powers(z, count: int, F: int):
+    """[1, z, z^2, ..., z^count] for a fixed-point complex pair z, by products."""
+    out = [(1 << F, 0), z]
+    for _ in range(count - 1):
+        out.append(_mul(out[-1], z, F))
+    return out
+
+
+class _TorsionKernel(NamedTuple):
+    """The per-call tables of torsion_points, on integers scaled by 2^F: the
+    powers alpha^k for k <= 3n/2 and zeta^k for k < n, the Lambert table d
+    of q = alpha^n and T = sum d_m q^m."""
+
+    n: int
+    F: int
+    apow: list
+    zpow: list
+    d: list
+    t: tuple
+
+    def series(self, ar: int, br: int, cv: int, cw: int):
+        """(X, Y) = (p/(2 pi i)^2, p'/(2 pi i)^3) at reduced coordinates (ar, br),
+        with cv terms of the v sums and cw of the w sums."""
+        n, F, apow, zpow = self.n, self.F, self.apow, self.zpow
+        one = 1 << F
+        zb = zpow[br]
+        u = _mul(apow[ar], zb, F)
+        (sv0, sv1), (dv0, dv1) = _lambert_sums(_mul(apow[n + ar], zb, F), self.d, cv, F)
+        (sw0, sw1), (dw0, dw1) = _lambert_sums(_mul(apow[n - ar], zpow[-br % n], F),
+                                               self.d, cw, F)
+        cr, ci = one - u[0], -u[1]
+        nrm = (cr * cr + ci * ci) >> F
+        r = (cr << F) // nrm, (-ci << F) // nrm
+        ur2 = _mul(u, _mul(r, r, F), F)
+        yr, yi = _mul(ur2, _mul((one + u[0], u[1]), r, F), F)
+        t0, t1 = self.t
+        return ((one // 12 + ur2[0] + sv0 + sw0 - 2 * t0, ur2[1] + sv1 + sw1 - 2 * t1),
+                (yr + dv0 - dw0, yi + dv1 - dw1))
+
+
+def _torsion_kernel(zred, n: int, m_max: int, wp: int) -> _TorsionKernel:
+    """The tables for order n at the reduced point zred, m_max the longest sum,
+    with the fractional bits F that the torsion_points rounding bound sets."""
+    F = wp + max(3 * math.ceil(math.log2(m_max + 1)), 5 * math.ceil(math.log2(n))) + 8
+    with mp.workprec(wp):
+        alpha = _to_fixed(mp.expjpi(2 * zred / n), F)
+    zeta = _to_fixed(mp.make_mpc(
+        mpf_cos_sin_pi(from_rational(2, n, wp, round_nearest), wp, round_nearest)), F)
+    apow = _powers(alpha, n + n // 2, F)
+    d, t = _lambert_table(apow[n], m_max, F)
+    return _TorsionKernel(n, F, apow, _powers(zeta, n - 1, F), d, t)
+
+
 def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     """The n^2 - 1 nonzero n-torsion points, ordered by lattice coordinates.
 
@@ -181,11 +241,17 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     v = q u, w = q/u and d_m = m/(1 - q^m), expanding the q-product of p in
     x/(1-x)^2 = sum_m m x^m gives
 
-        p/(2 pi i)^2  = 1/12 + u/(1-u)^2 + sum_{m>=1} d_m (v^m + w^m - 2 q^m),
-        p'/(2 pi i)^3 = u(1+u)/(1-u)^3   + sum_{m>=1} m d_m (v^m - w^m).
+        X = p/(2 pi i)^2  = 1/12 + u/(1-u)^2 + sum_{m>=1} d_m (v^m + w^m - 2 q^m),
+        Y = p'/(2 pi i)^3 = u(1+u)/(1-u)^3   + sum_{m>=1} m d_m (v^m - w^m).
 
-    The table d_m and T = sum d_m q^m are built once per call, so the sums
-    over m have no division; the leading term and the scaling stay in mpc.
+    mpmath gives alpha = e^(2 pi i tau'/n) and zeta = e^(2 pi i/n) once per
+    call, and every other quantity is a product of their powers: q = alpha^n,
+    u = alpha^ar zeta^br, v = alpha^(n+ar) zeta^br and
+    w = alpha^(n-ar) zeta^((n-br) mod n).  The table d_m and
+    T = sum d_m q^m are built once per call, so the sums over m have no
+    division, and X and Y are formed whole on fixed-point integers; only
+    their conversion to mpc, the scaling and the rounding to prec run in
+    mpc, once per pair +-P.
     After reduction |q| = x0 <= e^(-pi sqrt 3) < 0.0044, and with ar <= n/2,
     |v| = x0^(1 + ar/n) <= x0 and |w| = x0^(1 - ar/n) <= x0^(1/2) < 0.066,
     so every power stays below 1 in modulus.
@@ -198,20 +264,41 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     smallest M that makes this 2^-(wp+3), with rho = |v|, |w| and x0; T is
     summed to the largest count, which only shrinks its tail.
 
-    Rounding.  The sums run on (re, im) integers scaled by 2^F.  With
-    eps = 2^-F, converting v, w or q and each truncated complex product errs
-    by at most sqrt(2) eps; as the bases are below 0.07 in modulus, every
-    power errs by less than 2 sqrt(2) eps/(1 - 0.07) < 3.1 eps.  The
-    reciprocal 1/(1 - q^m), formed from the conjugate and the truncated norm
-    (above 0.99) by floor division, errs by less than 6.5 eps, so d_m by less
-    than 6.5 m eps and each product d_m b^m by less than 5.1 m eps.  Summed
-    over m <= M that is at most 2.6 (M+1)^2 eps and 1.7 (M+1)^3 eps, and T,
-    a sum of the d_m - m, errs by at most 3.3 (M+1)^2 eps.  With M the
-    largest count, F = wp + 3 ceil(log2(M+1)) + 5 keeps all three below
-    2^-(wp+3).  So p, built from four units of sum (v, w and 2T), and p',
-    from two, are within 2^-wp of the series at the inputs v, w and q,
-    which carry relative errors of a few 2^-wp from the frame; the 96 bits
-    between wp and the returned precision absorb those and the mpc steps.
+    Rounding.  Everything runs on (re, im) integers scaled by 2^F, and is
+    measured against the series at the wp-bit inputs alpha and zeta.  With
+    eps = 2^-F, converting an input and each truncated complex product errs
+    by at most sqrt(2) eps; the bases have modulus at most 1, so the k-th
+    power errs by less than 3k eps.  Powers up to 3n/2 of alpha and n - 1 of
+    zeta put u within e_u = 4.5n eps and v, w and q within 7.5n eps.
+
+    The leading term needs the most, near its pole.  |1 - u| >= 2 sin(pi/n)
+    >= 4/n when ar = 0, and otherwise 1 - x0^(ar/n) >= 1 - e^(-pi sqrt3 ar/n)
+    >= 1.86 ar/n, as 1 - e^-s is concave on [0, pi sqrt3/2]; so
+    |r| <= n/1.8 for r = 1/(1 - u).  r is the conjugate over the floored
+    norm, floor-divided: the norm costs eps |r|^3, u's error e_u |r|^2 and
+    the division sqrt(2) eps, so r errs by less than 1.8 n^3 eps, u r^2 by
+    less than 3 n^4 eps and u r^2 (1 + u) r by less than 5 n^5 eps.
+
+    In the sums, the reciprocal 1/(1 - q^m), formed from the conjugate and
+    the truncated norm (above 0.99) by floor division, errs by less than
+    6.5 eps, so d_m by less than 6.5 m eps and each product d_m b^m by less
+    than 5.1 m eps.  Summed over m <= M, M the largest count, that is at
+    most 2.6 (M+1)^2 eps per sum of d_m b^m, 1.7 (M+1)^3 eps per sum of
+    m d_m b^m and 3.3 (M+1)^2 eps for T.  A base that errs by e moves b^m by
+    at most m |b|^(m-1) e, which with |d_m| < 1.005 m and |b| < 0.07 adds at
+    most 1.4 e to a sum of d_m b^m and 1.8 e to a sum of m d_m b^m; q's
+    error adds 1.1 e to T and 0.1 e to the other sums.  With 1/12 (floored)
+    and the leading terms, X and Y each err by less than
+    (7 n^5 + 6 (M+1)^3) eps, so F = wp + max(3 ceil(log2(M+1)),
+    5 ceil(log2 n)) + 8 keeps both within 13 2^-(wp+8) < 2^-(wp+4) of the
+    truncated series; with the tails (four units of 2^-(wp+3) in X, two in
+    Y) they are within 2^-wp of the series at alpha and zeta.  Those inputs
+    carry relative errors of a few 2^-wp from the frame, which the powers
+    amplify at most 3n/2-fold; the 96 bits between wp and the returned
+    precision absorb them and the scaling by cx = (2 pi i scale/mu)^2 and
+    cy = cx (2 pi i scale/mu)/2 at wp.  x and y are rounded to prec once per
+    pair: rounding to nearest is symmetric, so the partner's -y has the
+    bits that rounding -y itself would give.
     """
     if n < 2:
         raise OutOfRange(f"torsion order must be >= 2, got {n}")
@@ -238,44 +325,38 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
                 counts[rep] = (_lambert_count((1 + rep[0] / n) * frame.mag, wp),
                                _lambert_count((1 - rep[0] / n) * frame.mag, wp))
     m_max = max(cw for _, cw in counts.values())
-    F = wp + 3 * math.ceil(math.log2(m_max + 1)) + 5
+    kernel = _torsion_kernel(zred, n, m_max, wp)
+    F = kernel.F
     with mp.workprec(wp):
-        q = mp.expjpi(2 * zred)
-        d, (t0, t1) = _lambert_table(_to_fixed(q, F), m_max, F)
         tp = 2j * mp.pi * mp.mpc(model.scale) / mu
         cx = tp * tp
         cy = cx * tp / 2
-        values = {}
-        for (ar, br), (cv, cw) in counts.items():
-            u = mp.expjpi(2 * (ar * zred + br) / n)
-            (sv0, sv1), (dv0, dv1) = _lambert_sums(_to_fixed(q * u, F), d, cv, F)
-            (sw0, sw1), (dw0, dw1) = _lambert_sums(_to_fixed(q / u, F), d, cw, F)
-            sx = _from_fixed((sv0 + sw0 - 2 * t0, sv1 + sw1 - 2 * t1), F)
-            sy = _from_fixed((dv0 - dw0, dv1 - dw1), F)
-            r = 1 / (1 - u)
-            ur2 = u * r * r
-            xv = cx * (mp.mpf(1) / 12 + ur2 + sx)
-            yv = cy * (ur2 * (1 + u) * r + sy)
-            values[(ar, br)] = (xv, yv)
+    cx, cy = cx._mpc_, cy._mpc_
+    values = {}
+    for (ar, br), (cv, cw) in counts.items():
+        xs, ys = kernel.series(ar, br, cv, cw)
+        xv = mpc_mul(cx, _from_fixed(xs, F)._mpc_, wp, round_nearest)
+        y = mpc_pos(mpc_mul(cy, _from_fixed(ys, F)._mpc_, wp, round_nearest), prec, round_nearest)
+        values[(ar, br)] = (mp.make_mpc(mpc_pos(xv, prec, round_nearest)),
+                            mp.make_mpc(y), mp.make_mpc(mpc_neg(y)))
     fr = [Fraction(k, n) for k in range(n)]
     out = []
-    with mp.workprec(prec):
-        for (a_z, b_z), rep, sign in layout:
-            xv, yv = values[rep]
-            out.append(TorsionPoint(lattice_coords=(fr[a_z], fr[b_z]),
-                                    x=+xv, y=+yv if sign > 0 else -yv))
+    for (a_z, b_z), rep, sign in layout:
+        x, y, neg_y = values[rep]
+        out.append(TorsionPoint(lattice_coords=(fr[a_z], fr[b_z]),
+                                x=x, y=y if sign > 0 else neg_y))
     return out
 
 
 def weber_function(model: WeierstrassModel, point: TorsionPoint):
     """Twist-invariant coordinate of a torsion point: constant * x^k, with the
-    constant and k chosen once per model (WeierstrassModel.weber_case)."""
+    constant and k chosen once per model (WeierstrassModel.weber_case),
+    evaluated at prec + 32 bits and rounded to prec."""
     const, k = model.weber_case
-    with mp.workprec(max(model.precision_bits, 53) + 32):
-        x = mp.mpc(point.x)
-        val = const * x**k
-    with mp.workprec(max(model.precision_bits, 53)):
-        return +val
+    prec = max(model.precision_bits, 53)
+    val = mpc_mul(const._mpc_, mpc_pow_int(point.x._mpc_, k, prec + 32, round_nearest),
+                  prec + 32, round_nearest)
+    return mp.make_mpc(mpc_pos(val, prec, round_nearest))
 
 
 def twist_model(model: WeierstrassModel, u) -> WeierstrassModel:

@@ -1,11 +1,15 @@
 """Tests for the command-line envelope, exit codes, and the HCP cache."""
 
 import argparse
+import dataclasses
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -14,7 +18,7 @@ import pytest
 import attrarith.cli as cli
 import attrarith.flow as flow_mod
 from attrarith.cli import run
-from attrarith.modular import j_value
+from attrarith.modular import _frame, j_value
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "precision_bits"}
 
@@ -198,6 +202,30 @@ class TestJval:
             assert bound < mp.mpf(2) ** -256
             assert abs(mp.mpc(j["re"], j["im"]) - ref) <= bound + mp.mpf(10) ** -16
 
+    def test_work_cap_exit_2(self, capsys):
+        # reduced height 250000: about 4.5e6 bits of working precision, refused
+        # from the frame alone, before any rendering
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "jval", "--tau=0.5,0.000001")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("attrarith jval: working precision prec + 2 ceil(mag) + 32 must be "
+                       "at most 131072 bits, got 4532650\n")
+
+    def test_benchmark_pool_under_work_cap(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        pool = workloads.cli_pools()["jval"]
+        assert len(pool) == 24
+        for argv in pool:
+            prec = int(argv[argv.index("--prec") + 1])
+            tau = cli._parse_pair(argv[1].split("=", 1)[1], prec, "--tau")
+            work = prec + 2 * math.ceil(_frame(tau, prec).mag) + 32
+            assert work <= cli._MAX_JVAL_WORK, argv
+
     def test_bad_tau_exit_2(self, capsys):
         code, _, err = invoke(capsys, "jval", "--tau", "1+2j")
         assert code == 2
@@ -212,6 +240,17 @@ class TestWeber:
         assert len(env["result"]["points"]) == 3
         cert = env["certificates"][0]
         assert cert["name"] == "wp_ode_max_residual" and cert["passed"]
+
+    def test_model_j_certificate_fails_on_wrong_model(self, capsys, monkeypatch):
+        import attrarith.elliptic as elliptic
+
+        right = elliptic.model_from_tau
+        monkeypatch.setattr(elliptic, "model_from_tau",
+                            lambda tau, prec: dataclasses.replace(right(tau, prec),
+                                                                  j=-right(tau, prec).j))
+        env = invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "2")
+        cert = env["certificates"][1]
+        assert cert["name"] == "model_j_matches_modular" and cert["passed"] is False
 
     def test_csv(self, capsys):
         code, out, _ = invoke(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
@@ -250,6 +289,9 @@ class TestWeber:
         # the roots e_k of 4x^3 - g2 x - g3, so g2 = 2 sum e_k^2, g3 = 4 prod e_k.
         env = invoke_json(capsys, "weber", "--p2", "1", "--q2", "1600", "--pq", "0",
                           "--n", "2")
+        names = [c["name"] for c in env["certificates"]]
+        assert names == ["wp_ode_max_residual", "model_j_matches_modular"]
+        assert all(c["passed"] for c in env["certificates"])
         ref = invoke_json(capsys, "jval", "--tau", "0,40")
         with mp.workprec(320):
             j_ref = mp.mpc(ref["result"]["j"]["re"], ref["result"]["j"]["im"])
@@ -518,14 +560,14 @@ GOLDEN_SHA256 = {
     "certify": "2cdef337a1b2892bafa37a97de7b677c49beaa2ba81c48f4805f95816a4772b6",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "f1e061705915a3f00b5e2226dde35d18041530d5973b9141cff8d793244fe196",
-    "weber": "d5c042f6d2356a442e3b3bc59f4dbbbfaa2b966692c5ddcb49c52c85eedac1da",
+    "weber": "9a104afff1ec028ff40442211fc94366905c7b9b3112bdd76ebb55fcc2ec88bf",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",
     "sk-check": "a6fa28114f63cc884ed48a4004ce96bf855beacad3f1421b0a5959b2a90a0312",
     "flow": "27dc279eeaff3345a1d3c05f7052aa22676308beb05b09b5a2f3f3670a6d350c",
     "hcp --csv": "1f33e8ce4d4f85f6b0deff93b5757bed4fd59796fc13d9a89a0b616430854c25",
-    "weber --csv": "f43213a5eef17dcb89dc07e2c1b8a5be313411fefb3e2545bd390178627ce3a3",
+    "weber --csv": "f243b04ba7c9b30efe6601ecbf969fa563890c4d1897561aebf6d83accc7668b",
     "curve --csv": "321012dcae8c4a22e99b010fcb851ac8244ff0ba8299bb87c770398c18470e87",
     "resolve --csv": "7ebdf7e1c80b6526665505903546884316c219857a37d31cb23652fe12357abd",
     "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",

@@ -9,6 +9,8 @@ import pytest
 from attrarith.arith import QuadraticSurd
 from attrarith.elliptic import (
     TorsionPoint,
+    _lambert_count,
+    _torsion_kernel,
     WeierstrassModel,
     model_from_tau,
     torsion_points,
@@ -22,7 +24,7 @@ from attrarith.errors import (
     PrecisionExhausted,
     ZeroTwist,
 )
-from attrarith.modular import delta_series, j_value, j_value_with_bound
+from attrarith.modular import _frame, delta_series, j_value, j_value_with_bound
 from oracles import wp_direct
 
 
@@ -183,6 +185,16 @@ class TestTorsionPoints:
                     resid = abs((2 * p.y) ** 2 - (4 * p.x**3 + 4 * m.A * p.x + 4 * m.B))
                     assert resid < bound
 
+    def test_one_mpmath_exponential_per_call(self, monkeypatch):
+        # u, v, w and q are products of powers of alpha and zeta, not one
+        # exponential per point
+        m = model_from_tau(mp.mpc("0.3", "1.7"), prec=128)
+        calls = []
+        expjpi = mp.expjpi
+        monkeypatch.setattr(mp, "expjpi", lambda z: calls.append(z) or expjpi(z))
+        torsion_points(m, 7)
+        assert len(calls) == 1
+
     def test_order_too_small(self):
         m = model_from_tau(mp.mpc(0, 1), prec=128)
         with pytest.raises(OutOfRange):
@@ -190,12 +202,15 @@ class TestTorsionPoints:
 
 
 def oracle_cases():
-    """(tau, n, prec, twist): eight seeded tau, every n in 2..7 and every precision.
+    """(tau, n, prec, twist): eight seeded tau, every n in 2..7 and every precision,
+    then n = 50, 31 and 13 at 64 bits.
 
     Two tau have Im >= 5, three have |Re| in [10, 20] and Im <= 0.3 (several
     reduction steps), three lie near the fundamental domain; one model is
     twisted.  The costlier (n, prec) pairs go to the larger Im tau, where the
-    direct series is short.
+    direct series is short.  The guard bits for the power chains and for
+    1/(1 - u)^3 grow with n, so the large orders take a tau near rho, where
+    |q| is largest, one with Im tau >= 5 and one far tau.
     """
     rng = random.Random(66)
 
@@ -217,11 +232,15 @@ def oracle_cases():
         (near(), 6, 128, mp.mpc(rng.uniform(0.5, 2), rng.uniform(-2, 2))),
         (near(), 3, 256, None),
         (near(), 2, 512, None),
+        (mp.mpc("0.4991", "0.8672"), 50, 64, None),
+        (mp.mpc("-3.27", "5.6"), 31, 64, None),
+        (mp.mpc("13.14", "0.07"), 13, 64, None),
     ]
 
 
 class TestTorsionAgainstDirectSeries:
     def test_every_point_matches_direct_series(self):
+        rng = random.Random(68)
         for tau, n, prec, twist in oracle_cases():
             m = model_from_tau(tau, prec=prec)
             u = mp.mpc(1) if twist is None else twist
@@ -229,6 +248,11 @@ class TestTorsionAgainstDirectSeries:
                 m = twist_model(m, twist)
             pts = torsion_points(m, n)
             assert len(pts) == n * n - 1
+            if n > 7:
+                # coordinates 0 or +-1/n (next to the origin for a reduced tau, as near rho,
+                # where |1 - u| is smallest) and a sample
+                near = [p for p in pts if {int(c * n) for c in p.lattice_coords} <= {0, 1, n - 1}]
+                pts = near + rng.sample(pts, 16)
             with mp.workprec(prec + 64):
                 tol = mp.mpf(2) ** -(prec - 8)
                 for p in pts:
@@ -377,3 +401,49 @@ class TestTwistModel:
                                  key=lambda z: (mp.re(z), mp.im(z)))
                 for a, b in zip(base, twisted):
                     assert abs(a - b) < bound
+
+
+def series_at(alpha, zeta, n, ar, br, counts):
+    """X and Y of the torsion_points Lambert form at u = alpha^ar zeta^br,
+    v = alpha^(n+ar) zeta^br, w = alpha^(n-ar) zeta^((n-br) mod n) and q = alpha^n,
+    truncated as the kernel truncates: counts = (terms of the v sums, of the
+    w sums, of T)."""
+    u = alpha**ar * zeta**br
+    v = alpha ** (n + ar) * zeta**br
+    w = alpha ** (n - ar) * zeta ** ((n - br) % n)
+    q = alpha**n
+    x = mp.mpf(1) / 12 + u / (1 - u) ** 2
+    y = u * (1 + u) / (1 - u) ** 3
+    cv, cw, ct = counts
+    for m in range(1, max(counts) + 1):
+        dm = m / (1 - q**m)
+        vm = v**m if m <= cv else 0
+        wm = w**m if m <= cw else 0
+        x += dm * (vm + wm - 2 * q**m * (m <= ct))
+        y += m * dm * (vm - wm)
+    return x, y
+
+
+class TestTorsionKernelRounding:
+    def test_series_within_rounding_bound(self):
+        # n = 200 near rho: |1 - u| is down to 2 sin(pi/200) at (0, 1), so the
+        # leading term's guard bits, which grow like 5 log2 n, are what keep
+        # the rounding within the 2^-(wp+4) that the torsion_points docstring derives
+        n, prec = 200, 64
+        wp = prec + 96
+        frame = _frame(mp.mpc("0.4991", "0.8672"), prec)
+        _, zred, _ = frame.point(wp)
+        reps = [(0, 1), (1, 0), (1, n - 1), (0, n // 2), (n // 2, 1), (n // 2, n // 2), (3, 7)]
+        counts = {(ar, br): (_lambert_count((1 + ar / n) * frame.mag, wp),
+                             _lambert_count((1 - ar / n) * frame.mag, wp)) for ar, br in reps}
+        m_max = max(cw for _, cw in counts.values())
+        kernel = _torsion_kernel(zred, n, m_max, wp)
+        F = kernel.F
+        with mp.workprec(2 * F):
+            alpha, zeta = (mp.mpc(*z) / mp.mpf(2) ** F for z in (kernel.apow[1], kernel.zpow[1]))
+            for (ar, br), (cv, cw) in counts.items():
+                xs, ys = kernel.series(ar, br, cv, cw)
+                x, y = series_at(alpha, zeta, n, ar, br, (cv, cw, m_max))
+                for got, want in ((xs, x), (ys, y)):
+                    err = abs(mp.mpc(*got) / mp.mpf(2) ** F - want)
+                    assert err <= mp.mpf(2) ** -(wp + 4), (ar, br, mp.log(err, 2) + wp)
