@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
 from .arith import QuadraticSurd
 from .attractor import ChargeData, attractor_point, entropy_invariant
@@ -32,7 +33,7 @@ _DEFAULT_PREC = 256
 # largest --prec: decimal output stays under Python's 4300-digit int-to-str limit
 _MAX_PREC = 8192
 # largest weber --n, and largest (n^2 - 1) * prec: 2499 points at 256 bits
-# take about 1 s on one core, and the cost grows with points times bits
+# take about 0.9 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
 # largest jval working precision prec + 2 ceil(mag) + 32, 2^mag = 1/|q| at the
@@ -52,18 +53,23 @@ def _surd_str(t: QuadraticSurd) -> str:
             f"·√{_minus(str(t.disc))})/{t.den}")
 
 
+def _digits(v, prec: int) -> str:
+    """An mpf tuple in enough decimal digits to reproduce it at prec bits."""
+    return to_str(v, int(prec * 0.30103) + 8)
+
+
 def _dec(x, prec: int) -> str:
-    """Decimal string with enough digits to reproduce x at prec bits."""
-    dps = int(prec * 0.30103) + 8
-    with mp.workprec(prec + 8):
-        return mp.nstr(mp.mpf(x) if not isinstance(x, mp.mpf) else x, dps)
+    """x printed by _digits; an mpf as it is, any other value rounded to prec + 8 bits."""
+    if not isinstance(x, mp.mpf):
+        with mp.workprec(prec + 8):
+            x = mp.mpf(x)
+    return _digits(x._mpf_, prec)
 
 
 def _dec_c(z, prec: int) -> dict:
-    with mp.workprec(prec + 8):
-        z = mp.mpc(z)
-    # attribute access extracts components without re-rounding
-    return {"re": _dec(z.real, prec), "im": _dec(z.imag, prec)}
+    """Each component of an mpc rounded to prec + 8 bits, then printed by _digits."""
+    re, im = (_digits(mpf_pos(v, prec + 8, round_nearest), prec) for v in z._mpc_)
+    return {"re": re, "im": im}
 
 
 def _dec_f(v) -> str:

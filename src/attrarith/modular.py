@@ -8,10 +8,11 @@ form whose root is tau, and the reduced point and its covariance factor are
 exact before they are rendered), three sparse theta sums of O(sqrt(bits))
 terms give all three forms, each sum with a proven geometric tail bound and
 a rounding bound, inside a working precision chosen from the reduced height.
-Only e^(pi i tau) comes from mpmath: the sums,
-their fourth powers and j = E4^3/Delta run on fixed-point Python integers
-(the helpers _to_fixed and _from_fixed also serve the torsion kernel in
-elliptic), and j converts to mpc once.  The exact integer q-expansions
+Only r = e^(pi i tau) comes from mpmath: the sums, their fourth powers and
+j = E4^3/Delta run on fixed-point Python integers (the helpers _to_fixed and
+_from_fixed also serve the torsion kernel in elliptic), each power r^n
+carried only to the bits that can still reach the result, and j converts to
+mpc once.  The exact integer q-expansions
 (divisor sums, and the discriminant series extracted from (E4^3 - E6^2)/1728
 by exact division) stay available as eisenstein_series and delta_series; no
 evaluation uses them.  On top of j sit Hilbert class polynomials, with one j
@@ -203,43 +204,82 @@ def _theta(zred, wp: int) -> _Theta:
     """Theta kernel: the sparse sums behind E4, E6 and Delta at a reduced point.
 
     With r = e^(pi i tau'), S2 = sum_{n>=0} r^(n(n+1)), S3 = sum_{n>=1} r^(n^2)
-    and S4 = sum_{n>=1} (-1)^n r^(n^2) are summed over n < M; three
-    multiplications per n turn r^((n-1)n) into r^(n^2) and r^(n(n+1)).  Every
-    omitted term is r^k for a distinct k >= M^2, and M is the first count with
-    |r|^(M^2) <= 2^-(wp+1), so each tail is at most |r|^(M^2)/(1-|r|).  On the
-    fundamental domain Im tau' >= sqrt(3)/2 gives |r| < 0.0659, so the tail is
-    below 1.071 * 2^-(M^2 log2(1/|r|)), computed in floats and rounded up to
-    whole ulps plus one: their relative error in the exponent is below 1e-8,
-    and the factor 1.071 exceeds 1/(1 - 0.0659) by more than that.
+    and S4 = sum_{n>=1} (-1)^n r^(n^2) are summed over n < M.  For n = 1,
+    r^n and r^(n^2) are r itself and one complex product forms r^2; for each
+    n >= 2, three form r^n = r^(n-1) r, r^(n^2) = r^(n(n-1)) r^n and
+    r^(n(n+1)) = r^(n^2) r^n.  Every omitted term is r^k for a distinct
+    k >= M^2, and M is the first count with |r|^(M^2) <= 2^-(wp+1), so each
+    tail is at most |r|^(M^2)/(1-|r|).  On the fundamental domain
+    Im tau' >= sqrt(3)/2 gives |r| < 0.0659, so the tail is below
+    1.071 * 2^-(M^2 log2(1/|r|)), computed in floats and rounded up to whole
+    ulps plus one: their relative error in the exponent is below 1e-8, and
+    the factor 1.071 exceeds 1/(1 - 0.0659) by more than that.
 
-    Rounding, in ulps u = 2^-F.  Only r comes from mpmath, at F bits; the
-    sums, the fourth powers and every later product run on (re, im) Python
-    integers scaled by 2^F, and each floored product errs by at most sqrt(2).
-    r and 16 r, each floored from its own conversion, are within 1.6 of
-    exact.  A product of two computed powers of r errs by at most
-    |r|(e_a + e_b) + sqrt(2), so every power stays within 2 and each sum of
-    at most M terms within 2M.  With E = tail + 2M the error of each sum,
-    1 + 2 S3 is within 2E and below 1.1414 in modulus, so its square squared
-    is within 8 (1.1414)^3 E + (2 (1.1414)^2 + 1) sqrt(2) < 12 E + 6, and the
-    same holds for theta_4^4.  theta_2^4 = (16 r) S2^4 with |S2| < 1.0044
-    is within 4.3 E + 8.  err = 12 E + 64 covers all three, and the
-    remaining slack covers the products that combine them into E4, E6 and
-    Delta (at most 4 ulps each).  F = wp + ceil(log2 M) + 4 keeps the
-    rounding part of err, (24 M + 64) 2^-F, below (1.5 + 4/M) 2^-wp.
+    Rounding, in ulps u = 2^-F.  Only r comes from mpmath, at F + 4 bits,
+    each component within one unit in its last place, so within 2^-(F+3) |r|
+    < 0.14 units of 2^-(F+4).  It is floored once to F + 4 fractional bits;
+    that integer is 16 r at F bits, and shifted down it is r at any coarser
+    scale, in each case within sqrt(2) + 0.14 < 1.6 units of that scale.
+    Everything else runs on (re, im) Python integers, and each floored
+    product errs by at most sqrt(2) units of its own scale.  The loop's
+    products take three integer multiplications each, k = y_r (x_r + x_i),
+    re = k - x_i (y_r + y_i), im = k + x_r (y_i - y_r): the same integers as
+    x_r y_r - x_i y_i and x_r y_i + x_i y_r, so they change no bound.
+
+    Term n has modulus |r|^(n^2), so only its top F - n^2 L bits can reach
+    u, L = log2(1/|r|), and the loop carries each power of r only that far.
+    h is a whole number of bits at most L: the float L less a 10^-9 relative
+    margin, far above its rounding error, floored; L > 3.92 on the domain,
+    so h >= 3.  r^n is held at g_n = F + 2 - n(n-1)h fractional bits, and r
+    at the same g_n.  For n >= 2, r^(n-1) sits on the finer scale
+    g_(n-1) = g_n + 2(n-1)h, so its error reaches r^n in units of 2^-g_n
+    shrunk by |r| 2^-6, and r^n stays within |r| 1.6 + 0.005 + sqrt(2)
+    < 1.6 of exact, as r^1 = r is.  The terms r^(n^2) and r^(n(n+1)) and the
+    sums stay at F bits.  By the choice of M, (M-1)^2 L < wp + 1, so for
+    n < M, n(n-1)h < wp + 1 - L and g_n >= 10.  The first factor t of each
+    term's product has |t| <= |r|^(n(n-1)) + 2u <= 2^-(n(n-1)h) + 2u, so the
+    error of r^n reaches the product as at most 1.6 |t| 2^-g_n < 0.41 u, and
+    |t| <= |r|^(n^2) + 2u makes it below 0.03 u for r^(n(n+1)).  A factor t
+    within e u then gives a product within (|r|^n e + 0.41 + sqrt(2)) u.
+    Starting from r^(1^2) = r within 1.6: r^(n^2) is within 2|r| + 0.41 +
+    sqrt(2) < 1.96, r^(n(n+1)) within 1.96|r| + 0.03 + sqrt(2) < 1.58, so every
+    power stays within 2, as it would at F bits throughout, and each sum of
+    at most M terms within 2M.  The two guard bits in g_n are what keep it
+    there: without them r^n's error would reach a product as up to 1.6 u.
+
+    With E = tail + 2M the error of each sum, 1 + 2 S3 is within 2E and
+    below 1.1414 in modulus, so its square squared is within
+    8 (1.1414)^3 E + (2 (1.1414)^2 + 1) sqrt(2) < 12 E + 6, and the same
+    holds for theta_4^4.  theta_2^4 = (16 r) S2^4 with |S2| < 1.0044 is
+    within 4.3 E + 8.  err = 12 E + 64 covers all three, and the remaining
+    slack covers the products that combine them into E4, E6 and Delta (at
+    most 4 ulps each).  F = wp + ceil(log2 M) + 4 keeps the rounding part
+    of err, (24 M + 64) 2^-F, below (1.5 + 4/M) 2^-wp.
     """
     half_mag = math.pi * float(mp.im(zred)) * math.log2(math.e)  # bits in 1/|r|
     M = max(2, math.ceil(math.sqrt((wp + 1) / half_mag)))
     F = wp + (M - 1).bit_length() + 4
-    with mp.workprec(F):
+    h = math.floor(half_mag * (1 - 1e-9))   # whole bits, at most log2(1/|r|)
+    with mp.workprec(F + 4):
         rv = mp.expjpi(zred)
-    r, r16 = _to_fixed(rv, F), _to_fixed(rv, F + 4)
+    r16r, r16i = r16 = _to_fixed(rv, F + 4)   # 16 r at F bits, and r at F + 4
     one = 1 << F
-    rr, ri = r
-    s2r, s2i, s3r, s3i, s4r, s4i = one, 0, 0, 0, 0, 0
-    nr, ni, tr, ti = one, 0, one, 0
-    for n in range(1, M):
-        nr, ni = (nr * rr - ni * ri) >> F, (nr * ri + ni * rr) >> F   # r^n
-        tr, ti = (tr * nr - ti * ni) >> F, (tr * ni + ti * nr) >> F   # r^(n^2)
+    # n = 1: r^1 at g_1 = F + 2 bits and r^(1^2) at F bits are shifts of the one floor
+    g = F + 2   # fractional bits of r^(n-1)
+    nr, ni, tr, ti = r16r >> 2, r16i >> 2, r16r >> 4, r16i >> 4
+    s3r, s3i, s4r, s4i = tr, ti, -tr, -ti
+    k = nr * (tr + ti)
+    tr, ti = (k - ti * (nr + ni)) >> g, (k + tr * (ni - nr)) >> g   # r^(1*2)
+    s2r, s2i = one + tr, ti
+    for n in range(2, M):
+        gn = F + 2 - n * (n - 1) * h
+        rr, ri = r16r >> (F + 4 - gn), r16i >> (F + 4 - gn)
+        k = rr * (nr + ni)
+        nr, ni = (k - ni * (rr + ri)) >> g, (k + nr * (ri - rr)) >> g   # r^n, gn bits
+        g = gn
+        ys, yd = nr + ni, ni - nr
+        k = nr * (tr + ti)
+        tr, ti = (k - ti * ys) >> g, (k + tr * yd) >> g   # r^(n^2)
         s3r += tr
         s3i += ti
         if n % 2:
@@ -248,7 +288,8 @@ def _theta(zred, wp: int) -> _Theta:
         else:
             s4r += tr
             s4i += ti
-        tr, ti = (tr * nr - ti * ni) >> F, (tr * ni + ti * nr) >> F   # r^(n(n+1))
+        k = nr * (tr + ti)
+        tr, ti = (k - ti * ys) >> g, (k + tr * yd) >> g   # r^(n(n+1))
         s2r += tr
         s2i += ti
     tail = math.ceil(1.071 * 2.0 ** (F - M * M * half_mag)) + 1
@@ -411,7 +452,9 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     guard bits meet it everywhere on the fundamental domain, where
     mag >= pi sqrt3 log2(e) > 7.85, |q| < 0.00434, |E4| < 2.1, |Delta| >
     0.9 |q| and so |j| < 10.3 / |q|.  The kernel's err u is below 11 2^-wp
-    (12 tail u <= 6.5 2^-wp and the rounding part below 4.25 2^-wp), so
+    (12 tail u <= 6.5 2^-wp and the rounding part below 4.25 2^-wp; the
+    kernel carries r^n at fewer bits than F, but keeps every power of r
+    within 2 u, so err is what it would be at F bits throughout), so
     d4 u < 55 2^-wp and dd u < 2.8 2^-wp.  With L - dd > 0.89 |q|, the cube
     term is below 820 2^(mag-wp) <= 3.6 2^-(prec+32), J dd/(L - dd) below
     33 2^(2 mag - wp) <= 33 2^-(prec+32), and the rendering term below

@@ -161,6 +161,29 @@ def eisenstein_dense(zred, wp: int):
     return _horner(e4c, q), _horner(e6c, q), _horner(dc, q), tail + round_err, n
 
 
+def theta_reference(zred, F: int, M: int):
+    """(theta_2^4, theta_3^4, theta_4^4) from the sums the theta kernel truncates,
+    at 2F bits.
+
+    r = e^(pi i zred) is taken as the kernel takes it, from mpmath at F + 4 bits;
+    S2 = sum_{0<=n<M} r^(n(n+1)), S3 = sum_{1<=n<M} r^(n^2) and S4 = sum_{1<=n<M}
+    (-1)^n r^(n^2) are then formed in mpc arithmetic at 2F bits, so they differ
+    from the kernel's fixed-point sums by the kernel's rounding alone.
+    """
+    with mp.workprec(F + 4):
+        r = mp.expjpi(zred)
+    with mp.workprec(2 * F):
+        s2, s3, s4, rn, t = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1), mp.mpc(1)
+        for n in range(1, M):
+            rn *= r
+            t *= rn          # r^(n^2)
+            s3 += t
+            s4 += -t if n % 2 else t
+            t *= rn          # r^(n(n+1))
+            s2 += t
+        return 16 * r * s2**4, (1 + 2 * s3) ** 4, (1 + 2 * s4) ** 4
+
+
 def j_dense(tau, prec: int):
     """(j, bound) by dense q-series after an exact integer reduction of tau.
 

@@ -33,7 +33,7 @@ from attrarith.modular import (
 )
 
 from oracles import (dyadic_surd, eisenstein_dense, j_dense, random_sl2, reduce_root_exact,
-                     sigma_power)
+                     sigma_power, theta_reference)
 
 
 class TestEisenstein:
@@ -325,8 +325,10 @@ class TestThetaKernelAgainstDenseOracle:
         rng = random.Random(4406)
         points = [mp.mpc(0, 1), mp.mpc("0.5", "0.8660254037844386"), mp.mpc(0, 9)]
         points += [mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4)) for _ in range(5)]
-        for k, zred in enumerate(points):
-            wp = (256, 1024, 4096, 8192)[k % 4]
+        cases = [(zred, (256, 1024, 4096, 8192)[k % 4]) for k, zred in enumerate(points)]
+        # high points at the top precision, where r^n carries the fewest bits
+        cases += [(mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(4, 6)), 8192) for _ in range(2)]
+        for zred, wp in cases:
             with mp.workprec(wp):
                 zred = mp.mpc(zred)
                 th = _theta(zred, wp)
@@ -352,6 +354,29 @@ class TestThetaKernelAgainstDenseOracle:
         ev = j_value_with_bound(mp.mpc(0, 1), 256)
         m, bits = ev.truncation_order, math.pi * math.log2(math.e)
         assert m * m * bits >= ev.working_prec + 1 > (m - 1) ** 2 * bits
+
+
+class TestThetaKernelRounding:
+    def test_fourth_powers_within_rounding_bound(self):
+        # against the identically truncated sums at the kernel's own r, only
+        # the kernel's rounding separates the two, and the _theta docstring
+        # bounds it by the rounding part of err, (24 M + 64) u; r^n carries
+        # F + 2 - n(n-1)h bits, so the deep terms at 8192 bits, near rho and
+        # high in the domain, test that h never exceeds log2(1/|r|)
+        rng = random.Random(1212)
+        for wp in (256, 1024, 4096, 8192):
+            with mp.workprec(wp):
+                xs = [rng.uniform(-0.5, 0.5) for _ in range(4)]
+                points = [mp.mpc("0.5", mp.sqrt(3) / 2), mp.mpc(xs[0], mp.sqrt(1 - xs[0] ** 2))]
+                points += [mp.mpc(x, y) for x, y in zip(xs[1:], (1.3, 4, 6))]
+            for zred in points:
+                th = _theta(zred, wp)
+                refs = theta_reference(zred, th.F, th.terms)
+                with mp.workprec(2 * th.F):
+                    u = mp.mpf(2) ** -th.F
+                    for got, ref in zip((th.t2, th.t3, th.t4), refs):
+                        ulps = abs(mp.mpc(*got) * u - ref) / u
+                        assert ulps <= 24 * th.terms + 64 <= th.err, (wp, zred, ulps)
 
 
 class TestHilbertClassPolynomial:
