@@ -41,6 +41,17 @@ _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
 _MAX_JVAL_WORK = 2**17
 # largest flow --max-steps, which bounds the rows a converging flow builds
 _MAX_FLOW_STEPS = 10**6
+# largest curve d * a, a = d/k: it bounds the (r, s) pass and the unit group;
+# d = 350, k = l = 1 takes about 1.1 s on one core, 2.0 s with --orbits
+_MAX_CURVE_WORK = 125_000
+# largest fermat (n + 2) * bit_length(d - 1): the count is below 2^14284 < 10^4300,
+# so it prints under Python's 4300-digit int-to-str limit
+_MAX_FERMAT_BITS = 14_284
+# largest fermat --hodge (n + 1) * d * max(bits, 1024): (n + 1) * d recurrence
+# steps on integers of up to (n + 2) * bit_length(d - 1) bits, each step costing
+# at least what 1024 bits would; d = 10^4, n = 110 takes about 1.8 s on one core,
+# d = 1000, n = 440 about 1.5 s
+_MAX_HODGE_WORK = 2 * 10**9
 
 
 def _minus(s: str) -> str:
@@ -284,6 +295,8 @@ def _cmd_curve(args, prec: int):
     from .jacobian import CurveSignature, decompose_jacobian, genus
 
     sig = CurveSignature(args.d, args.k, args.l)
+    if sig.d * sig.a > _MAX_CURVE_WORK:
+        raise ValueError(f"d * (d/k) must be at most {_MAX_CURVE_WORK}, got {sig.d * sig.a}")
     factors = decompose_jacobian(sig)
     g = genus(sig)
     if args.csv:
@@ -338,6 +351,14 @@ def _cmd_resolve(args, prec: int):
 def _cmd_fermat(args, prec: int):
     from .cohomology import fermat_hodge_numbers, fermat_primitive_dim
 
+    bits = (args.dim + 2) * (args.d - 1).bit_length()
+    if bits > _MAX_FERMAT_BITS:
+        raise ValueError(f"(dim + 2) * bit_length(d - 1) must be at most {_MAX_FERMAT_BITS} "
+                         f"bits, got {bits}")
+    work = (args.dim + 1) * args.d * max(bits, 1024)
+    if args.hodge and work > _MAX_HODGE_WORK:
+        raise ValueError(f"--hodge: (dim + 1) * d * max(bits, 1024) must be at most "
+                         f"{_MAX_HODGE_WORK}, got {work}")
     dim = fermat_primitive_dim(args.d, args.dim)
     hodge = fermat_hodge_numbers(args.d, args.dim) if args.hodge else None
     if args.csv:

@@ -4,11 +4,14 @@ Hirzebruch-Jung continued fractions resolve cyclic surface singularities;
 their step counts feed the H^2/H^3 contributions of resolved singular curves
 in a Calabi-Yau threefold.  Character counts on Fermat hypersurfaces supply
 an exact oracle for both sides of the inductive Shioda-Katsura dimension
-identity relating X^(r+s) to the mu_d-invariants of X^r x X^s.
+identity relating X^(r+s) to the mu_d-invariants of X^r x X^s.  They come in
+closed form: each residue class by the root-of-unity filter, each weight by
+the power recurrence of (1 + x + ... + x^(d-2))^(n+2).
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,26 +102,21 @@ def resolution_contributions(curves) -> tuple[int, int]:
     return delta_h2, delta_h3
 
 
-def _tuple_counts(d: int, k: int) -> list[int]:
-    """counts[j] = #{(a_1..a_k) in [1,d-1]^k : sum = j mod d}, by cyclic convolution."""
-    base = [0] + [1] * (d - 1)
-    counts = [1] + [0] * (d - 1)  # empty tuple
-    for _ in range(k):
-        nxt = [0] * d
-        for i, ci in enumerate(counts):
-            if ci:
-                for j, bj in enumerate(base):
-                    if bj:
-                        nxt[(i + j) % d] += ci
-        counts = nxt
-    return counts
+def _tuple_counts(d: int, k: int) -> tuple[int, int]:
+    """#{(a_1..a_k) in [1,d-1]^k : sum = j mod d} at j = 0, and at each j != 0.
+
+    Root-of-unity filter: z + ... + z^(d-1) = -1 at each d-th root z != 1, so
+    every residue gets o = ((d-1)^k - (-1)^k)/d and residue 0 also (-1)^k.
+    """
+    o = ((d - 1) ** k - (-1) ** k) // d
+    return o + (-1) ** k, o
 
 
 def fermat_primitive_dim(d: int, n: int) -> int:
     """Primitive middle cohomology dimension of the degree-d Fermat n-fold.
 
     Counts character vectors (a_0..a_{n+1}), entries in [1, d-1], summing to
-    0 mod d; exact integer convolution.
+    0 mod d: ((d-1)^(n+2) + (-1)^n (d-1))/d by _tuple_counts.
     """
     if d < 2 or n < 0:
         raise OutOfRange(f"need d >= 2 and n >= 0, got ({d},{n})")
@@ -130,22 +128,27 @@ def fermat_hodge_numbers(d: int, n: int) -> tuple[int, ...]:
 
     Entry w-1 counts vectors with sum exactly w*d, w = 1..n+1 (the Hodge
     grading h^(n+1-w, w-1)_prim); the total is fermat_primitive_dim(d, n).
+    With a_i = 1 + b_i it is c_(wd-k), c_m = [x^m] P^k, P = 1 + ... + x^e,
+    k = n + 2, e = d - 2.  P (P^k)' = k P' P^k gives m c_m = sum_(j=1..e)
+    ((k+1) j - m) c_(m-j): O(1) per step with s0 = sum c_(m-j), s1 = sum j c_(m-j).
     """
     if d < 2 or n < 0:
         raise OutOfRange(f"need d >= 2 and n >= 0, got ({d},{n})")
-    k = n + 2
-    # coefficients of (x + ... + x^(d-1))^k, plain (non-cyclic) convolution
-    poly = [1]
-    for _ in range(k):
-        nxt = [0] * (len(poly) + d - 1)
-        for i, ci in enumerate(poly):
-            if ci:
-                for j in range(1, d):
-                    nxt[i + j] += ci
-        poly = nxt
-    out = tuple(poly[w * d] if w * d < len(poly) else 0 for w in range(1, n + 2))
+    k, e = n + 2, d - 2
+    out = [0] * (n + 1)
+    if k % d == 0:
+        out[k // d - 1] = 1  # c_0
+    window = collections.deque([1], maxlen=e + 1)  # c_(m-1-e) .. c_(m-1)
+    s0 = s1 = 0
+    for m in range(1, min((n + 1) * d - k, k * e) + 1):
+        old = window[0] if len(window) > e else 0
+        s1 += s0 + window[-1] - (e + 1) * old
+        s0 += window[-1] - old
+        window.append(((k + 1) * s1 - m * s0) // m)
+        if (m + k) % d == 0:
+            out[(m + k) // d - 1] = window[-1]
     assert sum(out) == fermat_primitive_dim(d, n)
-    return out
+    return tuple(out)
 
 
 def _char_dims(d: int, m: int, i: int) -> list[int]:
@@ -162,13 +165,8 @@ def _char_dims(d: int, m: int, i: int) -> list[int]:
     if i % 2 == 0 and i != m:
         dims[0] = 1
         return dims
-    # middle degree
-    counts = _tuple_counts(d, m + 1)
-    for c in range(1, d):
-        dims[c] = counts[(-c) % d]
-    if m % 2 == 0:
-        dims[0] += 1
-    return dims
+    # middle degree: for c != 0 the other m + 1 entries sum to -c != 0 mod d
+    return [1 - m % 2] + [_tuple_counts(d, m + 1)[1]] * (d - 1)
 
 
 def _betti(d: int, m: int, i: int) -> int:

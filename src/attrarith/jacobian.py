@@ -80,12 +80,13 @@ def enumerate_forms(sig: CurveSignature) -> list[FormIndex]:
     """All (r,s,t) with r+ks+lt = 0 mod d in the weighted ranges, lex order."""
     if not isinstance(sig, CurveSignature):
         sig = CurveSignature(*sig)
+    # d = l b, so lt = -(r + ks) mod d fixes t in [0, b) when l divides it
     out = []
     for r in range(1, sig.d):
         for s in range(1, sig.a):
-            for t in range(1, sig.b):
-                if (r + sig.k * s + sig.l * t) % sig.d == 0:
-                    out.append(FormIndex(r, s, t))
+            t, rem = divmod(-(r + sig.k * s) % sig.d, sig.l)
+            if t and not rem:
+                out.append(FormIndex(r, s, t))
     assert len(out) % 2 == 0
     return out
 
@@ -146,16 +147,18 @@ def decompose_jacobian(sig: CurveSignature) -> list[AbelianFactor]:
 
     Factors are keyed by the lexicographically smallest orbit member; the CM
     set is computed from that representative.  Dimensions sum to the genus.
+    In lex order, the first form no orbit covers yet is a new orbit's minimum.
     """
     if not isinstance(sig, CurveSignature):
         sig = CurveSignature(*sig)
-    remaining = set(enumerate_forms(sig))
     units = ResidueSystem.of(sig.d).units
+    covered = set()
     factors = []
-    while remaining:
-        seed = min(remaining)
+    for seed in enumerate_forms(sig):
+        if seed in covered:
+            continue
         orbit = sorted({star_action(a, seed, sig) for a in units})
-        remaining.difference_update(orbit)
+        covered.update(orbit)
         lev = _level(seed, sig)
         factors.append(AbelianFactor(
             orbit=tuple(orbit),
@@ -170,9 +173,8 @@ def projective_basis(d: int) -> list[tuple[int, int, int]]:
     """All (r,s,t) with 0 < r,s,t < d and r+s+t = 0 mod d; count (d-1)(d-2)."""
     if d < 3:
         raise DegreeTooSmall(f"projective basis needs degree >= 3, got {d}")
-    out = [(r, s, t)
-           for r in range(1, d) for s in range(1, d) for t in range(1, d)
-           if (r + s + t) % d == 0]
+    out = [(r, s, (-r - s) % d)
+           for r in range(1, d) for s in range(1, d) if (r + s) % d]
     assert len(out) == (d - 1) * (d - 2)
     return out
 
@@ -185,11 +187,10 @@ def descended_forms(sig: CurveSignature) -> list[FormIndex]:
     """
     if not isinstance(sig, CurveSignature):
         sig = CurveSignature(*sig)
-    out = [FormIndex(r, s // sig.k, t // sig.l)
-           for r, s, t in projective_basis(sig.d)
-           if s % sig.k == 0 and t % sig.l == 0]
-    out.sort()
-    return out
+    # dividing s and t by constants keeps the basis's lex order
+    return [FormIndex(r, s // sig.k, t // sig.l)
+            for r, s, t in projective_basis(sig.d)
+            if s % sig.k == 0 and t % sig.l == 0]
 
 
 def descent_count(sig: CurveSignature) -> int:

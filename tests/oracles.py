@@ -2,9 +2,9 @@
 
 These deliberately use different algorithms from the package (exact Fraction
 Moebius maps instead of form reduction, sieves instead of factorization,
-brute-force enumeration instead of closed forms, dense integer q-series
-instead of theta sums, RK4 integration instead of the closed-form flow) so
-agreement is meaningful.
+brute-force enumeration, convolution powers and triple loops instead of
+closed forms, dense integer q-series instead of theta sums, RK4 integration
+instead of the closed-form flow) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -357,3 +357,53 @@ def rk4_trajectory(p2, q2, pq, x0, y0, h0, tol, max_steps):
         if dtau * (h0 / nxt[5]) < tol:
             return RK4_CONVERGED, n, traj
     return RK4_MAX_STEPS, n, traj
+
+
+def tuple_counts_conv(d: int, k: int) -> list[int]:
+    """counts[j] = #{(a_1..a_k) in [1,d-1]^k : sum = j mod d}, by cyclic convolution."""
+    base = [0] + [1] * (d - 1)
+    counts = [1] + [0] * (d - 1)  # empty tuple
+    for _ in range(k):
+        nxt = [0] * d
+        for i, ci in enumerate(counts):
+            if ci:
+                for j, bj in enumerate(base):
+                    if bj:
+                        nxt[(i + j) % d] += ci
+        counts = nxt
+    return counts
+
+
+def hodge_numbers_conv(d: int, n: int) -> tuple[int, ...]:
+    """Entry w-1 counts vectors in [1,d-1]^(n+2) with sum exactly w*d, w = 1..n+1,
+    read off the plain convolution power (x + ... + x^(d-1))^(n+2)."""
+    k = n + 2
+    # coefficients of (x + ... + x^(d-1))^k, plain (non-cyclic) convolution
+    poly = [1]
+    for _ in range(k):
+        nxt = [0] * (len(poly) + d - 1)
+        for i, ci in enumerate(poly):
+            if ci:
+                for j in range(1, d):
+                    nxt[i + j] += ci
+        poly = nxt
+    return tuple(poly[w * d] if w * d < len(poly) else 0 for w in range(1, n + 2))
+
+
+def enumerate_forms_loop(sig) -> list[tuple[int, int, int]]:
+    """All (r,s,t) with r+ks+lt = 0 mod d in the weighted ranges, lex order,
+    by a triple loop over every (r, s, t)."""
+    out = []
+    for r in range(1, sig.d):
+        for s in range(1, sig.a):
+            for t in range(1, sig.b):
+                if (r + sig.k * s + sig.l * t) % sig.d == 0:
+                    out.append((r, s, t))
+    return out
+
+
+def projective_basis_loop(d: int) -> list[tuple[int, int, int]]:
+    """All (r,s,t) with 0 < r,s,t < d and r+s+t = 0 mod d, by a triple loop."""
+    return [(r, s, t)
+            for r in range(1, d) for s in range(1, d) for t in range(1, d)
+            if (r + s + t) % d == 0]

@@ -5,11 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import hodge_numbers_conv, tuple_counts_conv
 
 from attrarith.cohomology import (
     HJResolution,
     SingularCurveDatum,
     fermat_hodge_numbers,
+    _tuple_counts,
     fermat_primitive_dim,
     hj_expand,
     hj_reconstruct,
@@ -113,6 +115,20 @@ class TestFermatCounts:
                 h = fermat_hodge_numbers(d, n)
                 assert h == tuple(reversed(h))
                 assert sum(h) == fermat_primitive_dim(d, n)
+
+    def test_closed_forms_vs_convolution(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(d=st.integers(2, 13), n=st.integers(0, 10))
+        def check(d, n):
+            zero, other = _tuple_counts(d, n)
+            assert tuple_counts_conv(d, n) == [zero] + [other] * (d - 1)
+            assert fermat_primitive_dim(d, n) == tuple_counts_conv(d, n + 2)[0]
+            assert fermat_hodge_numbers(d, n) == hodge_numbers_conv(d, n)
+
+        check()
 
     def test_rejects_bad_input(self):
         with pytest.raises(OutOfRange):

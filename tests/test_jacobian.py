@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from oracles import enumerate_forms_loop, projective_basis_loop
 
 from attrarith.arith import euler_phi
 from attrarith.errors import DegreeTooSmall, InvalidIndex, InvalidWeights, NotUnit
@@ -42,6 +43,10 @@ class TestEnumerateForms:
     def test_weighted_quartic(self):
         assert enumerate_forms(CurveSignature(4, 1, 2)) == [
             FormIndex(1, 1, 1), FormIndex(3, 3, 1)]
+
+    def test_matches_triple_loop(self):
+        for sig in all_signatures(40):
+            assert enumerate_forms(sig) == enumerate_forms_loop(sig), sig
 
     def test_invalid_weights(self):
         with pytest.raises(InvalidWeights):
@@ -137,6 +142,12 @@ class TestDecompose:
         assert factors[0].dimension == 1
         assert factors[0].level == 4
 
+    def test_factors_keyed_by_increasing_orbit_minimum(self):
+        for sig in all_signatures(40):
+            orbits = [f.orbit for f in decompose_jacobian(sig)]
+            assert all(a[0] < b[0] for a, b in zip(orbits, orbits[1:])), sig
+            assert all(orbit[0] == min(orbit) for orbit in orbits), sig
+
     def test_dimension_sum_and_orbit_sizes(self):
         for sig in all_signatures(12):
             factors = decompose_jacobian(sig)
@@ -160,6 +171,10 @@ class TestProjectiveBasis:
         assert len(projective_basis(4)) == 6
         assert len(projective_basis(5)) == 12
         assert set(projective_basis(3)) == {(1, 1, 1), (2, 2, 2)}
+
+    def test_matches_triple_loop(self):
+        for d in range(3, 41):
+            assert projective_basis(d) == projective_basis_loop(d), d
 
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
