@@ -32,6 +32,7 @@ from .cohomology import (
     fermat_hodge_numbers,
     fermat_primitive_dim,
     hj_expand,
+    hj_length,
     hj_reconstruct,
     resolution_contributions,
     shioda_katsura_check,

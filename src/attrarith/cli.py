@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -39,6 +38,18 @@ _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
 # largest jval working precision prec + 2 ceil(mag) + 32, 2^mag = 1/|q| at the
 # reduced point: j at 131072 bits takes about 2 s on one core
 _MAX_JVAL_WORK = 2**17
+# largest |disc| of a class polynomial (|4D| for certify and attract): the reduced
+# forms take O(|disc|) steps to enumerate, about 1.6 s at 4 * 10^7 on one core
+_MAX_CLASS_DISC = 40_000_000
+# largest h * c for a class polynomial, h the class number and c its coefficient
+# bits (Enge's bound): the cost grows like (h c)^1.5, and h c = 700 000 takes
+# about 2 s on one core
+_MAX_HCP_BITS = 700_000
+# largest working precision of the certify j evaluation at the attractor root:
+# 32768 bits with a class polynomial at the cap above take about 2 s on one core
+_MAX_CERTIFY_WORK = 2**15
+# largest resolve step count: 300 000 steps take about 1.7 s on one core
+_MAX_HJ_STEPS = 300_000
 # largest flow --max-steps, which bounds the rows a converging flow builds
 _MAX_FLOW_STEPS = 10**6
 # largest curve d * a, a = d/k: it bounds the (r, s) pass and the unit group;
@@ -123,9 +134,31 @@ def _charge_from_args(args) -> tuple[ChargeData, dict]:
     return c, inputs
 
 
+def _require_class_disc(disc: int, name: str):
+    """Refuse a discriminant whose reduced forms would take too long to list."""
+    if abs(disc) > _MAX_CLASS_DISC:
+        raise ValueError(f"{name} must be at most {_MAX_CLASS_DISC}, got {abs(disc)}")
+
+
+def _class_polynomial_gate(disc: int, name: str):
+    """(h, working precision) of the class polynomial of disc, refusing one past
+    the caps before any j is computed."""
+    from .arith import class_group_forms
+    from .modular import _hcp_precision
+
+    _require_class_disc(disc, name)
+    forms = class_group_forms(disc)
+    bits, wp = _hcp_precision(disc, forms)
+    if len(forms) * bits > _MAX_HCP_BITS:
+        raise ValueError(f"class number * coefficient bits must be at most {_MAX_HCP_BITS}, "
+                         f"got {len(forms)} * {bits} = {len(forms) * bits}")
+    return len(forms), wp
+
+
 def _cmd_attract(args, prec: int):
     c, inputs = _charge_from_args(args)
     ap = attractor_point(c)
+    _require_class_disc(4 * ap.D, "|4D|")
     f = ap.form
     result = {
         "tau": _surd_str(ap.tau),
@@ -146,9 +179,17 @@ def _cmd_attract(args, prec: int):
 
 
 def _cmd_certify(args, prec: int):
-    from .modular import certify_attractor_cm
+    from .modular import _frame, _j_precision, _residual_precision, certify_attractor_cm
 
     c, inputs = _charge_from_args(args)
+    ap = attractor_point(c)
+    h, hcp_wp = _class_polynomial_gate(4 * ap.D, "|4D|")
+    # the certificate asks for j at the root at _residual_precision + 64 bits
+    wp = _residual_precision(h, 4 * ap.D, ap.form.a, hcp_wp, prec) + 64
+    work = _j_precision(_frame(ap.tau, wp), wp)
+    if work > _MAX_CERTIFY_WORK:
+        raise ValueError(f"the certificate's j working precision must be at most "
+                         f"{_MAX_CERTIFY_WORK} bits, got {work}")
     cert = certify_attractor_cm(c, prec=prec)
     result = {
         "tau": _surd_str(cert.point.tau),
@@ -176,6 +217,7 @@ def _cmd_hcp(args, prec: int):
                           store_hcp_cache)
 
     disc = args.disc
+    _class_polynomial_gate(disc, "|disc|")
     coeffs = None
     if args.cache:
         directory = os.path.dirname(os.path.abspath(args.cache))
@@ -214,10 +256,10 @@ def _cmd_hcp(args, prec: int):
 
 
 def _cmd_jval(args, prec: int):
-    from .modular import _frame, j_value_with_bound
+    from .modular import _frame, _j_precision, j_value_with_bound
 
     tau = _parse_pair(args.tau, prec, "--tau")
-    work = prec + 2 * math.ceil(_frame(tau, prec).mag) + 32
+    work = _j_precision(_frame(tau, prec), prec)
     # past 10^7 bits j_value_with_bound itself refuses the height as intractable
     if _MAX_JVAL_WORK < work <= 10_000_000:
         raise ValueError(f"working precision prec + 2 ceil(mag) + 32 must be at most "
@@ -237,7 +279,7 @@ def _cmd_jval(args, prec: int):
 
 def _cmd_weber(args, prec: int):
     from .elliptic import model_from_tau, torsion_points, weber_function
-    from .modular import j_value_with_bound
+    from .modular import _frame, _j_precision, j_value_with_bound
 
     if args.n > _MAX_WEBER_N:
         raise ValueError(f"--n must be at most {_MAX_WEBER_N}, got {args.n}")
@@ -248,6 +290,11 @@ def _cmd_weber(args, prec: int):
     c, inputs = _charge_from_args(args)
     inputs["n"] = str(args.n)
     ap = attractor_point(c)
+    # the j check below works at the jval precision, the model at less
+    work = _j_precision(_frame(ap.tau, prec), prec)
+    if work > _MAX_JVAL_WORK:
+        raise ValueError(f"working precision prec + 2 ceil(mag) + 32 must be at most "
+                         f"{_MAX_JVAL_WORK} bits, got {work}")
     model = model_from_tau(ap.tau, prec=prec)
     rows = []
     for p in torsion_points(model, args.n):
@@ -325,8 +372,12 @@ def _cmd_curve(args, prec: int):
 
 
 def _cmd_resolve(args, prec: int):
-    from .cohomology import SingularCurveDatum, hj_expand, hj_reconstruct, resolution_contributions
+    from .cohomology import (SingularCurveDatum, hj_expand, hj_length, hj_reconstruct,
+                             resolution_contributions)
 
+    steps = hj_length(args.n, args.q)
+    if steps > _MAX_HJ_STEPS:
+        raise ValueError(f"the resolution must have at most {_MAX_HJ_STEPS} steps, got {steps}")
     res = hj_expand(args.n, args.q)
     if args.csv:
         return ["index", "step"], enumerate(res.steps)

@@ -23,6 +23,7 @@ __all__ = [
     "SingularCurveDatum",
     "SKCheck",
     "hj_expand",
+    "hj_length",
     "hj_reconstruct",
     "resolution_contributions",
     "fermat_primitive_dim",
@@ -44,12 +45,34 @@ class HJResolution:
         return len(self.steps)
 
 
-def hj_expand(n: int, q: int) -> HJResolution:
-    """Expand n/q as b1 - 1/(b2 - 1/(...)) with every bi >= 2."""
+def _require_singularity(n: int, q: int):
     if not (1 <= q < n):
         raise OutOfRange(f"need 1 <= q < n, got (n,q)=({n},{q})")
     if math.gcd(n, q) != 1:
         raise NotCoprime(f"({n},{q}) not coprime")
+
+
+def hj_length(n: int, q: int) -> int:
+    """The number of steps of hj_expand(n, q), in O(log n) divisions.
+
+    With n/q = [a_1; a_2, ..., a_m] the regular continued fraction, each
+    odd-indexed a_i gives one step of the Hirzebruch-Jung expansion and each
+    even-indexed a_i a run of a_i - 1 steps equal to 2, so it has
+    ceil(m/2) + sum (a_2i - 1) = 1 + (a_2 + a_4 + ...) - [m even] steps.
+    """
+    _require_singularity(n, q)
+    m, even_sum = 0, 0
+    while q:
+        m += 1
+        a, (n, q) = n // q, (q, n % q)
+        if m % 2 == 0:
+            even_sum += a
+    return 1 + even_sum - (m % 2 == 0)
+
+
+def hj_expand(n: int, q: int) -> HJResolution:
+    """Expand n/q as b1 - 1/(b2 - 1/(...)) with every bi >= 2."""
+    _require_singularity(n, q)
     steps = []
     a, b = n, q
     while b > 0:
@@ -96,7 +119,7 @@ def resolution_contributions(curves) -> tuple[int, int]:
     for datum in curves:
         if not isinstance(datum, SingularCurveDatum):
             datum = SingularCurveDatum(*datum)
-        s = hj_expand(datum.n, datum.q).num_spheres
+        s = hj_length(datum.n, datum.q)
         delta_h2 += s
         delta_h3 += datum.genus * s
     return delta_h2, delta_h3

@@ -7,10 +7,11 @@ difference of large terms.  The fundamental-domain frame (reduction matrix,
 reduced point and covariance factor mu) is modular._frame, the one j uses.
 Torsion points come from the Lambert form of the q-series for the
 Weierstrass functions at the reduced point.  Every input of the series is a
-product of powers of two mpmath values, e^(2 pi i tau'/n) and e^(2 pi i/n),
-and the whole series, leading term included, is summed on fixed-point
-integers, once per pair +-P; the result turns mpc once, to be scaled back
-through mu and rounded.
+product of powers of two values, e^(2 pi i tau'/n), taken by the frame
+straight from the exact integers of tau', and e^(2 pi i/n), both in fixed
+point; the whole series, leading term included, is summed on fixed-point
+integers, once per pair +-P, and the result turns mpc once, to be scaled
+back through mu and rounded.
 Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
 is the case selection that cancels exactly that freedom.
 """
@@ -25,11 +26,11 @@ from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (
-    from_rational, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, mpf_cos_sin_pi, round_nearest,
+    from_rational, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, mpf_cos_sin_pi, round_nearest, to_fixed,
 )
 
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _frame, _from_fixed, _mul, _theta, _to_fixed
+from .modular import _frame, _from_fixed, _mul, _theta
 
 __all__ = [
     "WeierstrassModel",
@@ -96,7 +97,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
 
     Neither delta nor j is formed from the cancelling expressions on the
     left, which lose about mag bits, 2^mag = 1/|q| at tau'.  The kernel runs
-    at wp = prec + ceil(mag) + 96 bits.  Its bound on Delta is
+    at wp = prec + ceil(mag) + 96 bits on the exact tau', which is never
+    rendered; only tau and mu are, at wp.  Its bound on Delta is
     dd u < 2.8 2^-wp (derived for j_value_with_bound), and |Delta| > 0.9 |q|
     on the fundamental domain, so the kernel's Delta has relative error
     below 3.2 2^(mag-wp) <= 2^-(prec+94); mu^12, (2 pi)^12 and the quotient,
@@ -111,8 +113,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     frame = _frame(tau, prec)
     wp = prec + math.ceil(frame.mag) + 96
-    z, zred, mu = frame.point(wp)
-    th = _theta(zred, wp)
+    z, mu = frame.point(wp)
+    th = _theta(frame, wp)
     with mp.workprec(wp):
         (e4, _), (e6, _), (dk, _) = th.e4(), th.e6(), th.delta()
         a = -mp.pi**4 / 3 * e4 / mu**4
@@ -211,14 +213,15 @@ class _TorsionKernel(NamedTuple):
                 (yr + dv0 - dw0, yi + dv1 - dw1))
 
 
-def _torsion_kernel(zred, n: int, m_max: int, wp: int) -> _TorsionKernel:
-    """The tables for order n at the reduced point zred, m_max the longest sum,
-    with the fractional bits F that the torsion_points rounding bound sets."""
+def _torsion_kernel(frame, n: int, m_max: int, wp: int) -> _TorsionKernel:
+    """The tables for order n at the frame's reduced point, m_max the longest
+    sum, with the fractional bits F that the torsion_points rounding bound
+    sets.  alpha comes from the frame's exact integers and zeta from cos and
+    sin at F + 8 bits, each floored to F bits from within 0.03 units."""
     F = wp + max(3 * math.ceil(math.log2(m_max + 1)), 5 * math.ceil(math.log2(n))) + 8
-    with mp.workprec(wp):
-        alpha = _to_fixed(mp.expjpi(2 * zred / n), F)
-    zeta = _to_fixed(mp.make_mpc(
-        mpf_cos_sin_pi(from_rational(2, n, wp, round_nearest), wp, round_nearest)), F)
+    alpha = frame.expjpi(Fraction(2, n), F)
+    zeta = tuple(to_fixed(v, F) for v in mpf_cos_sin_pi(
+        from_rational(2, n, F + 8, round_nearest), F + 8, round_nearest))
     apow = _powers(alpha, n + n // 2, F)
     d, t = _lambert_table(apow[n], m_max, F)
     return _TorsionKernel(n, F, apow, _powers(zeta, n - 1, F), d, t)
@@ -244,8 +247,9 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
         X = p/(2 pi i)^2  = 1/12 + u/(1-u)^2 + sum_{m>=1} d_m (v^m + w^m - 2 q^m),
         Y = p'/(2 pi i)^3 = u(1+u)/(1-u)^3   + sum_{m>=1} m d_m (v^m - w^m).
 
-    mpmath gives alpha = e^(2 pi i tau'/n) and zeta = e^(2 pi i/n) once per
-    call, and every other quantity is a product of their powers: q = alpha^n,
+    alpha = e^(2 pi i tau'/n), from the frame's exact integers, and
+    zeta = e^(2 pi i/n) are formed once per call in fixed point, and every
+    other quantity is a product of their powers: q = alpha^n,
     u = alpha^ar zeta^br, v = alpha^(n+ar) zeta^br and
     w = alpha^(n-ar) zeta^((n-br) mod n).  The table d_m and
     T = sum d_m q^m are built once per call, so the sums over m have no
@@ -265,11 +269,14 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     summed to the largest count, which only shrinks its tail.
 
     Rounding.  Everything runs on (re, im) integers scaled by 2^F, and is
-    measured against the series at the wp-bit inputs alpha and zeta.  With
-    eps = 2^-F, converting an input and each truncated complex product errs
-    by at most sqrt(2) eps; the bases have modulus at most 1, so the k-th
-    power errs by less than 3k eps.  Powers up to 3n/2 of alpha and n - 1 of
-    zeta put u within e_u = 4.5n eps and v, w and q within 7.5n eps.
+    measured against the series at the exact alpha and zeta.  With
+    eps = 2^-F, each input is floored from within 0.03 eps of exact
+    (_Frame.expjpi derives it for alpha; zeta's cos and sin at F + 8 bits are
+    each within one ulp), so it errs by at most (sqrt(2) + 0.03) eps, and
+    each truncated complex product by at most sqrt(2) eps; the bases have
+    modulus at most 1, so the k-th power errs by less than
+    (2 sqrt(2) + 0.03) k eps < 3k eps.  Powers up to 3n/2 of alpha and n - 1
+    of zeta put u within e_u = 4.5n eps and v, w and q within 7.5n eps.
 
     The leading term needs the most, near its pole.  |1 - u| >= 2 sin(pi/n)
     >= 4/n when ar = 0, and otherwise 1 - x0^(ar/n) >= 1 - e^(-pi sqrt3 ar/n)
@@ -292,20 +299,19 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     (7 n^5 + 6 (M+1)^3) eps, so F = wp + max(3 ceil(log2(M+1)),
     5 ceil(log2 n)) + 8 keeps both within 13 2^-(wp+8) < 2^-(wp+4) of the
     truncated series; with the tails (four units of 2^-(wp+3) in X, two in
-    Y) they are within 2^-wp of the series at alpha and zeta.  Those inputs
-    carry relative errors of a few 2^-wp from the frame, which the powers
-    amplify at most 3n/2-fold; the 96 bits between wp and the returned
-    precision absorb them and the scaling by cx = (2 pi i scale/mu)^2 and
-    cy = cx (2 pi i scale/mu)/2 at wp.  x and y are rounded to prec once per
-    pair: rounding to nearest is symmetric, so the partner's -y has the
-    bits that rounding -y itself would give.
+    Y) they are within 2^-wp of the exact series.  The 96 bits between wp
+    and the returned precision absorb that and the scaling by
+    cx = (2 pi i scale/mu)^2 and cy = cx (2 pi i scale/mu)/2 at wp, with mu
+    rendered at wp from its exact integers.  x and y are rounded to prec
+    once per pair: rounding to nearest is symmetric, so the partner's -y has
+    the bits that rounding -y itself would give.
     """
     if n < 2:
         raise OutOfRange(f"torsion order must be >= 2, got {n}")
     prec = model.precision_bits
     wp = prec + 96
     frame = _frame(model.source_tau, prec)
-    _, zred, mu = frame.point(wp)
+    _, mu = frame.point(wp)
     (ma, mb), (mc, md) = frame.mat
     layout = []   # (source coords, representative, sign of y)
     counts = {}   # representative -> terms of its v sum and of its w sum
@@ -325,7 +331,7 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
                 counts[rep] = (_lambert_count((1 + rep[0] / n) * frame.mag, wp),
                                _lambert_count((1 - rep[0] / n) * frame.mag, wp))
     m_max = max(cw for _, cw in counts.values())
-    kernel = _torsion_kernel(zred, n, m_max, wp)
+    kernel = _torsion_kernel(frame, n, m_max, wp)
     F = kernel.F
     with mp.workprec(wp):
         tp = 2j * mp.pi * mp.mpc(model.scale) / mu

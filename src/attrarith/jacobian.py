@@ -124,12 +124,16 @@ def cm_set(idx: FormIndex, sig: CurveSignature) -> list[int]:
     idx = FormIndex(*idx)
     _require_valid(idx, sig)
     m = _level(idx, sig)
-    g = sig.d // m
-    u, v, w = idx.r // g, (sig.k * idx.s) // g, (sig.l * idx.t) // g
-    out = [a for a in ResidueSystem.of(m)
-           if (a * u) % m + (a * v) % m + (a * w) % m == m]
+    out = _cm_set(idx, sig, m, ResidueSystem.of(m).units)
     assert len(out) == euler_phi(m) // 2
     return out
+
+
+def _cm_set(idx: FormIndex, sig: CurveSignature, m: int, units) -> list[int]:
+    """cm_set of a valid index of level m, given the units mod m in order."""
+    g = sig.d // m
+    u, v, w = idx.r // g, (sig.k * idx.s) // g, (sig.l * idx.t) // g
+    return [a for a in units if (a * u) % m + (a * v) % m + (a * w) % m == m]
 
 
 @dataclass(frozen=True)
@@ -148,23 +152,31 @@ def decompose_jacobian(sig: CurveSignature) -> list[AbelianFactor]:
     Factors are keyed by the lexicographically smallest orbit member; the CM
     set is computed from that representative.  Dimensions sum to the genus.
     In lex order, the first form no orbit covers yet is a new orbit's minimum.
+    Every seed is a valid index and every unit a unit, so the orbit is the
+    componentwise image that star_action would check and return, and the
+    units of each level are listed once per call.
     """
     if not isinstance(sig, CurveSignature):
         sig = CurveSignature(*sig)
-    units = ResidueSystem.of(sig.d).units
+    d, da, db = sig.d, sig.a, sig.b
+    units = ResidueSystem.of(d).units
+    level_units = {}
     covered = set()
     factors = []
     for seed in enumerate_forms(sig):
         if seed in covered:
             continue
-        orbit = sorted({star_action(a, seed, sig) for a in units})
+        r, s, t = seed
+        orbit = sorted({FormIndex(a * r % d, a * s % da, a * t % db) for a in units})
         covered.update(orbit)
         lev = _level(seed, sig)
+        if lev not in level_units:
+            level_units[lev] = ResidueSystem.of(lev).units
         factors.append(AbelianFactor(
             orbit=tuple(orbit),
             level=lev,
             dimension=euler_phi(lev) // 2,
-            cm_set=tuple(cm_set(seed, sig)),
+            cm_set=tuple(_cm_set(seed, sig, lev, level_units[lev])),
         ))
     return factors
 

@@ -4,13 +4,14 @@ E4, E6 and Delta are evaluated in one place, the Jacobi theta kernel: after
 the argument is reduced to the fundamental domain (by _frame, which the
 Weierstrass models and torsion points in elliptic share, and which takes
 every tau exactly: the matrix comes from arith.reduce_form on the integer
-form whose root is tau, and the reduced point and its covariance factor are
-exact before they are rendered), three sparse theta sums of O(sqrt(bits))
-terms give all three forms, each sum with a proven geometric tail bound and
-a rounding bound, inside a working precision chosen from the reduced height.
-Only r = e^(pi i tau) comes from mpmath: the sums, their fourth powers and
-j = E4^3/Delta run on fixed-point Python integers (the helpers _to_fixed and
-_from_fixed also serve the torsion kernel in elliptic), each power r^n
+form whose root is tau, and the reduced point tau' and its covariance
+factor are exact integers), three sparse theta sums of O(sqrt(bits)) terms
+give all three forms, each sum with a proven geometric tail bound and a
+rounding bound, inside a working precision chosen from the reduced height.
+Only r = e^(pi i tau') comes from mpmath, through mpmath.libmp straight from
+the integers of tau', which is never rendered: the sums, their fourth powers
+and j = E4^3/Delta run on fixed-point Python integers (the helpers _to_fixed
+and _from_fixed also serve the torsion kernel in elliptic), each power r^n
 carried only to the bits that can still reach the result, and j converts to
 mpc once.  The exact integer q-expansions
 (divisor sums, and the discriminant series extracted from (E4^3 - E6^2)/1728
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, pi_fixed, round_nearest,
+                          to_fixed)
 
 from .arith import (BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form,
                     squarefree_decompose)
@@ -200,7 +202,7 @@ class _Theta(NamedTuple):
         return _from_fixed(value, self.F), mp.make_mpf(from_man_exp(err, -self.F))
 
 
-def _theta(zred, wp: int) -> _Theta:
+def _theta(frame: _Frame, wp: int) -> _Theta:
     """Theta kernel: the sparse sums behind E4, E6 and Delta at a reduced point.
 
     With r = e^(pi i tau'), S2 = sum_{n>=0} r^(n(n+1)), S3 = sum_{n>=1} r^(n^2)
@@ -215,11 +217,13 @@ def _theta(zred, wp: int) -> _Theta:
     ulps plus one: their relative error in the exponent is below 1e-8, and
     the factor 1.071 exceeds 1/(1 - 0.0659) by more than that.
 
-    Rounding, in ulps u = 2^-F.  Only r comes from mpmath, at F + 4 bits,
-    each component within one unit in its last place, so within 2^-(F+3) |r|
-    < 0.14 units of 2^-(F+4).  It is floored once to F + 4 fractional bits;
-    that integer is 16 r at F bits, and shifted down it is r at any coarser
-    scale, in each case within sqrt(2) + 0.14 < 1.6 units of that scale.
+    Rounding, in ulps u = 2^-F.  r comes from the frame's exact integers
+    (_Frame.expjpi), floored once to F + 4 fractional bits from a value
+    within 0.03 units of 2^-(F+4) of r at the exact tau'; that integer is
+    16 r at F bits, and shifted down (a floor of a floor is one floor) it is
+    r at any coarser scale, in each case within sqrt(2) + 0.03 < 1.6 units
+    of that scale.  No other value depends on tau', so the kernel's bounds
+    hold against the forms at the exact point.
     Everything else runs on (re, im) Python integers, and each floored
     product errs by at most sqrt(2) units of its own scale.  The loop's
     products take three integer multiplications each, k = y_r (x_r + x_i),
@@ -256,13 +260,11 @@ def _theta(zred, wp: int) -> _Theta:
     most 4 ulps each).  F = wp + ceil(log2 M) + 4 keeps the rounding part
     of err, (24 M + 64) 2^-F, below (1.5 + 4/M) 2^-wp.
     """
-    half_mag = math.pi * float(mp.im(zred)) * math.log2(math.e)  # bits in 1/|r|
+    half_mag = frame.mag / 2   # bits in 1/|r|
     M = max(2, math.ceil(math.sqrt((wp + 1) / half_mag)))
     F = wp + (M - 1).bit_length() + 4
     h = math.floor(half_mag * (1 - 1e-9))   # whole bits, at most log2(1/|r|)
-    with mp.workprec(F + 4):
-        rv = mp.expjpi(zred)
-    r16r, r16i = r16 = _to_fixed(rv, F + 4)   # 16 r at F bits, and r at F + 4
+    r16r, r16i = r16 = frame.expjpi(1, F + 4)   # 16 r at F bits, and r at F + 4
     one = 1 << F
     # n = 1: r^1 at g_1 = F + 2 bits and r^(1^2) at F bits are shifts of the one floor
     g = F + 2   # fractional bits of r^(n-1)
@@ -333,6 +335,8 @@ def _render_exact(r: int, s: int, n: int, disc: int, wp: int):
 # frame squares integers of this size, about 0.05 s each at 2^20 bits in
 # CPython 3.11
 _MAX_EXACT_BITS = 1 << 20
+# most bits at which a frame evaluates anything
+_MAX_FRAME_BITS = 10_000_000
 
 
 def _dyadic(z):
@@ -348,34 +352,77 @@ def _dyadic(z):
             (-iman if isign else iman) << (iexp - low), 1 << -low)
 
 
+def _require_tractable(bits: int):
+    if bits > _MAX_FRAME_BITS:
+        raise PrecisionExhausted(f"required working precision {bits} bits is intractable")
+
+
 _IDENTITY = ((1, 0), (0, 1))
 
 
 class _Frame(NamedTuple):
     """Fundamental-domain frame of an input tau, shared by j, the Weierstrass
     model and the torsion points: the reduction matrix ((a,b),(c,d)), the
-    bits mag of 1/|q| at the reduced point, capped at 10^7, and, unless the
-    matrix is the identity, the reduced point tau' and mu = c tau + d as exact
-    (disc, (r, s, n)_tau', (r, s, n)_mu), each meaning (r + s sqrt(disc))/n."""
+    bits mag of 1/|q| at the reduced point, capped at 10^7, and the reduced
+    point tau' = (r + s sqrt(disc))/n as the exact integers red = (r, s, n);
+    unless the matrix is the identity, also mu = c tau + d as such a triple.
+
+    tau' is never rendered: expjpi takes e^(pi i m tau') straight from red,
+    and point renders only tau and mu."""
 
     tau: object
     mat: tuple
     mag: float
-    exact: tuple
+    disc: int
+    red: tuple
+    mu: tuple | None
+
+    def expjpi(self, m, bits: int):
+        """e^(pi i m tau') for a rational 0 < m <= 1 (an int or a Fraction) as
+        a pair of integers scaled by 2^bits, each component floored from a
+        value within 0.03 units of 2^-bits of exact: within 1.03 units, and
+        the pair within sqrt(2) + 0.03 in modulus.
+
+        With tau' = (r + s sqrt(disc))/n, e^(pi i m tau') = e^(-y) (cos pi x,
+        sin pi x) for x = m r/n and y = pi t, t = m s sqrt|disc|/n.  The
+        modulus e^(-y) is below 2^-k, k = floor(m mag/2) less a 10^-9
+        relative margin (far above the float error of mag), so each factor
+        needs only p = bits + 9 - k bits, at least 16, for the product to
+        reach 2^-(bits+9).  x and t are floored to p fractional bits from
+        the exact integers (t by an integer square root and one floor
+        division, which together floor once), and y = pi t takes pi with
+        enough guard bits that it errs by less than 4.7 2^-p in all: that
+        moves e^(-y) by less than 4.8 2^-p relative, and mpmath's exponential
+        at p bits adds one ulp, 2^-(p-1).  The angle errs by pi 2^-p and
+        mpmath's cos and sin by one ulp each, at most 2^-p, so the unit
+        vector is within 4.6 2^-p.  The products with the unit vector are
+        exact, so before the floor the pair is within
+        2^-k (6.8 + 4.6 + 10^-3) 2^-p < 12 2^-(bits+9) < 0.024 units of
+        2^-bits.  Absolute error in y is what counts, so y's guard bits
+        are the only ones that grow with the height.
+
+        Raises PrecisionExhausted, before any evaluation, when bits passes
+        10^7.
+        """
+        _require_tractable(bits)
+        r, s, n = self.red
+        num, den = m.numerator, m.denominator * n
+        p = max(16, bits + 9 - math.floor(float(m) * self.mag / 2 * (1 - 1e-9)))
+        t = math.isqrt((num * s) ** 2 * -self.disc << 2 * p) // den
+        w = max(p, t.bit_length()) + 2
+        e = mpf_exp(from_man_exp(-(t * pi_fixed(w) >> w), -p), p, round_nearest)
+        c, sn = mpf_cos_sin_pi(from_man_exp((num * r << p) // den, -p), p, round_nearest)
+        return to_fixed(mpf_mul(e, c), bits), to_fixed(mpf_mul(e, sn), bits)
 
     def point(self, wp: int):
-        """(tau, tau', mu) at wp bits, each rendered once from an exact value:
-        tau' = tau and mu = 1 for the identity.
+        """(tau, mu) at wp bits, each rendered once from an exact value; mu = 1
+        for the identity.
 
         Raises PrecisionExhausted, before any rendering, when wp passes 10^7.
         """
-        if wp > 10_000_000:
-            raise PrecisionExhausted(f"required working precision {wp} bits is intractable")
+        _require_tractable(wp)
         z = _render(self.tau, wp)
-        if self.exact is None:
-            return z, z, 1
-        disc, red, mu = self.exact
-        return z, _render_exact(*red, disc, wp), _render_exact(*mu, disc, wp)
+        return z, 1 if self.mu is None else _render_exact(*self.mu, self.disc, wp)
 
 
 def _frame(tau, prec: int) -> _Frame:
@@ -408,15 +455,20 @@ def _frame(tau, prec: int) -> _Frame:
     if s <= 0:
         raise NotUpperHalfPlane(f"Im tau <= 0 at tau = {tau}")
     if 2 * abs(r) <= n and r * r - s * s * disc >= n * n:
-        mat, exact = _IDENTITY, None
+        mat, mu = _IDENTITY, None
     else:
         form, ((p, q), (u, v)) = reduce_form(
             BinaryQuadraticForm(n * n, -2 * r * n, r * r - s * s * disc))
         mat, mu = ((v, -q), (-u, p)), (p * n - u * r, -u * s, n)
         r, s, n = -form.b, 2 * n * s, 2 * form.a
-        exact = (disc, (r, s, n), mu)
     height = (s / n if s < 10**7 * n else 1e7) * math.sqrt(-disc)
-    return _Frame(tau, mat, min(2 * math.pi * height * math.log2(math.e), 10_000_000), exact)
+    mag = min(2 * math.pi * height * math.log2(math.e), _MAX_FRAME_BITS)
+    return _Frame(tau, mat, mag, disc, (r, s, n), mu)
+
+
+def _j_precision(frame: _Frame, prec: int) -> int:
+    """The working precision of j_value_with_bound at prec bits, from the frame alone."""
+    return prec + 2 * math.ceil(frame.mag) + 32
 
 
 def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
@@ -427,11 +479,11 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     exactly and fixes the matrix and the magnitude 2^mag of 1/q at the
     reduced point, with no reduction at all for a point already in the
     closed fundamental domain, such as the root of a reduced form.  The
-    exact reduced point is then rendered at wp = prec + 2 ceil(mag) + 32
-    bits.  E4 and Delta come from the theta kernel, and E4^3 and the
-    quotient are formed on the same fixed-point integers (F fractional
-    bits), with one floor division by the norm of Delta.  j converts to mpc
-    exactly.
+    theta kernel works at wp = prec + 2 ceil(mag) + 32 bits and takes r
+    straight from the frame's exact integers, so no point is rendered.  E4
+    and Delta come from the kernel, and E4^3 and the quotient are formed on
+    the same fixed-point integers (F fractional bits), with one floor
+    division by the norm of Delta.  j converts to mpc exactly.
 
     The bound is computed on integers counting units u = 2^-F, every step
     rounded up: |E4| <= A u and |Delta| >= L u come from integer square roots
@@ -442,11 +494,11 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
       its two floored products on |E4| < 3.5;
     - |a/b - A/B| <= (|a - A| + |a/b| |b - B|)/|B| with |B| >= L - dd, and
       |a/b| below J, the modulus of the computed quotient plus 3;
-    - the floor division errs by at most sqrt(2) < 2;
-    - the rounding of the reduced point itself adds |j| 2^-wp (64 + 8|tau'|):
-      tau' is rendered from exact integers, each component within a few
-      units of 2^-wp relative, so this holds for any matrix (no Moebius map
-      runs at wp, where a large matrix would cancel).
+    - the floor division errs by at most sqrt(2) < 2.
+
+    The kernel's bounds hold against the forms at the exact reduced point
+    (its r is within 1.6 units of e^(pi i tau') at the exact tau'), so no
+    term for the input is needed, for any matrix.
 
     The sum must lie below 2^-prec, or PrecisionExhausted is raised.  The 32
     guard bits meet it everywhere on the fundamental domain, where
@@ -457,9 +509,8 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     within 2 u, so err is what it would be at F bits throughout), so
     d4 u < 55 2^-wp and dd u < 2.8 2^-wp.  With L - dd > 0.89 |q|, the cube
     term is below 820 2^(mag-wp) <= 3.6 2^-(prec+32), J dd/(L - dd) below
-    33 2^(2 mag - wp) <= 33 2^-(prec+32), and the rendering term below
-    3.4 2^-(prec+32), since (64 + 8|tau'|) |q| < 0.33.  The total stays
-    below 41 2^-(prec+32) < 2^-(prec+26): 6 guard bits would do, and the
+    33 2^(2 mag - wp) <= 33 2^-(prec+32), and the total stays below
+    37 2^-(prec+32) < 2^-(prec+26): 6 guard bits would do, and the
     other 26 keep the gate unreachable even for a height misestimated by 13
     bits.  They also make j at prec + 64 work at prec + 2 ceil(mag) + 96
     bits, the precision the CM certificates are sized for.
@@ -469,9 +520,8 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     frame = _frame(tau, prec)
-    wp = prec + 2 * math.ceil(frame.mag) + 32
-    _, zred, _ = frame.point(wp)
-    th = _theta(zred, wp)
+    wp = _j_precision(frame, prec)
+    th = _theta(frame, wp)
     F = th.F
     (er, ei), d4 = th.e4_fixed()
     (dr, di), dd = th.delta_fixed()
@@ -485,8 +535,7 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     big_j = math.isqrt(jr * jr + ji * ji) + 3
     # in units of 2^-F, each -(-x // y) and -(-x >> k) a ceiling
     d43 = -(-3 * (big_a + d4) ** 2 * d4 >> 2 * F) + 8
-    dj = (-(-((d43 << F) + big_j * dd) // (low - dd)) + 2
-          - (-big_j * (64 + 8 * int(abs(complex(zred)))) >> wp))
+    dj = -(-((d43 << F) + big_j * dd) // (low - dd)) + 2
     if not dj < 1 << (F - prec):
         raise PrecisionExhausted(
             f"j error bound {mp.nstr(mp.ldexp(dj, -F), 5)} misses 2^-{prec} target")
@@ -656,6 +705,11 @@ class CMCertificate:
         return self.value + self.error_bound < self.tolerance
 
 
+def _residual_precision(h: int, disc: int, a: int, hcp_bits: int, prec: int) -> int:
+    """The precision wp of _root_residual; j is asked for at wp + 64 bits."""
+    return max(prec, hcp_bits + math.ceil(h * _log2_root_bound(disc, a)) + prec // 4)
+
+
 def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
     """j at tau and |H(j)| with its error bound, at a precision that lets
     |H(j)| + error fall below 2^-(prec/4) when H(j(tau)) = 0.
@@ -677,7 +731,7 @@ def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
     wp is also at least prec, the precision at which j is reported.
     """
     h = len(coeffs) - 1
-    wp = max(prec, hcp_bits + math.ceil(h * _log2_root_bound(disc, a)) + prec // 4)
+    wp = _residual_precision(h, disc, a, hcp_bits, prec)
     ev = j_value_with_bound(tau, wp + 64)
     with mp.workprec(wp + 32):
         deriv = abs(_horner([n * cn for n, cn in enumerate(coeffs)][1:], ev.j))

@@ -165,14 +165,13 @@ def theta_reference(zred, F: int, M: int):
     """(theta_2^4, theta_3^4, theta_4^4) from the sums the theta kernel truncates,
     at 2F bits.
 
-    r = e^(pi i zred) is taken as the kernel takes it, from mpmath at F + 4 bits;
-    S2 = sum_{0<=n<M} r^(n(n+1)), S3 = sum_{1<=n<M} r^(n^2) and S4 = sum_{1<=n<M}
-    (-1)^n r^(n^2) are then formed in mpc arithmetic at 2F bits, so they differ
-    from the kernel's fixed-point sums by the kernel's rounding alone.
+    r = e^(pi i zred) at the exact zred, S2 = sum_{0<=n<M} r^(n(n+1)),
+    S3 = sum_{1<=n<M} r^(n^2) and S4 = sum_{1<=n<M} (-1)^n r^(n^2) are formed in
+    mpc arithmetic at 2F bits, so they differ from the kernel's fixed-point sums
+    by the kernel's rounding alone, that of r included.
     """
-    with mp.workprec(F + 4):
-        r = mp.expjpi(zred)
     with mp.workprec(2 * F):
+        r = mp.expjpi(zred)
         s2, s3, s4, rn, t = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1), mp.mpc(1)
         for n in range(1, M):
             rn *= r
@@ -407,3 +406,22 @@ def projective_basis_loop(d: int) -> list[tuple[int, int, int]]:
     return [(r, s, t)
             for r in range(1, d) for s in range(1, d) for t in range(1, d)
             if (r + s + t) % d == 0]
+
+
+def decompose_jacobian_public(sig):
+    """decompose_jacobian's factors through the public, checking star_action and
+    cm_set, as (orbit, level, dimension, cm_set) tuples."""
+    from attrarith.arith import ResidueSystem, euler_phi
+    from attrarith.jacobian import cm_set, enumerate_forms, star_action
+
+    units = ResidueSystem.of(sig.d).units
+    covered, factors = set(), []
+    for seed in enumerate_forms(sig):
+        if seed in covered:
+            continue
+        orbit = sorted({star_action(a, seed, sig) for a in units})
+        covered.update(orbit)
+        g = math.gcd(math.gcd(seed.r, sig.k * seed.s), math.gcd(sig.l * seed.t, sig.d))
+        level = sig.d // g
+        factors.append((tuple(orbit), level, euler_phi(level) // 2, tuple(cm_set(seed, sig))))
+    return factors

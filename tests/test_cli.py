@@ -559,15 +559,15 @@ GOLDEN_SHA256 = {
     "attract": "35005b88891428abf09ba5231bbbb1965d11ac625ada64521e9cba8e9a1e56fe",
     "certify": "2cdef337a1b2892bafa37a97de7b677c49beaa2ba81c48f4805f95816a4772b6",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
-    "jval": "f1e061705915a3f00b5e2226dde35d18041530d5973b9141cff8d793244fe196",
-    "weber": "9a104afff1ec028ff40442211fc94366905c7b9b3112bdd76ebb55fcc2ec88bf",
+    "jval": "eb66a08442dfc301f107c27eb143b06792e690fb48338d05e62a5745a490156b",
+    "weber": "9c6151503c6988091f5653451fad951f44c45283198bc4890dc265264faea8ef",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",
     "sk-check": "a6fa28114f63cc884ed48a4004ce96bf855beacad3f1421b0a5959b2a90a0312",
     "flow": "27dc279eeaff3345a1d3c05f7052aa22676308beb05b09b5a2f3f3670a6d350c",
     "hcp --csv": "1f33e8ce4d4f85f6b0deff93b5757bed4fd59796fc13d9a89a0b616430854c25",
-    "weber --csv": "f243b04ba7c9b30efe6601ecbf969fa563890c4d1897561aebf6d83accc7668b",
+    "weber --csv": "94abfc68f0383ffeb547a7238bde0d4d8002b257947a30988376641092a3af7d",
     "curve --csv": "321012dcae8c4a22e99b010fcb851ac8244ff0ba8299bb87c770398c18470e87",
     "resolve --csv": "7ebdf7e1c80b6526665505903546884316c219857a37d31cb23652fe12357abd",
     "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",

@@ -1,5 +1,6 @@
-"""Fuzz of the combinatorial subcommands `curve`, `fermat`, `sk-check` and
-`resolve`: bounded random input, plus sizes on both sides of each work gate.
+"""Fuzz of the subcommands `curve`, `fermat`, `sk-check`, `resolve`, `hcp`,
+`certify`, `attract`, `jval` and `weber`: bounded random input, plus sizes on
+both sides of each work gate (`flow` has its own fuzz test).
 
 Every run must end in exit 0, 2 or 3 with at most one line on stderr, and a
 run that exits 0 must print a parseable JSON envelope, or under --csv a table
@@ -21,6 +22,8 @@ st = hypothesis.strategies
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "precision_bits"}
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+# certify and weber evaluate j and the torsion series on every input
+SETTINGS_SLOW = hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def exits_cleanly(argv):
@@ -75,12 +78,77 @@ def sk_check_argv(draw):
 
 @st.composite
 def resolve_argv(draw):
-    # hj_expand(n, n - 1) takes n - 1 steps, so n stays small
-    n = draw(st.integers(-2, 10**4))
-    q = draw(st.integers(-2, 10**4) | st.sampled_from([n - 1, 1]))
+    # hj_expand(n, n - 1) takes n - 1 steps, so random n stay small; (300001, 300000)
+    # is the last step count under the 300 000-step gate and the others are past it
+    n, q = draw(st.tuples(st.integers(-2, 10**4), st.integers(-2, 10**4))
+                | st.sampled_from([(300002, 300001), (10**9, 10**9 - 1),
+                                   (10**12 + 1, 10**12)]))
+    q = draw(st.just(q) | st.sampled_from([n - 1, 1]))
     genus = draw(st.none() | st.integers(-2, 10**12))
     tail = [] if genus is None else ["--genus", genus]
     return ["resolve", "--n", n, "--q", q, *tail, *flags(draw)]
+
+
+def prec_flags(draw):
+    prec = draw(st.sampled_from([None, None, None, 64, 128, 256, 32, 8193]))
+    return [] if prec is None else ["--prec", prec]
+
+
+@st.composite
+def hcp_argv(draw):
+    # -126604 (h c = 703 560) is just past the class-polynomial gate and
+    # -40000004 just past the |disc| gate
+    disc = draw(st.integers(-3000, 3) | st.sampled_from([-126604, -4000004, -40000004,
+                                                         -10**12]))
+    return ["hcp", "--disc", disc, *prec_flags(draw), *flags(draw)]
+
+
+# (1, 10^7 + 1, 0) is just past the |4D| = 4 * 10^7 gate of attract and certify
+PAST_DISC_GATE = [(1, 10**7 + 1, 0), (1, 10**11 + 1, 0)]
+
+
+@st.composite
+def attractor_charge(draw, size):
+    """(p2, q2, pq) with p2 > 0 and D = pq^2 - p2 q2 < 0, |D| below about 8 size."""
+    p2, pq = draw(st.integers(1, 8)), draw(st.integers(-8, 8))
+    return p2, pq * pq // p2 + draw(st.integers(1, size)), pq
+
+
+def charge_flags(draw, size, past):
+    """--p2 --q2 --pq: an attractor charge, any small triple, or one of past."""
+    p2, q2, pq = draw(attractor_charge(size)
+                      | st.tuples(st.integers(-2, 8), st.integers(-2, 60), st.integers(-8, 8))
+                      | st.sampled_from(past))
+    return ["--p2", p2, "--q2", q2, "--pq", pq]
+
+
+@st.composite
+def attract_argv(draw):
+    return ["attract", *charge_flags(draw, 10**4, PAST_DISC_GATE), *prec_flags(draw)]
+
+
+@st.composite
+def certify_argv(draw):
+    # (1, 11500, 0) is past the certificate's j precision gate and (1, 31700, 0)
+    # past the class-polynomial gate
+    past = [*PAST_DISC_GATE, (1, 11500, 0), (1, 31700, 0)]
+    return ["certify", *charge_flags(draw, 30, past), *prec_flags(draw)]
+
+
+@st.composite
+def jval_argv(draw):
+    x = draw(st.floats(-20, 20))
+    y = draw(st.floats(0.001, 50) | st.sampled_from([-1.0, 0.0, 1e-6, 1e400]))
+    tau = draw(st.just(f"{x!r},{y!r}") | st.sampled_from(["1+2j", "0.5,nan", "0,1e-1000000"]))
+    return ["jval", f"--tau={tau}", *prec_flags(draw)]
+
+
+@st.composite
+def weber_argv(draw):
+    # tau = i sqrt(5.3 * 10^7) is just past the 2^17-bit working precision gate
+    n = draw(st.integers(2, 5) | st.integers(-1, 5) | st.sampled_from([50, 51]))
+    charge = charge_flags(draw, 30, [(1, 53 * 10**6, 0), (1, 10**11 + 1, 0)])
+    return ["weber", *charge, "--n", n, *prec_flags(draw), *flags(draw)]
 
 
 @SETTINGS
@@ -107,7 +175,46 @@ def test_resolve_exits_cleanly(argv):
     exits_cleanly(argv)
 
 
+@SETTINGS
+@hypothesis.given(argv=hcp_argv())
+def test_hcp_exits_cleanly(argv):
+    exits_cleanly(argv)
+
+
+@SETTINGS
+@hypothesis.given(argv=attract_argv())
+def test_attract_exits_cleanly(argv):
+    exits_cleanly(argv)
+
+
+@SETTINGS_SLOW
+@hypothesis.given(argv=certify_argv())
+def test_certify_exits_cleanly(argv):
+    exits_cleanly(argv)
+
+
+@SETTINGS
+@hypothesis.given(argv=jval_argv())
+def test_jval_exits_cleanly(argv):
+    exits_cleanly(argv)
+
+
+@SETTINGS_SLOW
+@hypothesis.given(argv=weber_argv())
+def test_weber_exits_cleanly(argv):
+    exits_cleanly(argv)
+
+
 @pytest.mark.parametrize("argv", [
+    ["hcp", "--disc", -4000004],
+    ["hcp", "--disc", -126604],
+    ["hcp", "--disc", -40000004],
+    ["certify", "--p2", 1, "--q2", 1000001, "--pq", 0],
+    ["certify", "--p2", 1, "--q2", 11500, "--pq", 0],
+    ["attract", "--p2", 1, "--q2", 100000000001, "--pq", 0],
+    ["weber", "--p2", 1, "--q2", 53 * 10**6, "--pq", 0, "--n", 2],
+    ["resolve", "--n", 1000000000, "--q", 999999999],
+    ["resolve", "--n", 300002, "--q", 300001],
     ["curve", "--d", 354, "--k", 1, "--l", 1],
     ["curve", "--d", 10**5, "--k", 1, "--l", 1],
     ["curve", "--d", 10**12, "--k", 10**12, "--l", 1],

@@ -14,6 +14,7 @@ from attrarith.cohomology import (
     _tuple_counts,
     fermat_primitive_dim,
     hj_expand,
+    hj_length,
     hj_reconstruct,
     resolution_contributions,
     shioda_katsura_check,
@@ -56,6 +57,18 @@ class TestHJ:
                 res = hj_expand(n, q)
                 assert all(b >= 2 for b in res.steps)
                 assert hj_reconstruct(res.steps) == Fraction(n, q)
+
+    def test_length_from_regular_continued_fraction(self):
+        # 1 + (a_2 + a_4 + ...) - [m even] for n/q = [a_1; ..., a_m]
+        for n in range(2, 300):
+            for q in range(1, n):
+                if math.gcd(n, q) == 1:
+                    assert hj_length(n, q) == len(hj_expand(n, q).steps), (n, q)
+        assert hj_length(10**9, 10**9 - 1) == 10**9 - 1
+        assert hj_length(10**9 + 7, 1) == 1
+        for n, q, exc in ((6, 2, NotCoprime), (5, 5, OutOfRange), (5, 0, OutOfRange)):
+            with pytest.raises(exc):
+                hj_length(n, q)
 
     def test_dual_twist_reverses_steps(self):
         for n in range(2, 51):

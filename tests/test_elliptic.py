@@ -24,7 +24,7 @@ from attrarith.errors import (
     PrecisionExhausted,
     ZeroTwist,
 )
-from attrarith.modular import _frame, delta_series, j_value, j_value_with_bound
+from attrarith.modular import _frame, _Frame, delta_series, j_value, j_value_with_bound
 from oracles import wp_direct
 
 
@@ -187,11 +187,12 @@ class TestTorsionPoints:
 
     def test_one_mpmath_exponential_per_call(self, monkeypatch):
         # u, v, w and q are products of powers of alpha and zeta, not one
-        # exponential per point
+        # exponential per point; alpha comes from the frame's exact point
         m = model_from_tau(mp.mpc("0.3", "1.7"), prec=128)
         calls = []
-        expjpi = mp.expjpi
-        monkeypatch.setattr(mp, "expjpi", lambda z: calls.append(z) or expjpi(z))
+        expjpi = _Frame.expjpi
+        monkeypatch.setattr(_Frame, "expjpi", lambda *a: calls.append(a) or expjpi(*a))
+        monkeypatch.setattr(mp, "expjpi", lambda z: calls.append(z) or 1 / 0)
         torsion_points(m, 7)
         assert len(calls) == 1
 
@@ -432,12 +433,11 @@ class TestTorsionKernelRounding:
         n, prec = 200, 64
         wp = prec + 96
         frame = _frame(mp.mpc("0.4991", "0.8672"), prec)
-        _, zred, _ = frame.point(wp)
         reps = [(0, 1), (1, 0), (1, n - 1), (0, n // 2), (n // 2, 1), (n // 2, n // 2), (3, 7)]
         counts = {(ar, br): (_lambert_count((1 + ar / n) * frame.mag, wp),
                              _lambert_count((1 - ar / n) * frame.mag, wp)) for ar, br in reps}
         m_max = max(cw for _, cw in counts.values())
-        kernel = _torsion_kernel(zred, n, m_max, wp)
+        kernel = _torsion_kernel(frame, n, m_max, wp)
         F = kernel.F
         with mp.workprec(2 * F):
             alpha, zeta = (mp.mpc(*z) / mp.mpf(2) ** F for z in (kernel.apow[1], kernel.zpow[1]))

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from oracles import enumerate_forms_loop, projective_basis_loop
+from oracles import decompose_jacobian_public, enumerate_forms_loop, projective_basis_loop
 
 from attrarith.arith import euler_phi
 from attrarith.errors import DegreeTooSmall, InvalidIndex, InvalidWeights, NotUnit
@@ -147,6 +147,12 @@ class TestDecompose:
             orbits = [f.orbit for f in decompose_jacobian(sig)]
             assert all(a[0] < b[0] for a, b in zip(orbits, orbits[1:])), sig
             assert all(orbit[0] == min(orbit) for orbit in orbits), sig
+
+    def test_matches_public_star_action_and_cm_set(self):
+        # the orbit loop maps its already-valid seeds without re-checking them
+        for sig in all_signatures(40):
+            got = [(f.orbit, f.level, f.dimension, f.cm_set) for f in decompose_jacobian(sig)]
+            assert got == decompose_jacobian_public(sig), sig
 
     def test_dimension_sum_and_orbit_sizes(self):
         for sig in all_signatures(12):

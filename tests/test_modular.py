@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -19,7 +20,10 @@ from attrarith.errors import (
     UnsupportedWeight,
 )
 from attrarith.modular import (
+    _IDENTITY,
+    _dyadic,
     _frame,
+    _Frame,
     _theta,
     certify_attractor_cm,
     delta_series,
@@ -94,10 +98,11 @@ def exact_input(tau):
 
 def exact_reduced(frame, tau):
     """(tau', mu) of a frame as exact surds."""
-    if frame.exact is None:
-        return exact_input(tau), 1
-    disc, red, mu = frame.exact
-    return QuadraticSurd(*red, disc), QuadraticSurd(*mu, disc)
+    red = QuadraticSurd(*frame.red, frame.disc)
+    if frame.mu is None:
+        assert red == exact_input(tau)
+        return red, 1
+    return red, QuadraticSurd(*frame.mu, frame.disc)
 
 
 class TestReduceToFundamental:
@@ -120,9 +125,10 @@ class TestReduceToFundamental:
     def test_already_reduced(self):
         tau = QuadraticSurd(1, 1, 2, -5)
         frame = _frame(tau, 64)
-        assert frame.mat == ((1, 0), (0, 1)) and frame.exact is None
-        z, zred, mu = frame.point(256)
-        assert z == zred == tau.to_mpc(256) and mu == 1
+        assert frame.mat == ((1, 0), (0, 1)) and frame.mu is None
+        assert exact_reduced(frame, tau) == (tau, 1)
+        z, mu = frame.point(256)
+        assert z == tau.to_mpc(256) and mu == 1
 
     def test_rejects_lower_half_plane(self):
         for tau in (mp.mpc(0, -1), mp.mpc(3, 0), QuadraticSurd(0, -1, 2, -7)):
@@ -156,12 +162,14 @@ class TestReduceToFundamental:
             red, mu = exact_reduced(frame, tau)
             assert red == (a * t + b) / (c * t + d) and mu == c * t + d
             if 2 * abs(t.x) <= 1 and t.norm_squared() >= 1:
-                assert frame.mat == ((1, 0), (0, 1)) and frame.exact is None
+                assert frame.mat == ((1, 0), (0, 1)) and frame.mu is None
             else:
                 assert red == reduce_root_exact(t)[0]
             with mp.workprec(200):
-                zred = frame.point(192)[1]
-                assert abs(zred - red.to_mpc(200)) <= abs(zred) * mp.mpf(2) ** -189
+                mu_z = frame.point(192)[1]
+                if frame.mu is not None:
+                    want = mu.to_mpc(200)
+                    assert abs(mu_z - want) <= abs(want) * mp.mpf(2) ** -189
             with pytest.raises(NotUpperHalfPlane):
                 _frame(mp.conj(tau) if dyadic else t.conjugate(), 64)
 
@@ -172,6 +180,66 @@ class TestReduceToFundamental:
     def test_non_finite_tau_refused(self, tau):
         with pytest.raises(OutOfRange):
             j_value_with_bound(tau, 64)
+
+
+class TestFrameExponential:
+    """_Frame.expjpi: e^(pi i m tau') from the frame's exact integers."""
+
+    LOW, HIGH = -mp.mpf("1.03"), mp.mpf("0.03")
+
+    def check(self, frame, m, bits):
+        # floored from within 0.03 units of exact, as the docstring states
+        got = frame.expjpi(m, bits)
+        r, s, n = frame.red
+        with mp.workprec(bits + 256):
+            red = mp.mpc(mp.mpf(r * m.numerator) / (n * m.denominator),
+                         mp.mpf(s * m.numerator) / (n * m.denominator) * mp.sqrt(-frame.disc))
+            ref = mp.expjpi(red)
+            for g, want in zip(got, (ref.real, ref.imag)):
+                assert self.LOW < g - mp.ldexp(want, bits) <= self.HIGH, (frame.red, m, bits)
+
+    def test_reduced_form_roots(self):
+        rng = random.Random(1401)
+        for disc in range(-3, -1001, -1):
+            if disc % 4 not in (0, 1):
+                continue
+            for f in class_group_forms(disc):
+                frame = _frame(QuadraticSurd(-f.b, 1, 2 * f.a, disc), 64)
+                assert frame.mu is None
+                bits = rng.choice((64, 128, 400))
+                self.check(frame, Fraction(1), bits)
+                self.check(frame, Fraction(2, rng.randrange(2, 51)), bits)
+
+    def test_dyadic_points(self):
+        # near the domain, deep (Im tau down to 1e-5, so tau' high up, where
+        # r floors to zero) and far out (|Re tau| up to 20)
+        rng = random.Random(1402)
+        for k in range(200):
+            x = rng.uniform(-0.5, 0.5) if k % 3 == 0 else rng.uniform(-20, 20)
+            y = (rng.uniform(0.85, 3), 10 ** rng.uniform(-5, 0), rng.uniform(0.01, 1))[k % 3]
+            with mp.workprec(80):
+                tau = mp.mpc(x, y)
+            frame = _frame(tau, 80)
+            bits = rng.choice((64, 256, 1024))
+            self.check(frame, Fraction(1), bits)
+            self.check(frame, Fraction(2, rng.randrange(2, 51)), bits)
+
+    def test_refused_past_the_precision_cap(self):
+        frame = _frame(mp.mpc(0, 1), 64)
+        with pytest.raises(PrecisionExhausted):
+            frame.expjpi(Fraction(1), 10_000_001)
+
+    def test_no_point_rendered_for_j(self, monkeypatch):
+        # class-polynomial roots and reduced inputs reach the kernel unrendered
+        def fail(*args):
+            raise AssertionError("a point was rendered")
+
+        monkeypatch.setattr(QuadraticSurd, "to_mpc", fail)
+        monkeypatch.setattr("attrarith.modular._render_exact", fail)
+        for disc in (-3, -4, -23, -479, -1000):
+            hilbert_class_polynomial(disc)
+        for tau in (QuadraticSurd(3, 1, 2, -7), mp.mpc("-7.3", "0.05")):
+            j_value_with_bound(tau, 128)
 
 
 class TestJValue:
@@ -318,6 +386,13 @@ class TestJErrorTarget:
         assert calls == []
 
 
+def kernel_frame(zred):
+    """The identity frame of an mpc point taken as reduced, as _frame builds it,
+    even where rounding has put the point just outside the fundamental domain."""
+    r, s, n = _dyadic(zred)
+    return _Frame(zred, _IDENTITY, 2 * math.pi * (s / n) * math.log2(math.e), -1, (r, s, n), None)
+
+
 class TestThetaKernelAgainstDenseOracle:
     """The theta kernel against dense integer q-series, each with its own bound."""
 
@@ -331,7 +406,7 @@ class TestThetaKernelAgainstDenseOracle:
         for zred, wp in cases:
             with mp.workprec(wp):
                 zred = mp.mpc(zred)
-                th = _theta(zred, wp)
+                th = _theta(kernel_frame(zred), wp)
                 e4o, e6o, do, bound, _ = eisenstein_dense(zred, wp)
                 for (val, err), ref in ((th.e4(), e4o), (th.e6(), e6o), (th.delta(), do)):
                     assert err < mp.mpf(2) ** (16 - wp)
@@ -370,7 +445,7 @@ class TestThetaKernelRounding:
                 points = [mp.mpc("0.5", mp.sqrt(3) / 2), mp.mpc(xs[0], mp.sqrt(1 - xs[0] ** 2))]
                 points += [mp.mpc(x, y) for x, y in zip(xs[1:], (1.3, 4, 6))]
             for zred in points:
-                th = _theta(zred, wp)
+                th = _theta(kernel_frame(zred), wp)
                 refs = theta_reference(zred, th.F, th.terms)
                 with mp.workprec(2 * th.F):
                     u = mp.mpf(2) ** -th.F
