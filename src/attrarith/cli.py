@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import mpf_pos, round_nearest, to_str
+from mpmath.libmp import mpf_pos, round_ceiling, round_nearest, to_str
 
 from .arith import QuadraticSurd
 from .attractor import ChargeData, attractor_point, entropy_invariant
@@ -81,11 +81,13 @@ def _digits(v, prec: int) -> str:
 
 
 def _dec(x, prec: int) -> str:
-    """x printed by _digits; an mpf as it is, any other value rounded to prec + 8 bits."""
-    if not isinstance(x, mp.mpf):
-        with mp.workprec(prec + 8):
-            x = mp.mpf(x)
-    return _digits(x._mpf_, prec)
+    """x printed by _digits: an mpf rounded up to prec + 64 bits, which keeps a
+    bound a bound and a long mantissa under the int-to-str limit, any other
+    value rounded to prec + 8 bits."""
+    if isinstance(x, mp.mpf):
+        return _digits(mpf_pos(x._mpf_, prec + 64, round_ceiling), prec)
+    with mp.workprec(prec + 8):
+        return _digits(mp.mpf(x)._mpf_, prec)
 
 
 def _dec_c(z, prec: int) -> dict:
@@ -296,10 +298,14 @@ def _cmd_weber(args, prec: int):
         raise ValueError(f"working precision prec + 2 ceil(mag) + 32 must be at most "
                          f"{_MAX_JVAL_WORK} bits, got {work}")
     model = model_from_tau(ap.tau, prec=prec)
-    rows = []
+    # the Weber value and the residual's cubic depend on x alone, which the
+    # partners +-P share, so each is computed once per distinct x
+    rows, webers = [], {}
     for p in torsion_points(model, args.n):
         a, b = (int(v * args.n) for v in p.lattice_coords)
-        rows.append((a, b, p.x, p.y, weber_function(model, p)))
+        if p.x._mpc_ not in webers:
+            webers[p.x._mpc_] = weber_function(model, p)
+        rows.append((a, b, p.x, p.y, webers[p.x._mpc_]))
     if args.csv:
         return (["a", "b", "x_re", "x_im", "y_re", "y_im", "weber_re", "weber_im"],
                 [[a, b, *(_dec(v, prec) for z in (x, y, w) for v in (mp.re(z), mp.im(z)))]
@@ -318,8 +324,11 @@ def _cmd_weber(args, prec: int):
     }
     ev = j_value_with_bound(ap.tau, prec)
     with mp.workprec(prec + 32):
-        worst = max(abs((2 * y) ** 2 - (4 * x**3 + 4 * model.A * x + 4 * model.B))
-                    for _, _, x, y, _ in rows)
+        cubic = {}
+        for _, _, x, _, _ in rows:
+            if x._mpc_ not in cubic:
+                cubic[x._mpc_] = 4 * x**3 + 4 * model.A * x + 4 * model.B
+        worst = max(abs((2 * y) ** 2 - cubic[x._mpc_]) for _, _, x, y, _ in rows)
         # the model's j is within 2^-(prec+86) (1 + |j|) before its rounding to prec
         dj = abs(model.j - ev.j)
         j_bound = ev.error_bound + mp.mpf(2) ** -(prec - 1) * (1 + abs(ev.j))

@@ -6,12 +6,16 @@ come from the same kernel's Delta, as j_value does, so neither is a
 difference of large terms.  The fundamental-domain frame (reduction matrix,
 reduced point and covariance factor mu) is modular._frame, the one j uses.
 Torsion points come from the Lambert form of the q-series for the
-Weierstrass functions at the reduced point.  Every input of the series is a
+Weierstrass functions at the reduced point, taken at the model's source
+point (an exact QuadraticSurd stays one).  Every input of the series is a
 product of powers of two values, e^(2 pi i tau'/n), taken by the frame
 straight from the exact integers of tau', and e^(2 pi i/n), both in fixed
-point; the whole series, leading term included, is summed on fixed-point
-integers, once per pair +-P, and the result turns mpc once, to be scaled
-back through mu and rounded.
+point.  The Lambert sums depend on a point only through its reduced row
+and, by a power of e^(2 pi i/n), through m mod n: each row sums its terms
+once into n buckets, and each pair +-P folds the buckets with its powers of
+e^(2 pi i/n) and adds its leading term, all on fixed-point integers; the
+scaling back through mu is exact on integers, and each component is
+rounded to the model's precision once.
 Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
 is the case selection that cancels exactly that freedom.
 """
@@ -26,11 +30,13 @@ from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (
-    from_rational, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, mpf_cos_sin_pi, round_nearest, to_fixed,
+    from_man_exp, from_rational, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, mpf_cos_sin_pi,
+    round_nearest, to_fixed,
 )
 
+from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _frame, _from_fixed, _mul, _theta
+from .modular import _frame, _mul, _theta
 
 __all__ = [
     "WeierstrassModel",
@@ -44,13 +50,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """y^2 = x^3 + Ax + B with its discriminant, j, source point and twist scale."""
+    """y^2 = x^3 + Ax + B with its discriminant, j, source point and twist scale.
+
+    source_tau is the input point: a QuadraticSurd exactly as given, any other
+    value rendered to precision_bits.
+    """
 
     A: mp.mpc
     B: mp.mpc
     delta: mp.mpc
     j: mp.mpc
-    source_tau: mp.mpc
+    source_tau: mp.mpc | QuadraticSurd
     scale: mp.mpc
     precision_bits: int
 
@@ -124,7 +134,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     with mp.workprec(prec):
         return WeierstrassModel(
             A=+a, B=+b, delta=+delta, j=+jv,
-            source_tau=+z, scale=mp.mpc(1), precision_bits=prec,
+            source_tau=tau if isinstance(tau, QuadraticSurd) else +z,
+            scale=mp.mpc(1), precision_bits=prec,
         )
 
 
@@ -157,20 +168,31 @@ def _lambert_table(q, count: int, F: int):
     return d, (t0, t1)
 
 
-def _lambert_sums(b, d, count: int, F: int):
-    """sum d_m b^m and sum m d_m b^m over 1 <= m <= count, in fixed point."""
+def _bucket_sums(b, d, count: int, n: int, F: int):
+    """Buckets k < n of sum d_m b^m and of sum m d_m b^m over 1 <= m <= count,
+    bucket k holding the terms with m = k (mod n): four lists (re and im of
+    each), on integers scaled by 2^(2F); b^m is floored to 2^-F, the products
+    with d_m are exact."""
     br, bi = b
     pr, pi = 1 << F, 0
-    s0 = s1 = t0 = t1 = 0
+    s0, s1, t0, t1 = [0] * n, [0] * n, [0] * n, [0] * n
     for m in range(1, count + 1):
         pr, pi = (pr * br - pi * bi) >> F, (pr * bi + pi * br) >> F
         dr, di = d[m]
-        tr, ti = (dr * pr - di * pi) >> F, (dr * pi + di * pr) >> F
-        s0 += tr
-        s1 += ti
-        t0 += m * tr
-        t1 += m * ti
-    return (s0, s1), (t0, t1)
+        tr, ti = dr * pr - di * pi, dr * pi + di * pr
+        k = m % n
+        s0[k] += tr
+        s1[k] += ti
+        t0[k] += m * tr
+        t1[k] += m * ti
+    return s0, s1, t0, t1
+
+
+def _man_exp(z):
+    """A nonzero mpc z as integers ((re, im), e) with z = (re + im i) 2^e."""
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in z._mpc_]
+    e = min(exp for man, exp in parts if man)
+    return tuple(man << (exp - e) if man else 0 for man, exp in parts), e
 
 
 def _powers(z, count: int, F: int):
@@ -193,24 +215,53 @@ class _TorsionKernel(NamedTuple):
     d: list
     t: tuple
 
-    def series(self, ar: int, br: int, cv: int, cw: int):
-        """(X, Y) = (p/(2 pi i)^2, p'/(2 pi i)^3) at reduced coordinates (ar, br),
-        with cv terms of the v sums and cw of the w sums."""
-        n, F, apow, zpow = self.n, self.F, self.apow, self.zpow
+    def row(self, ar: int, cv: int, cw: int) -> _Row:
+        """The buckets of reduced row ar, with cv terms of the v sums and cw
+        of the w sums: G_k = V_k + W_(-k mod n) and H_k = V'_k - W'_(-k mod n),
+        floored to 2^-F, with 1/12 - 2T added to G_0."""
+        n, F, apow = self.n, self.F, self.apow
+        v0, v1, dv0, dv1 = _bucket_sums(apow[n + ar], self.d, cv, n, F)
+        w0, w1, dw0, dw1 = _bucket_sums(apow[n - ar], self.d, cw, n, F)
+
+        def fold(a, b, sign):
+            return [(a[k] + sign * b[-k % n]) >> F for k in range(n)]
+
+        g0, g1, h0, h1 = fold(v0, w0, 1), fold(v1, w1, 1), fold(dv0, dw0, -1), fold(dv1, dw1, -1)
+        t0, t1 = self.t
+        g0[0] += (1 << F) // 12 - 2 * t0
+        g1[0] -= 2 * t1
+        return _Row(self, ar, [(k, g0[k], g1[k], h0[k], h1[k]) for k in range(n)
+                               if g0[k] or g1[k] or h0[k] or h1[k]])
+
+
+class _Row(NamedTuple):
+    """Reduced row ar of a _TorsionKernel, with (k, G_k, H_k) for every
+    bucket k that is not zero, each of G_k and H_k split into re and im."""
+
+    kernel: _TorsionKernel
+    ar: int
+    terms: list
+
+    def at(self, br: int):
+        """(X, Y) = (p/(2 pi i)^2, p'/(2 pi i)^3) at reduced coordinates (ar, br):
+        the leading terms at u = alpha^ar zeta^br, plus sum_k zeta^(br k) G_k
+        and sum_k zeta^(br k) H_k, the products summed exactly and floored once."""
+        n, F, zpow = self.kernel.n, self.kernel.F, self.kernel.zpow
+        x0 = x1 = y0 = y1 = 0
+        for k, g0, g1, h0, h1 in self.terms:
+            zr, zi = zpow[br * k % n]
+            x0 += zr * g0 - zi * g1
+            x1 += zr * g1 + zi * g0
+            y0 += zr * h0 - zi * h1
+            y1 += zr * h1 + zi * h0
         one = 1 << F
-        zb = zpow[br]
-        u = _mul(apow[ar], zb, F)
-        (sv0, sv1), (dv0, dv1) = _lambert_sums(_mul(apow[n + ar], zb, F), self.d, cv, F)
-        (sw0, sw1), (dw0, dw1) = _lambert_sums(_mul(apow[n - ar], zpow[-br % n], F),
-                                               self.d, cw, F)
+        u = _mul(self.kernel.apow[self.ar], zpow[br], F)
         cr, ci = one - u[0], -u[1]
         nrm = (cr * cr + ci * ci) >> F
         r = (cr << F) // nrm, (-ci << F) // nrm
         ur2 = _mul(u, _mul(r, r, F), F)
         yr, yi = _mul(ur2, _mul((one + u[0], u[1]), r, F), F)
-        t0, t1 = self.t
-        return ((one // 12 + ur2[0] + sv0 + sw0 - 2 * t0, ur2[1] + sv1 + sw1 - 2 * t1),
-                (yr + dv0 - dw0, yi + dv1 - dw1))
+        return (ur2[0] + (x0 >> F), ur2[1] + (x1 >> F)), (yr + (y0 >> F), yi + (y1 >> F))
 
 
 def _torsion_kernel(frame, n: int, m_max: int, wp: int) -> _TorsionKernel:
@@ -247,15 +298,26 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
         X = p/(2 pi i)^2  = 1/12 + u/(1-u)^2 + sum_{m>=1} d_m (v^m + w^m - 2 q^m),
         Y = p'/(2 pi i)^3 = u(1+u)/(1-u)^3   + sum_{m>=1} m d_m (v^m - w^m).
 
-    alpha = e^(2 pi i tau'/n), from the frame's exact integers, and
-    zeta = e^(2 pi i/n) are formed once per call in fixed point, and every
-    other quantity is a product of their powers: q = alpha^n,
+    Row buckets.  alpha = e^(2 pi i tau'/n), from the frame's exact
+    integers, and zeta = e^(2 pi i/n) are formed once per call in fixed
+    point, and every other quantity is a product of their powers: q = alpha^n,
     u = alpha^ar zeta^br, v = alpha^(n+ar) zeta^br and
-    w = alpha^(n-ar) zeta^((n-br) mod n).  The table d_m and
-    T = sum d_m q^m are built once per call, so the sums over m have no
-    division, and X and Y are formed whole on fixed-point integers; only
-    their conversion to mpc, the scaling and the rounding to prec run in
-    mpc, once per pair +-P.
+    w = alpha^(n-ar) zeta^(-br).  As zeta^n = 1, each sum regroups by
+    m mod n: sum d_m v^m = sum_k zeta^(br k) V_k with
+    V_k = sum_{m = k mod n} d_m alpha^((n+ar) m), and likewise for the
+    m-weighted sum (V'_k) and the w sums (W_k, W'_k, with zeta^(-br k)).  So
+    with the row's buckets
+
+        G_k = V_k + W_(-k mod n), plus 1/12 - 2T at k = 0,   H_k = V'_k - W'_(-k mod n),
+
+    X = u/(1-u)^2 + sum_k zeta^(br k mod n) G_k and
+    Y = u(1+u)/(1-u)^3 + sum_k zeta^(br k mod n) H_k.  The table d_m and
+    T = sum d_m q^m are built once per call, the buckets once per reduced
+    row ar, by one walk over the powers of alpha^(n+ar) and one over those
+    of alpha^(n-ar), and each point adds to its leading terms two products
+    per nonzero bucket, of which there are at most min(n, cv + cw + 1), cv
+    and cw the lengths of the v and w sums.  X and Y
+    are formed whole on fixed-point integers and are scaled back on integers.
     After reduction |q| = x0 <= e^(-pi sqrt 3) < 0.0044, and with ar <= n/2,
     |v| = x0^(1 + ar/n) <= x0 and |w| = x0^(1 - ar/n) <= x0^(1/2) < 0.066,
     so every power stays below 1 in modulus.
@@ -276,7 +338,8 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     each truncated complex product by at most sqrt(2) eps; the bases have
     modulus at most 1, so the k-th power errs by less than
     (2 sqrt(2) + 0.03) k eps < 3k eps.  Powers up to 3n/2 of alpha and n - 1
-    of zeta put u within e_u = 4.5n eps and v, w and q within 7.5n eps.
+    of zeta put u within e_u = 4.5n eps, alpha^(n+ar) within 4.5n eps and
+    alpha^(n-ar) and q within 3n eps.
 
     The leading term needs the most, near its pole.  |1 - u| >= 2 sin(pi/n)
     >= 4/n when ar = 0, and otherwise 1 - x0^(ar/n) >= 1 - e^(-pi sqrt3 ar/n)
@@ -288,23 +351,34 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
 
     In the sums, the reciprocal 1/(1 - q^m), formed from the conjugate and
     the truncated norm (above 0.99) by floor division, errs by less than
-    6.5 eps, so d_m by less than 6.5 m eps and each product d_m b^m by less
-    than 5.1 m eps.  Summed over m <= M, M the largest count, that is at
-    most 2.6 (M+1)^2 eps per sum of d_m b^m, 1.7 (M+1)^3 eps per sum of
-    m d_m b^m and 3.3 (M+1)^2 eps for T.  A base that errs by e moves b^m by
-    at most m |b|^(m-1) e, which with |d_m| < 1.005 m and |b| < 0.07 adds at
-    most 1.4 e to a sum of d_m b^m and 1.8 e to a sum of m d_m b^m; q's
-    error adds 1.1 e to T and 0.1 e to the other sums.  With 1/12 (floored)
-    and the leading terms, X and Y each err by less than
-    (7 n^5 + 6 (M+1)^3) eps, so F = wp + max(3 ceil(log2(M+1)),
-    5 ceil(log2 n)) + 8 keeps both within 13 2^-(wp+8) < 2^-(wp+4) of the
-    truncated series; with the tails (four units of 2^-(wp+3) in X, two in
-    Y) they are within 2^-wp of the exact series.  The 96 bits between wp
-    and the returned precision absorb that and the scaling by
-    cx = (2 pi i scale/mu)^2 and cy = cx (2 pi i scale/mu)/2 at wp, with mu
-    rendered at wp from its exact integers.  x and y are rounded to prec
-    once per pair: rounding to nearest is symmetric, so the partner's -y has
-    the bits that rounding -y itself would give.
+    6.5 eps, so d_m by less than 6.5 m eps and each product d_m b^m, taken
+    exactly from the floored power b^m, by less than 5.1 m eps.  Summed over
+    m <= M, M the largest count, that is at most 2.6 (M+1)^2 eps for the
+    terms of d_m b^m, 1.7 (M+1)^3 eps for those of m d_m b^m and
+    3.3 (M+1)^2 eps for T, however they fall into buckets.  A base that errs
+    by e moves b^m by at most m |b|^(m-1) e, which with |d_m| < 1.005 m and
+    |b| < 0.07 adds at most 1.4 e to the terms of d_m b^m and 1.8 e to those
+    of m d_m b^m; q's error adds 1.1 e to T and 0.1 e to the other sums.
+    Each bucket of G and H is floored once, sqrt(2) eps, at most n of them.
+    The fold multiplies bucket k by the table's zeta^j, j = br k mod n,
+    which errs by less than 3n eps (zeta^0 = 1 is exact); with
+    sum_{k>=1} |G_k| <= sum_m 1.005 m (|v|^m + |w|^m) < 0.081 and
+    sum_{k>=1} |H_k| < 0.092 that adds less than 0.3n eps, and the products
+    are summed exactly and floored once, sqrt(2) eps.  With 1/12 (floored)
+    and the leading terms, X errs by less than
+    3 n^4 + 21n + 5.9 (M+1)^3 and Y by less than 5 n^5 + 17n + 3.4 (M+1)^3
+    units of eps, both below (7 n^5 + 6 (M+1)^3) eps for n >= 2, so
+    F = wp + max(3 ceil(log2(M+1)), 5 ceil(log2 n)) + 8 keeps both within
+    13 2^-(wp+8) < 2^-(wp+4) of the truncated series; with the tails (four
+    units of 2^-(wp+3) in X, two in Y) they are within 2^-wp of the exact
+    series.  The 96 bits between wp and the returned precision absorb that
+    and the scaling by cx = (2 pi i scale/mu)^2 and
+    cy = cx (2 pi i scale/mu)/2, formed at wp once per call, with mu rendered
+    at wp from its exact integers, and taken as integer pairs with one
+    exponent each: the products with X and Y are exact, and each component
+    of x and y is rounded to prec once, once per pair +-P.  Rounding to
+    nearest is symmetric, so the partner's -y has the bits that rounding -y
+    itself would give.
     """
     if n < 2:
         raise OutOfRange(f"torsion order must be >= 2, got {n}")
@@ -314,7 +388,7 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     _, mu = frame.point(wp)
     (ma, mb), (mc, md) = frame.mat
     layout = []   # (source coords, representative, sign of y)
-    counts = {}   # representative -> terms of its v sum and of its w sum
+    rows = {}     # reduced row ar -> the br of its representatives
     for a_z in range(n):
         for b_z in range(n):
             if a_z == 0 and b_z == 0:
@@ -327,24 +401,28 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
             else:
                 rep, sign = (ar, br), 1
             layout.append(((a_z, b_z), rep, sign))
-            if rep not in counts:
-                counts[rep] = (_lambert_count((1 + rep[0] / n) * frame.mag, wp),
-                               _lambert_count((1 - rep[0] / n) * frame.mag, wp))
-    m_max = max(cw for _, cw in counts.values())
-    kernel = _torsion_kernel(frame, n, m_max, wp)
-    F = kernel.F
+            rows.setdefault(rep[0], set()).add(rep[1])
+    # terms of the v sums and of the w sums of each row
+    counts = {ar: (_lambert_count((1 + ar / n) * frame.mag, wp),
+                   _lambert_count((1 - ar / n) * frame.mag, wp)) for ar in rows}
+    kernel = _torsion_kernel(frame, n, max(cw for _, cw in counts.values()), wp)
     with mp.workprec(wp):
         tp = 2j * mp.pi * mp.mpc(model.scale) / mu
         cx = tp * tp
         cy = cx * tp / 2
-    cx, cy = cx._mpc_, cy._mpc_
+    (cx0, cx1), ex = _man_exp(cx)
+    (cy0, cy1), ey = _man_exp(cy)
+    ex, ey = ex - kernel.F, ey - kernel.F
     values = {}
-    for (ar, br), (cv, cw) in counts.items():
-        xs, ys = kernel.series(ar, br, cv, cw)
-        xv = mpc_mul(cx, _from_fixed(xs, F)._mpc_, wp, round_nearest)
-        y = mpc_pos(mpc_mul(cy, _from_fixed(ys, F)._mpc_, wp, round_nearest), prec, round_nearest)
-        values[(ar, br)] = (mp.make_mpc(mpc_pos(xv, prec, round_nearest)),
-                            mp.make_mpc(y), mp.make_mpc(mpc_neg(y)))
+    for ar, brs in rows.items():
+        row = kernel.row(ar, *counts[ar])
+        for br in brs:
+            (x0, x1), (y0, y1) = row.at(br)
+            x = (from_man_exp(cx0 * x0 - cx1 * x1, ex, prec, round_nearest),
+                 from_man_exp(cx0 * x1 + cx1 * x0, ex, prec, round_nearest))
+            y = (from_man_exp(cy0 * y0 - cy1 * y1, ey, prec, round_nearest),
+                 from_man_exp(cy0 * y1 + cy1 * y0, ey, prec, round_nearest))
+            values[(ar, br)] = mp.make_mpc(x), mp.make_mpc(y), mp.make_mpc(mpc_neg(y))
     fr = [Fraction(k, n) for k in range(n)]
     out = []
     for (a_z, b_z), rep, sign in layout:

@@ -10,8 +10,8 @@ give all three forms, each sum with a proven geometric tail bound and a
 rounding bound, inside a working precision chosen from the reduced height.
 Only r = e^(pi i tau') comes from mpmath, through mpmath.libmp straight from
 the integers of tau', which is never rendered: the sums, their fourth powers
-and j = E4^3/Delta run on fixed-point Python integers (the helpers _to_fixed
-and _from_fixed also serve the torsion kernel in elliptic), each power r^n
+and j = E4^3/Delta run on fixed-point Python integers (the product _mul also
+serves the torsion kernel in elliptic), each power r^n
 carried only to the bits that can still reach the result, and j converts to
 mpc once.  The exact integer q-expansions
 (divisor sums, and the discriminant series extracted from (E4^3 - E6^2)/1728

@@ -202,6 +202,15 @@ class TestJval:
             assert bound < mp.mpf(2) ** -256
             assert abs(mp.mpc(j["re"], j["im"]) - ref) <= bound + mp.mpf(10) ** -16
 
+    def test_deep_bound_prints_at_top_precision(self, capsys):
+        # |j| is about e^(2000 pi) = 10^2728.6 and its bound an mpf of 18 133
+        # bits; rounded up to 128 bits before printing, it stays under the
+        # interpreter's int-to-str limit
+        env = invoke_json(capsys, "jval", "--tau=0,1000", "--prec", "8192")
+        assert env["result"]["error_bound"] == "8.37396977253586728229096986e-2477"
+        with mp.workprec(64):
+            assert abs(mp.mpf(env["result"]["j"]["re"]) / mp.exp(2000 * mp.pi) - 1) < 1e-15
+
     def test_work_cap_exit_2(self, capsys):
         # reduced height 250000: about 4.5e6 bits of working precision, refused
         # from the frame alone, before any rendering
@@ -251,6 +260,25 @@ class TestWeber:
         env = invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "2")
         cert = env["certificates"][1]
         assert cert["name"] == "model_j_matches_modular" and cert["passed"] is False
+
+    @pytest.mark.parametrize("charge, n", [((2, 3, 1), 6), ((1, 1, 0), 4), ((2, 2, 1), 3)])
+    def test_values_per_x_print_as_per_point(self, capsys, charge, n):
+        # partners +-P share x, so the Weber value and the residual's cubic are
+        # computed once per x; stdout has the bytes of the per-point formulas
+        # (generic j, j = 1728 and j = 0)
+        from attrarith.attractor import ChargeData, attractor_point
+        from attrarith.elliptic import model_from_tau, torsion_points, weber_function
+
+        p2, q2, pq = (str(v) for v in charge)
+        env = invoke_json(capsys, "weber", "--p2", p2, "--q2", q2, "--pq", pq, "--n", str(n))
+        model = model_from_tau(attractor_point(ChargeData(*charge)).tau, 256)
+        pts = torsion_points(model, n)
+        assert [p["weber"] for p in env["result"]["points"]] == [
+            cli._dec_c(weber_function(model, p), 256) for p in pts]
+        with mp.workprec(288):
+            worst = max(abs((2 * p.y) ** 2 - (4 * p.x**3 + 4 * model.A * p.x + 4 * model.B))
+                        for p in pts)
+        assert env["certificates"][0]["value"] == cli._dec(worst, 64)
 
     def test_csv(self, capsys):
         code, out, _ = invoke(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
@@ -560,14 +588,14 @@ GOLDEN_SHA256 = {
     "certify": "2cdef337a1b2892bafa37a97de7b677c49beaa2ba81c48f4805f95816a4772b6",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "eb66a08442dfc301f107c27eb143b06792e690fb48338d05e62a5745a490156b",
-    "weber": "9c6151503c6988091f5653451fad951f44c45283198bc4890dc265264faea8ef",
+    "weber": "173e563b5093f8dcbeb064ee674fd1a1d8577292d7161e638abbbaacde49d8e7",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",
     "sk-check": "a6fa28114f63cc884ed48a4004ce96bf855beacad3f1421b0a5959b2a90a0312",
     "flow": "27dc279eeaff3345a1d3c05f7052aa22676308beb05b09b5a2f3f3670a6d350c",
     "hcp --csv": "1f33e8ce4d4f85f6b0deff93b5757bed4fd59796fc13d9a89a0b616430854c25",
-    "weber --csv": "94abfc68f0383ffeb547a7238bde0d4d8002b257947a30988376641092a3af7d",
+    "weber --csv": "b73503ee5b86d6fcf73410bb6ccdb4677e4c4db8cf63694520497308a887a0f0",
     "curve --csv": "321012dcae8c4a22e99b010fcb851ac8244ff0ba8299bb87c770398c18470e87",
     "resolve --csv": "7ebdf7e1c80b6526665505903546884316c219857a37d31cb23652fe12357abd",
     "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",

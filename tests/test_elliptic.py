@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from attrarith.arith import QuadraticSurd
+from attrarith.attractor import ChargeData, attractor_point
 from attrarith.elliptic import (
     TorsionPoint,
     _lambert_count,
@@ -274,6 +275,34 @@ class TestTorsionAgainstDirectSeries:
                     assert neg.x == p.x and neg.y + p.y == 0
 
 
+class TestTorsionAtExactPoint:
+    # tau in Q(sqrt -23), Q(sqrt -3) (j real, and j = 0), Q(sqrt -19) (twice) and
+    # Q(i) (j = 1728)
+    POOL = [(3, 8, 1), (7, 4, -4), (4, 5, -1), (1, 19, 0), (2, 2, 1), (1, 1, 0)]
+
+    def test_surd_kept_as_source_point(self):
+        tau = attractor_point(ChargeData(2, 3, 1)).tau
+        m = model_from_tau(tau, prec=128)
+        assert m.source_tau == tau and twist_model(m, 3).source_tau == tau
+        assert isinstance(model_from_tau(mp.mpc(0.5, 1.5), 128).source_tau, mp.mpc)
+
+    def test_matches_exact_point_256_bits_higher(self):
+        # the points are taken at the exact surd that A, B and j belong to, so
+        # they agree to within 2^-(prec-1) max(|z|, 1), two roundings to prec,
+        # with the same computation 256 bits higher
+        prec = 256
+        tol = mp.mpf(2) ** -(prec - 1)
+        for charge in self.POOL:
+            tau = attractor_point(ChargeData(*charge)).tau
+            m, ref = model_from_tau(tau, prec), model_from_tau(tau, prec + 256)
+            for n in range(2, 8):
+                for p, q in zip(torsion_points(m, n), torsion_points(ref, n)):
+                    assert p.lattice_coords == q.lattice_coords
+                    with mp.workprec(prec + 256):
+                        for got, want in ((p.x, q.x), (p.y, q.y)):
+                            assert abs(got - want) <= tol * max(abs(want), 1), (charge, n)
+
+
 class TestWeberFunction:
     def test_j1728_vanishing_point(self):
         m = model_from_tau(mp.mpc(0, 1), prec=256)
@@ -425,25 +454,44 @@ def series_at(alpha, zeta, n, ar, br, counts):
     return x, y
 
 
+def check_rows(tau, n, prec, reps):
+    """Every (ar, br) in reps through _TorsionKernel.row and _Row.at, against
+    series_at at the kernel's own alpha and zeta, within the 2^-(wp+4) that
+    the torsion_points docstring derives."""
+    wp = prec + 96
+    frame = _frame(tau, prec)
+    counts = {ar: (_lambert_count((1 + ar / n) * frame.mag, wp),
+                   _lambert_count((1 - ar / n) * frame.mag, wp)) for ar, _ in reps}
+    m_max = max(cw for _, cw in counts.values())
+    kernel = _torsion_kernel(frame, n, m_max, wp)
+    F = kernel.F
+    with mp.workprec(2 * F):
+        alpha, zeta = (mp.mpc(*z) / mp.mpf(2) ** F for z in (kernel.apow[1], kernel.zpow[1]))
+        for ar, (cv, cw) in counts.items():
+            row = kernel.row(ar, cv, cw)
+            for br in sorted(br for a, br in reps if a == ar):
+                xs, ys = row.at(br)
+                x, y = series_at(alpha, zeta, n, ar, br, (cv, cw, m_max))
+                for got, want in ((xs, x), (ys, y)):
+                    err = abs(mp.mpc(*got) / mp.mpf(2) ** F - want)
+                    assert err <= mp.mpf(2) ** -(wp + 4), (n, ar, br, mp.log(err, 2) + wp)
+
+
 class TestTorsionKernelRounding:
     def test_series_within_rounding_bound(self):
         # n = 200 near rho: |1 - u| is down to 2 sin(pi/200) at (0, 1), so the
         # leading term's guard bits, which grow like 5 log2 n, are what keep
-        # the rounding within the 2^-(wp+4) that the torsion_points docstring derives
-        n, prec = 200, 64
-        wp = prec + 96
-        frame = _frame(mp.mpc("0.4991", "0.8672"), prec)
-        reps = [(0, 1), (1, 0), (1, n - 1), (0, n // 2), (n // 2, 1), (n // 2, n // 2), (3, 7)]
-        counts = {(ar, br): (_lambert_count((1 + ar / n) * frame.mag, wp),
-                             _lambert_count((1 - ar / n) * frame.mag, wp)) for ar, br in reps}
-        m_max = max(cw for _, cw in counts.values())
-        kernel = _torsion_kernel(frame, n, m_max, wp)
-        F = kernel.F
-        with mp.workprec(2 * F):
-            alpha, zeta = (mp.mpc(*z) / mp.mpf(2) ** F for z in (kernel.apow[1], kernel.zpow[1]))
-            for (ar, br), (cv, cw) in counts.items():
-                xs, ys = kernel.series(ar, br, cv, cw)
-                x, y = series_at(alpha, zeta, n, ar, br, (cv, cw, m_max))
-                for got, want in ((xs, x), (ys, y)):
-                    err = abs(mp.mpc(*got) / mp.mpf(2) ** F - want)
-                    assert err <= mp.mpf(2) ** -(wp + 4), (ar, br, mp.log(err, 2) + wp)
+        # the rounding within the 2^-(wp+4) that the torsion_points docstring
+        # derives; every sum has fewer than n terms, so most buckets are empty
+        n = 200
+        check_rows(mp.mpc("0.4991", "0.8672"), n, 64,
+                   [(0, 1), (1, 0), (1, n - 1), (0, n // 2), (n // 2, 1), (n // 2, n // 2),
+                    (3, 7)])
+
+    @pytest.mark.parametrize("n", [2, 6, 7])
+    def test_rows_zero_and_half(self, n):
+        # rows ar = 0 and ar = n // 2 at every br: the w sums run to about
+        # 20 terms here, so each bucket m mod n holds several, and zeta^(br k)
+        # takes every exponent
+        reps = [(ar, br) for ar in {0, n // 2} for br in range(n) if (ar, br) != (0, 0)]
+        check_rows(mp.mpc("0.4991", "0.8672"), n, 64, reps)
