@@ -36,7 +36,7 @@ _MAX_PREC = 8192
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
 # largest jval working precision prec + 2 ceil(mag) + 32, 2^mag = 1/|q| at the
-# reduced point: j at 131072 bits takes about 2 s on one core
+# reduced point: j at 131072 bits takes about 1.6 s on one core
 _MAX_JVAL_WORK = 2**17
 # largest |disc| of a class polynomial (|4D| for certify and attract): the reduced
 # forms take O(|disc|) steps to enumerate, about 1.6 s at 4 * 10^7 on one core
@@ -46,7 +46,8 @@ _MAX_CLASS_DISC = 40_000_000
 # about 2 s on one core
 _MAX_HCP_BITS = 700_000
 # largest working precision of the certify j evaluation at the attractor root:
-# 32768 bits with a class polynomial at the cap above take about 2 s on one core
+# 32723 bits with h c = 538 704 (certify --p2 3 --q2 2248 --pq 1) take about
+# 1.7 s on one core
 _MAX_CERTIFY_WORK = 2**15
 # largest resolve step count: 300 000 steps take about 1.7 s on one core
 _MAX_HJ_STEPS = 300_000

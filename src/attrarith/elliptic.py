@@ -29,14 +29,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (
-    from_man_exp, from_rational, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, mpf_cos_sin_pi,
-    round_nearest, to_fixed,
-)
+from mpmath.libmp import (from_man_exp, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, round_nearest,
+                          to_fixed)
 
 from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _frame, _mul, _theta
+from .modular import _cos_sin_pi, _frame, _mul, _render, _sqr, _theta
 
 __all__ = [
     "WeierstrassModel",
@@ -108,7 +106,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     Neither delta nor j is formed from the cancelling expressions on the
     left, which lose about mag bits, 2^mag = 1/|q| at tau'.  The kernel runs
     at wp = prec + ceil(mag) + 96 bits on the exact tau', which is never
-    rendered; only tau and mu are, at wp.  Its bound on Delta is
+    rendered; only mu is, at wp, and tau only when it is not a
+    QuadraticSurd, to give source_tau.  Its bound on Delta is
     dd u < 2.8 2^-wp (derived for j_value_with_bound), and |Delta| > 0.9 |q|
     on the fundamental domain, so the kernel's Delta has relative error
     below 3.2 2^(mag-wp) <= 2^-(prec+94); mu^12, (2 pi)^12 and the quotient,
@@ -123,7 +122,7 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     frame = _frame(tau, prec)
     wp = prec + math.ceil(frame.mag) + 96
-    z, mu = frame.point(wp)
+    mu = frame.mu_at(wp)
     th = _theta(frame, wp)
     with mp.workprec(wp):
         (e4, _), (e6, _), (dk, _) = th.e4(), th.e6(), th.delta()
@@ -134,7 +133,7 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     with mp.workprec(prec):
         return WeierstrassModel(
             A=+a, B=+b, delta=+delta, j=+jv,
-            source_tau=tau if isinstance(tau, QuadraticSurd) else +z,
+            source_tau=tau if isinstance(tau, QuadraticSurd) else +_render(frame.tau, wp),
             scale=mp.mpc(1), precision_bits=prec,
         )
 
@@ -259,7 +258,7 @@ class _Row(NamedTuple):
         cr, ci = one - u[0], -u[1]
         nrm = (cr * cr + ci * ci) >> F
         r = (cr << F) // nrm, (-ci << F) // nrm
-        ur2 = _mul(u, _mul(r, r, F), F)
+        ur2 = _mul(u, _sqr(r, F), F)
         yr, yi = _mul(ur2, _mul((one + u[0], u[1]), r, F), F)
         return (ur2[0] + (x0 >> F), ur2[1] + (x1 >> F)), (yr + (y0 >> F), yi + (y1 >> F))
 
@@ -267,12 +266,12 @@ class _Row(NamedTuple):
 def _torsion_kernel(frame, n: int, m_max: int, wp: int) -> _TorsionKernel:
     """The tables for order n at the frame's reduced point, m_max the longest
     sum, with the fractional bits F that the torsion_points rounding bound
-    sets.  alpha comes from the frame's exact integers and zeta from cos and
-    sin at F + 8 bits, each floored to F bits from within 0.03 units."""
+    sets.  alpha comes from the frame's exact integers and zeta from
+    modular._cos_sin_pi at F + 8 bits, each floored to F bits from within
+    0.03 units."""
     F = wp + max(3 * math.ceil(math.log2(m_max + 1)), 5 * math.ceil(math.log2(n))) + 8
     alpha = frame.expjpi(Fraction(2, n), F)
-    zeta = tuple(to_fixed(v, F) for v in mpf_cos_sin_pi(
-        from_rational(2, n, F + 8, round_nearest), F + 8, round_nearest))
+    zeta = tuple(to_fixed(v, F) for v in _cos_sin_pi(2, n, F + 8))
     apow = _powers(alpha, n + n // 2, F)
     d, t = _lambert_table(apow[n], m_max, F)
     return _TorsionKernel(n, F, apow, _powers(zeta, n - 1, F), d, t)
@@ -333,8 +332,10 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     Rounding.  Everything runs on (re, im) integers scaled by 2^F, and is
     measured against the series at the exact alpha and zeta.  With
     eps = 2^-F, each input is floored from within 0.03 eps of exact
-    (_Frame.expjpi derives it for alpha; zeta's cos and sin at F + 8 bits are
-    each within one ulp), so it errs by at most (sqrt(2) + 0.03) eps, and
+    (_Frame.expjpi derives it for alpha; for zeta, modular._cos_sin_pi
+    floors the reduced angle to F + 8 fractional bits, which moves cos and
+    sin by less than pi 2^-(F+8), and each is within one ulp, 2^-(F+8), of
+    the floored angle's), so it errs by at most (sqrt(2) + 0.03) eps, and
     each truncated complex product by at most sqrt(2) eps; the bases have
     modulus at most 1, so the k-th power errs by less than
     (2 sqrt(2) + 0.03) k eps < 3k eps.  Powers up to 3n/2 of alpha and n - 1
@@ -385,7 +386,7 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     prec = model.precision_bits
     wp = prec + 96
     frame = _frame(model.source_tau, prec)
-    _, mu = frame.point(wp)
+    mu = frame.mu_at(wp)
     (ma, mb), (mc, md) = frame.mat
     layout = []   # (source coords, representative, sign of y)
     rows = {}     # reduced row ar -> the br of its representatives

@@ -9,13 +9,16 @@ factor are exact integers), three sparse theta sums of O(sqrt(bits)) terms
 give all three forms, each sum with a proven geometric tail bound and a
 rounding bound, inside a working precision chosen from the reduced height.
 Only r = e^(pi i tau') comes from mpmath, through mpmath.libmp straight from
-the integers of tau', which is never rendered: the sums, their fourth powers
-and j = E4^3/Delta run on fixed-point Python integers (the product _mul also
-serves the torsion kernel in elliptic), each power r^n
-carried only to the bits that can still reach the result, and j converts to
-mpc once.  The exact integer q-expansions
-(divisor sums, and the discriminant series extracted from (E4^3 - E6^2)/1728
-by exact division) stay available as eisenstein_series and delta_series; no
+the integers of tau', which is never rendered; its angle is reduced exactly
+on those integers to at most pi/4 and rotated back by a power of i
+(_cos_sin_pi, which also gives e^(2 pi i/n) to the torsion kernel), so
+mpmath's cos and sin run at the precision asked for.  The sums, their fourth
+powers and j = E4^3/Delta run on fixed-point Python integers (the products
+_mul and _sqr also serve the torsion kernel in elliptic; a square takes two
+integer multiplications), each power r^n carried only to the bits that can
+still reach the result, and j converts to mpc once.  The exact integer
+q-expansions (divisor sums, and the discriminant series extracted from
+(E4^3 - E6^2)/1728 by exact division) stay available as eisenstein_series and delta_series; no
 evaluation uses them.  On top of j sit Hilbert class polynomials, with one j
 evaluation per pair of complex-conjugate roots and the product formed on
 integers, and the algebraic-integer certificate for attractor points.  Their
@@ -38,8 +41,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, pi_fixed, round_nearest,
-                          to_fixed)
+from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_neg, pi_fixed,
+                          round_nearest, to_fixed)
 
 from .arith import (BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form,
                     squarefree_decompose)
@@ -149,10 +152,43 @@ def _mul(x, y, F: int):
     return (xr * yr - xi * yi) >> F, (xr * yi + xi * yr) >> F
 
 
+def _sqr(z, F: int):
+    """z^2 in fixed point from two integer products: the same integers as
+    _mul(z, z, F), since x_r^2 - x_i^2 = (x_r + x_i)(x_r - x_i) and the
+    floor of 2 x_r x_i 2^-F is that of x_r x_i 2^-(F-1)."""
+    xr, xi = z
+    return ((xr + xi) * (xr - xi)) >> F, (xr * xi) >> (F - 1)
+
+
 def _fourth(z, F: int):
     """z^4 as a square squared, in fixed point."""
-    z2 = _mul(z, z, F)
-    return _mul(z2, z2, F)
+    return _sqr(_sqr(z, F), F)
+
+
+def _cos_sin_pi(a: int, b: int, p: int):
+    """cos and sin of pi a/b for integers a and b > 0, as mpfs at p bits.
+
+    With k = floor((4a + b)/(2b)), a/b = k/2 + d and -1/4 <= d < 1/4.  d is
+    floored to p fractional bits on integers, which errs by less than 2^-p,
+    as flooring a/b itself would; mpmath takes cos and sin of pi d, each
+    within one ulp, and the rotation by i^k that gives those of pi a/b is
+    exact.  mpmath is handed d alone, never more than 1/4 in modulus: given
+    an angle whose nearest half-integer lies above it, mpf_cos_sin_pi
+    subtracts that half-integer into a negative mantissa, which the
+    pure-Python backend's bitcount counts as 0 bits, and then works at about
+    twice the precision asked for.  Do not hand it a/b unreduced.
+    """
+    k = (4 * a + b) // (2 * b)
+    d = ((2 * a - k * b) << p) // (2 * b)
+    c, s = mpf_cos_sin_pi(from_man_exp(d, -p), p, round_nearest)
+    k %= 4
+    if k == 1:
+        return mpf_neg(s), c
+    if k == 2:
+        return mpf_neg(c), mpf_neg(s)
+    if k == 3:
+        return s, mpf_neg(c)
+    return c, s
 
 
 class _Theta(NamedTuple):
@@ -174,14 +210,14 @@ class _Theta(NamedTuple):
     def e4_fixed(self):
         """E4 = (theta_2^8 + theta_3^8 + theta_4^8)/2 and its bound, in fixed point."""
         F = self.F
-        (ar, ai), (br, bi), (cr, ci) = (_mul(t, t, F) for t in (self.t2, self.t3, self.t4))
+        (ar, ai), (br, bi), (cr, ci) = (_sqr(t, F) for t in (self.t2, self.t3, self.t4))
         return ((ar + br + cr) >> 1, (ai + bi + ci) >> 1), 5 * self.err
 
     def delta_fixed(self):
         """Delta = (theta_2 theta_3 theta_4)^8/256 = q S2^8 theta_3^8 theta_4^8."""
         F = self.F
         t = _mul(_mul(self.t2, self.t3, F), self.t4, F)
-        tr, ti = _mul(t, t, F)
+        tr, ti = _sqr(t, F)
         return (tr >> 8, ti >> 8), (self.err + 3) // 4
 
     def e4(self):
@@ -368,7 +404,7 @@ class _Frame(NamedTuple):
     unless the matrix is the identity, also mu = c tau + d as such a triple.
 
     tau' is never rendered: expjpi takes e^(pi i m tau') straight from red,
-    and point renders only tau and mu."""
+    and mu_at renders only mu."""
 
     tau: object
     mat: tuple
@@ -388,15 +424,20 @@ class _Frame(NamedTuple):
         modulus e^(-y) is below 2^-k, k = floor(m mag/2) less a 10^-9
         relative margin (far above the float error of mag), so each factor
         needs only p = bits + 9 - k bits, at least 16, for the product to
-        reach 2^-(bits+9).  x and t are floored to p fractional bits from
-        the exact integers (t by an integer square root and one floor
-        division, which together floor once), and y = pi t takes pi with
-        enough guard bits that it errs by less than 4.7 2^-p in all: that
-        moves e^(-y) by less than 4.8 2^-p relative, and mpmath's exponential
-        at p bits adds one ulp, 2^-(p-1).  The angle errs by pi 2^-p and
-        mpmath's cos and sin by one ulp each, at most 2^-p, so the unit
-        vector is within 4.6 2^-p.  The products with the unit vector are
-        exact, so before the floor the pair is within
+        reach 2^-(bits+9).  t is floored to p fractional bits from the exact
+        integers, by an integer square root and one floor division, which
+        together floor once, and y = pi t takes pi with enough guard bits
+        that it errs by less than 4.7 2^-p in all: that moves e^(-y) by less
+        than 4.8 2^-p relative, and mpmath's exponential at p bits adds one
+        ulp, 2^-(p-1).  The angle goes through _cos_sin_pi: x is split
+        exactly on the integers into k/2 + d with |d| <= 1/4, d is floored
+        to p fractional bits, and cos and sin of pi d are rotated by i^k,
+        exactly.  That errs by pi 2^-p in the angle, as flooring x itself
+        would, and mpmath's cos and sin by one ulp each, at most 2^-p, so
+        the unit vector is within 4.6 2^-p.  (Handed x unreduced, mpmath
+        works at about 2p bits for about half of all tau'; see _cos_sin_pi.)
+        The products with the unit vector are exact, so before the floor the
+        pair is within
         2^-k (6.8 + 4.6 + 10^-3) 2^-p < 12 2^-(bits+9) < 0.024 units of
         2^-bits.  Absolute error in y is what counts, so y's guard bits
         are the only ones that grow with the height.
@@ -411,18 +452,19 @@ class _Frame(NamedTuple):
         t = math.isqrt((num * s) ** 2 * -self.disc << 2 * p) // den
         w = max(p, t.bit_length()) + 2
         e = mpf_exp(from_man_exp(-(t * pi_fixed(w) >> w), -p), p, round_nearest)
-        c, sn = mpf_cos_sin_pi(from_man_exp((num * r << p) // den, -p), p, round_nearest)
+        # not mpf_cos_sin_pi(x): for about half of all x, mpmath's pure-Python
+        # cos/sin reduces x into a negative mantissa and then runs at ~2p bits
+        c, sn = _cos_sin_pi(num * r, den, p)
         return to_fixed(mpf_mul(e, c), bits), to_fixed(mpf_mul(e, sn), bits)
 
-    def point(self, wp: int):
-        """(tau, mu) at wp bits, each rendered once from an exact value; mu = 1
-        for the identity.
+    def mu_at(self, wp: int):
+        """mu at wp bits, rendered once from its exact integers; 1 for the
+        identity.
 
         Raises PrecisionExhausted, before any rendering, when wp passes 10^7.
         """
         _require_tractable(wp)
-        z = _render(self.tau, wp)
-        return z, 1 if self.mu is None else _render_exact(*self.mu, self.disc, wp)
+        return 1 if self.mu is None else _render_exact(*self.mu, self.disc, wp)
 
 
 def _frame(tau, prec: int) -> _Frame:
@@ -529,7 +571,7 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     low = math.isqrt(norm)
     if not low > dd:
         raise PrecisionExhausted("cannot certify Delta away from zero")
-    cr, ci = _mul(_mul((er, ei), (er, ei), F), (er, ei), F)
+    cr, ci = _mul(_sqr((er, ei), F), (er, ei), F)
     jr, ji = ((cr * dr + ci * di) << F) // norm, ((ci * dr - cr * di) << F) // norm
     big_a = math.isqrt(er * er + ei * ei) + 1
     big_j = math.isqrt(jr * jr + ji * ji) + 3

@@ -286,6 +286,21 @@ class TestTorsionAtExactPoint:
         assert m.source_tau == tau and twist_model(m, 3).source_tau == tau
         assert isinstance(model_from_tau(mp.mpc(0.5, 1.5), 128).source_tau, mp.mpc)
 
+    def test_surd_source_never_rendered(self, monkeypatch):
+        # a surd source point reaches the model and the torsion points exactly:
+        # only mu is rendered, from its own integers
+        def fail(*args):
+            raise AssertionError("tau was rendered")
+
+        monkeypatch.setattr(QuadraticSurd, "to_mpc", fail)
+        monkeypatch.setattr("attrarith.modular._render", fail)
+        monkeypatch.setattr("attrarith.elliptic._render", fail)
+        tau = QuadraticSurd(3, 1, 10, -19)
+        assert _frame(tau, 128).mu is not None
+        m = model_from_tau(tau, 128)
+        for n in (2, 3, 5):
+            torsion_points(m, n)
+
     def test_matches_exact_point_256_bits_higher(self):
         # the points are taken at the exact surd that A, B and j belong to, so
         # they agree to within 2^-(prec-1) max(|z|, 1), two roundings to prec,

@@ -9,8 +9,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from attrarith import modular
 from attrarith.arith import QuadraticSurd, class_group_forms, reduce_form
 from attrarith.attractor import ChargeData
+from attrarith.elliptic import model_from_tau, torsion_points
 from attrarith.errors import (
     InvalidDiscriminant,
     NotAttractor,
@@ -21,9 +23,12 @@ from attrarith.errors import (
 )
 from attrarith.modular import (
     _IDENTITY,
+    _cos_sin_pi,
     _dyadic,
     _frame,
     _Frame,
+    _mul,
+    _sqr,
     _theta,
     certify_attractor_cm,
     delta_series,
@@ -127,8 +132,7 @@ class TestReduceToFundamental:
         frame = _frame(tau, 64)
         assert frame.mat == ((1, 0), (0, 1)) and frame.mu is None
         assert exact_reduced(frame, tau) == (tau, 1)
-        z, mu = frame.point(256)
-        assert z == tau.to_mpc(256) and mu == 1
+        assert frame.mu_at(256) == 1
 
     def test_rejects_lower_half_plane(self):
         for tau in (mp.mpc(0, -1), mp.mpc(3, 0), QuadraticSurd(0, -1, 2, -7)):
@@ -166,7 +170,7 @@ class TestReduceToFundamental:
             else:
                 assert red == reduce_root_exact(t)[0]
             with mp.workprec(200):
-                mu_z = frame.point(192)[1]
+                mu_z = frame.mu_at(192)
                 if frame.mu is not None:
                     want = mu.to_mpc(200)
                     assert abs(mu_z - want) <= abs(want) * mp.mpf(2) ** -189
@@ -186,6 +190,18 @@ class TestFrameExponential:
     """_Frame.expjpi: e^(pi i m tau') from the frame's exact integers."""
 
     LOW, HIGH = -mp.mpf("1.03"), mp.mpf("0.03")
+
+    @pytest.fixture(autouse=True)
+    def angles(self, monkeypatch):
+        # every angle handed to mpmath's cos/sin in these tests: given one
+        # whose nearest half-integer lies above it, mpmath works at about
+        # twice the precision, so each must be reduced to |x| <= 1/4 first
+        seen = []
+        cos_sin_pi = modular.mpf_cos_sin_pi
+        monkeypatch.setattr(modular, "mpf_cos_sin_pi",
+                            lambda x, *a: seen.append(mp.make_mpf(x)) or cos_sin_pi(x, *a))
+        yield seen
+        assert all(abs(x) <= 0.25 for x in seen)
 
     def check(self, frame, m, bits):
         # floored from within 0.03 units of exact, as the docstring states
@@ -224,6 +240,31 @@ class TestFrameExponential:
             self.check(frame, Fraction(1), bits)
             self.check(frame, Fraction(2, rng.randrange(2, 51)), bits)
 
+    def test_rotated_quadrants(self):
+        # Re tau' in (-1/2, -1/4) and in (1/4, 1/2), the angles that
+        # _cos_sin_pi reduces by -1/2 and by 1/2 and rotates back by i^-1 and i
+        rng = random.Random(1601)
+        taus = [QuadraticSurd(b, 1, 2 * a, b * b - 4 * a * c) for a, b, c in
+                ((3, 2, 5), (3, -2, 5), (4, 3, 5), (4, -3, 5), (7, 6, 9), (7, -6, 9))]
+        with mp.workprec(80):
+            taus += [mp.mpc(sign * rng.uniform(0.26, 0.49), rng.uniform(1, 3))
+                     for sign in (1, -1) for _ in range(4)]
+        for tau in taus:
+            frame = _frame(tau, 80)
+            r, _, n = frame.red
+            assert frame.mu is None and 1 < 4 * abs(r) / n < 2
+            for bits in (64, 1024, 8192):
+                self.check(frame, Fraction(1), bits)
+
+    def test_torsion_angles_reduced(self, angles):
+        # alpha and zeta reach mpmath's cos/sin once each per call, through
+        # _cos_sin_pi; the fixture checks every angle
+        model = model_from_tau(QuadraticSurd(3, 1, 10, -19), 128)
+        for n in range(2, 8):
+            before = len(angles)
+            torsion_points(model, n)
+            assert len(angles) == before + 2
+
     def test_refused_past_the_precision_cap(self):
         frame = _frame(mp.mpc(0, 1), 64)
         with pytest.raises(PrecisionExhausted):
@@ -240,6 +281,30 @@ class TestFrameExponential:
             hilbert_class_polynomial(disc)
         for tau in (QuadraticSurd(3, 1, 2, -7), mp.mpc("-7.3", "0.05")):
             j_value_with_bound(tau, 128)
+
+
+class TestFixedPointHelpers:
+    def test_square_matches_product(self):
+        rng = random.Random(1602)
+        for _ in range(2000):
+            F = rng.randrange(1, 600)
+            z = tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, F + 4))
+                      for _ in range(2))
+            assert _sqr(z, F) == _mul(z, z, F), (z, F)
+
+    def test_cos_sin_pi_every_quadrant(self):
+        # cos and sin of pi a/b within (pi + 1) 2^-p: the reduced angle floored
+        # to p fractional bits, then one ulp each; exact at multiples of 1/2
+        for p in (16, 64, 300):
+            for b in range(1, 13):
+                for a in range(-4 * b, 4 * b + 1):
+                    c, s = (mp.make_mpf(v) for v in _cos_sin_pi(a, b, p))
+                    with mp.workprec(p + 64):
+                        x = mp.mpf(a) / b
+                        tol = (mp.pi + 1) * mp.mpf(2) ** -p
+                        assert abs(c - mp.cospi(x)) <= tol and abs(s - mp.sinpi(x)) <= tol
+                    if (2 * a) % b == 0:
+                        assert (c, s) == (mp.cospi(x), mp.sinpi(x)), (a, b)
 
 
 class TestJValue:
