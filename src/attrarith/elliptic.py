@@ -1,10 +1,21 @@
 """Weierstrass models, analytic torsion points, and the Weber function.
 
-The curve attached to tau is y^2 = x^3 + Ax + B with A = -g2/4, B = -g3/4
-built from E4 and E6 of the modular theta kernel, and its discriminant and j
-come from the same kernel's Delta, as j_value does, so neither is a
-difference of large terms.  The fundamental-domain frame (reduction matrix,
-reduced point and covariance factor mu) is modular._frame, the one j uses.
+The curve attached to tau is y^2 = x^3 + Ax + B with A = -g2/4, B = -g3/4,
+and every field and point comes from one value, lam = 2 pi i/mu, mu the
+covariance factor of the fundamental-domain frame (modular._frame, the one
+j uses), and from integers of the modular theta kernel at the reduced point
+tau':
+
+    A = -lam^4 E4/48,   B = lam^6 E6/864,   delta = lam^12 Delta,
+    x = lam^2 X,        y = lam^3 Y/2,
+
+with X = p/(2 pi i)^2 and Y = p'/(2 pi i)^3 at tau' (lam times the twist
+scale for a twisted model).  _Frame.lam takes lam from mu's exact integers
+in fixed point; its powers and their products with the kernel's integers
+are exact, and each component is rounded to the model's precision once.
+delta and j = E4^3/Delta come from the kernel's Delta, as j_value does, so
+neither is a difference of large terms; j is the kernel's fixed-point
+quotient that j_value_with_bound forms.
 Torsion points come from the Lambert form of the q-series for the
 Weierstrass functions at the reduced point, taken at the model's source
 point (an exact QuadraticSurd stays one).  Every input of the series is a
@@ -13,11 +24,11 @@ straight from the exact integers of tau', and e^(2 pi i/n), both in fixed
 point.  The Lambert sums depend on a point only through its reduced row
 and, by a power of e^(2 pi i/n), through m mod n: each row sums its terms
 once into n buckets, and each pair +-P folds the buckets with its powers of
-e^(2 pi i/n) and adds its leading term, all on fixed-point integers; the
-scaling back through mu is exact on integers, and each component is
-rounded to the model's precision once.
+e^(2 pi i/n) and adds its leading term, all on fixed-point integers.
 Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
-is the case selection that cancels exactly that freedom.
+is the case selection that cancels exactly that freedom: its constant is
+an exact quotient of the fields' integers, and constant * x^k is formed
+exactly and rounded once.
 """
 
 from __future__ import annotations
@@ -29,12 +40,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, mpc_mul, mpc_neg, mpc_pos, mpc_pow_int, round_nearest,
-                          to_fixed)
+from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest, to_fixed
 
 from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _cos_sin_pi, _frame, _mul, _render, _sqr, _theta
+from .modular import (_cos_sin_pi, _frame, _j_fixed, _mul, _quotient_pair, _render, _sqr,
+                      _theta)
 
 __all__ = [
     "WeierstrassModel",
@@ -64,25 +75,30 @@ class WeierstrassModel:
 
     @cached_property
     def weber_case(self):
-        """(constant, k) of the Weber function constant * x^k.
+        """(constant, k) of the Weber function constant * x^k, the constant as
+        integers ((re, im), e) with value (re + im i) 2^e.
 
         Generic curves use (AB/delta, 1); j = 1728 uses (A^2/delta, 2); j = 0
-        uses (B/delta, 3), each decided within 2^-(prec/4).  Both
-        degeneracies at once is impossible, so that signals the model's
-        precision is broken.
+        uses (B/delta, 3), each decided within 2^-(prec/4) on the exact
+        integers of j.  Both degeneracies at once is impossible, so that
+        signals the model's precision is broken.  The constant is the exact
+        quotient of the fields' integers floored to within relative
+        2^-(prec+32).
         """
-        tol = mp.mpf(2) ** (-(self.precision_bits // 4))
-        j_is_zero = abs(self.j) < tol
-        j_is_1728 = abs(self.j - 1728) < tol
+        prec = self.precision_bits
+        j_is_zero = _within(self.j, 0, prec // 4)
+        j_is_1728 = _within(self.j, 1728, prec // 4)
         if j_is_zero and j_is_1728:
             raise AmbiguousCase(
                 "model j is within tolerance of both 0 and 1728; raise precision")
-        with mp.workprec(max(self.precision_bits, 53) + 32):
-            if j_is_1728:
-                return self.A**2 / self.delta, 2
-            if j_is_zero:
-                return self.B / self.delta, 3
-            return self.A * self.B / self.delta, 1
+        a, b, delta = _man_exp(self.A), _man_exp(self.B), _man_exp(self.delta)
+        if j_is_1728:
+            num, k = _exact_product(a, a), 2
+        elif j_is_zero:
+            num, k = b, 3
+        else:
+            num, k = _exact_product(a, b), 1
+        return _quotient(num, delta, max(prec, 53) + 32), k
 
 
 @dataclass(frozen=True)
@@ -97,42 +113,60 @@ class TorsionPoint:
 def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     """Curve y^2 = x^3 + Ax + B of the lattice Z + Z tau, at prec bits.
 
-    With tau' = (a tau + b)/mu the reduced point, mu = c tau + d and E4, E6,
-    Delta the theta kernel's values at tau':
+    With tau' = (a tau + b)/mu the reduced point, mu = c tau + d, E4, E6 and
+    Delta the theta kernel's values at tau' and lam = 2 pi i/mu:
 
-        A = -g2/4 = -(pi^4/3) E4/mu^4,   B = -g3/4 = -(2 pi^6/27) E6/mu^6,
-        delta = -16 (4A^3 + 27B^2) = (2 pi)^12 Delta/mu^12,   j = E4^3/Delta.
+        A = -g2/4 = -lam^4 E4/48,   B = -g3/4 = lam^6 E6/864,
+        delta = -16 (4A^3 + 27B^2) = lam^12 Delta,   j = E4^3/Delta,
 
-    Neither delta nor j is formed from the cancelling expressions on the
-    left, which lose about mag bits, 2^mag = 1/|q| at tau'.  The kernel runs
-    at wp = prec + ceil(mag) + 96 bits on the exact tau', which is never
-    rendered; only mu is, at wp, and tau only when it is not a
-    QuadraticSurd, to give source_tau.  Its bound on Delta is
-    dd u < 2.8 2^-wp (derived for j_value_with_bound), and |Delta| > 0.9 |q|
-    on the fundamental domain, so the kernel's Delta has relative error
-    below 3.2 2^(mag-wp) <= 2^-(prec+94); mu^12, (2 pi)^12 and the quotient,
-    a few roundings at wp each, keep delta within relative 2^-(prec+90) at
-    every height.  In j the kernel's E4 error d4 u < 55 2^-wp, with
-    |E4| < 2.1, adds at most 3 (2.1)^2 55 2^-wp/(0.89 |q|) < 820 2^(mag-wp)
-    <= 2^-(prec+86), so j is within 2^-(prec+86) (1 + |j|).  A height that
-    would need more than 10^7 bits raises PrecisionExhausted before any
-    computing.
+    as lam^4 = 16 pi^4/mu^4, lam^6 = -64 pi^6/mu^6 and
+    lam^12 = (2 pi)^12/mu^12.  Neither delta nor j is formed from the
+    cancelling expressions on the left, which lose about mag bits,
+    2^mag = 1/|q| at tau'.  The kernel runs at wp = prec + ceil(mag) + 96
+    bits on the exact tau', and lam comes from mu's exact integers
+    (_Frame.lam) within relative 2^-(wp+1), so lam^k is within relative
+    e_k = (1 + 2^-(wp+1))^k - 1 < 0.51 k 2^-wp; nothing is rendered but tau
+    when it is not a QuadraticSurd, to give source_tau.  The powers of lam
+    and their products with the kernel's integers are exact, and each
+    component of A, B and delta is rounded to prec bits once (A and B with
+    their division by 48 and 864); j is the kernel's fixed-point quotient
+    E4^3/Delta, the one j_value_with_bound forms, rounded to prec bits once.
+
+    Bounds before that rounding, with u = 2^-F the kernel's unit:
+    - delta.  The kernel's Delta errs by dd u < 2.8 2^-wp (derived for
+      j_value_with_bound), and |Delta| > 0.9 |q| on the fundamental domain,
+      so by less than 3.2 2^(mag-wp) <= 3.2 2^-(prec+96) relative; with
+      e_12 < 6.2 2^-wp, delta is within relative 2^-(prec+92).
+    - A.  E4 errs by d4 u < 55 2^-wp, so A is within
+      (1 + e_4) 55 2^-wp |lam|^4/48 + e_4 |A| <= 2^-(prec+90) (|A| + L4),
+      L4 = |lam|^4/48 = pi^4/(3 |mu|^4), however small E4 is.
+    - B.  E6 errs by 27 err u < 297 2^-wp, so B is within
+      2^-(prec+87) (|B| + L6), L6 = |lam|^6/864 = 2 pi^6/(27 |mu|^6).
+    - j.  E4's error, with |E4| < 2.1, adds at most
+      3 (2.1)^2 55 2^-wp/(0.89 |q|) < 820 2^(mag-wp) <= 2^-(prec+86), so j is
+      within 2^-(prec+86) (1 + |j|).
+    Rounding each component to nearest then moves a field z by at most
+    2^-prec of its modulus.  A height that would need more than 10^7 bits
+    raises PrecisionExhausted (from _Frame.lam) before any computing.
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     frame = _frame(tau, prec)
     wp = prec + math.ceil(frame.mag) + 96
-    mu = frame.mu_at(wp)
+    lam, e = frame.lam(wp)
     th = _theta(frame, wp)
-    with mp.workprec(wp):
-        (e4, _), (e6, _), (dk, _) = th.e4(), th.e6(), th.delta()
-        a = -mp.pi**4 / 3 * e4 / mu**4
-        b = -2 * mp.pi**6 / 27 * e6 / mu**6
-        delta = (2 * mp.pi) ** 12 * dk / mu**12
-        jv = e4**3 / dk
+    F = th.F
+    e4, e6, dk = th.e4_fixed()[0], th.e6_fixed()[0], th.delta_fixed()[0]
+    l2 = _mul(lam, lam, 0)
+    l4 = _mul(l2, l2, 0)
+    l6 = _mul(l4, l2, 0)
+    jv, _ = _j_fixed(e4, dk, F)
     with mp.workprec(prec):
         return WeierstrassModel(
-            A=+a, B=+b, delta=+delta, j=+jv,
+            A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
+            B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
+            delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - F, prec),
+            j=_rounded(jv, -F, prec),
             source_tau=tau if isinstance(tau, QuadraticSurd) else +_render(frame.tau, wp),
             scale=mp.mpc(1), precision_bits=prec,
         )
@@ -150,7 +184,8 @@ def _lambert_table(q, count: int, F: int):
     """d_m = m/(1 - q^m) for 1 <= m <= count (d[0] unused) and T = sum (d_m - m).
 
     q and the results are fixed-point complex pairs with F fractional bits;
-    d_m - m = m q^m/(1 - q^m), so T = sum d_m q^m.
+    d_m - m = m q^m/(1 - q^m), so T = sum d_m q^m.  Once q^m floors to zero
+    every later power does too, and d_m = m exactly, with no division.
     """
     one = 1 << F
     qr, qi = q
@@ -158,6 +193,9 @@ def _lambert_table(q, count: int, F: int):
     d, t0, t1 = [None], 0, 0
     for m in range(1, count + 1):
         pr, pi = (pr * qr - pi * qi) >> F, (pr * qi + pi * qr) >> F
+        if not (pr or pi):
+            d += [(k << F, 0) for k in range(m, count + 1)]
+            break
         cr, ci = one - pr, -pi
         nrm = (cr * cr + ci * ci) >> F
         dr, di = m * ((cr << F) // nrm), m * ((-ci << F) // nrm)
@@ -188,10 +226,49 @@ def _bucket_sums(b, d, count: int, n: int, F: int):
 
 
 def _man_exp(z):
-    """A nonzero mpc z as integers ((re, im), e) with z = (re + im i) 2^e."""
-    parts = [(-man if sign else man, exp) for sign, man, exp, _ in z._mpc_]
-    e = min(exp for man, exp in parts if man)
-    return tuple(man << (exp - e) if man else 0 for man, exp in parts), e
+    """An mpc z as integers ((re, im), e) with z = (re + im i) 2^e."""
+    (s0, m0, e0, _), (s1, m1, e1, _) = z._mpc_
+    if s0:
+        m0 = -m0
+    if s1:
+        m1 = -m1
+    if not m1:
+        return (m0, 0), e0
+    if not m0:
+        return (0, m1), e1
+    e = min(e0, e1)
+    return (m0 << (e0 - e), m1 << (e1 - e)), e
+
+
+def _exact_product(x, y):
+    """The exact product of two values ((re, im), e) held as integers."""
+    return _mul(x[0], y[0], 0), x[1] + y[1]
+
+
+def _quotient(x, y, bits: int):
+    """x/y for values ((re, im), e) held as integers, y nonzero, as such a
+    value within relative 2^-bits: x conj(y) over the norm of y."""
+    ((xr, xi), ex), ((yr, yi), ey) = x, y
+    q, e = _quotient_pair((xr * yr + xi * yi, xi * yr - xr * yi), yr * yr + yi * yi, bits)
+    return q, e + ex - ey
+
+
+def _rounded(z, e: int, prec: int, d: int = 1):
+    """The mpc (re + im i) 2^e/d for an integer pair z = (re, im) and a
+    nonzero integer d, each component rounded to nearest at prec bits once."""
+    if d == 1:
+        return mp.make_mpc(tuple(from_man_exp(v, e, prec, round_nearest) for v in z))
+    den = from_int(d)
+    return mp.make_mpc(tuple(mpf_div(from_man_exp(v, e), den, prec, round_nearest) for v in z))
+
+
+def _within(z, c: int, t: int) -> bool:
+    """|z - c| < 2^-t for an mpc z and an integer c, decided on z's integers."""
+    (zr, zi), e = _man_exp(z)
+    g = min(e, 0)
+    norm = ((zr << (e - g)) - (c << -g)) ** 2 + (zi << (e - g)) ** 2
+    s = -2 * (t + g)   # |z - c|^2 = norm 2^(2g) < 2^(-2t) iff norm < 2^s
+    return norm < 1 << s if s >= 0 else norm == 0
 
 
 def _powers(z, count: int, F: int):
@@ -219,8 +296,10 @@ class _TorsionKernel(NamedTuple):
         of the w sums: G_k = V_k + W_(-k mod n) and H_k = V'_k - W'_(-k mod n),
         floored to 2^-F, with 1/12 - 2T added to G_0."""
         n, F, apow = self.n, self.F, self.apow
-        v0, v1, dv0, dv1 = _bucket_sums(apow[n + ar], self.d, cv, n, F)
-        w0, w1, dw0, dw1 = _bucket_sums(apow[n - ar], self.d, cw, n, F)
+        v = _bucket_sums(apow[n + ar], self.d, cv, n, F)
+        # in row 0 the w sums have the v sums' base, q, and their length
+        w = v if ar == 0 and cv == cw else _bucket_sums(apow[n - ar], self.d, cw, n, F)
+        (v0, v1, dv0, dv1), (w0, w1, dw0, dw1) = v, w
 
         def fold(a, b, sign):
             return [(a[k] + sign * b[-k % n]) >> F for k in range(n)]
@@ -283,7 +362,8 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     Coordinates (a/n, b/n) refer to the lattice of source_tau; internally the
     point is moved to the reduced lattice of tau' by the unimodular change of
     basis, to reduced coordinates (ar, br) in [0, n), and evaluated there,
-    then scaled back by lam = scale/mu: x = lam^2 p(z), y = lam^3 p'(z)/2.
+    then scaled back by lam = 2 pi i scale/mu: x = lam^2 X and y = lam^3 Y/2,
+    X = p/(2 pi i)^2 and Y = p'/(2 pi i)^3 on the reduced lattice.
 
     Parity.  p is even and p' is odd, so only one point of each pair +-P is
     evaluated: the one with ar <= n/2, and br <= n/2 when ar is 0 or n/2.
@@ -313,7 +393,8 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     Y = u(1+u)/(1-u)^3 + sum_k zeta^(br k mod n) H_k.  The table d_m and
     T = sum d_m q^m are built once per call, the buckets once per reduced
     row ar, by one walk over the powers of alpha^(n+ar) and one over those
-    of alpha^(n-ar), and each point adds to its leading terms two products
+    of alpha^(n-ar) (in row 0 both bases are q, with the same count, and one
+    walk serves both), and each point adds to its leading terms two products
     per nonzero bucket, of which there are at most min(n, cv + cw + 1), cv
     and cw the lengths of the v and w sums.  X and Y
     are formed whole on fixed-point integers and are scaled back on integers.
@@ -373,20 +454,21 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     13 2^-(wp+8) < 2^-(wp+4) of the truncated series; with the tails (four
     units of 2^-(wp+3) in X, two in Y) they are within 2^-wp of the exact
     series.  The 96 bits between wp and the returned precision absorb that
-    and the scaling by cx = (2 pi i scale/mu)^2 and
-    cy = cx (2 pi i scale/mu)/2, formed at wp once per call, with mu rendered
-    at wp from its exact integers, and taken as integer pairs with one
-    exponent each: the products with X and Y are exact, and each component
-    of x and y is rounded to prec once, once per pair +-P.  Rounding to
-    nearest is symmetric, so the partner's -y has the bits that rounding -y
-    itself would give.
+    and the scaling: lam is 2 pi i/mu from mu's exact integers (_Frame.lam,
+    within relative 2^-(wp+1)) times the exact integers of scale, so lam^2
+    and lam^3/2, exact integer products, are within relative 1.01 2^-wp and
+    1.51 2^-wp of (2 pi i scale/mu)^2 and (2 pi i scale/mu)^3/2; the
+    products with X and Y are exact too, and each component of x and y is
+    rounded to prec once, once per pair +-P.  Rounding to nearest is
+    symmetric, so the partner's -y has the bits that rounding -y itself
+    would give.
     """
     if n < 2:
         raise OutOfRange(f"torsion order must be >= 2, got {n}")
     prec = model.precision_bits
     wp = prec + 96
     frame = _frame(model.source_tau, prec)
-    mu = frame.mu_at(wp)
+    lam, e = _exact_product(frame.lam(wp), _man_exp(model.scale))
     (ma, mb), (mc, md) = frame.mat
     layout = []   # (source coords, representative, sign of y)
     rows = {}     # reduced row ar -> the br of its representatives
@@ -407,23 +489,16 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     counts = {ar: (_lambert_count((1 + ar / n) * frame.mag, wp),
                    _lambert_count((1 - ar / n) * frame.mag, wp)) for ar in rows}
     kernel = _torsion_kernel(frame, n, max(cw for _, cw in counts.values()), wp)
-    with mp.workprec(wp):
-        tp = 2j * mp.pi * mp.mpc(model.scale) / mu
-        cx = tp * tp
-        cy = cx * tp / 2
-    (cx0, cx1), ex = _man_exp(cx)
-    (cy0, cy1), ey = _man_exp(cy)
-    ex, ey = ex - kernel.F, ey - kernel.F
+    cx = _mul(lam, lam, 0)
+    cy = _mul(cx, lam, 0)
+    ex, ey = 2 * e - kernel.F, 3 * e - 1 - kernel.F
     values = {}
     for ar, brs in rows.items():
         row = kernel.row(ar, *counts[ar])
         for br in brs:
-            (x0, x1), (y0, y1) = row.at(br)
-            x = (from_man_exp(cx0 * x0 - cx1 * x1, ex, prec, round_nearest),
-                 from_man_exp(cx0 * x1 + cx1 * x0, ex, prec, round_nearest))
-            y = (from_man_exp(cy0 * y0 - cy1 * y1, ey, prec, round_nearest),
-                 from_man_exp(cy0 * y1 + cy1 * y0, ey, prec, round_nearest))
-            values[(ar, br)] = mp.make_mpc(x), mp.make_mpc(y), mp.make_mpc(mpc_neg(y))
+            xs, ys = row.at(br)
+            x, y = _rounded(_mul(cx, xs, 0), ex, prec), _rounded(_mul(cy, ys, 0), ey, prec)
+            values[(ar, br)] = x, y, mp.make_mpc(mpc_neg(y._mpc_))
     fr = [Fraction(k, n) for k in range(n)]
     out = []
     for (a_z, b_z), rep, sign in layout:
@@ -435,13 +510,14 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
 
 def weber_function(model: WeierstrassModel, point: TorsionPoint):
     """Twist-invariant coordinate of a torsion point: constant * x^k, with the
-    constant and k chosen once per model (WeierstrassModel.weber_case),
-    evaluated at prec + 32 bits and rounded to prec."""
-    const, k = model.weber_case
-    prec = max(model.precision_bits, 53)
-    val = mpc_mul(const._mpc_, mpc_pow_int(point.x._mpc_, k, prec + 32, round_nearest),
-                  prec + 32, round_nearest)
-    return mp.make_mpc(mpc_pos(val, prec, round_nearest))
+    constant and k chosen once per model (WeierstrassModel.weber_case), the
+    product formed exactly on the integers of the constant and of x and each
+    component rounded to prec once."""
+    (c, e), k = model.weber_case
+    x, ex = _man_exp(point.x)
+    for _ in range(k):
+        c = _mul(c, x, 0)
+    return _rounded(c, e + k * ex, max(model.precision_bits, 53))
 
 
 def twist_model(model: WeierstrassModel, u) -> WeierstrassModel:

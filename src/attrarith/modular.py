@@ -16,13 +16,16 @@ mpmath's cos and sin run at the precision asked for.  The sums, their fourth
 powers and j = E4^3/Delta run on fixed-point Python integers (the products
 _mul and _sqr also serve the torsion kernel in elliptic; a square takes two
 integer multiplications), each power r^n carried only to the bits that can
-still reach the result, and j converts to mpc once.  The exact integer
-q-expansions (divisor sums, and the discriminant series extracted from
-(E4^3 - E6^2)/1728 by exact division) stay available as eisenstein_series and delta_series; no
-evaluation uses them.  On top of j sit Hilbert class polynomials, with one j
-evaluation per pair of complex-conjugate roots and the product formed on
-integers, and the algebraic-integer certificate for attractor points.  Their
-working precision comes from Enge's proven bound on the class-polynomial
+still reach the result, and j converts to mpc once.  The frame also gives
+lam = 2 pi i/mu on integers (_Frame.lam), from which elliptic scales the
+kernel's integers into Weierstrass models and torsion points.  The exact
+integer q-expansions (divisor sums, and the discriminant series extracted
+from (E4^3 - E6^2)/1728 by exact division) stay available as
+eisenstein_series and delta_series; no evaluation uses them.  On top of j
+sit Hilbert class polynomials, with one j evaluation per pair of
+complex-conjugate roots and the product formed on integers, and the
+algebraic-integer certificate for attractor points.  Their working
+precision comes from Enge's proven bound on the class-polynomial
 coefficients (A. Enge, Math. Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079
 on the fundamental domain, every coefficient of H_D is at most
 C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the working precision
@@ -160,6 +163,17 @@ def _sqr(z, F: int):
     return ((xr + xi) * (xr - xi)) >> F, (xr * xi) >> (F - 1)
 
 
+def _quotient_pair(num, den: int, bits: int):
+    """num/den for an integer pair num and an integer den > 0, as (pair, e)
+    with value pair 2^e: one floor division, after a shift that makes the
+    quotient at least 2^(bits+1) in modulus (or zero), so it errs by at
+    most sqrt(2) 2^-(bits+1) of its modulus."""
+    k = bits + 2 + den.bit_length() - max(abs(v).bit_length() for v in num)
+    if k >= 0:
+        return tuple((v << k) // den for v in num), -k
+    return tuple(v // (den << -k) for v in num), -k
+
+
 def _fourth(z, F: int):
     """z^4 as a square squared, in fixed point."""
     return _sqr(_sqr(z, F), F)
@@ -213,29 +227,20 @@ class _Theta(NamedTuple):
         (ar, ai), (br, bi), (cr, ci) = (_sqr(t, F) for t in (self.t2, self.t3, self.t4))
         return ((ar + br + cr) >> 1, (ai + bi + ci) >> 1), 5 * self.err
 
+    def e6_fixed(self):
+        """E6 = (theta_2^4 + theta_3^4)(theta_3^4 + theta_4^4)(theta_4^4 - theta_2^4)/2
+        and its bound, in fixed point."""
+        F = self.F
+        (ar, ai), (br, bi), (cr, ci) = self.t2, self.t3, self.t4
+        er, ei = _mul(_mul((ar + br, ai + bi), (br + cr, bi + ci), F), (cr - ar, ci - ai), F)
+        return (er >> 1, ei >> 1), 27 * self.err
+
     def delta_fixed(self):
         """Delta = (theta_2 theta_3 theta_4)^8/256 = q S2^8 theta_3^8 theta_4^8."""
         F = self.F
         t = _mul(_mul(self.t2, self.t3, F), self.t4, F)
         tr, ti = _sqr(t, F)
         return (tr >> 8, ti >> 8), (self.err + 3) // 4
-
-    def e4(self):
-        return self._exact(*self.e4_fixed())
-
-    def e6(self):
-        """E6 = (theta_2^4 + theta_3^4)(theta_3^4 + theta_4^4)(theta_4^4 - theta_2^4)/2."""
-        F = self.F
-        (ar, ai), (br, bi), (cr, ci) = self.t2, self.t3, self.t4
-        er, ei = _mul(_mul((ar + br, ai + bi), (br + cr, bi + ci), F), (cr - ar, ci - ai), F)
-        return self._exact((er >> 1, ei >> 1), 27 * self.err)
-
-    def delta(self):
-        return self._exact(*self.delta_fixed())
-
-    def _exact(self, value, err):
-        """A fixed-point value and its bound in ulps as an exact mpc and mpf."""
-        return _from_fixed(value, self.F), mp.make_mpf(from_man_exp(err, -self.F))
 
 
 def _theta(frame: _Frame, wp: int) -> _Theta:
@@ -360,13 +365,6 @@ def _render(tau, prec: int):
         return mp.mpc(tau)
 
 
-def _render_exact(r: int, s: int, n: int, disc: int, wp: int):
-    """(r + s sqrt(disc))/n at wp bits, each component rounded from the exact
-    integers; sqrt(disc) = i is exact for disc = -1."""
-    with mp.workprec(wp):
-        return mp.mpc(mp.mpf(r) / n, mp.mpf(s) / n * mp.sqrt(-disc))
-
-
 # most bits from the lowest to the highest set bit of an input mpc: the exact
 # frame squares integers of this size, about 0.05 s each at 2^20 bits in
 # CPython 3.11
@@ -403,8 +401,8 @@ class _Frame(NamedTuple):
     point tau' = (r + s sqrt(disc))/n as the exact integers red = (r, s, n);
     unless the matrix is the identity, also mu = c tau + d as such a triple.
 
-    tau' is never rendered: expjpi takes e^(pi i m tau') straight from red,
-    and mu_at renders only mu."""
+    No point is rendered: expjpi takes e^(pi i m tau') straight from red,
+    and lam takes 2 pi i/mu straight from mu."""
 
     tau: object
     mat: tuple
@@ -457,14 +455,29 @@ class _Frame(NamedTuple):
         c, sn = _cos_sin_pi(num * r, den, p)
         return to_fixed(mpf_mul(e, c), bits), to_fixed(mpf_mul(e, sn), bits)
 
-    def mu_at(self, wp: int):
-        """mu at wp bits, rendered once from its exact integers; 1 for the
-        identity.
+    def lam(self, bits: int):
+        """lambda = 2 pi i/mu as integers ((re, im), e), lambda = (re + im i) 2^e,
+        within relative 2^-(bits+1) of exact; 2 pi i for the identity.
 
-        Raises PrecisionExhausted, before any rendering, when wp passes 10^7.
+        With mu = (a + b sqrt(disc))/c and N = a^2 - b^2 disc = c^2 |mu|^2,
+        lambda = 2 pi c (b sqrt|disc| + a i)/N.  With w = bits + 3, pi_fixed
+        gives pi 2^w within 2 units and an integer square root floors
+        |b| sqrt|disc| 2^w, so the numerator c (b sqrt|disc| + a i) pi 2^(2w),
+        formed exactly from those two integers, errs by at most
+        c 2^w (pi + 1 + 2 sqrt N) < 1.96 2^-w of its modulus, as N >= 1.  One
+        floor division by N (_quotient_pair at w bits) adds at most
+        sqrt(2) 2^-(w+1) relative: 2.67 2^-w < 2^-(bits+1) in all.
+
+        Raises PrecisionExhausted, before any computing, when bits passes 10^7.
         """
-        _require_tractable(wp)
-        return 1 if self.mu is None else _render_exact(*self.mu, self.disc, wp)
+        _require_tractable(bits)
+        a, b, c = (1, 0, 1) if self.mu is None else self.mu
+        w = bits + 3
+        pi = pi_fixed(w)
+        root = math.isqrt(b * b * -self.disc << 2 * w)
+        num = c * pi * (root if b >= 0 else -root), c * pi * a << w
+        lam, e = _quotient_pair(num, a * a - b * b * self.disc, w)
+        return lam, e + 1 - 2 * w
 
 
 def _frame(tau, prec: int) -> _Frame:
@@ -511,6 +524,19 @@ def _frame(tau, prec: int) -> _Frame:
 def _j_precision(frame: _Frame, prec: int) -> int:
     """The working precision of j_value_with_bound at prec bits, from the frame alone."""
     return prec + 2 * math.ceil(frame.mag) + 32
+
+
+def _j_fixed(e4, delta, F: int):
+    """j = E4^3/Delta from fixed-point pairs with F fractional bits, and the
+    norm of Delta: the cube from two floored products, the quotient by one
+    floor division by the norm.  A Delta that floored to zero raises
+    PrecisionExhausted."""
+    dr, di = delta
+    norm = dr * dr + di * di
+    if not norm:
+        raise PrecisionExhausted("cannot certify Delta away from zero")
+    cr, ci = _mul(_sqr(e4, F), e4, F)
+    return (((cr * dr + ci * di) << F) // norm, ((ci * dr - cr * di) << F) // norm), norm
 
 
 def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
@@ -567,12 +593,10 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     F = th.F
     (er, ei), d4 = th.e4_fixed()
     (dr, di), dd = th.delta_fixed()
-    norm = dr * dr + di * di
+    (jr, ji), norm = _j_fixed((er, ei), (dr, di), F)
     low = math.isqrt(norm)
     if not low > dd:
         raise PrecisionExhausted("cannot certify Delta away from zero")
-    cr, ci = _mul(_sqr((er, ei), F), (er, ei), F)
-    jr, ji = ((cr * dr + ci * di) << F) // norm, ((ci * dr - cr * di) << F) // norm
     big_a = math.isqrt(er * er + ei * ei) + 1
     big_j = math.isqrt(jr * jr + ji * ji) + 3
     # in units of 2^-F, each -(-x // y) and -(-x >> k) a ceiling

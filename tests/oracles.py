@@ -261,6 +261,38 @@ def wp_direct(tau, a: int, b: int, n: int, prec: int):
         return tp**2 * p_acc, tp**3 * dp_acc / 2
 
 
+def model_mpmath(tau, prec: int):
+    """(A, B, delta, j) of the Weierstrass model of Z + Z tau at prec bits, by
+    the mpmath formula that elliptic.model_from_tau used before it formed the
+    fields from integer powers of 2 pi i/mu: the theta kernel's E4, E6 and
+    Delta as exact mpc values, mu rendered at wp bits from the frame's
+    integers, and
+
+        A = -(pi^4/3) E4/mu^4,   B = -(2 pi^6/27) E6/mu^6,
+        delta = (2 pi)^12 Delta/mu^12,   j = E4^3/Delta,
+
+    each formed at wp = prec + ceil(mag) + 96 and rounded to prec."""
+    from attrarith.modular import _frame, _from_fixed, _theta
+
+    frame = _frame(tau, prec)
+    wp = prec + math.ceil(frame.mag) + 96
+    th = _theta(frame, wp)
+    with mp.workprec(wp):
+        if frame.mu is None:
+            mu = 1
+        else:
+            r, s, n = frame.mu
+            mu = mp.mpc(mp.mpf(r) / n, mp.mpf(s) / n * mp.sqrt(-frame.disc))
+        e4, e6, dk = (_from_fixed(v, th.F) for v, _ in
+                      (th.e4_fixed(), th.e6_fixed(), th.delta_fixed()))
+        a = -mp.pi**4 / 3 * e4 / mu**4
+        b = -2 * mp.pi**6 / 27 * e6 / mu**6
+        delta = (2 * mp.pi) ** 12 * dk / mu**12
+        jv = e4**3 / dk
+    with mp.workprec(prec):
+        return +a, +b, +delta, +jv
+
+
 # --------------------------------------------------------------------------
 # the attractor flow by explicit float64 RK4 with step halving, the package's
 # integrator before the closed form; rows are (rho, U, x, y, Z2) at sigma = n*h0

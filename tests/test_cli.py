@@ -588,14 +588,14 @@ GOLDEN_SHA256 = {
     "certify": "2cdef337a1b2892bafa37a97de7b677c49beaa2ba81c48f4805f95816a4772b6",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "eb66a08442dfc301f107c27eb143b06792e690fb48338d05e62a5745a490156b",
-    "weber": "173e563b5093f8dcbeb064ee674fd1a1d8577292d7161e638abbbaacde49d8e7",
+    "weber": "00d0c8af3520e6bec15e13702b684454f7b667267bfed41b8339d9aeddf04a2f",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",
     "sk-check": "a6fa28114f63cc884ed48a4004ce96bf855beacad3f1421b0a5959b2a90a0312",
     "flow": "27dc279eeaff3345a1d3c05f7052aa22676308beb05b09b5a2f3f3670a6d350c",
     "hcp --csv": "1f33e8ce4d4f85f6b0deff93b5757bed4fd59796fc13d9a89a0b616430854c25",
-    "weber --csv": "b73503ee5b86d6fcf73410bb6ccdb4677e4c4db8cf63694520497308a887a0f0",
+    "weber --csv": "a37faccd7f71d426efa3cb49cddb6c0d5f9afa0c4af38610dec10e0e808fbbe4",
     "curve --csv": "321012dcae8c4a22e99b010fcb851ac8244ff0ba8299bb87c770398c18470e87",
     "resolve --csv": "7ebdf7e1c80b6526665505903546884316c219857a37d31cb23652fe12357abd",
     "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",

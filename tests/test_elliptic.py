@@ -1,10 +1,12 @@
 """Tests for Weierstrass models, torsion enumeration, and the Weber function."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp, fzero
 
 from attrarith.arith import QuadraticSurd
 from attrarith.attractor import ChargeData, attractor_point
@@ -26,7 +28,7 @@ from attrarith.errors import (
     ZeroTwist,
 )
 from attrarith.modular import _frame, _Frame, delta_series, j_value, j_value_with_bound
-from oracles import wp_direct
+from oracles import model_mpmath, wp_direct
 
 
 def random_tau(rng):
@@ -76,6 +78,80 @@ class TestModelFromTau:
             m2 = model_from_tau(tau + 1, prec=224)
             assert abs(m1.A - m2.A) < mp.mpf(2) ** -200 * abs(m1.A)
             assert abs(m1.B - m2.B) < mp.mpf(2) ** -200 * abs(m1.B)
+
+
+def model_cases():
+    """(tau, prec): 52 seeded tau at 64 to 512 bits.
+
+    Twelve lie in the fundamental domain (identity frames), sixteen far out
+    (|Re tau| up to 20, Im tau down to 0.01, so mu != 1), six high up
+    (Im tau 5 to 40), and eighteen are SL(2, Z) images of the CM points of
+    discriminants -3 and -4 (j = 0 and 1728, and the order of conductor 2 in
+    Q(sqrt -3)), where A or B vanishes and every field is real up to the
+    frame's rotation.
+    """
+    rng = random.Random(1701)
+    taus = [mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(1, 3)) for _ in range(12)]
+    taus += [mp.mpc(rng.choice((-1, 1)) * rng.uniform(1, 20), rng.uniform(0.01, 0.5))
+             for _ in range(16)]
+    taus += [mp.mpc(rng.uniform(-20, 20), rng.uniform(5, 40)) for _ in range(6)]
+    # rho (j = 0), i (j = 1728) and sqrt(-3) (j = 54000)
+    for base in (QuadraticSurd(1, 1, 2, -3), QuadraticSurd(0, 1, 1, -1),
+                 QuadraticSurd(0, 1, 1, -3)):
+        for c in rng.sample(range(2, 40), 6):
+            d = rng.choice([d for d in range(-3 * c, 3 * c) if math.gcd(c, d) == 1])
+            a = pow(d, -1, c)
+            taus.append((a * base + (a * d - 1) // c) / (c * base + d))
+    return [(tau, rng.choice((64, 128, 256, 512))) for tau in taus]
+
+
+class TestModelAgainstMpmathFormula:
+    """model_from_tau against oracles.model_mpmath, the mpmath formula that
+    formed the fields before the integer powers of lam = 2 pi i/mu."""
+
+    @staticmethod
+    def same_bits(got, want, scale, prec):
+        # each computation is within 2^-(prec+87) scale of exact, so both
+        # round a component alike unless it lies that close to a rounding
+        # boundary; a component below 2^-40 scale (the imaginary part of a
+        # real field, rotated by the frame) is rounding noise, and only the
+        # bound applies to it
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            if abs(w) > scale * mp.mpf(2) ** -40:
+                assert g == w, (prec, got, want)
+
+    def test_fields_match_formula_and_bounds(self):
+        for tau, prec in model_cases():
+            m = model_from_tau(tau, prec)
+            a, b, delta, _ = model_mpmath(tau, prec)
+            ref = model_mpmath(tau, prec + 256)
+            frame = _frame(tau, prec)
+            with mp.workprec(prec + 320):
+                mu = 1 if frame.mu is None else abs(QuadraticSurd(*frame.mu, frame.disc).to_mpc(
+                    prec + 320))
+                # the model_from_tau docstring's bounds before rounding, then
+                # the rounding, 2^-prec of the modulus; the reference's own
+                # error is below 2^-(prec+250) of the same scale
+                scales = (abs(ref[0]) + mp.pi**4 / (3 * mu**4),
+                          abs(ref[1]) + 2 * mp.pi**6 / (27 * mu**6),
+                          abs(ref[2]), 1 + abs(ref[3]))
+                pre = (mp.mpf(2) ** -(prec + 90), mp.mpf(2) ** -(prec + 87),
+                       mp.mpf(2) ** -(prec + 92), mp.mpf(2) ** -(prec + 86))
+                fields = (m.A, m.B, m.delta, m.j)
+                for got, want, scale, eps in zip(fields, ref, scales, pre):
+                    bound = eps * scale + mp.mpf(2) ** -prec * (abs(want) + eps * scale) \
+                        + mp.mpf(2) ** -(prec + 250) * scale
+                    assert abs(got - want) <= bound, (tau, prec)
+                for got, want, scale in zip(fields, (a, b, delta), scales):
+                    self.same_bits(got, want, scale, prec)
+
+    def test_twisted_model_matches_formula(self):
+        u = mp.mpc("0.7", "-1.9")
+        tau, prec = mp.mpc("0.31", "1.7"), 192
+        a, b, delta, j = model_mpmath(tau, prec)
+        want = twist_model(WeierstrassModel(a, b, delta, j, tau, mp.mpc(1), prec), u)
+        got = twist_model(model_from_tau(tau, prec), u)
+        assert (got.A, got.B, got.delta, got.scale) == (want.A, want.B, want.delta, want.scale)
 
 
 class TestHighLattices:
@@ -349,34 +425,68 @@ class TestWeberFunction:
                 assert abs(weber_function(mt, q) - v) < mp.mpf(10) ** -40
 
     def test_constant_per_model_matches_per_point_formula(self):
-        # the case choice and constant are computed once per model; the
-        # values must equal the formula evaluated anew at every point
-        def per_point(model, point):
+        # the case and constant are chosen once per model; chosen anew from
+        # the fields 256 bits higher they must agree, the constant within
+        # its 2^-(prec+32)
+        def per_point(model):
             prec = model.precision_bits
-            tol = mp.mpf(2) ** (-(prec // 4))
-            j_is_zero = abs(model.j) < tol
-            j_is_1728 = abs(model.j - 1728) < tol
-            with mp.workprec(max(prec, 53) + 32):
-                x = mp.mpc(point.x)
-                if j_is_1728:
-                    val = model.A**2 / model.delta * x**2
-                elif j_is_zero:
-                    val = model.B / model.delta * x**3
-                else:
-                    val = model.A * model.B / model.delta * x
-            with mp.workprec(max(prec, 53)):
-                return +val
+            with mp.workprec(prec + 256):
+                tol = mp.mpf(2) ** (-(prec // 4))
+                if abs(model.j - 1728) < tol:
+                    return model.A**2 / model.delta, 2
+                if abs(model.j) < tol:
+                    return model.B / model.delta, 3
+                return model.A * model.B / model.delta, 1
 
         taus = (mp.mpc(0, 1), QuadraticSurd(1, 1, 2, -3), QuadraticSurd(1, 1, 2, -5),
                 mp.mpc("0.31", "1.7"))
         for k, tau in enumerate(taus):
             m = model_from_tau(tau, prec=(128, 256, 256, 192)[k])
-            for n in (2, 3):
-                m_t = twist_model(m, mp.mpc("0.7", "1.9")) if n == 3 else m
-                for p in torsion_points(m_t, n):
-                    assert weber_function(m_t, p) == per_point(m_t, p), (tau, n, p)
-            assert m.weber_case[1] == (2, 3, 1, 1)[k]
+            for m_t in (m, twist_model(m, mp.mpc("0.7", "1.9"))):
+                ((c0, c1), e), case = m_t.weber_case
+                want, want_case = per_point(m_t)
+                assert case == want_case == (2, 3, 1, 1)[k]
+                with mp.workprec(m.precision_bits + 256):
+                    got = mp.mpc(mp.ldexp(c0, e), mp.ldexp(c1, e))
+                    assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(m.precision_bits + 32)
             assert m.weber_case is m.weber_case
+
+    def test_value_rounded_once(self):
+        # constant * x^k from the constant's integers and x, formed 256 bits
+        # higher and rounded to prec once: k = 2 (j = 1728), 3 (j = 0), 1,
+        # and 1 on a twisted model
+        cases = ((mp.mpc(0, 1), 128, 2, None), (QuadraticSurd(1, 1, 2, -3), 256, 3, None),
+                 (QuadraticSurd(1, 1, 2, -5), 256, 1, None),
+                 (mp.mpc("0.31", "1.7"), 192, 1, mp.mpc("0.7", "1.9")))
+        for tau, prec, k, twist in cases:
+            m = model_from_tau(tau, prec)
+            if twist is not None:
+                m = twist_model(m, twist)
+            ((c0, c1), e), case = m.weber_case
+            assert case == k
+            for n in (2, 3, 5):
+                for p in torsion_points(m, n):
+                    with mp.workprec(prec + 256):
+                        want = mp.mpc(mp.ldexp(c0, e), mp.ldexp(c1, e)) * p.x**k
+                    with mp.workprec(prec):
+                        assert weber_function(m, p) == +want, (tau, n, p.lattice_coords)
+
+    def test_case_decided_on_integers(self):
+        # |j| < 2^-(prec/4) and |j - 1728| < 2^-(prec/4) are decided on j's
+        # integers: in a 16-bit context mpmath's abs would round
+        # 2^-32 - 2^-62 up to the tolerance 2^-32 itself
+        def case(j):
+            return WeierstrassModel(A=mp.mpc(1), B=mp.mpc(1), delta=mp.mpc(-16 * 31), j=j,
+                                    source_tau=mp.mpc(0, 1), scale=mp.mpc(1),
+                                    precision_bits=128).weber_case[1]
+
+        just_in, out = (1 << 30) - 1, 1 << 30   # 2^-32 - 2^-62 and 2^-32, in units of 2^-62
+        with mp.workprec(16):
+            for j, k in (((1728 << 62) + just_in, 2), ((1728 << 62) + out, 1),
+                         ((1728 << 62) - just_in, 2), (just_in, 3), (-out, 1), (0, 3)):
+                assert case(mp.make_mpc((from_man_exp(j, -62), fzero))) == k, j
+            assert case(mp.make_mpc((from_man_exp(1, -33), from_man_exp(-1, -33)))) == 3
+            assert case(mp.make_mpc((from_man_exp(1728, 0), from_man_exp(out, -62)))) == 1
 
     def test_ambiguous_case(self):
         tiny = mp.mpf(2) ** -200

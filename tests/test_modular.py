@@ -27,6 +27,7 @@ from attrarith.modular import (
     _dyadic,
     _frame,
     _Frame,
+    _from_fixed,
     _mul,
     _sqr,
     _theta,
@@ -101,6 +102,16 @@ def exact_input(tau):
     return tau if isinstance(tau, QuadraticSurd) else dyadic_surd(tau)
 
 
+def assert_lam(frame, mu, bits):
+    """_Frame.lam(bits) within relative 2^-(bits+1) of 2 pi i/mu, for mu from
+    the exact Moebius oracle: a surd, or 1."""
+    (lr, li), e = frame.lam(bits)
+    with mp.workprec(bits + 64):
+        want = 2j * mp.pi / (mu.to_mpc(bits + 64) if isinstance(mu, QuadraticSurd) else mu)
+        got = mp.mpc(mp.ldexp(lr, e), mp.ldexp(li, e))
+        assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(bits + 1), (frame.mu, bits)
+
+
 def exact_reduced(frame, tau):
     """(tau', mu) of a frame as exact surds."""
     red = QuadraticSurd(*frame.red, frame.disc)
@@ -132,7 +143,13 @@ class TestReduceToFundamental:
         frame = _frame(tau, 64)
         assert frame.mat == ((1, 0), (0, 1)) and frame.mu is None
         assert exact_reduced(frame, tau) == (tau, 1)
-        assert frame.mu_at(256) == 1
+        assert_lam(frame, 1, 256)
+        assert frame.lam(256)[0][0] == 0   # 2 pi i, with no real part
+
+    def test_lam_refused_past_the_precision_cap(self):
+        for tau in (mp.mpc(0, 1), QuadraticSurd(3, 1, 10, -19)):
+            with pytest.raises(PrecisionExhausted):
+                _frame(tau, 64).lam(10_000_001)
 
     def test_rejects_lower_half_plane(self):
         for tau in (mp.mpc(0, -1), mp.mpc(3, 0), QuadraticSurd(0, -1, 2, -7)):
@@ -169,11 +186,7 @@ class TestReduceToFundamental:
                 assert frame.mat == ((1, 0), (0, 1)) and frame.mu is None
             else:
                 assert red == reduce_root_exact(t)[0]
-            with mp.workprec(200):
-                mu_z = frame.mu_at(192)
-                if frame.mu is not None:
-                    want = mu.to_mpc(200)
-                    assert abs(mu_z - want) <= abs(want) * mp.mpf(2) ** -189
+            assert_lam(frame, c * t + d, rng.choice((64, 192, 1000)))
             with pytest.raises(NotUpperHalfPlane):
                 _frame(mp.conj(tau) if dyadic else t.conjugate(), 64)
 
@@ -276,7 +289,7 @@ class TestFrameExponential:
             raise AssertionError("a point was rendered")
 
         monkeypatch.setattr(QuadraticSurd, "to_mpc", fail)
-        monkeypatch.setattr("attrarith.modular._render_exact", fail)
+        monkeypatch.setattr("attrarith.modular._render", fail)
         for disc in (-3, -4, -23, -479, -1000):
             hilbert_class_polynomial(disc)
         for tau in (QuadraticSurd(3, 1, 2, -7), mp.mpc("-7.3", "0.05")):
@@ -473,8 +486,10 @@ class TestThetaKernelAgainstDenseOracle:
                 zred = mp.mpc(zred)
                 th = _theta(kernel_frame(zred), wp)
                 e4o, e6o, do, bound, _ = eisenstein_dense(zred, wp)
-                for (val, err), ref in ((th.e4(), e4o), (th.e6(), e6o), (th.delta(), do)):
-                    assert err < mp.mpf(2) ** (16 - wp)
+                for (val, err), ref in ((th.e4_fixed(), e4o), (th.e6_fixed(), e6o),
+                                        (th.delta_fixed(), do)):
+                    assert err < 1 << (th.F - wp + 16)
+                    val, err = _from_fixed(val, th.F), mp.ldexp(err, -th.F)
                     assert abs(val - ref) <= err + bound, (zred, wp)
 
     def test_j_at_random_points(self):
