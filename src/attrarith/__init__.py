@@ -52,8 +52,6 @@ from .jacobian import (
 )
 
 _LAZY = {
-    "eisenstein_series": "modular",
-    "delta_series": "modular",
     "j_value": "modular",
     "j_value_with_bound": "modular",
     "hilbert_class_polynomial": "modular",

@@ -175,7 +175,7 @@ class QuadraticSurd:
     """Exact element x + y*sqrt(disc) of an imaginary quadratic field (disc < 0).
 
     Stored with squarefree disc and Fraction coefficients; the normalized
-    normalized integer triple is exposed as (num_rational, num_radical, den)
+    integer triple is exposed as (num_rational, num_radical, den)
     with den > 0 and gcd(num_rational, num_radical, den) = 1.
     """
 
@@ -228,11 +228,6 @@ class QuadraticSurd:
     @property
     def real(self) -> Fraction:
         return self.x
-
-    @property
-    def imag_coeff(self) -> Fraction:
-        """Coefficient y in x + y*i*sqrt(|disc|); sign(y) = sign of the imaginary part."""
-        return self.y
 
     def is_upper_half_plane(self) -> bool:
         return self.y > 0

@@ -19,10 +19,11 @@ import functools
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import mpf_pos, round_ceiling, round_nearest, to_str
+from mpmath.libmp import from_rational, mpf_pos, round_ceiling, round_nearest, to_rational, to_str
 
 from .arith import QuadraticSurd
 from .attractor import ChargeData, attractor_point, entropy_invariant
@@ -82,19 +83,30 @@ def _digits(v, prec: int) -> str:
 
 
 def _dec(x, prec: int) -> str:
-    """x printed by _digits: an mpf rounded up to prec + 64 bits, which keeps a
-    bound a bound and a long mantissa under the int-to-str limit, any other
-    value rounded to prec + 8 bits."""
-    if isinstance(x, mp.mpf):
-        return _digits(mpf_pos(x._mpf_, prec + 64, round_ceiling), prec)
-    with mp.workprec(prec + 8):
-        return _digits(mp.mpf(x)._mpf_, prec)
+    """An mpf rounded to prec + 8 bits, then printed by _digits."""
+    return _digits(mpf_pos(x._mpf_, prec + 8, round_nearest), prec)
 
 
 def _dec_c(z, prec: int) -> dict:
-    """Each component of an mpc rounded to prec + 8 bits, then printed by _digits."""
-    re, im = (_digits(mpf_pos(v, prec + 8, round_nearest), prec) for v in z._mpc_)
-    return {"re": re, "im": im}
+    """Each component of an mpc printed by _dec."""
+    return {"re": _dec(z.real, prec), "im": _dec(z.imag, prec)}
+
+
+def _dec_bound(x) -> str:
+    """A bound x >= 0 in 27 significant digits (_digits at 64 bits), the
+    last rounded toward +inf, so that the string read back is at least x.
+
+    x is first rounded up to 128 bits, which also keeps a long mantissa
+    under the int-to-str limit.  to_str rounds to nearest; when that lands
+    below x, the next 27-digit decimal up is printed instead, rounded up to
+    128 bits, which to_str prints as that decimal."""
+    v = mpf_pos(x._mpf_, 128, round_ceiling)
+    s = _digits(v, 64)
+    d = Decimal(s)
+    if Fraction(d) < Fraction(*to_rational(v)):
+        up = Fraction(d) + Fraction(10) ** (d.adjusted() - 26)
+        s = _digits(from_rational(up.numerator, up.denominator, 128, round_ceiling), 64)
+    return s
 
 
 def _dec_f(v) -> str:
@@ -271,12 +283,12 @@ def _cmd_jval(args, prec: int):
     inputs = {"tau": args.tau}
     result = {
         "j": _dec_c(ev.j, prec),
-        "error_bound": _dec(ev.error_bound, 64),
+        "error_bound": _dec_bound(ev.error_bound),
         "truncation_order": str(ev.truncation_order),
         "working_prec": str(ev.working_prec),
     }
     certs = [{"name": "certified_error_bound",
-              "value": _dec(ev.error_bound, 64), "passed": True}]
+              "value": _dec_bound(ev.error_bound), "passed": True}]
     return inputs, result, certs
 
 
@@ -337,12 +349,12 @@ def _cmd_weber(args, prec: int):
     certs = [{
         "name": "wp_ode_max_residual",
         "value": _dec(worst, 64),
-        "bound": _dec(bound, 64),
+        "bound": _dec_bound(bound),
         "passed": bool(worst < bound),
     }, {
         "name": "model_j_matches_modular",
         "value": _dec(dj, 64),
-        "bound": _dec(j_bound, 64),
+        "bound": _dec_bound(j_bound),
         "passed": bool(dj <= j_bound),
     }]
     return inputs, result, certs

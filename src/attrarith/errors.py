@@ -28,10 +28,6 @@ class DegenerateCharge(AttrarithError):
     pass
 
 
-class UnsupportedWeight(AttrarithError):
-    pass
-
-
 class NotUpperHalfPlane(AttrarithError):
     pass
 

@@ -18,10 +18,8 @@ _mul and _sqr also serve the torsion kernel in elliptic; a square takes two
 integer multiplications), each power r^n carried only to the bits that can
 still reach the result, and j converts to mpc once.  The frame also gives
 lam = 2 pi i/mu on integers (_Frame.lam), from which elliptic scales the
-kernel's integers into Weierstrass models and torsion points.  The exact
-integer q-expansions (divisor sums, and the discriminant series extracted
-from (E4^3 - E6^2)/1728 by exact division) stay available as
-eisenstein_series and delta_series; no evaluation uses them.  On top of j
+kernel's integers into Weierstrass models and torsion points; E4, E6 and
+Delta reach users only there, as the model's A, B and Delta.  On top of j
 sit Hilbert class polynomials, with one j evaluation per pair of
 complex-conjugate roots and the product formed on integers, and the
 algebraic-integer certificate for attractor points.  Their working
@@ -56,16 +54,12 @@ from .errors import (
     OutOfRange,
     PrecisionExhausted,
     RoundingFailed,
-    UnsupportedWeight,
 )
 
 __all__ = [
-    "QSeries",
     "JEvaluation",
     "HCPResult",
     "CMCertificate",
-    "eisenstein_series",
-    "delta_series",
     "j_value",
     "j_value_with_bound",
     "hilbert_class_polynomial",
@@ -74,61 +68,6 @@ __all__ = [
     "load_hcp_cache",
     "store_hcp_cache",
 ]
-
-
-@dataclass(frozen=True)
-class QSeries:
-    """Truncated q-expansion with exact integer coefficients, index n = q^n."""
-
-    weight: int
-    coefficients: tuple
-    truncation_order: int
-
-    def __post_init__(self):
-        assert len(self.coefficients) == self.truncation_order + 1
-
-
-def _sigma_table(power: int, n_max: int) -> list[int]:
-    out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dp = d**power
-        for m in range(d, n_max + 1, d):
-            out[m] += dp
-    return out
-
-
-def _poly_mul(p: list[int], q: list[int], n_max: int) -> list[int]:
-    out = [0] * (n_max + 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q[: n_max + 1 - i]):
-                if qj:
-                    out[i + j] += pi * qj
-    return out
-
-
-def eisenstein_series(k: int, N: int) -> QSeries:
-    """E4 or E6 through q^N, constant term 1, exact divisor-sum coefficients."""
-    if k not in (4, 6):
-        raise UnsupportedWeight(f"only weights 4 and 6 are supported, got {k}")
-    if N < 1:
-        raise OutOfRange(f"truncation order must be >= 1, got {N}")
-    scale = 240 if k == 4 else -504
-    coeffs = (1,) + tuple(scale * s for s in _sigma_table(k - 1, N)[1:])
-    return QSeries(weight=k, coefficients=coeffs, truncation_order=N)
-
-
-def delta_series(N: int) -> QSeries:
-    """The discriminant cusp form (E4^3 - E6^2)/1728 through q^N, exact integers."""
-    if N < 1:
-        raise OutOfRange(f"truncation order must be >= 1, got {N}")
-    e4 = eisenstein_series(4, N).coefficients
-    e6 = eisenstein_series(6, N).coefficients
-    e4cu = _poly_mul(_poly_mul(e4, e4, N), e4, N)
-    e6sq = _poly_mul(e6, e6, N)
-    num = [a - b for a, b in zip(e4cu, e6sq)]
-    assert all(v % 1728 == 0 for v in num)
-    return QSeries(weight=12, coefficients=tuple(v // 1728 for v in num), truncation_order=N)
 
 
 def _horner(coeffs, q):
@@ -347,12 +286,11 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
 
 
 class JEvaluation(NamedTuple):
-    """j(tau) with interval-style error data from one theta-kernel evaluation."""
+    """j(tau) from one theta-kernel evaluation, with a certified bound on its
+    absolute error and the kernel's working precision and terms per sum."""
 
     j: mp.mpc
     error_bound: mp.mpf
-    delta: mp.mpc
-    delta_lower: mp.mpf   # certified |Delta| > error: nonvanishing witness
     truncation_order: int  # terms of each theta sum
     working_prec: int
 
@@ -583,7 +521,8 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     bits.  They also make j at prec + 64 work at prec + 2 ceil(mag) + 96
     bits, the precision the CM certificates are sized for.
 
-    delta_lower = L - dd certifies that Delta does not vanish.
+    The quotient needs L > dd, which certifies that Delta does not vanish;
+    otherwise PrecisionExhausted is raised before any bound is formed.
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
@@ -592,8 +531,8 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     th = _theta(frame, wp)
     F = th.F
     (er, ei), d4 = th.e4_fixed()
-    (dr, di), dd = th.delta_fixed()
-    (jr, ji), norm = _j_fixed((er, ei), (dr, di), F)
+    delta, dd = th.delta_fixed()
+    (jr, ji), norm = _j_fixed((er, ei), delta, F)
     low = math.isqrt(norm)
     if not low > dd:
         raise PrecisionExhausted("cannot certify Delta away from zero")
@@ -608,8 +547,6 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     return JEvaluation(
         j=_from_fixed((jr, ji), F),
         error_bound=mp.make_mpf(from_man_exp(dj, -F)),
-        delta=_from_fixed((dr, di), F),
-        delta_lower=mp.make_mpf(from_man_exp(low - dd, -F)),
         truncation_order=th.terms,
         working_prec=wp,
     )

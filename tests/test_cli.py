@@ -7,18 +7,22 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_rational
 
 import attrarith.cli as cli
 import attrarith.flow as flow_mod
 from attrarith.cli import run
-from attrarith.modular import _frame, j_value
+from attrarith.modular import _frame, j_value, j_value_with_bound
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "precision_bits"}
 
@@ -337,6 +341,49 @@ class TestWeber:
                 assert abs(w - want) <= mp.mpf(2) ** -200 * abs(want)
 
 
+def exact(x) -> Fraction:
+    """The exact value of an mpf, or of a printed decimal string."""
+    return Fraction(x) if isinstance(x, str) else Fraction(*to_rational(x._mpf_))
+
+
+class TestBoundsPrintAsBounds:
+    """A printed bound, read back exactly, is at least the bound it prints."""
+
+    def test_random_mpfs(self):
+        rng = random.Random(2718)
+        for _ in range(200):
+            x = mp.ldexp(rng.getrandbits(rng.randrange(64, 513)), rng.randrange(-3000, 100))
+            s = cli._dec_bound(x)
+            d = Decimal(s)
+            # the last of the 27 digits is rounded up, by at most one unit
+            assert exact(x) <= exact(s) < exact(x) + Fraction(10) ** (d.adjusted() - 26), s
+
+    def test_jval_error_bounds(self, capsys):
+        rng = random.Random(3141)
+        for _ in range(20):
+            prec = rng.randrange(64, 513)
+            tau = f"{rng.uniform(-1, 1):.12f},{rng.uniform(0.3, 3):.12f}"
+            res = invoke_json(capsys, "jval", f"--tau={tau}", "--prec", str(prec))
+            ev = j_value_with_bound(cli._parse_pair(tau, prec, "--tau"), prec)
+            bound = exact(ev.error_bound)
+            assert exact(res["result"]["error_bound"]) >= bound, (tau, prec)
+            assert exact(res["certificates"][0]["value"]) >= bound, (tau, prec)
+
+    def test_weber_certificate_bounds(self, capsys):
+        # the bounds _cmd_weber compares against, formed as it forms them at 256 bits
+        from attrarith.attractor import ChargeData, attractor_point
+
+        for charge in ((2, 3, 1), (1, 1, 0), (2, 2, 1)):
+            p2, q2, pq = (str(v) for v in charge)
+            env = invoke_json(capsys, "weber", "--p2", p2, "--q2", q2, "--pq", pq, "--n", "3")
+            ev = j_value_with_bound(attractor_point(ChargeData(*charge)).tau, 256)
+            with mp.workprec(288):
+                j_bound = ev.error_bound + mp.mpf(2) ** -255 * (1 + abs(ev.j))
+            ode, jcert = env["certificates"]
+            assert exact(ode["bound"]) >= Fraction(1, 2**118), charge
+            assert exact(jcert["bound"]) >= exact(j_bound), charge
+
+
 class TestCurve:
     def test_fermat_quartic(self, capsys):
         env = invoke_json(capsys, "curve", "--d", "4", "--k", "1", "--l", "1",
@@ -588,7 +635,7 @@ GOLDEN_SHA256 = {
     "certify": "2cdef337a1b2892bafa37a97de7b677c49beaa2ba81c48f4805f95816a4772b6",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "eb66a08442dfc301f107c27eb143b06792e690fb48338d05e62a5745a490156b",
-    "weber": "00d0c8af3520e6bec15e13702b684454f7b667267bfed41b8339d9aeddf04a2f",
+    "weber": "ad8c53ebe8369f9acc52716c67926c3507a949106d41fb6e0a62f17869e69c8d",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",

@@ -1,4 +1,4 @@
-"""Tests for q-expansions, j evaluation, class polynomials, CM certificates."""
+"""Tests for the theta kernel, j evaluation, class polynomials, CM certificates."""
 
 import hashlib
 import json
@@ -12,6 +12,7 @@ import pytest
 from attrarith import modular
 from attrarith.arith import QuadraticSurd, class_group_forms, reduce_form
 from attrarith.attractor import ChargeData
+from attrarith.cli import run
 from attrarith.elliptic import model_from_tau, torsion_points
 from attrarith.errors import (
     InvalidDiscriminant,
@@ -19,7 +20,7 @@ from attrarith.errors import (
     NotUpperHalfPlane,
     OutOfRange,
     PrecisionExhausted,
-    UnsupportedWeight,
+    RoundingFailed,
 )
 from attrarith.modular import (
     _IDENTITY,
@@ -32,8 +33,6 @@ from attrarith.modular import (
     _sqr,
     _theta,
     certify_attractor_cm,
-    delta_series,
-    eisenstein_series,
     hcp_record_valid,
     hilbert_class_polynomial,
     j_value,
@@ -42,59 +41,18 @@ from attrarith.modular import (
     store_hcp_cache,
 )
 
-from oracles import (dyadic_surd, eisenstein_dense, j_dense, random_sl2, reduce_root_exact,
-                     sigma_power, theta_reference)
+from oracles import (dense_q_coefficients, dyadic_surd, eisenstein_dense, j_dense, random_sl2,
+                     reduce_root_exact, theta_reference)
 
 
-class TestEisenstein:
-    def test_examples(self):
-        assert eisenstein_series(4, 2).coefficients == (1, 240, 2160)
-        assert eisenstein_series(6, 1).coefficients == (1, -504)
-
-    def test_unsupported_weight(self):
-        with pytest.raises(UnsupportedWeight):
-            eisenstein_series(5, 10)
-        with pytest.raises(OutOfRange):
-            eisenstein_series(4, 0)
-
-    def test_divisor_sums(self):
-        e4 = eisenstein_series(4, 30)
-        e6 = eisenstein_series(6, 30)
-        assert e4.truncation_order == 30
-        assert len(e4.coefficients) == 31
-        for n in range(1, 31):
-            assert e4.coefficients[n] == 240 * sigma_power(n, 3)
-            assert e6.coefficients[n] == -504 * sigma_power(n, 5)
-
-    def test_weights(self):
-        assert eisenstein_series(4, 3).weight == 4
-        assert eisenstein_series(6, 3).weight == 6
-        assert delta_series(3).weight == 12
-
-
-class TestDeltaSeries:
-    def test_ramanujan_coefficients(self):
-        d = delta_series(8).coefficients
-        assert d[:7] == (0, 1, -24, 252, -1472, 4830, -6048)
-
-    def test_exact_identity(self):
-        # 1728*Delta = E4^3 - E6^2 in the integer coefficients, no rounding
-        N = 60
-        e4 = eisenstein_series(4, N).coefficients
-        e6 = eisenstein_series(6, N).coefficients
-        delta = delta_series(N).coefficients
-
-        def mul(p, q):
-            out = [0] * (N + 1)
-            for i, pi in enumerate(p):
-                for j, qj in enumerate(q[: N + 1 - i]):
-                    out[i + j] += pi * qj
-            return out
-
-        e4cu = mul(mul(e4, e4), e4)
-        e6sq = mul(e6, e6)
-        for n in range(N + 1):
-            assert 1728 * delta[n] == e4cu[n] - e6sq[n]
+class TestQExpansionOracle:
+    def test_published_coefficients(self):
+        # E4, E6 and Ramanujan's tau(n) as published (OEIS A004009, A013973,
+        # A000594), not recomputed from divisor sums, which the oracle uses
+        e4, e6, delta = dense_q_coefficients(8)
+        assert e4[:6] == [1, 240, 2160, 6720, 17520, 30240]
+        assert e6[:5] == [1, -504, -16632, -122976, -532728]
+        assert delta == [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480]
 
 
 def exact_input(tau):
@@ -383,9 +341,26 @@ class TestJValue:
             tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 6))
             ev = j_value_with_bound(tau, 256)
             assert ev.error_bound < mp.mpf(2) ** -128
-            assert ev.delta_lower > 0
-            with mp.workprec(ev.working_prec):
-                assert abs(ev.delta) > ev.delta_lower
+            # the kernel's Delta is certified away from zero: |Delta| > its bound
+            (dr, di), dd = _theta(_frame(tau, 256), ev.working_prec).delta_fixed()
+            assert math.isqrt(dr * dr + di * di) > dd > 0
+
+    def test_delta_gate_refuses(self, monkeypatch, capsys):
+        # a kernel whose error reaches |Delta| cannot certify Delta != 0, so j
+        # is refused before any bound is formed, and jval exits 3
+        kernel = modular._theta
+
+        def inflated(frame, wp):
+            th = kernel(frame, wp)
+            return th._replace(err=4 << th.F)
+
+        monkeypatch.setattr(modular, "_theta", inflated)
+        with pytest.raises(PrecisionExhausted, match="cannot certify Delta away from zero"):
+            j_value_with_bound(mp.mpc(0.1, 1.2), 256)
+        assert run(["jval", "--tau", "0.1,1.2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "attrarith jval: computation failed: cannot certify Delta away from zero\n"
 
 
 def _reduction_counter(monkeypatch):
@@ -560,6 +535,21 @@ class TestHilbertClassPolynomial:
         assert res.class_number == 2
         # roots are j(2i) = 66^3 and j(i) = 1728
         assert res.coeffs == (1728 * 287496, -(1728 + 287496), 1)
+
+    def test_rounding_gate_refuses(self, monkeypatch, capsys):
+        # the proven bound keeps the gate unreachable, so the product is formed
+        # at 8 bits on purpose: at -239 (h = 15) the residual reaches 0.48,
+        # far from the 0.25 gate on either side, and hcp exits 3
+        bound = modular._hcp_precision
+        monkeypatch.setattr(modular, "_hcp_precision",
+                            lambda disc, forms: (bound(disc, forms)[0], 8))
+        with pytest.raises(RoundingFailed, match="rounding residual"):
+            hilbert_class_polynomial(-239)
+        assert run(["hcp", "--disc", "-239"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("attrarith hcp: computation failed: rounding residual")
 
     def test_invalid_disc(self):
         with pytest.raises(InvalidDiscriminant):
