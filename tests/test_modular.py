@@ -42,17 +42,55 @@ from attrarith.modular import (
 )
 
 from oracles import (dense_q_coefficients, dyadic_surd, eisenstein_dense, j_dense, random_sl2,
-                     reduce_root_exact, theta_reference)
+                     reduce_root_exact, sigma_power, theta_reference)
 
 
-class TestQExpansionOracle:
-    def test_published_coefficients(self):
-        # E4, E6 and Ramanujan's tau(n) as published (OEIS A004009, A013973,
-        # A000594), not recomputed from divisor sums, which the oracle uses
-        e4, e6, delta = dense_q_coefficients(8)
+def _q_mul(p, q, n_max):
+    """Product of two q-series truncated after q^n_max."""
+    out = [0] * (n_max + 1)
+    for i, pi in enumerate(p[: n_max + 1]):
+        for j, qj in enumerate(q[: n_max + 1 - i]):
+            out[i + j] += pi * qj
+    return out
+
+
+# The exact q-expansions live only in the oracle dense_q_coefficients; these
+# tests check it against values and identities it does not itself compute.
+class TestEisenstein:
+    def test_examples(self):
+        # E4 and E6 as published (OEIS A004009, A013973), not recomputed from
+        # divisor sums, which the oracle uses
+        e4, e6, _ = dense_q_coefficients(8)
         assert e4[:6] == [1, 240, 2160, 6720, 17520, 30240]
         assert e6[:5] == [1, -504, -16632, -122976, -532728]
+
+    def test_divisor_sums(self):
+        # E4^2 = E8 and E4*E6 = E10: divisor sums of powers the oracle never forms
+        N = 30
+        e4, e6, _ = dense_q_coefficients(N)
+        e8 = [1] + [480 * sigma_power(n, 7) for n in range(1, N + 1)]
+        e10 = [1] + [-264 * sigma_power(n, 9) for n in range(1, N + 1)]
+        assert _q_mul(e4, e4, N) == e8
+        assert _q_mul(e4, e6, N) == e10
+
+
+class TestDeltaSeries:
+    def test_ramanujan_coefficients(self):
+        # Ramanujan's tau(n) as published (OEIS A000594)
+        _, _, delta = dense_q_coefficients(8)
         assert delta == [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480]
+
+    def test_exact_identity(self):
+        # the oracle's (E4^3 - E6^2)/1728 equals q prod (1 - q^n)^24 exactly
+        N = 60
+        _, _, delta = dense_q_coefficients(N)
+        prod = [1] + [0] * N
+        for n in range(1, N + 1):
+            factor = [0] * (N + 1)
+            factor[0], factor[n] = 1, -1
+            for _ in range(24):
+                prod = _q_mul(prod, factor, N)
+        assert delta == [0] + prod[:N]
 
 
 def exact_input(tau):
