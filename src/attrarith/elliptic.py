@@ -44,7 +44,7 @@ from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest
 
 from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import (_cos_sin_pi, _frame, _j_fixed, _mul, _quotient_pair, _render, _sqr,
+from .modular import (_cos_sin_pi, _frame, _j_quotient, _mul, _quotient_pair, _render, _sqr,
                       _theta)
 
 __all__ = [
@@ -129,22 +129,24 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     when it is not a QuadraticSurd, to give source_tau.  The powers of lam
     and their products with the kernel's integers are exact, and each
     component of A, B and delta is rounded to prec bits once (A and B with
-    their division by 48 and 864); j is the kernel's fixed-point quotient
-    E4^3/Delta, the one j_value_with_bound forms, rounded to prec bits once.
+    their division by 48 and 864).  Delta = r^2 U and j = E4^3/Delta are the
+    kernel's relative quotient and its Delta (modular._j_quotient, the path
+    j_value_with_bound takes), and j is rounded to prec bits once.
 
-    Bounds before that rounding, with u = 2^-F the kernel's unit:
-    - delta.  The kernel's Delta errs by dd u < 2.8 2^-wp (derived for
-      j_value_with_bound), and |Delta| > 0.9 |q| on the fundamental domain,
-      so by less than 3.2 2^(mag-wp) <= 3.2 2^-(prec+96) relative; with
-      e_12 < 6.2 2^-wp, delta is within relative 2^-(prec+92).
+    Bounds before that rounding, with u = 2^-F the kernel's unit and
+    mag >= 7.85 on the fundamental domain:
+    - delta.  The kernel's Delta = r^2 U is within relative 370 2^-wp
+      (derived for j_value_with_bound), and with e_12 < 6.2 2^-wp delta is
+      within relative 2^(8.6-wp) <= 2^-(prec+95).
     - A.  E4 errs by d4 u < 55 2^-wp, so A is within
       (1 + e_4) 55 2^-wp |lam|^4/48 + e_4 |A| <= 2^-(prec+90) (|A| + L4),
       L4 = |lam|^4/48 = pi^4/(3 |mu|^4), however small E4 is.
     - B.  E6 errs by 27 err u < 297 2^-wp, so B is within
       2^-(prec+87) (|B| + L6), L6 = |lam|^6/864 = 2 pi^6/(27 |mu|^6).
-    - j.  E4's error, with |E4| < 2.1, adds at most
-      3 (2.1)^2 55 2^-wp/(0.89 |q|) < 820 2^(mag-wp) <= 2^-(prec+86), so j is
-      within 2^-(prec+86) (1 + |j|).
+    - j.  j is within 2^(10.3-wp) (1 + |j|) however high the point (derived
+      for j_value_with_bound), so within 2^-(prec+93) (1 + |j|).
+    No bound needs the ceil(mag) bits of wp any longer; they keep the height
+    gate below.
     Rounding each component to nearest then moves a field z by at most
     2^-prec of its modulus.  A height that would need more than 10^7 bits
     raises PrecisionExhausted (from _Frame.lam) before any computing.
@@ -156,16 +158,17 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     lam, e = frame.lam(wp)
     th = _theta(frame, wp)
     F = th.F
-    e4, e6, dk = th.e4_fixed()[0], th.e6_fixed()[0], th.delta_fixed()[0]
+    e4, delta = th.e4_fixed(), th.delta()
+    jv, _ = _j_quotient(e4, delta, F)
+    dk, de, _ = delta
     l2 = _mul(lam, lam, 0)
     l4 = _mul(l2, l2, 0)
     l6 = _mul(l4, l2, 0)
-    jv, _ = _j_fixed(e4, dk, F)
     with mp.workprec(prec):
         return WeierstrassModel(
-            A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
-            B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
-            delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - F, prec),
+            A=_rounded(_mul(l4, e4[0], 0), 4 * e - F, prec, -48),
+            B=_rounded(_mul(l6, th.e6_fixed()[0], 0), 6 * e - F, prec, 864),
+            delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
             j=_rounded(jv, -F, prec),
             source_tau=tau if isinstance(tau, QuadraticSurd) else +_render(frame.tau, wp),
             scale=mp.mpc(1), precision_bits=prec,

@@ -9,23 +9,29 @@ factor are exact integers), three sparse theta sums of O(sqrt(bits)) terms
 give all three forms, each sum with a proven geometric tail bound and a
 rounding bound, inside a working precision chosen from the reduced height.
 Only r = e^(pi i tau') comes from mpmath, through mpmath.libmp straight from
-the integers of tau', which is never rendered; its angle is reduced exactly
-on those integers to at most pi/4 and rotated back by a power of i
-(_cos_sin_pi, which also gives e^(2 pi i/n) to the torsion kernel), so
-mpmath's cos and sin run at the precision asked for.  The sums, their fourth
-powers and j = E4^3/Delta run on fixed-point Python integers (the products
-_mul and _sqr also serve the torsion kernel in elliptic; a square takes two
-integer multiplications), each power r^n carried only to the bits that can
-still reach the result, and j converts to mpc once.  The frame also gives
-lam = 2 pi i/mu on integers (_Frame.lam), from which elliptic scales the
-kernel's integers into Weierstrass models and torsion points; E4, E6 and
-Delta reach users only there, as the model's A, B and Delta.  On top of j
-sit Hilbert class polynomials, with one j evaluation per pair of
-complex-conjugate roots and the product formed on integers, and the
-algebraic-integer certificate for attractor points.  Their working
-precision comes from Enge's proven bound on the class-polynomial
-coefficients (A. Enge, Math. Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079
-on the fundamental domain, every coefficient of H_D is at most
+the integers of tau', which is never rendered; it is taken at relative
+precision, and its angle is reduced exactly on those integers to at most
+pi/4 and rotated back by a power of i (_cos_sin_pi, which also gives
+e^(2 pi i/n) to the torsion kernel), so mpmath's cos and sin run at the
+precision asked for.  The sums, their fourth powers and E4, E6 and
+U = Delta/q = (S2^4 theta_3^4 theta_4^4)^2, about 1 on the fundamental
+domain, run on fixed-point Python integers (the products _mul and _sqr also
+serve the torsion kernel in elliptic; a square takes two integer
+multiplications), each power r^n carried only to the bits that can still
+reach the result.  Delta = q U with q = r^2 is then relative, and so is the
+one quotient j = E4^3/(q U) (_j_quotient): its certified bound is
+2^(10.3-wp) (1 + |j|) at any height, and j_value_with_bound converts it to
+mpc once.  The frame also gives lam = 2 pi i/mu on integers (_Frame.lam),
+from which elliptic scales the kernel's integers into Weierstrass models
+and torsion points; E4, E6 and Delta reach users only there, as the model's
+A, B and Delta.  On top of j sit Hilbert class polynomials, with one
+evaluation per pair of complex-conjugate roots, each at relative precision
+from the reduced form's integers and straight into the product's fixed
+point, and the product formed on integers; and the algebraic-integer
+certificate for attractor points.  Their working precision comes from
+Enge's proven bound on the class-polynomial coefficients (A. Enge, Math.
+Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079 on the fundamental domain,
+every coefficient of H_D is at most
 C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the working precision
 always rounds to the exact coefficients and the rounding-residual gate stays
 a safety check that the bound keeps unreachable.
@@ -39,6 +45,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
@@ -75,12 +82,6 @@ def _horner(coeffs, q):
     for cn in reversed(coeffs):
         acc = acc * q + cn
     return acc
-
-
-def _to_fixed(z, F: int):
-    """mpc z as a pair of integers, each component floored to a multiple of 2^-F."""
-    re, im = z._mpc_
-    return to_fixed(re, F), to_fixed(im, F)
 
 
 def _from_fixed(s, F: int):
@@ -145,14 +146,22 @@ def _cos_sin_pi(a: int, b: int, p: int):
 
 
 class _Theta(NamedTuple):
-    """Fourth powers of the Jacobi thetas at a reduced point, with one error bound.
+    """The theta kernel at a reduced point: r = e^(pi i tau') at relative
+    precision, and the fourth powers behind E4, E6 and U = Delta/q, with one
+    error bound.
 
-    Values are (re, im) integers scaled by 2^F and err is in units of 2^-F.
-    With |theta_2^4| < 1.08 and |theta_3^4|, |theta_4^4| < 1.7 on the
-    fundamental domain, err >= 64 covers the products below, and each form's
-    bound is first order in err with that slack, rounded up.
+    r is an (re, im) integer pair scaled by 2^rbits, within sqrt(2) + 0.03
+    units of exact and above 2^(F+2) units in modulus (see _theta).  The
+    fourth powers are (re, im) integers scaled by 2^F and err is in units of
+    2^-F.  With |S2^4| < 1.018, |theta_2^4| < 1.08 and |theta_3^4|,
+    |theta_4^4| < 1.7 on the fundamental domain, err >= 64 covers the products
+    below, and each form's bound is first order in err with that slack,
+    rounded up.
     """
 
+    r: tuple      # r = e^(pi i tau'), scaled by 2^rbits
+    rbits: int
+    s2: tuple     # S2^4
     t2: tuple     # theta_2^4 = 16 r S2^4
     t3: tuple     # theta_3^4 = (1 + 2 S3)^4
     t4: tuple     # theta_4^4 = (1 + 2 S4)^4
@@ -174,12 +183,47 @@ class _Theta(NamedTuple):
         er, ei = _mul(_mul((ar + br, ai + bi), (br + cr, bi + ci), F), (cr - ar, ci - ai), F)
         return (er >> 1, ei >> 1), 27 * self.err
 
-    def delta_fixed(self):
-        """Delta = (theta_2 theta_3 theta_4)^8/256 = q S2^8 theta_3^8 theta_4^8."""
+    def u_fixed(self):
+        """U = (S2^4 theta_3^4 theta_4^4)^2 = Delta/q and its bound, in fixed point.
+
+        Delta = (theta_2 theta_3 theta_4)^8/256 and theta_2^4 = 16 r S2^4, so
+        Delta = r^2 U = q U exactly.  S2^4 is within err/2 (4.1 E + 5 in the
+        terms of _theta), the other two within err, so S2^4 theta_3^4 is
+        within 1.87 err + sqrt(2) and below 1.73, the triple product within
+        4.91 err + 3.9 and below 2.94, and its floored square within
+        28.9 err + 25 < 30 err.
+        """
         F = self.F
-        t = _mul(_mul(self.t2, self.t3, F), self.t4, F)
-        tr, ti = _sqr(t, F)
-        return (tr >> 8, ti >> 8), (self.err + 3) // 4
+        return _sqr(_mul(_mul(self.s2, self.t3, F), self.t4, F), F), 30 * self.err
+
+    def delta(self):
+        """Delta = r^2 U at relative precision, as (pair, e, err): Delta 2^e
+        is within err units of the integer pair, whose modulus lies between
+        |U| 2^(F+1) and |U| 2^(F+5).
+
+        r at rbits bits is squared and floored to e = 2 rbits - F - 4
+        fractional bits: its error, within 1.45 units at rbits bits, reaches
+        r^2 as 1.45 (2|r| + 1.45) < 3 (|r| + 2) units of 2^-(2 rbits), so q
+        is within 3 (|r| + 2) 2^-(F+4) + sqrt(2) units of 2^-e.  The product
+        with U, floored to the same scale, adds |q| du 2^-F for U's error,
+        (|U| + du) times q's error, and sqrt(2).  Every modulus is bounded
+        above from the integers, and each quotient rounded up.
+        """
+        F = self.F
+        q = _sqr(self.r, F + 4)
+        u, du = self.u_fixed()
+        eq = -(-3 * (_modulus_bounds(self.r)[1] + 2) >> (F + 4)) + 2
+        ed = -(-(_modulus_bounds(q)[1] * du + (_modulus_bounds(u)[1] + du) * eq) >> F) + 2
+        return _mul(q, u, F), 2 * self.rbits - F - 4, ed
+
+
+def _modulus_bounds(z):
+    """Integers at most and above the modulus of the integer pair z, each
+    within a factor 1 -+ 2^-30 of it: from the top 32 bits of z's components."""
+    a, b = abs(z[0]), abs(z[1])
+    k = max(0, max(a, b).bit_length() - 32)
+    a, b = a >> k, b >> k
+    return math.isqrt(a * a + b * b) << k, math.isqrt((a + 1) ** 2 + (b + 1) ** 2) + 1 << k
 
 
 def _theta(frame: _Frame, wp: int) -> _Theta:
@@ -198,12 +242,15 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
     the factor 1.071 exceeds 1/(1 - 0.0659) by more than that.
 
     Rounding, in ulps u = 2^-F.  r comes from the frame's exact integers
-    (_Frame.expjpi), floored once to F + 4 fractional bits from a value
-    within 0.03 units of 2^-(F+4) of r at the exact tau'; that integer is
-    16 r at F bits, and shifted down (a floor of a floor is one floor) it is
-    r at any coarser scale, in each case within sqrt(2) + 0.03 < 1.6 units
-    of that scale.  No other value depends on tau', so the kernel's bounds
-    hold against the forms at the exact point.
+    (_Frame.expjpi), floored once to rbits = F + 4 + h fractional bits from a
+    value within 0.03 units of 2^-rbits of r at the exact tau'.  As
+    |r| = 2^-L with h <= L < h + 1.01 (for any mag below the 10^7 cap, which
+    no caller evaluates), that pair is r at relative precision, above
+    2^(F+2) units in modulus, and _Theta keeps it for Delta = r^2 U.
+    Shifted down by h bits (a floor of a floor is one floor) it is 16 r at F
+    bits, and further down r at any coarser scale, in each case within
+    sqrt(2) + 0.03 < 1.6 units of that scale.  No other value depends on
+    tau', so the kernel's bounds hold against the forms at the exact point.
     Everything else runs on (re, im) Python integers, and each floored
     product errs by at most sqrt(2) units of its own scale.  The loop's
     products take three integer multiplications each, k = y_r (x_r + x_i),
@@ -234,17 +281,19 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
     With E = tail + 2M the error of each sum, 1 + 2 S3 is within 2E and
     below 1.1414 in modulus, so its square squared is within
     8 (1.1414)^3 E + (2 (1.1414)^2 + 1) sqrt(2) < 12 E + 6, and the same
-    holds for theta_4^4.  theta_2^4 = (16 r) S2^4 with |S2| < 1.0044 is
-    within 4.3 E + 8.  err = 12 E + 64 covers all three, and the remaining
-    slack covers the products that combine them into E4, E6 and Delta (at
-    most 4 ulps each).  F = wp + ceil(log2 M) + 4 keeps the rounding part
-    of err, (24 M + 64) 2^-F, below (1.5 + 4/M) 2^-wp.
+    holds for theta_4^4.  S2^4 is within 4.1 E + 5, and
+    theta_2^4 = (16 r) S2^4 with |S2| < 1.0044 within 4.3 E + 8.
+    err = 12 E + 64 covers all of them, S2^4 twice over, and the remaining
+    slack covers the products that combine them into E4, E6 and U (at most
+    4 ulps each).  F = wp + ceil(log2 M) + 4 keeps the rounding part of err,
+    (24 M + 64) 2^-F, below (1.5 + 4/M) 2^-wp.
     """
     half_mag = frame.mag / 2   # bits in 1/|r|
     M = max(2, math.ceil(math.sqrt((wp + 1) / half_mag)))
     F = wp + (M - 1).bit_length() + 4
     h = math.floor(half_mag * (1 - 1e-9))   # whole bits, at most log2(1/|r|)
-    r16r, r16i = r16 = frame.expjpi(1, F + 4)   # 16 r at F bits, and r at F + 4
+    r = frame.expjpi(1, F + 4 + h)   # r at F + 4 + h bits: F + 4 bits relative
+    r16r, r16i = r16 = r[0] >> h, r[1] >> h   # 16 r at F bits, and r at F + 4
     one = 1 << F
     # n = 1: r^1 at g_1 = F + 2 bits and r^(1^2) at F bits are shifts of the one floor
     g = F + 2   # fractional bits of r^(n-1)
@@ -275,8 +324,12 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
         s2r += tr
         s2i += ti
     tail = math.ceil(1.071 * 2.0 ** (F - M * M * half_mag)) + 1
+    s2 = _fourth((s2r, s2i), F)
     return _Theta(
-        t2=_mul(r16, _fourth((s2r, s2i), F), F),
+        r=r,
+        rbits=F + 4 + h,
+        s2=s2,
+        t2=_mul(r16, s2, F),
         t3=_fourth((one + 2 * s3r, 2 * s3i), F),
         t4=_fourth((one + 2 * s4r, 2 * s4i), F),
         F=F,
@@ -454,9 +507,14 @@ def _frame(tau, prec: int) -> _Frame:
             BinaryQuadraticForm(n * n, -2 * r * n, r * r - s * s * disc))
         mat, mu = ((v, -q), (-u, p)), (p * n - u * r, -u * s, n)
         r, s, n = -form.b, 2 * n * s, 2 * form.a
+    return _Frame(tau, mat, _mag(s, n, disc), disc, (r, s, n), mu)
+
+
+def _mag(s: int, n: int, disc: int) -> float:
+    """Bits of 1/|q| at height (s/n) sqrt|disc|, the height capped at 10^7
+    before it turns float and the bits at 10^7."""
     height = (s / n if s < 10**7 * n else 1e7) * math.sqrt(-disc)
-    mag = min(2 * math.pi * height * math.log2(math.e), _MAX_FRAME_BITS)
-    return _Frame(tau, mat, mag, disc, (r, s, n), mu)
+    return min(2 * math.pi * height * math.log2(math.e), _MAX_FRAME_BITS)
 
 
 def _j_precision(frame: _Frame, prec: int) -> int:
@@ -464,17 +522,39 @@ def _j_precision(frame: _Frame, prec: int) -> int:
     return prec + 2 * math.ceil(frame.mag) + 32
 
 
-def _j_fixed(e4, delta, F: int):
-    """j = E4^3/Delta from fixed-point pairs with F fractional bits, and the
-    norm of Delta: the cube from two floored products, the quotient by one
-    floor division by the norm.  A Delta that floored to zero raises
-    PrecisionExhausted."""
-    dr, di = delta
+def _j_quotient(e4, delta, F: int):
+    """j = E4^3/Delta from one theta kernel's E4 (_Theta.e4_fixed) and
+    Delta = r^2 U at relative precision (_Theta.delta), F its fractional
+    bits: (j, dj), j an integer pair with F fractional bits and dj a bound
+    on its error in units of 2^-F.
+
+    E4^3 comes from two floored products at F bits, within
+    d43 = 3 (A + d4)^2 d4 2^-2F + 8 units of 2^-F, A above |E4| and d4 its
+    bound; the 8 covers the two floors on |E4| < 3.5.  j 2^F is
+    E4^3 2^F conj(Delta 2^e)/|Delta 2^e|^2 times 2^e, formed by one floor
+    division.  With low = D - err below |Delta| 2^e, D a lower bound on the
+    pair's modulus, and |a/b - A/B| <= (|a - A| + |a/b| |b - B|)/|B|:
+
+        dj = ceil((d43 2^e + (J + 2) err)/low) + 2,
+
+    J above the modulus of the floored j, the + 2 inside covering that
+    floor, the + 2 outside it again.  The bound is computed on integers,
+    every step rounded up.  low must be positive, which certifies that
+    Delta does not vanish; otherwise PrecisionExhausted is raised before any
+    bound is formed.
+    """
+    e4, d4 = e4
+    (dr, di), e, err = delta
     norm = dr * dr + di * di
-    if not norm:
+    low = _modulus_bounds((dr, di))[0] - err
+    if not low > 0:
         raise PrecisionExhausted("cannot certify Delta away from zero")
     cr, ci = _mul(_sqr(e4, F), e4, F)
-    return (((cr * dr + ci * di) << F) // norm, ((ci * dr - cr * di) << F) // norm), norm
+    jr, ji = ((cr * dr + ci * di) << e) // norm, ((ci * dr - cr * di) << e) // norm
+    # in units of 2^-F, each -(-x // y) and -(-x >> k) a ceiling
+    d43 = -(-3 * (_modulus_bounds(e4)[1] + d4) ** 2 * d4 >> 2 * F) + 8
+    dj = -(-((d43 << e) + (_modulus_bounds((jr, ji))[1] + 2) * err) // low) + 2
+    return (jr, ji), dj
 
 
 def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
@@ -486,43 +566,36 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     reduced point, with no reduction at all for a point already in the
     closed fundamental domain, such as the root of a reduced form.  The
     theta kernel works at wp = prec + 2 ceil(mag) + 32 bits and takes r
-    straight from the frame's exact integers, so no point is rendered.  E4
-    and Delta come from the kernel, and E4^3 and the quotient are formed on
-    the same fixed-point integers (F fractional bits), with one floor
-    division by the norm of Delta.  j converts to mpc exactly.
+    straight from the frame's exact integers, so no point is rendered.  j is
+    the kernel's quotient E4^3/(r^2 U) at F fractional bits, with its bound
+    (_j_quotient), and converts to mpc exactly.
 
-    The bound is computed on integers counting units u = 2^-F, every step
-    rounded up: |E4| <= A u and |Delta| >= L u come from integer square roots
-    of the norms (plus one, and floored), and every quotient is a ceiling.
-    With d4 u and dd u the kernel's bounds on E4 and Delta:
+    The bound is relative in all but E4's error.  With |q| = 2^-mag and
+    u = 2^-F, the kernel's err u is below 11 2^-wp (12 tail u <= 6.5 2^-wp
+    and the rounding part below 4.25 2^-wp; the kernel carries r^n at fewer
+    bits than F, but keeps every power of r within 2 u, so err is what it
+    would be at F bits throughout).  So E4 errs by d4 u < 55 2^-wp and U by
+    du u < 330 2^-wp; with |U| > 0.9 on the fundamental domain
+    (|Delta| > 0.9 |q|), Delta is within relative 370 2^-wp < 2^-(wp-9),
+    less than 2^-(F+1) of it from r and the floors.  The cube's error,
+    3 |E4|^2 d4 u + 8 u, over |Delta| is at most
+    (13.15 d4 + 569 8) u (1 + |j|) < 865 2^-wp (1 + |j|), since
+    |Delta| (1 + |j|) = |q U| + |E4|^3: where |E4| >= 0.3 that is above
+    0.027 and |E4|^2/(|q U| + |E4|^3) below 1/|E4| < 3.34, and |E4| < 0.3
+    needs |q| > 2^-9 (below it |E4 - 1| < 0.48), where |q U| > 2^-9.2 and
+    |E4|^2/(|q U| + |E4|^3) < 2^(2/3)/(3 |q U|^(1/3)) < 4.39.  In all, j
+    errs by less than 2^(10.3-wp) (1 + |j|), however high the point.  With
+    |j| < 10.3/|q| on the fundamental domain, the 2 ceil(mag) + 32 guard
+    bits put that below 2^-(prec+26): mag + 14 of them would do.  The others
+    make j at prec + 64 work at prec + 2 ceil(mag) + 96 bits, the precision
+    the CM certificates are sized for.  The kernel's bounds hold against the
+    forms at the exact reduced point (its r is within 1.45 units of
+    e^(pi i tau') at the exact tau'), so no term for the input is needed,
+    for any matrix.
 
-    - the cube errs by at most 3 (A + d4)^2 d4 u^3 + 8 u, the 8 u covering
-      its two floored products on |E4| < 3.5;
-    - |a/b - A/B| <= (|a - A| + |a/b| |b - B|)/|B| with |B| >= L - dd, and
-      |a/b| below J, the modulus of the computed quotient plus 3;
-    - the floor division errs by at most sqrt(2) < 2.
-
-    The kernel's bounds hold against the forms at the exact reduced point
-    (its r is within 1.6 units of e^(pi i tau') at the exact tau'), so no
-    term for the input is needed, for any matrix.
-
-    The sum must lie below 2^-prec, or PrecisionExhausted is raised.  The 32
-    guard bits meet it everywhere on the fundamental domain, where
-    mag >= pi sqrt3 log2(e) > 7.85, |q| < 0.00434, |E4| < 2.1, |Delta| >
-    0.9 |q| and so |j| < 10.3 / |q|.  The kernel's err u is below 11 2^-wp
-    (12 tail u <= 6.5 2^-wp and the rounding part below 4.25 2^-wp; the
-    kernel carries r^n at fewer bits than F, but keeps every power of r
-    within 2 u, so err is what it would be at F bits throughout), so
-    d4 u < 55 2^-wp and dd u < 2.8 2^-wp.  With L - dd > 0.89 |q|, the cube
-    term is below 820 2^(mag-wp) <= 3.6 2^-(prec+32), J dd/(L - dd) below
-    33 2^(2 mag - wp) <= 33 2^-(prec+32), and the total stays below
-    37 2^-(prec+32) < 2^-(prec+26): 6 guard bits would do, and the
-    other 26 keep the gate unreachable even for a height misestimated by 13
-    bits.  They also make j at prec + 64 work at prec + 2 ceil(mag) + 96
-    bits, the precision the CM certificates are sized for.
-
-    The quotient needs L > dd, which certifies that Delta does not vanish;
-    otherwise PrecisionExhausted is raised before any bound is formed.
+    The sum must lie below 2^-prec, or PrecisionExhausted is raised.  The
+    quotient needs Delta certified away from zero; otherwise
+    PrecisionExhausted is raised before any bound is formed.
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
@@ -530,22 +603,12 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     wp = _j_precision(frame, prec)
     th = _theta(frame, wp)
     F = th.F
-    (er, ei), d4 = th.e4_fixed()
-    delta, dd = th.delta_fixed()
-    (jr, ji), norm = _j_fixed((er, ei), delta, F)
-    low = math.isqrt(norm)
-    if not low > dd:
-        raise PrecisionExhausted("cannot certify Delta away from zero")
-    big_a = math.isqrt(er * er + ei * ei) + 1
-    big_j = math.isqrt(jr * jr + ji * ji) + 3
-    # in units of 2^-F, each -(-x // y) and -(-x >> k) a ceiling
-    d43 = -(-3 * (big_a + d4) ** 2 * d4 >> 2 * F) + 8
-    dj = -(-((d43 << F) + big_j * dd) // (low - dd)) + 2
+    j, dj = _j_quotient(th.e4_fixed(), th.delta(), F)
     if not dj < 1 << (F - prec):
         raise PrecisionExhausted(
             f"j error bound {mp.nstr(mp.ldexp(dj, -F), 5)} misses 2^-{prec} target")
     return JEvaluation(
-        j=_from_fixed((jr, ji), F),
+        j=_from_fixed(j, F),
         error_bound=mp.make_mpf(from_man_exp(dj, -F)),
         truncation_order=th.terms,
         working_prec=wp,
@@ -598,6 +661,30 @@ class HCPResult:
     precision_bits: int
 
 
+def _root_j(f, disc: int, prec: int, G: int):
+    """j at the root of the reduced form f of discriminant disc, within
+    2^-prec (1 + |j|), floored to an integer pair with G fractional bits.
+
+    The root (-b + sqrt(disc))/(2a) lies in the closed fundamental domain,
+    so its frame is built straight from those integers, and the kernel works
+    at prec + 16 bits.  Its quotient (_j_quotient at the kernel's F bits)
+    carries a certified bound of dj units of 2^-F, which must satisfy
+    dj (2^prec + 1) <= 2^F + J, J a lower bound on the pair's modulus: then
+    dj 2^-F <= 2^-prec (1 + |j|) for the exact j, as |j| 2^F >= J - dj.
+    Otherwise PrecisionExhausted is raised.  The pair is then shifted to G
+    bits, which floors it when G < F.
+    """
+    frame = _Frame(None, _IDENTITY, _mag(1, 2 * f.a, disc), disc, (-f.b, 1, 2 * f.a), None)
+    th = _theta(frame, prec + 16)
+    F = th.F
+    (jr, ji), dj = _j_quotient(th.e4_fixed(), th.delta(), F)
+    if (dj << prec) + dj > (1 << F) + _modulus_bounds((jr, ji))[0]:
+        raise PrecisionExhausted(
+            f"j error bound misses 2^-{prec} (1 + |j|) at the form ({f.a}, {f.b}, {f.c})")
+    k = G - F
+    return (jr << k, ji << k) if k >= 0 else (jr >> -k, ji >> -k)
+
+
 def hilbert_class_polynomial(disc: int) -> HCPResult:
     """Monic integer polynomial whose roots are j of the reduced forms of disc.
 
@@ -609,30 +696,39 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
     factors are multiplied on integers with G = wp + 32 fractional bits, and
     the coefficients are recovered by rounding, with the maximum rounding
     residual required below 0.25.  wp and the coefficient bits
-    c = ceil(B + log2(h+1)) come from _hcp_precision, and every root is
-    asked of j_value_with_bound at max(64, c + 24) bits, so its certified
-    error delta_i is below 2^-(c+24).  The argument below needs only
-    2^-(c+8), which makes the gate unreachable; the other 16 bits keep every
-    rounding residual below 2^-23.
+    c = ceil(B + log2(h+1)) come from _hcp_precision.  Every root is
+    evaluated by _root_j, from the reduced form's integers, at relative
+    precision: J_i is certified within eps (1 + |J_i|), eps = 2^-p,
+    p = max(64, c + 24), and shifted straight to G bits.  The kernel works
+    at p + 16 bits, where j errs by less than 2^-5.7 eps (1 + |J_i|) however
+    high the root (see j_value_with_bound), so the check in _root_j, which
+    raises PrecisionExhausted, is not reached; the guard needs no term for
+    the height.  The argument below puts every coefficient within 2^-23 of
+    its integer; eps = 2^-(c+8) would already keep it within 2^-7, so the
+    rounding gate at 0.25 is unreachable.
 
     - Root errors.  The conjugate of J_i is within delta_i of the conjugate
       root, and Re J_i of a real root within delta_i of it, so every one of
-      the h roots is known within delta_i; flooring to G bits adds at most
-      sqrt(2) 2^-G.  Coefficient k of prod(x + J_i + delta_i) - prod(x + J_i)
-      is at most that of the majorant prod(x + |J_i| + delta) - prod(x + |J_i|)
-      with delta = max delta_i, and the majorant's coefficients sum to its
-      value at x = 1, at most prod(1 + |J_i|) ((1 + delta)^h - 1).  Each |J_i| is at
-      most its root bound A_i >= 2079, so prod(1 + |J_i|) <= prod A_i e^(h/2079)
-      <= 2^(B+1), and h delta < 2^-8 gives (1 + delta)^h - 1 < 1.01 h delta.
-      Every coefficient is therefore off by less than 2^(B+1) 1.01 h 2^-(c+8)
-      < 2^-7.
+      the h roots is known within delta_i <= eps (1 + |J_i|) + sqrt(2) 2^-G,
+      the second term for the floor to G bits; as G >= c + 96 that is below
+      eps' (1 + |J_i|) with eps' = 1.01 eps.  Coefficient k of
+      prod(x + J_i + delta_i) - prod(x + J_i) is at most that of the
+      majorant prod(x + |J_i| + delta_i) - prod(x + |J_i|), and the
+      majorant's coefficients sum to its value at x = 1,
+      prod(1 + |J_i| + delta_i) - prod(1 + |J_i|)
+      <= prod(1 + |J_i|) ((1 + eps')^h - 1).  Each |J_i| is at most its root
+      bound A_i >= 2079, so prod(1 + |J_i|) <= prod A_i e^(h/2079)
+      <= 1.001 2^B (for h >= 2 the binomial in B exceeds the exponential),
+      and h eps' < 2^-8 gives (1 + eps')^h - 1 < 1.01 h eps'.  With
+      2^c >= (h + 1) 2^B, every coefficient is therefore off by less than
+      1.001 2^B 1.01^2 h 2^-(c+24) < 2^-23.95.
     - Product rounding.  |J|^2 is floored once, and each pass floors at most
       two products per coefficient; an error of 2^-G in one factor or one
       partial product reaches the result multiplied by the remaining
       factors, whose coefficients sum to at most 2^(B+1).  So the rounding
       adds less than 3h 2^(B+2) 2^-G < 2^-90.
 
-    The product is real, so every coefficient lies within 2^-7 of its
+    The product is real, so every coefficient lies within 2^-23 of its
     integer.
     """
     if disc >= 0 or disc % 4 not in (0, 1):
@@ -646,8 +742,7 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
     for f in forms:
         if f.b < 0:
             continue   # the partner of (a, -b, c), which carries both roots
-        ev = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), root_prec)
-        jr, ji = _to_fixed(ev.j, G)
+        jr, ji = _root_j(f, disc, root_prec, G)
         if f.b == 0 or f.b == f.a or f.a == f.c:
             low = (-jr,)
         else:
@@ -699,7 +794,7 @@ class CMCertificate:
     j: mp.mpc
     hcp: HCPResult
     value: float           # |H_4D(j(tau))|
-    error_bound: float     # propagated evaluation error on that value
+    error_bound: float     # propagated evaluation error on that value, rounded up
     tolerance: float
     precision_bits: int
 
@@ -743,6 +838,15 @@ def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
         return ev, abs(_horner(coeffs, ev.j)), err
 
 
+def _float_above(x) -> float:
+    """The smallest double at or above the mpf x >= 0, compared exactly."""
+    d = float(x)
+    _, man, exp, _ = x._mpf_
+    if Fraction(d) < Fraction(man) * Fraction(2) ** exp:
+        d = math.nextafter(d, math.inf)
+    return d
+
+
 def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
     """Certify |H_4D(j(tau_pq))| < 2^(-prec/4) for the attractor point of c.
 
@@ -774,7 +878,7 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
         j=j_out,
         hcp=hcp,
         value=float(value),
-        error_bound=float(err),
+        error_bound=_float_above(err),
         tolerance=float(mp.mpf(2) ** (-(prec // 4))),
         precision_bits=prec,
     )

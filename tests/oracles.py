@@ -264,9 +264,9 @@ def wp_direct(tau, a: int, b: int, n: int, prec: int):
 def model_mpmath(tau, prec: int):
     """(A, B, delta, j) of the Weierstrass model of Z + Z tau at prec bits, by
     the mpmath formula that elliptic.model_from_tau used before it formed the
-    fields from integer powers of 2 pi i/mu: the theta kernel's E4, E6 and
-    Delta as exact mpc values, mu rendered at wp bits from the frame's
-    integers, and
+    fields from integer powers of 2 pi i/mu: the theta kernel's E4, E6, r
+    and U as exact mpc values, Delta = r^2 U, mu rendered at wp bits from
+    the frame's integers, and
 
         A = -(pi^4/3) E4/mu^4,   B = -(2 pi^6/27) E6/mu^6,
         delta = (2 pi)^12 Delta/mu^12,   j = E4^3/Delta,
@@ -283,8 +283,9 @@ def model_mpmath(tau, prec: int):
         else:
             r, s, n = frame.mu
             mu = mp.mpc(mp.mpf(r) / n, mp.mpf(s) / n * mp.sqrt(-frame.disc))
-        e4, e6, dk = (_from_fixed(v, th.F) for v, _ in
-                      (th.e4_fixed(), th.e6_fixed(), th.delta_fixed()))
+        e4, e6, u = (_from_fixed(v, th.F) for v, _ in
+                     (th.e4_fixed(), th.e6_fixed(), th.u_fixed()))
+        dk = _from_fixed(th.r, th.rbits) ** 2 * u
         a = -mp.pi**4 / 3 * e4 / mu**4
         b = -2 * mp.pi**6 / 27 * e6 / mu**6
         delta = (2 * mp.pi) ** 12 * dk / mu**12

@@ -136,7 +136,7 @@ class TestModelAgainstMpmathFormula:
                           abs(ref[1]) + 2 * mp.pi**6 / (27 * mu**6),
                           abs(ref[2]), 1 + abs(ref[3]))
                 pre = (mp.mpf(2) ** -(prec + 90), mp.mpf(2) ** -(prec + 87),
-                       mp.mpf(2) ** -(prec + 92), mp.mpf(2) ** -(prec + 86))
+                       mp.mpf(2) ** -(prec + 95), mp.mpf(2) ** -(prec + 93))
                 fields = (m.A, m.B, m.delta, m.j)
                 for got, want, scale, eps in zip(fields, ref, scales, pre):
                     bound = eps * scale + mp.mpf(2) ** -prec * (abs(want) + eps * scale) \

@@ -379,9 +379,9 @@ class TestJValue:
             tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 6))
             ev = j_value_with_bound(tau, 256)
             assert ev.error_bound < mp.mpf(2) ** -128
-            # the kernel's Delta is certified away from zero: |Delta| > its bound
-            (dr, di), dd = _theta(_frame(tau, 256), ev.working_prec).delta_fixed()
-            assert math.isqrt(dr * dr + di * di) > dd > 0
+            # the kernel's U = Delta/q is certified away from zero: |U| > its bound
+            (ur, ui), du = _theta(_frame(tau, 256), ev.working_prec).u_fixed()
+            assert math.isqrt(ur * ur + ui * ui) > du > 0
 
     def test_delta_gate_refuses(self, monkeypatch, capsys):
         # a kernel whose error reaches |Delta| cannot certify Delta != 0, so j
@@ -499,11 +499,23 @@ class TestThetaKernelAgainstDenseOracle:
                 zred = mp.mpc(zred)
                 th = _theta(kernel_frame(zred), wp)
                 e4o, e6o, do, bound, _ = eisenstein_dense(zred, wp)
-                for (val, err), ref in ((th.e4_fixed(), e4o), (th.e6_fixed(), e6o),
-                                        (th.delta_fixed(), do)):
+                # U = Delta/q with q 64 bits beyond wp, so that only the
+                # dense Delta's bound counts, divided by |q|
+                with mp.workprec(wp + 64):
+                    q = mp.expjpi(2 * zred)
+                    uo, ubound = do / q, bound / abs(q) * (1 + mp.mpf(2) ** -wp)
+                for (val, err), ref, refbound in ((th.e4_fixed(), e4o, bound),
+                                                  (th.e6_fixed(), e6o, bound),
+                                                  (th.u_fixed(), uo, ubound)):
                     assert err < 1 << (th.F - wp + 16)
                     val, err = _from_fixed(val, th.F), mp.ldexp(err, -th.F)
-                    assert abs(val - ref) <= err + bound, (zred, wp)
+                    assert abs(val - ref) <= err + refbound, (zred, wp)
+                # Delta = r^2 U from the kernel's relative pair, within its own
+                # bound, which is relative to |Delta|: about 2^-(wp-9) of it
+                val, e, err = th.delta()
+                val, err = _from_fixed(val, e), mp.ldexp(err, -e)
+                assert err < abs(val) * mp.mpf(2) ** (9 - wp), (zred, wp)
+                assert abs(val - do) <= err + bound, (zred, wp)
 
     def test_j_at_random_points(self):
         rng = random.Random(8192)
@@ -658,6 +670,59 @@ class TestCoefficientBound:
         assert _hcp_digest(-501, -1000) == HCP_DIGEST_501_TO_1000
 
 
+class TestRootContract:
+    """Each class-polynomial root is certified at relative precision: within
+    2^-p (1 + |J|), p = max(64, c + 24), with no surd and no mpc per root."""
+
+    DISCS = [-3, -12, -27, -75] + random.Random(1919).sample(
+        [d for d in range(-4, -2001, -1) if d % 4 in (0, 1)], 40)
+
+    def test_roots_within_relative_bound(self):
+        for disc in self.DISCS:
+            forms = class_group_forms(disc)
+            coeff_bits, wp = modular._hcp_precision(disc, forms)
+            prec, G = max(64, coeff_bits + 24), wp + 32
+            for f in forms:
+                if f.b < 0:
+                    continue
+                jr, ji = modular._root_j(f, disc, prec, G)
+                ref = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), prec + 256)
+                with mp.workprec(ref.working_prec + 64):
+                    got = mp.mpc(mp.ldexp(jr, -G), mp.ldexp(ji, -G))
+                    # the certified bound, the floor to G bits, the reference's own bound
+                    tol = (mp.ldexp(1 + abs(ref.j), -prec) + mp.ldexp(2, -G)
+                           + ref.error_bound)
+                    assert abs(got - ref.j) <= tol, (disc, f)
+
+    def test_rounding_residuals_below_promise(self):
+        for disc in self.DISCS:
+            assert hilbert_class_polynomial(disc).residual < 2.0**-23, disc
+
+    def test_no_surd_and_no_mpc_per_root(self, monkeypatch):
+        surds, mpcs = [], []
+        init = QuadraticSurd.__init__
+
+        def counting_init(self, *args):
+            surds.append(args)
+            init(self, *args)
+
+        # every mpc is made by setting the _mpc_ slot of the base class
+        base = type(mp.mpc(0)).__mro__[1]
+        slot = base.__dict__["_mpc_"]
+
+        def counting_set(self, value):
+            mpcs.append(value)
+            slot.__set__(self, value)
+
+        monkeypatch.setattr(QuadraticSurd, "__init__", counting_init)
+        monkeypatch.setattr(base, "_mpc_", property(slot.__get__, counting_set))
+        for disc in (-3, -23, -479, -971):
+            hilbert_class_polynomial(disc)
+        assert surds == [] and mpcs == []
+        mp.mpc(1, 2)
+        assert len(mpcs) == 1   # the spy sees an mpc when one is made
+
+
 def _is_ambiguous(f):
     return f.b == 0 or f.b == f.a or f.a == f.c
 
@@ -684,16 +749,18 @@ class TestConjugatePairing:
     def test_one_j_evaluation_per_form_with_nonnegative_b(self, monkeypatch):
         seen = []
 
-        def spy(tau, prec=256):
-            seen.append(tau)
-            return j_value_with_bound(tau, prec)
+        root_j = modular._root_j
 
-        monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
+        def spy(f, disc, prec, G):
+            seen.append(f)
+            return root_j(f, disc, prec, G)
+
+        monkeypatch.setattr(modular, "_root_j", spy)
         for disc in (-3, -23, -420, -479, -971):
             seen.clear()
             hilbert_class_polynomial(disc)
             forms = class_group_forms(disc)
-            assert seen == [QuadraticSurd(-f.b, 1, 2 * f.a, disc) for f in forms if f.b >= 0]
+            assert seen == [f for f in forms if f.b >= 0]
             assert len(seen) < len(forms) or all(_is_ambiguous(f) for f in forms)
 
     def test_all_forms_ambiguous_minus_420(self):
@@ -759,6 +826,29 @@ class TestCertifyCM:
             cert = certify_attractor_cm(ChargeData(p2, q2, pq), 256)
             assert cert.point.form.a == 1
             assert cert.passed, (p2, q2, pq)
+
+
+class TestCertifyBoundRoundsUp:
+    """The stored error_bound is the smallest double at or above the mpf bound."""
+
+    @pytest.mark.parametrize("charge", [(2, 3, 1), (1, 1, 0), (2, 2, 1), (3, 5, 1), (3, 4, 1),
+                                        (1, 5, 0), (1, 6, 1), (2, 3, 0)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_error_bound_is_a_bound(self, monkeypatch, charge):
+        seen = []
+        root_residual = modular._root_residual
+
+        def spy(*args):
+            out = root_residual(*args)
+            seen.append(out[2])
+            return out
+
+        monkeypatch.setattr(modular, "_root_residual", spy)
+        cert = certify_attractor_cm(ChargeData(*charge), 256)
+        _, man, exp, _ = seen[-1]._mpf_
+        exact = Fraction(man) * Fraction(2) ** exp
+        assert Fraction(cert.error_bound) >= exact
+        assert Fraction(math.nextafter(cert.error_bound, 0)) < exact
 
 
 class TestHcpCache:
