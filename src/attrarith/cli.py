@@ -44,11 +44,11 @@ _MAX_JVAL_WORK = 2**17
 _MAX_CLASS_DISC = 40_000_000
 # largest h * c for a class polynomial, h the class number and c its coefficient
 # bits (Enge's bound): the cost grows like (h c)^1.5, and h c = 697 476
-# (hcp --disc -184024) takes about 1.2 s on one core
+# (hcp --disc -184024) takes about 0.9 s on one core
 _MAX_HCP_BITS = 700_000
 # largest working precision of the certify j evaluation at the attractor root:
 # 32723 bits with h c = 538 704 (certify --p2 3 --q2 2248 --pq 1) take about
-# 1.3 s on one core
+# 1.1 s on one core
 _MAX_CERTIFY_WORK = 2**15
 # largest resolve step count: 300 000 steps take about 1.7 s on one core
 _MAX_HJ_STEPS = 300_000

@@ -44,7 +44,7 @@ from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest
 
 from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import (_cos_sin_pi, _frame, _j_quotient, _mul, _quotient_pair, _render, _sqr,
+from .modular import (_cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _render, _sqr,
                       _theta)
 
 __all__ = [
@@ -129,13 +129,14 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     when it is not a QuadraticSurd, to give source_tau.  The powers of lam
     and their products with the kernel's integers are exact, and each
     component of A, B and delta is rounded to prec bits once (A and B with
-    their division by 48 and 864).  Delta = r^2 U and j = E4^3/Delta are the
-    kernel's relative quotient and its Delta (modular._j_quotient, the path
-    j_value_with_bound takes), and j is rounded to prec bits once.
+    their division by 48 and 864).  Delta = q U and j = E4^3/Delta are the
+    kernel's relative Delta and quotient (modular._j_pair, the pair
+    j_value_with_bound certifies), and j is rounded to prec bits once; their
+    certified bounds are not formed here, as the ones below hold for them.
 
     Bounds before that rounding, with u = 2^-F the kernel's unit and
     mag >= 7.85 on the fundamental domain:
-    - delta.  The kernel's Delta = r^2 U is within relative 370 2^-wp
+    - delta.  The kernel's Delta = q U is within relative 370 2^-wp
       (derived for j_value_with_bound), and with e_12 < 6.2 2^-wp delta is
       within relative 2^(8.6-wp) <= 2^-(prec+95).
     - A.  E4 errs by d4 u < 55 2^-wp, so A is within
@@ -158,18 +159,18 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     lam, e = frame.lam(wp)
     th = _theta(frame, wp)
     F = th.F
-    e4, delta = th.e4_fixed(), th.delta()
-    jv, _ = _j_quotient(e4, delta, F)
-    dk, de, _ = delta
+    e4 = th.e4_fixed()[0]
+    q, de = th.q_fixed()
+    dk = _mul(q, th.u_fixed()[0], F)
     l2 = _mul(lam, lam, 0)
     l4 = _mul(l2, l2, 0)
     l6 = _mul(l4, l2, 0)
     with mp.workprec(prec):
         return WeierstrassModel(
-            A=_rounded(_mul(l4, e4[0], 0), 4 * e - F, prec, -48),
+            A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
             B=_rounded(_mul(l6, th.e6_fixed()[0], 0), 6 * e - F, prec, 864),
             delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
-            j=_rounded(jv, -F, prec),
+            j=_rounded(_j_pair(e4, dk, de, F), -F, prec),
             source_tau=tau if isinstance(tau, QuadraticSurd) else +_render(frame.tau, wp),
             scale=mp.mpc(1), precision_bits=prec,
         )

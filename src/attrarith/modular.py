@@ -19,16 +19,18 @@ domain, run on fixed-point Python integers (the products _mul and _sqr also
 serve the torsion kernel in elliptic; a square takes two integer
 multiplications), each power r^n carried only to the bits that can still
 reach the result.  Delta = q U with q = r^2 is then relative, and so is the
-one quotient j = E4^3/(q U) (_j_quotient): its certified bound is
-2^(10.3-wp) (1 + |j|) at any height, and j_value_with_bound converts it to
-mpc once.  The frame also gives lam = 2 pi i/mu on integers (_Frame.lam),
-from which elliptic scales the kernel's integers into Weierstrass models
-and torsion points; E4, E6 and Delta reach users only there, as the model's
-A, B and Delta.  On top of j sit Hilbert class polynomials, with one
-evaluation per pair of complex-conjugate roots, each at relative precision
-from the reduced form's integers and straight into the product's fixed
-point, and the product formed on integers; and the algebraic-integer
-certificate for attractor points.  Their working precision comes from
+one quotient j = E4^3/(q U) (_j_pair, with its bound from _j_quotient): the
+bound is 2^(10.3-wp) (1 + |j|) at any height, and j_value_with_bound
+converts both to mpc and mpf once.  The frame also gives lam = 2 pi i/mu on
+integers (_Frame.lam), from which elliptic scales the kernel's integers
+into Weierstrass models and torsion points; E4, E6 and Delta reach users
+only there, as the model's A, B and Delta.  On top of j sit Hilbert class
+polynomials, with one evaluation per pair of complex-conjugate roots, each
+asked of j_value_with_bound with the reduced form itself and checked at
+relative precision, so that, above j_value_with_bound's 64-bit floor on a
+request, its working precision carries no term for the height, and the
+product formed on integers; and the algebraic-integer certificate for
+attractor points.  Their working precision comes from
 Enge's proven bound on the class-polynomial coefficients (A. Enge, Math.
 Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079 on the fundamental domain,
 every coefficient of H_D is at most
@@ -45,7 +47,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
@@ -196,34 +197,50 @@ class _Theta(NamedTuple):
         F = self.F
         return _sqr(_mul(_mul(self.s2, self.t3, F), self.t4, F), F), 30 * self.err
 
+    def q_fixed(self):
+        """q = r^2 at relative precision, as (pair, e): q 2^e is within 6
+        units of the integer pair, whose modulus lies between 2^(F+1) and
+        2^(F+4) + 6.
+
+        r at rbits bits is squared and floored to e = 2 rbits - F - 4
+        fractional bits.  Its pair is below 2^(F+4) + 2 in modulus, as
+        |r| <= 2^-h, and within 1.45 units, so that error reaches r^2 as
+        1.45 (2|r| + 1.45) < 3 (|r| + 2) units of 2^-(2 rbits), less than
+        3 (2^(F+4) + 4) 2^-(F+4) + sqrt(2) < 6 units of 2^-e in all.
+        """
+        return _sqr(self.r, self.F + 4), 2 * self.rbits - self.F - 4
+
     def delta(self):
-        """Delta = r^2 U at relative precision, as (pair, e, err): Delta 2^e
+        """Delta = q U at relative precision, as (pair, e, err): Delta 2^e
         is within err units of the integer pair, whose modulus lies between
         |U| 2^(F+1) and |U| 2^(F+5).
 
-        r at rbits bits is squared and floored to e = 2 rbits - F - 4
-        fractional bits: its error, within 1.45 units at rbits bits, reaches
-        r^2 as 1.45 (2|r| + 1.45) < 3 (|r| + 2) units of 2^-(2 rbits), so q
-        is within 3 (|r| + 2) 2^-(F+4) + sqrt(2) units of 2^-e.  The product
-        with U, floored to the same scale, adds |q| du 2^-F for U's error,
-        (|U| + du) times q's error, and sqrt(2).  Every modulus is bounded
-        above from the integers, and each quotient rounded up.
+        The product of q (q_fixed, within 6 units) with U (u_fixed, within
+        du units of 2^-F), floored to q's scale, errs by |q| du 2^-F for U's
+        error, 6 (|U| + du 2^-F) for q's, and sqrt(2) for the floor.  |q| is
+        bounded above from the integers; |U| < 8.65 on the fundamental
+        domain (u_fixed), so the second part is below 52 + 12 du 2^-F.  The
+        sum is rounded up.
         """
         F = self.F
-        q = _sqr(self.r, F + 4)
+        q, e = self.q_fixed()
         u, du = self.u_fixed()
-        eq = -(-3 * (_modulus_bounds(self.r)[1] + 2) >> (F + 4)) + 2
-        ed = -(-(_modulus_bounds(q)[1] * du + (_modulus_bounds(u)[1] + du) * eq) >> F) + 2
-        return _mul(q, u, F), 2 * self.rbits - F - 4, ed
+        return _mul(q, u, F), e, -(-(_modulus_bounds(q)[1] + 12) * du >> F) + 56
 
 
 def _modulus_bounds(z):
     """Integers at most and above the modulus of the integer pair z, each
-    within a factor 1 -+ 2^-30 of it: from the top 32 bits of z's components."""
+    within a factor 1 -+ 2^-29 of it: from the top 32 bits of z's components.
+
+    With a and b those bits, |z| 2^-k lies in [sqrt(a^2 + b^2),
+    sqrt((a + 1)^2 + (b + 1)^2)], and the upper end is below
+    sqrt(a^2 + b^2) + sqrt(2) < isqrt(a^2 + b^2) + 3, so one integer square
+    root gives both."""
     a, b = abs(z[0]), abs(z[1])
     k = max(0, max(a, b).bit_length() - 32)
     a, b = a >> k, b >> k
-    return math.isqrt(a * a + b * b) << k, math.isqrt((a + 1) ** 2 + (b + 1) ** 2) + 1 << k
+    low = math.isqrt(a * a + b * b)
+    return low << k, low + 3 << k
 
 
 def _theta(frame: _Frame, wp: int) -> _Theta:
@@ -349,7 +366,10 @@ class JEvaluation(NamedTuple):
 
 
 def _render(tau, prec: int):
-    """Input tau at the requested precision; surds re-render exactly."""
+    """Input tau at the requested precision; surds and forms' roots
+    re-render exactly."""
+    if isinstance(tau, BinaryQuadraticForm):
+        tau = tau.root()
     if isinstance(tau, QuadraticSurd):
         return tau.to_mpc(prec)
     with mp.workprec(prec):
@@ -475,13 +495,16 @@ def _frame(tau, prec: int) -> _Frame:
     """The frame of tau; the caller then picks its working precision from mag.
 
     Every input is taken exactly as tau = (r + s sqrt(disc))/n on integers:
-    a QuadraticSurd as it is, any other value as the dyadic rationals of its
-    mpc components (disc = -1; a value that is not an mpc is made one at
-    prec bits).  Non-finite input raises OutOfRange, an mpc spanning more
-    than 2^20 bits raises PrecisionExhausted before any integer of that size
-    is formed, and Im tau <= 0 raises NotUpperHalfPlane.  A point in the
-    closed fundamental domain (|r| <= n/2 and r^2 - s^2 disc >= n^2) is its
-    own reduced point, with the identity matrix.  Any other point is the root
+    a QuadraticSurd as it is, a positive definite BinaryQuadraticForm
+    (a, b, c) as its root (-b + sqrt(disc))/(2a) with no surd formed (any
+    other form raises NotUpperHalfPlane), any other value as the dyadic
+    rationals of its mpc components (disc = -1; a value that is not an mpc
+    is made one at prec bits).  Non-finite input raises OutOfRange, an mpc
+    spanning more than 2^20 bits raises PrecisionExhausted before any
+    integer of that size is formed, and Im tau <= 0 raises
+    NotUpperHalfPlane.  A point in the closed fundamental domain
+    (|r| <= n/2 and r^2 - s^2 disc >= n^2) is its own reduced point, with
+    the identity matrix.  Any other point is the root
     of the form f = (n^2, -2rn, r^2 - s^2 disc), of discriminant
     4 n^2 s^2 disc, and reduce_form finds M with g = f(M) reduced.  The root
     (-g.b + 2ns sqrt(disc))/(2 g.a) of g is tau' = M^-1 tau, so the matrix
@@ -490,7 +513,11 @@ def _frame(tau, prec: int) -> _Frame:
     before it turns float; the cap on mag, reached from a height of 1.1e6,
     keeps every working precision finite.
     """
-    if isinstance(tau, QuadraticSurd):
+    if isinstance(tau, BinaryQuadraticForm):
+        if not tau.is_positive_definite():
+            raise NotUpperHalfPlane(f"form {tau} has no root in the upper half plane")
+        r, s, n, disc = -tau.b, 1, 2 * tau.a, tau.disc
+    elif isinstance(tau, QuadraticSurd):
         x, y, disc = tau.x, tau.y, tau.disc
         n = math.lcm(x.denominator, y.denominator)
         r, s = x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)
@@ -522,18 +549,31 @@ def _j_precision(frame: _Frame, prec: int) -> int:
     return prec + 2 * math.ceil(frame.mag) + 32
 
 
+def _j_pair(e4, d, e: int, F: int):
+    """j = E4^3/Delta as an integer pair with F fractional bits, from E4's
+    pair at F bits and Delta's pair d at e bits (_Theta.delta): the cube
+    from two floored products, then E4^3 2^F conj(d)/|d|^2 times 2^e by one
+    floor division.  A Delta that floored to zero raises
+    PrecisionExhausted."""
+    dr, di = d
+    norm = dr * dr + di * di
+    if not norm:
+        raise PrecisionExhausted("cannot certify Delta away from zero")
+    cr, ci = _mul(_sqr(e4, F), e4, F)
+    return ((cr * dr + ci * di) << e) // norm, ((ci * dr - cr * di) << e) // norm
+
+
 def _j_quotient(e4, delta, F: int):
     """j = E4^3/Delta from one theta kernel's E4 (_Theta.e4_fixed) and
-    Delta = r^2 U at relative precision (_Theta.delta), F its fractional
-    bits: (j, dj), j an integer pair with F fractional bits and dj a bound
-    on its error in units of 2^-F.
+    Delta = q U at relative precision (_Theta.delta), F its fractional
+    bits: (j, dj), j the pair of _j_pair and dj a bound on its error in
+    units of 2^-F.
 
     E4^3 comes from two floored products at F bits, within
     d43 = 3 (A + d4)^2 d4 2^-2F + 8 units of 2^-F, A above |E4| and d4 its
-    bound; the 8 covers the two floors on |E4| < 3.5.  j 2^F is
-    E4^3 2^F conj(Delta 2^e)/|Delta 2^e|^2 times 2^e, formed by one floor
-    division.  With low = D - err below |Delta| 2^e, D a lower bound on the
-    pair's modulus, and |a/b - A/B| <= (|a - A| + |a/b| |b - B|)/|B|:
+    bound; the 8 covers the two floors on |E4| < 3.5.  With low = D - err
+    below |Delta| 2^e, D a lower bound on the pair's modulus, and
+    |a/b - A/B| <= (|a - A| + |a/b| |b - B|)/|B|:
 
         dj = ceil((d43 2^e + (J + 2) err)/low) + 2,
 
@@ -541,16 +581,14 @@ def _j_quotient(e4, delta, F: int):
     floor, the + 2 outside it again.  The bound is computed on integers,
     every step rounded up.  low must be positive, which certifies that
     Delta does not vanish; otherwise PrecisionExhausted is raised before any
-    bound is formed.
+    quotient is formed.
     """
     e4, d4 = e4
-    (dr, di), e, err = delta
-    norm = dr * dr + di * di
-    low = _modulus_bounds((dr, di))[0] - err
+    d, e, err = delta
+    low = _modulus_bounds(d)[0] - err
     if not low > 0:
         raise PrecisionExhausted("cannot certify Delta away from zero")
-    cr, ci = _mul(_sqr(e4, F), e4, F)
-    jr, ji = ((cr * dr + ci * di) << e) // norm, ((ci * dr - cr * di) << e) // norm
+    jr, ji = _j_pair(e4, d, e, F)
     # in units of 2^-F, each -(-x // y) and -(-x >> k) a ceiling
     d43 = -(-3 * (_modulus_bounds(e4)[1] + d4) ** 2 * d4 >> 2 * F) + 8
     dj = -(-((d43 << e) + (_modulus_bounds((jr, ji))[1] + 2) * err) // low) + 2
@@ -561,13 +599,14 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     """j(tau) = E4^3/Delta plus a certified bound on its absolute error,
     below 2^-prec.
 
-    tau is an mpc-compatible value or a QuadraticSurd.  _frame takes it
-    exactly and fixes the matrix and the magnitude 2^mag of 1/q at the
-    reduced point, with no reduction at all for a point already in the
-    closed fundamental domain, such as the root of a reduced form.  The
-    theta kernel works at wp = prec + 2 ceil(mag) + 32 bits and takes r
+    tau is an mpc-compatible value, a QuadraticSurd, or a positive definite
+    BinaryQuadraticForm standing for its root (-b + sqrt(disc))/(2a).
+    _frame takes it exactly and fixes the matrix and the magnitude 2^mag of
+    1/q at the reduced point, with no reduction at all for a point already
+    in the closed fundamental domain, such as the root of a reduced form.
+    The theta kernel works at wp = prec + 2 ceil(mag) + 32 bits and takes r
     straight from the frame's exact integers, so no point is rendered.  j is
-    the kernel's quotient E4^3/(r^2 U) at F fractional bits, with its bound
+    the kernel's quotient E4^3/(q U) at F fractional bits, with its bound
     (_j_quotient), and converts to mpc exactly.
 
     The bound is relative in all but E4's error.  With |q| = 2^-mag and
@@ -577,14 +616,17 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     would be at F bits throughout).  So E4 errs by d4 u < 55 2^-wp and U by
     du u < 330 2^-wp; with |U| > 0.9 on the fundamental domain
     (|Delta| > 0.9 |q|), Delta is within relative 370 2^-wp < 2^-(wp-9),
-    less than 2^-(F+1) of it from r and the floors.  The cube's error,
-    3 |E4|^2 d4 u + 8 u, over |Delta| is at most
+    less than 2^-wp of it from q's error and the floors (the 56 units of
+    _Theta.delta over a pair above 1.8 2^F, with F >= wp + 5).  The cube's
+    error, 3 |E4|^2 d4 u + 8 u, over |Delta| is at most
     (13.15 d4 + 569 8) u (1 + |j|) < 865 2^-wp (1 + |j|), since
     |Delta| (1 + |j|) = |q U| + |E4|^3: where |E4| >= 0.3 that is above
     0.027 and |E4|^2/(|q U| + |E4|^3) below 1/|E4| < 3.34, and |E4| < 0.3
     needs |q| > 2^-9 (below it |E4 - 1| < 0.48), where |q U| > 2^-9.2 and
     |E4|^2/(|q U| + |E4|^3) < 2^(2/3)/(3 |q U|^(1/3)) < 4.39.  In all, j
-    errs by less than 2^(10.3-wp) (1 + |j|), however high the point.  With
+    errs by less than 2^(10.3-wp) (1 + |j|), however high the point, which
+    lets a caller that needs a relative bound ask for fewer bits than an
+    absolute one would take (hilbert_class_polynomial does).  With
     |j| < 10.3/|q| on the fundamental domain, the 2 ceil(mag) + 32 guard
     bits put that below 2^-(prec+26): mag + 14 of them would do.  The others
     make j at prec + 64 work at prec + 2 ceil(mag) + 96 bits, the precision
@@ -665,24 +707,31 @@ def _root_j(f, disc: int, prec: int, G: int):
     """j at the root of the reduced form f of discriminant disc, within
     2^-prec (1 + |j|), floored to an integer pair with G fractional bits.
 
-    The root (-b + sqrt(disc))/(2a) lies in the closed fundamental domain,
-    so its frame is built straight from those integers, and the kernel works
-    at prec + 16 bits.  Its quotient (_j_quotient at the kernel's F bits)
-    carries a certified bound of dj units of 2^-F, which must satisfy
-    dj (2^prec + 1) <= 2^F + J, J a lower bound on the pair's modulus: then
-    dj 2^-F <= 2^-prec (1 + |j|) for the exact j, as |j| 2^F >= J - dj.
-    Otherwise PrecisionExhausted is raised.  The pair is then shifted to G
-    bits, which floors it when G < F.
+    j_value_with_bound takes the form's integers as they are (the root
+    (-b + sqrt(disc))/(2a) lies in the closed fundamental domain) and, asked
+    for p' bits, works at wp = p' + 2 ceil(mag) + 32.  Its bound is
+    relative, below 2^(10.3-wp) (1 + |j|) at any height, so p' is
+    prec - 16 - 2 ceil(mag): wp is then prec + 16, or more where p' would
+    fall below the 64 bits it accepts.  Its own target 2^-p' is always met:
+    with |j| < 10.3 2^mag the bound is below 2^(mag-prec-2.2) <= 2^-p', and
+    below 2^(-82-mag) where the floor binds.  The certified bound b it
+    returns must satisfy
+    b (2^prec + 1) <= 1 + J 2^-G, J a lower bound on the modulus of j before
+    the floor to G bits: then b <= 2^-prec (1 + |j|) for the exact j, as
+    |j| >= J 2^-G - b.  Otherwise PrecisionExhausted is raised.  The check
+    runs on the integers of b and of the floored pair (jr, ji), with
+    J = max(|jr|, |ji|) - 1.
     """
-    frame = _Frame(None, _IDENTITY, _mag(1, 2 * f.a, disc), disc, (-f.b, 1, 2 * f.a), None)
-    th = _theta(frame, prec + 16)
-    F = th.F
-    (jr, ji), dj = _j_quotient(th.e4_fixed(), th.delta(), F)
-    if (dj << prec) + dj > (1 << F) + _modulus_bounds((jr, ji))[0]:
+    ev = j_value_with_bound(f, max(64, prec - 16 - 2 * math.ceil(_mag(1, 2 * f.a, disc))))
+    re, im = ev.j._mpc_
+    jr, ji = to_fixed(re, G), to_fixed(im, G)
+    man, exp = ev.error_bound.man_exp
+    k = exp + G
+    if man * ((1 << prec) + 1) << max(k, 0) > \
+            (1 << G) + max(abs(jr), abs(ji)) - 1 << max(-k, 0):
         raise PrecisionExhausted(
             f"j error bound misses 2^-{prec} (1 + |j|) at the form ({f.a}, {f.b}, {f.c})")
-    k = G - F
-    return (jr << k, ji << k) if k >= 0 else (jr >> -k, ji >> -k)
+    return jr, ji
 
 
 def hilbert_class_polynomial(disc: int) -> HCPResult:
@@ -697,11 +746,13 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
     the coefficients are recovered by rounding, with the maximum rounding
     residual required below 0.25.  wp and the coefficient bits
     c = ceil(B + log2(h+1)) come from _hcp_precision.  Every root is
-    evaluated by _root_j, from the reduced form's integers, at relative
-    precision: J_i is certified within eps (1 + |J_i|), eps = 2^-p,
-    p = max(64, c + 24), and shifted straight to G bits.  The kernel works
-    at p + 16 bits, where j errs by less than 2^-5.7 eps (1 + |J_i|) however
-    high the root (see j_value_with_bound), so the check in _root_j, which
+    evaluated by _root_j at relative precision: j_value_with_bound is handed
+    the reduced form itself, so no surd is formed, and J_i is certified
+    within eps (1 + |J_i|), eps = 2^-p, p = max(64, c + 24), then floored to
+    G bits.  The kernel works at p + 16 bits (more only where
+    j_value_with_bound's 64-bit floor on the request binds, at high roots of
+    small c), where j errs by less than 2^-5.7 eps (1 + |J_i|) however high
+    the root (see j_value_with_bound), so the check in _root_j, which
     raises PrecisionExhausted, is not reached; the guard needs no term for
     the height.  The argument below puts every coefficient within 2^-23 of
     its integer; eps = 2^-(c+8) would already keep it within 2^-7, so the
@@ -839,12 +890,9 @@ def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
 
 
 def _float_above(x) -> float:
-    """The smallest double at or above the mpf x >= 0, compared exactly."""
+    """The smallest double at or above the mpf x >= 0 (mpf comparison is exact)."""
     d = float(x)
-    _, man, exp, _ = x._mpf_
-    if Fraction(d) < Fraction(man) * Fraction(2) ** exp:
-        d = math.nextafter(d, math.inf)
-    return d
+    return math.nextafter(d, math.inf) if mp.mpf(d) < x else d
 
 
 def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:

@@ -207,11 +207,11 @@ class TestJval:
             assert abs(mp.mpc(j["re"], j["im"]) - ref) <= bound + mp.mpf(10) ** -16
 
     def test_deep_bound_prints_at_top_precision(self, capsys):
-        # |j| is about e^(2000 pi) = 10^2728.6 and its bound an mpf of 9077
+        # |j| is about e^(2000 pi) = 10^2728.6 and its bound an mpf of 9078
         # bits; rounded up to 128 bits before printing, it stays under the
         # interpreter's int-to-str limit
         env = invoke_json(capsys, "jval", "--tau=0,1000", "--prec", "8192")
-        assert env["result"]["error_bound"] == "2.66766621399475622248664546e-5203"
+        assert env["result"]["error_bound"] == "2.66968423262962212431734346e-5203"
         with mp.workprec(64):
             assert abs(mp.mpf(env["result"]["j"]["re"]) / mp.exp(2000 * mp.pi) - 1) < 1e-15
 
@@ -634,8 +634,8 @@ GOLDEN_SHA256 = {
     "attract": "35005b88891428abf09ba5231bbbb1965d11ac625ada64521e9cba8e9a1e56fe",
     "certify": "5ab8417c62e8c07e7c03096381b74cf8ed0d288acbc17552089e4c8ea1e06940",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
-    "jval": "e980dacfe415ef135ae2bda408fa25b186f97b37d1f398c138de38f406bc5095",
-    "weber": "340f64e25a57c23339f8f1ee2d3b8997b0e558aa0a1258b0fd4dd78072fda43a",
+    "jval": "3d10ccce661e56c57e103fe67c662df2c50705e4fb4d83327204184e7ca6b6fb",
+    "weber": "f6afe0217d93f3f428c6871f3bfea5b5a67eed8b33a60e5e59a23fa51394e290",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",

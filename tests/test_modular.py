@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 
 from attrarith import modular
-from attrarith.arith import QuadraticSurd, class_group_forms, reduce_form
+from attrarith.arith import BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form
 from attrarith.attractor import ChargeData
 from attrarith.cli import run
 from attrarith.elliptic import model_from_tau, torsion_points
@@ -317,6 +317,14 @@ class TestFixedPointHelpers:
 
 
 class TestJValue:
+    def test_form_stands_for_its_root(self):
+        # a reduced form and one that needs reducing, both of disc -23
+        for f in (BinaryQuadraticForm(2, 1, 3), BinaryQuadraticForm(3, 5, 4)):
+            got, want = j_value_with_bound(f, 128), j_value_with_bound(f.root(), 128)
+            assert got == want, f
+        with pytest.raises(NotUpperHalfPlane):
+            j_value_with_bound(BinaryQuadraticForm(1, 0, -1), 128)
+
     def test_j_of_i(self):
         assert abs(j_value(mp.mpc(0, 1), 256) - 1728) < mp.mpf("1e-30")
 
@@ -672,7 +680,7 @@ class TestCoefficientBound:
 
 class TestRootContract:
     """Each class-polynomial root is certified at relative precision: within
-    2^-p (1 + |J|), p = max(64, c + 24), with no surd and no mpc per root."""
+    2^-p (1 + |J|), p = max(64, c + 24), with no surd per root."""
 
     DISCS = [-3, -12, -27, -75] + random.Random(1919).sample(
         [d for d in range(-4, -2001, -1) if d % 4 in (0, 1)], 40)
@@ -698,29 +706,33 @@ class TestRootContract:
         for disc in self.DISCS:
             assert hilbert_class_polynomial(disc).residual < 2.0**-23, disc
 
-    def test_no_surd_and_no_mpc_per_root(self, monkeypatch):
-        surds, mpcs = [], []
+    def test_roots_asked_of_j_value_with_bound_without_a_surd(self, monkeypatch):
+        surds, calls = [], []
         init = QuadraticSurd.__init__
 
         def counting_init(self, *args):
             surds.append(args)
             init(self, *args)
 
-        # every mpc is made by setting the _mpc_ slot of the base class
-        base = type(mp.mpc(0)).__mro__[1]
-        slot = base.__dict__["_mpc_"]
-
-        def counting_set(self, value):
-            mpcs.append(value)
-            slot.__set__(self, value)
+        def spy(tau, prec=256):
+            ev = j_value_with_bound(tau, prec)
+            calls.append((tau, ev.working_prec))
+            return ev
 
         monkeypatch.setattr(QuadraticSurd, "__init__", counting_init)
-        monkeypatch.setattr(base, "_mpc_", property(slot.__get__, counting_set))
-        for disc in (-3, -23, -479, -971):
+        monkeypatch.setattr(modular, "j_value_with_bound", spy)
+        for disc in (-3, -23, -75, -479, -971, -1999):
+            forms = class_group_forms(disc)
+            p = max(64, modular._hcp_precision(disc, forms)[0] + 24)
+            calls.clear()
             hilbert_class_polynomial(disc)
-        assert surds == [] and mpcs == []
-        mp.mpc(1, 2)
-        assert len(mpcs) == 1   # the spy sees an mpc when one is made
+            assert [tau for tau, _ in calls] == [f for f in forms if f.b >= 0]
+            # the kernel works at p + 16 bits, with no term for the height
+            # unless j_value_with_bound's 64-bit floor on the request binds
+            for f, wp in calls:
+                mag = math.ceil(modular._mag(1, 2 * f.a, disc))
+                assert wp == max(p + 16, 96 + 2 * mag), (disc, f)
+        assert surds == []
 
 
 def _is_ambiguous(f):
@@ -749,13 +761,11 @@ class TestConjugatePairing:
     def test_one_j_evaluation_per_form_with_nonnegative_b(self, monkeypatch):
         seen = []
 
-        root_j = modular._root_j
+        def spy(tau, prec=256):
+            seen.append(tau)
+            return j_value_with_bound(tau, prec)
 
-        def spy(f, disc, prec, G):
-            seen.append(f)
-            return root_j(f, disc, prec, G)
-
-        monkeypatch.setattr(modular, "_root_j", spy)
+        monkeypatch.setattr(modular, "j_value_with_bound", spy)
         for disc in (-3, -23, -420, -479, -971):
             seen.clear()
             hilbert_class_polynomial(disc)
