@@ -36,8 +36,8 @@ _MAX_PREC = 8192
 # take about 0.9 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
-# largest jval working precision prec + 2 ceil(mag) + 32, 2^mag = 1/|q| at the
-# reduced point: j at 131072 bits takes about 1.6 s on one core
+# largest jval working precision (modular._j_precision), and weber's two summed:
+# jval --tau=0,14400, at 130 801 bits, takes about 1.5 s on one core
 _MAX_JVAL_WORK = 2**17
 # largest |disc| of a class polynomial (|4D| for certify and attract): the reduced
 # forms take O(|disc|) steps to enumerate, about 1.6 s at 4 * 10^7 on one core
@@ -47,8 +47,8 @@ _MAX_CLASS_DISC = 40_000_000
 # (hcp --disc -184024) takes about 0.9 s on one core
 _MAX_HCP_BITS = 700_000
 # largest working precision of the certify j evaluation at the attractor root:
-# 32723 bits with h c = 538 704 (certify --p2 3 --q2 2248 --pq 1) take about
-# 1.1 s on one core
+# 32765 bits with h c = 642 980 (certify --p2 3 --q2 1592 --pq 1) take about
+# 1.5 s on one core
 _MAX_CERTIFY_WORK = 2**15
 # largest resolve step count: 300 000 steps take about 1.7 s on one core
 _MAX_HJ_STEPS = 300_000
@@ -199,9 +199,9 @@ def _cmd_certify(args, prec: int):
     c, inputs = _charge_from_args(args)
     ap = attractor_point(c)
     h, hcp_wp = _class_polynomial_gate(4 * ap.D, "|4D|")
-    # the certificate asks for j at the root at _residual_precision + 64 bits
-    wp = _residual_precision(h, 4 * ap.D, ap.form.a, hcp_wp, prec) + 64
-    work = _j_precision(_frame(ap.tau, wp), wp)
+    # the certificate asks for j at the root at _residual_precision bits
+    jp = _residual_precision(h, 4 * ap.D, ap.form.a, hcp_wp, prec)
+    work = _j_precision(_frame(ap.tau, jp), jp)
     if work > _MAX_CERTIFY_WORK:
         raise ValueError(f"the certificate's j working precision must be at most "
                          f"{_MAX_CERTIFY_WORK} bits, got {work}")
@@ -277,7 +277,7 @@ def _cmd_jval(args, prec: int):
     work = _j_precision(_frame(tau, prec), prec)
     # past 10^7 bits j_value_with_bound itself refuses the height as intractable
     if _MAX_JVAL_WORK < work <= 10_000_000:
-        raise ValueError(f"working precision prec + 2 ceil(mag) + 32 must be at most "
+        raise ValueError(f"working precision prec + ceil(mag) + 14 must be at most "
                          f"{_MAX_JVAL_WORK} bits, got {work}")
     ev = j_value_with_bound(tau, prec)
     inputs = {"tau": args.tau}
@@ -293,7 +293,7 @@ def _cmd_jval(args, prec: int):
 
 
 def _cmd_weber(args, prec: int):
-    from .elliptic import model_from_tau, torsion_points, weber_function
+    from .elliptic import _MODEL_BITS, model_from_tau, torsion_points, weber_function
     from .modular import _frame, _j_precision, j_value_with_bound
 
     if args.n > _MAX_WEBER_N:
@@ -305,11 +305,12 @@ def _cmd_weber(args, prec: int):
     c, inputs = _charge_from_args(args)
     inputs["n"] = str(args.n)
     ap = attractor_point(c)
-    # the j check below works at the jval precision, the model at less
-    work = _j_precision(_frame(ap.tau, prec), prec)
+    # the model's theta kernel and the j check's below share the jval cap
+    frame = _frame(ap.tau, prec)
+    work = _j_precision(frame, prec + _MODEL_BITS) + _j_precision(frame, prec)
     if work > _MAX_JVAL_WORK:
-        raise ValueError(f"working precision prec + 2 ceil(mag) + 32 must be at most "
-                         f"{_MAX_JVAL_WORK} bits, got {work}")
+        raise ValueError(f"the model's and the j check's working precisions must sum to at "
+                         f"most {_MAX_JVAL_WORK} bits, got {work}")
     model = model_from_tau(ap.tau, prec=prec)
     # the Weber value and the residual's cubic depend on x alone, which the
     # partners +-P share, so each is computed once per distinct x
@@ -342,7 +343,7 @@ def _cmd_weber(args, prec: int):
             if x._mpc_ not in cubic:
                 cubic[x._mpc_] = 4 * x**3 + 4 * model.A * x + 4 * model.B
         worst = max(abs((2 * y) ** 2 - cubic[x._mpc_]) for _, _, x, y, _ in rows)
-        # the model's j is within 2^-(prec+86) (1 + |j|) before its rounding to prec
+        # the model's j is within 2^-(prec+93) (1 + |j|) before its rounding to prec
         dj = abs(model.j - ev.j)
         j_bound = ev.error_bound + mp.mpf(2) ** -(prec - 1) * (1 + abs(ev.j))
     bound = mp.mpf(2) ** (-prec // 2 + 10)

@@ -44,8 +44,10 @@ from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest
 
 from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import (_cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _render, _sqr,
-                      _theta)
+from .modular import (_cos_sin_pi, _frame, _j_pair, _j_precision, _mul, _quotient_pair,
+                      _render, _sqr, _theta)
+
+_MODEL_BITS = 82   # model_from_tau's kernel runs at j's working precision for prec + 82
 
 __all__ = [
     "WeierstrassModel",
@@ -122,9 +124,10 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     as lam^4 = 16 pi^4/mu^4, lam^6 = -64 pi^6/mu^6 and
     lam^12 = (2 pi)^12/mu^12.  Neither delta nor j is formed from the
     cancelling expressions on the left, which lose about mag bits,
-    2^mag = 1/|q| at tau'.  The kernel runs at wp = prec + ceil(mag) + 96
-    bits on the exact tau', and lam comes from mu's exact integers
-    (_Frame.lam) within relative 2^-(wp+1), so lam^k is within relative
+    2^mag = 1/|q| at tau'.  The kernel runs on the exact tau' at
+    wp = prec + ceil(mag) + 96, the working precision of j at prec + 82 bits
+    (_j_precision), and lam comes from mu's exact integers (_Frame.lam)
+    within relative 2^-(wp+1), so lam^k is within relative
     e_k = (1 + 2^-(wp+1))^k - 1 < 0.51 k 2^-wp; nothing is rendered but tau
     when it is not a QuadraticSurd, to give source_tau.  The powers of lam
     and their products with the kernel's integers are exact, and each
@@ -146,8 +149,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
       2^-(prec+87) (|B| + L6), L6 = |lam|^6/864 = 2 pi^6/(27 |mu|^6).
     - j.  j is within 2^(10.3-wp) (1 + |j|) however high the point (derived
       for j_value_with_bound), so within 2^-(prec+93) (1 + |j|).
-    No bound needs the ceil(mag) bits of wp any longer; they keep the height
-    gate below.
+    No bound needs the ceil(mag) bits of wp; they keep the height gate
+    below.
     Rounding each component to nearest then moves a field z by at most
     2^-prec of its modulus.  A height that would need more than 10^7 bits
     raises PrecisionExhausted (from _Frame.lam) before any computing.
@@ -155,7 +158,7 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     frame = _frame(tau, prec)
-    wp = prec + math.ceil(frame.mag) + 96
+    wp = _j_precision(frame, prec + _MODEL_BITS)
     lam, e = frame.lam(wp)
     th = _theta(frame, wp)
     F = th.F

@@ -20,23 +20,22 @@ serve the torsion kernel in elliptic; a square takes two integer
 multiplications), each power r^n carried only to the bits that can still
 reach the result.  Delta = q U with q = r^2 is then relative, and so is the
 one quotient j = E4^3/(q U) (_j_pair, with its bound from _j_quotient): the
-bound is 2^(10.3-wp) (1 + |j|) at any height, and j_value_with_bound
-converts both to mpc and mpf once.  The frame also gives lam = 2 pi i/mu on
-integers (_Frame.lam), from which elliptic scales the kernel's integers
-into Weierstrass models and torsion points; E4, E6 and Delta reach users
-only there, as the model's A, B and Delta.  On top of j sit Hilbert class
-polynomials, with one evaluation per pair of complex-conjugate roots, each
-asked of j_value_with_bound with the reduced form itself and checked at
-relative precision, so that, above j_value_with_bound's 64-bit floor on a
-request, its working precision carries no term for the height, and the
-product formed on integers; and the algebraic-integer certificate for
-attractor points.  Their working precision comes from
-Enge's proven bound on the class-polynomial coefficients (A. Enge, Math.
-Comp. 78 (2009)): with |j(tau) - 1/q| <= 2079 on the fundamental domain,
-every coefficient of H_D is at most
-C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the working precision
-always rounds to the exact coefficients and the rounding-residual gate stays
-a safety check that the bound keeps unreachable.
+bound is 2^(10.3-wp) (1 + |j|) at any height, so one rule,
+wp = p + ceil(mag) + 14 (_j_precision), puts j within 2^-p; j_value_with_bound,
+the Weierstrass models, the class-polynomial roots and the command-line gates
+all read it.  The frame also gives lam = 2 pi i/mu on integers (_Frame.lam),
+from which elliptic scales the kernel's integers into Weierstrass models and
+torsion points; E4, E6 and Delta reach users only there, as the model's A, B
+and Delta.  On top of j sit Hilbert class polynomials, with one evaluation
+per pair of complex-conjugate roots, each asked of j_value_with_bound with
+the reduced form itself for ceil(mag) - 2 bits below its relative target,
+and the product formed on integers; and the algebraic-integer certificate
+for attractor points.  Their working precision comes from Enge's proven
+bound on the class-polynomial coefficients (A. Enge, Math. Comp. 78 (2009)):
+with |j(tau) - 1/q| <= 2079 on the fundamental domain, every coefficient of
+H_D is at most C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the
+working precision always rounds to the exact coefficients and the
+rounding-residual gate stays a safety check that the bound keeps unreachable.
 """
 
 from __future__ import annotations
@@ -545,8 +544,9 @@ def _mag(s: int, n: int, disc: int) -> float:
 
 
 def _j_precision(frame: _Frame, prec: int) -> int:
-    """The working precision of j_value_with_bound at prec bits, from the frame alone."""
-    return prec + 2 * math.ceil(frame.mag) + 32
+    """The theta kernel's working precision for j within 2^-prec, from the
+    frame alone; j_value_with_bound derives the ceil(mag) + 14 guard bits."""
+    return prec + math.ceil(frame.mag) + 14
 
 
 def _j_pair(e4, d, e: int, F: int):
@@ -604,8 +604,9 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     _frame takes it exactly and fixes the matrix and the magnitude 2^mag of
     1/q at the reduced point, with no reduction at all for a point already
     in the closed fundamental domain, such as the root of a reduced form.
-    The theta kernel works at wp = prec + 2 ceil(mag) + 32 bits and takes r
-    straight from the frame's exact integers, so no point is rendered.  j is
+    The theta kernel works at wp = prec + ceil(mag) + 14 bits (_j_precision)
+    and takes r straight from the frame's exact integers, so no point is
+    rendered.  j is
     the kernel's quotient E4^3/(q U) at F fractional bits, with its bound
     (_j_quotient), and converts to mpc exactly.
 
@@ -627,13 +628,12 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     errs by less than 2^(10.3-wp) (1 + |j|), however high the point, which
     lets a caller that needs a relative bound ask for fewer bits than an
     absolute one would take (hilbert_class_polynomial does).  With
-    |j| < 10.3/|q| on the fundamental domain, the 2 ceil(mag) + 32 guard
-    bits put that below 2^-(prec+26): mag + 14 of them would do.  The others
-    make j at prec + 64 work at prec + 2 ceil(mag) + 96 bits, the precision
-    the CM certificates are sized for.  The kernel's bounds hold against the
-    forms at the exact reduced point (its r is within 1.45 units of
-    e^(pi i tau') at the exact tau'), so no term for the input is needed,
-    for any matrix.
+    |j| <= 2^mag + 2079 < 10.3 2^mag on the fundamental domain (Enge 2009;
+    mag >= 7.85 there), the ceil(mag) + 14 guard bits of _j_precision put
+    that below 2^(-3.7-prec) (10.3 + 2^-8) < 2^-(prec+0.3).  The kernel's
+    bounds hold against the forms at the exact reduced point (its r is within
+    1.45 units of e^(pi i tau') at the exact tau'), so no term for the input
+    is needed, for any matrix.
 
     The sum must lie below 2^-prec, or PrecisionExhausted is raised.  The
     quotient needs Delta certified away from zero; otherwise
@@ -709,20 +709,18 @@ def _root_j(f, disc: int, prec: int, G: int):
 
     j_value_with_bound takes the form's integers as they are (the root
     (-b + sqrt(disc))/(2a) lies in the closed fundamental domain) and, asked
-    for p' bits, works at wp = p' + 2 ceil(mag) + 32.  Its bound is
-    relative, below 2^(10.3-wp) (1 + |j|) at any height, so p' is
-    prec - 16 - 2 ceil(mag): wp is then prec + 16, or more where p' would
-    fall below the 64 bits it accepts.  Its own target 2^-p' is always met:
-    with |j| < 10.3 2^mag the bound is below 2^(mag-prec-2.2) <= 2^-p', and
-    below 2^(-82-mag) where the floor binds.  The certified bound b it
-    returns must satisfy
+    for p' bits, works at wp = p' + ceil(mag) + 14 (_j_precision), where j
+    errs by less than 2^(10.3-wp) (1 + |j|) at any height.  So p' is
+    prec + 2 - ceil(mag): wp is then prec + 16 and the bound below
+    2^(-5.7-prec) (1 + |j|), or 78 + ceil(mag) where p' would fall below the
+    64 bits it accepts.  The certified bound b it returns must satisfy
     b (2^prec + 1) <= 1 + J 2^-G, J a lower bound on the modulus of j before
     the floor to G bits: then b <= 2^-prec (1 + |j|) for the exact j, as
     |j| >= J 2^-G - b.  Otherwise PrecisionExhausted is raised.  The check
     runs on the integers of b and of the floored pair (jr, ji), with
     J = max(|jr|, |ji|) - 1.
     """
-    ev = j_value_with_bound(f, max(64, prec - 16 - 2 * math.ceil(_mag(1, 2 * f.a, disc))))
+    ev = j_value_with_bound(f, max(64, prec + 2 - math.ceil(_mag(1, 2 * f.a, disc))))
     re, im = ev.j._mpc_
     jr, ji = to_fixed(re, G), to_fixed(im, G)
     man, exp = ev.error_bound.man_exp
@@ -749,7 +747,7 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
     evaluated by _root_j at relative precision: j_value_with_bound is handed
     the reduced form itself, so no surd is formed, and J_i is certified
     within eps (1 + |J_i|), eps = 2^-p, p = max(64, c + 24), then floored to
-    G bits.  The kernel works at p + 16 bits (more only where
+    G bits.  The kernel works at p + 16 bits (78 + ceil(mag) where
     j_value_with_bound's 64-bit floor on the request binds, at high roots of
     small c), where j errs by less than 2^-5.7 eps (1 + |J_i|) however high
     the root (see j_value_with_bound), so the check in _root_j, which
@@ -855,8 +853,8 @@ class CMCertificate:
 
 
 def _residual_precision(h: int, disc: int, a: int, hcp_bits: int, prec: int) -> int:
-    """The precision wp of _root_residual; j is asked for at wp + 64 bits."""
-    return max(prec, hcp_bits + math.ceil(h * _log2_root_bound(disc, a)) + prec // 4)
+    """The precision _root_residual asks j for: its wp plus 64 bits."""
+    return max(prec, hcp_bits + math.ceil(h * _log2_root_bound(disc, a)) + prec // 4) + 64
 
 
 def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
@@ -867,25 +865,24 @@ def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
     leading coefficient a, so |j(tau)| <= 2^L with L = _log2_root_bound(disc,
     a); hcp_bits is at least the class polynomial's working precision from
     _hcp_precision, so hcp_bits >= B + log2(4h + 8) + 62 with B the
-    coefficient bound.  |H(j)| is evaluated at wp + 32 bits, and its error
-    bound has two parts:
+    coefficient bound.  j is asked for at wp + 64 bits (_residual_precision),
+    |H(j)| is evaluated at wp + 32 bits, and its error bound has two parts:
 
     - Horner rounding, (4h + 8) max(1, |j|)^h max|c_k| 2^-(wp+32), is below
       2^(log2(4h + 8) + hL + B - wp - 32); wp >= hcp_bits + hL + prec/4
       makes it at most 2^-(prec/4 + 94).
-    - The error of j times |H'(j)| <= h(h+1) 2^(B + (h-1)L): j is asked
-      for at wp + 64 bits, so it carries an error bound below 2^-(wp+64),
-      and this part is smaller still.
+    - The error of j times |H'(j)| <= h(h+1) 2^(B + (h-1)L): j carries an
+      error bound below 2^-(wp+64), and this part is smaller still.
 
     wp is also at least prec, the precision at which j is reported.
     """
     h = len(coeffs) - 1
-    wp = _residual_precision(h, disc, a, hcp_bits, prec)
-    ev = j_value_with_bound(tau, wp + 64)
-    with mp.workprec(wp + 32):
+    jp = _residual_precision(h, disc, a, hcp_bits, prec)
+    ev = j_value_with_bound(tau, jp)
+    with mp.workprec(jp - 32):
         deriv = abs(_horner([n * cn for n, cn in enumerate(coeffs)][1:], ev.j))
         scale = max(mp.mpf(1), abs(ev.j)) ** h * max(abs(cn) for cn in coeffs)
-        err = deriv * ev.error_bound + (4 * h + 8) * scale * mp.mpf(2) ** (-(wp + 32))
+        err = deriv * ev.error_bound + (4 * h + 8) * scale * mp.mpf(2) ** (32 - jp)
         return ev, abs(_horner(coeffs, ev.j)), err
 
 
@@ -957,8 +954,7 @@ def hcp_record_valid(disc: int, coeffs) -> bool:
         return False
     far = [f for f in forms if math.pi * math.sqrt(-disc) / f.a >= _LN_CACHE_J_FLOOR]
     f = max(far, key=lambda form: form.a, default=forms[0])
-    _, value, err = _root_residual(coeffs, QuadraticSurd(-f.b, 1, 2 * f.a, disc), f.a, disc,
-                                   _hcp_precision(disc, forms)[1], 64)
+    _, value, err = _root_residual(coeffs, f, f.a, disc, _hcp_precision(disc, forms)[1], 64)
     return value + err < 2.0**-16
 
 

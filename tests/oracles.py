@@ -187,7 +187,8 @@ def j_dense(tau, prec: int):
     """(j, bound) by dense q-series after an exact integer reduction of tau.
 
     The reduction matrix is found at low precision and applied once at the
-    working precision, which is the package's policy prec + 2 log2(1/|q|) + 96.
+    working precision, a generous rule of the oracle's own: twice the bits
+    of 1/|q| at the reduced point above prec, plus 96 guard bits.
     """
     with mp.workprec(prec + 64):
         z = mp.mpc(tau)

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
-import math
 import os
 import random
 import subprocess
@@ -22,7 +21,7 @@ from mpmath.libmp import to_rational
 import attrarith.cli as cli
 import attrarith.flow as flow_mod
 from attrarith.cli import run
-from attrarith.modular import _frame, j_value, j_value_with_bound
+from attrarith.modular import _frame, _j_precision, j_value, j_value_with_bound
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "precision_bits"}
 
@@ -211,19 +210,19 @@ class TestJval:
         # bits; rounded up to 128 bits before printing, it stays under the
         # interpreter's int-to-str limit
         env = invoke_json(capsys, "jval", "--tau=0,1000", "--prec", "8192")
-        assert env["result"]["error_bound"] == "2.66968423262962212431734346e-5203"
+        assert env["result"]["error_bound"] == "8.83698346340662969028368109e-2469"
         with mp.workprec(64):
             assert abs(mp.mpf(env["result"]["j"]["re"]) / mp.exp(2000 * mp.pi) - 1) < 1e-15
 
     def test_work_cap_exit_2(self, capsys):
-        # reduced height 250000: about 4.5e6 bits of working precision, refused
+        # reduced height 250000: about 2.3e6 bits of working precision, refused
         # from the frame alone, before any rendering
         start = time.perf_counter()
         code, out, err = invoke(capsys, "jval", "--tau=0.5,0.000001")
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err == ("attrarith jval: working precision prec + 2 ceil(mag) + 32 must be "
-                       "at most 131072 bits, got 4532650\n")
+        assert err == ("attrarith jval: working precision prec + ceil(mag) + 14 must be "
+                       "at most 131072 bits, got 2266451\n")
 
     def test_benchmark_pool_under_work_cap(self, monkeypatch):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -236,7 +235,7 @@ class TestJval:
         for argv in pool:
             prec = int(argv[argv.index("--prec") + 1])
             tau = cli._parse_pair(argv[1].split("=", 1)[1], prec, "--tau")
-            work = prec + 2 * math.ceil(_frame(tau, prec).mag) + 32
+            work = _j_precision(_frame(tau, prec), prec)
             assert work <= cli._MAX_JVAL_WORK, argv
 
     def test_bad_tau_exit_2(self, capsys):
@@ -632,10 +631,10 @@ GOLDEN_ARGV = {
 
 GOLDEN_SHA256 = {
     "attract": "35005b88891428abf09ba5231bbbb1965d11ac625ada64521e9cba8e9a1e56fe",
-    "certify": "5ab8417c62e8c07e7c03096381b74cf8ed0d288acbc17552089e4c8ea1e06940",
+    "certify": "060d650dff6d57561e7374ac47c1522c3d7a175fb5aed10a0d45f8d1db05f677",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
-    "jval": "3d10ccce661e56c57e103fe67c662df2c50705e4fb4d83327204184e7ca6b6fb",
-    "weber": "f6afe0217d93f3f428c6871f3bfea5b5a67eed8b33a60e5e59a23fa51394e290",
+    "jval": "a5559e5ec044a675513111ee058bb962acbd8b39d8aaf66f955380a2909a3222",
+    "weber": "51f251608c6ab9297f26c1fc04922dfc0bd1fd5570fb4c53f9c5559f84432079",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",

@@ -374,12 +374,24 @@ class TestJValue:
         rng = random.Random(1234)
         points = [mp.mpc(0, 1), QuadraticSurd(1, 1, 2, -3), QuadraticSurd(-1, 1, 2, -7)]
         points += [mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 2)) for _ in range(10)]
-        for prec in (64, 256, 1024):
-            for tau in points:
-                ev = j_value_with_bound(tau, prec)
-                ref = j_value_with_bound(tau, prec + 256)
-                with mp.workprec(ev.working_prec + 300):
-                    assert abs(ev.j - ref.j) <= ev.error_bound + ref.error_bound, (tau, prec)
+        # reduced mag >= 1000, where |j| is about 2^mag and the ceil(mag)
+        # guard bits of the working precision carry the absolute target:
+        # a point in the domain, a surd, i/150 and 7 + i/200 (reduced to 150i
+        # and 200i), and an SL(2, Z) image of 0.25 + 300i
+        with mp.workprec(4000):
+            z = mp.mpc("0.25", 300)
+            image = (7 * z + 2) / (3 * z + 1)
+        high = [mp.mpc("0.3", 120), QuadraticSurd(1, 1, 2, -75001), mp.mpc(0, mp.mpf(1) / 150),
+                mp.mpc(7, mp.mpf(1) / 200), image]
+        cases = [(prec, tau) for prec in (64, 256, 1024) for tau in points]
+        cases += [(prec, tau) for prec in (64, 256, 1024, 8192) for tau in high]
+        for prec, tau in cases:
+            ev = j_value_with_bound(tau, prec)
+            ref = j_value_with_bound(tau, prec + 256)
+            assert ev.error_bound < mp.mpf(2) ** -prec, (tau, prec)
+            with mp.workprec(ev.working_prec + 300):
+                assert abs(ev.j - ref.j) <= ev.error_bound + ref.error_bound, (tau, prec)
+        assert all(_frame(tau, 64).mag >= 1000 for tau in high)
 
     def test_bound_reported_and_delta_positive(self):
         rng = random.Random(909)
@@ -725,13 +737,17 @@ class TestRootContract:
             forms = class_group_forms(disc)
             p = max(64, modular._hcp_precision(disc, forms)[0] + 24)
             calls.clear()
-            hilbert_class_polynomial(disc)
+            coeffs = hilbert_class_polynomial(disc).coeffs
             assert [tau for tau, _ in calls] == [f for f in forms if f.b >= 0]
             # the kernel works at p + 16 bits, with no term for the height
             # unless j_value_with_bound's 64-bit floor on the request binds
             for f, wp in calls:
                 mag = math.ceil(modular._mag(1, 2 * f.a, disc))
-                assert wp == max(p + 16, 96 + 2 * mag), (disc, f)
+                assert wp == max(p + 16, 78 + mag), (disc, f)
+            # the cache check hands j_value_with_bound its form as well
+            calls.clear()
+            assert hcp_record_valid(disc, coeffs)
+            assert [type(tau) for tau, _ in calls] == [BinaryQuadraticForm]
         assert surds == []
 
 
@@ -917,6 +933,6 @@ class TestHcpCache:
         monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
         assert hcp_record_valid(-479, hilbert_class_polynomial(-479).coeffs)
         tau, prec = seen[-1]
-        assert tau in (QuadraticSurd(1, 1, 10, -479), QuadraticSurd(-1, 1, 10, -479))
+        assert tau in (BinaryQuadraticForm(5, 1, 24), BinaryQuadraticForm(5, -1, 24))
         assert abs(j_value(tau, 64)) >= 2**17
         assert prec < 1400
