@@ -36,8 +36,8 @@ _MAX_PREC = 8192
 # take about 0.9 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
-# largest jval working precision (modular._j_precision), and weber's two summed:
-# jval --tau=0,14400, at 130 801 bits, takes about 1.5 s on one core
+# largest working precision (modular._j_precision) of jval and of weber's model: on one
+# core about 1.5 s for jval --tau=0,14400 (130 801 bits), 2 s for weber at 130 771 bits
 _MAX_JVAL_WORK = 2**17
 # largest |disc| of a class polynomial (|4D| for certify and attract): the reduced
 # forms take O(|disc|) steps to enumerate, about 1.6 s at 4 * 10^7 on one core
@@ -294,7 +294,7 @@ def _cmd_jval(args, prec: int):
 
 def _cmd_weber(args, prec: int):
     from .elliptic import _MODEL_BITS, model_from_tau, torsion_points, weber_function
-    from .modular import _frame, _j_precision, j_value_with_bound
+    from .modular import _frame, _j_precision
 
     if args.n > _MAX_WEBER_N:
         raise ValueError(f"--n must be at most {_MAX_WEBER_N}, got {args.n}")
@@ -305,11 +305,10 @@ def _cmd_weber(args, prec: int):
     c, inputs = _charge_from_args(args)
     inputs["n"] = str(args.n)
     ap = attractor_point(c)
-    # the model's theta kernel and the j check's below share the jval cap
-    frame = _frame(ap.tau, prec)
-    work = _j_precision(frame, prec + _MODEL_BITS) + _j_precision(frame, prec)
+    # the model's theta kernel, the one run per call, shares the jval cap
+    work = _j_precision(_frame(ap.tau, prec), prec + _MODEL_BITS)
     if work > _MAX_JVAL_WORK:
-        raise ValueError(f"the model's and the j check's working precisions must sum to at "
+        raise ValueError(f"the model's working precision prec + ceil(mag) + 96 must be at "
                          f"most {_MAX_JVAL_WORK} bits, got {work}")
     model = model_from_tau(ap.tau, prec=prec)
     # the Weber value and the residual's cubic depend on x alone, which the
@@ -336,27 +335,24 @@ def _cmd_weber(args, prec: int):
             "weber": _dec_c(w, prec),
         } for a, b, x, y, w in rows],
     }
-    ev = j_value_with_bound(ap.tau, prec)
     with mp.workprec(prec + 32):
         cubic = {}
         for _, _, x, _, _ in rows:
             if x._mpc_ not in cubic:
                 cubic[x._mpc_] = 4 * x**3 + 4 * model.A * x + 4 * model.B
         worst = max(abs((2 * y) ** 2 - cubic[x._mpc_]) for _, _, x, y, _ in rows)
-        # the model's j is within 2^-(prec+93) (1 + |j|) before its rounding to prec
-        dj = abs(model.j - ev.j)
-        j_bound = ev.error_bound + mp.mpf(2) ** -(prec - 1) * (1 + abs(ev.j))
     bound = mp.mpf(2) ** (-prec // 2 + 10)
+    residual, jacobi_bound = model.jacobi   # |E4^3 - E6^2 - 1728 Delta| at tau', certified
     certs = [{
         "name": "wp_ode_max_residual",
         "value": _dec(worst, 64),
         "bound": _dec_bound(bound),
         "passed": bool(worst < bound),
     }, {
-        "name": "model_j_matches_modular",
-        "value": _dec(dj, 64),
-        "bound": _dec_bound(j_bound),
-        "passed": bool(dj <= j_bound),
+        "name": "jacobi_identity_residual",
+        "value": _dec(residual, 64),
+        "bound": _dec_bound(jacobi_bound),
+        "passed": bool(residual <= jacobi_bound),
     }]
     return inputs, result, certs
 

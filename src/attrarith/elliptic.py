@@ -15,7 +15,7 @@ in fixed point; its powers and their products with the kernel's integers
 are exact, and each component is rounded to the model's precision once.
 delta and j = E4^3/Delta come from the kernel's Delta, as j_value does, so
 neither is a difference of large terms; j is the kernel's fixed-point
-quotient that j_value_with_bound forms.
+quotient that j_value_with_bound forms; Jacobi's identity checks them.
 Torsion points come from the Lambert form of the q-series for the
 Weierstrass functions at the reduced point, taken at the model's source
 point (an exact QuadraticSurd stays one).  Every input of the series is a
@@ -74,6 +74,7 @@ class WeierstrassModel:
     source_tau: mp.mpc | QuadraticSurd
     scale: mp.mpc
     precision_bits: int
+    jacobi: tuple | None = None   # Jacobi's identity: (residual, bound), see model_from_tau
 
     @cached_property
     def weber_case(self):
@@ -154,6 +155,20 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     Rounding each component to nearest then moves a field z by at most
     2^-prec of its modulus.  A height that would need more than 10^7 bits
     raises PrecisionExhausted (from _Frame.lam) before any computing.
+
+    Jacobi's identity E4^3 - E6^2 = 1728 Delta checks E4, E6 and Delta = q U
+    on the kernel's own integers with no second run, and is the one check on
+    E6 (so on B); homogeneous and free of lam, it cannot see a wrong lam,
+    power of mu or point.  The pairs e4, e6 and U' at F bits are within
+    d4 = 5 err, d6 = 27 err and du = 30 err units of u, q' within 6 units of
+    2^-e (q_fixed); a4, a6 and aU, |re| + |im| of each pair plus its error,
+    lie above the pairs' and the exact moduli, Q = |re| + |im| of q'.  By
+    x^3 - y^3 = (x - y)(x^2 + xy + y^2), x^2 - y^2 = (x - y)(x + y) and
+    q'U' - qU = q'(U' - U) + (q' - q)U, R = e4^3 - e6^2 - 1728 q'U' is within
+    3 a4^2 d4 2^-2F + 2 a6 d6 2^-F + 1728 (Q du + 6 aU) 2^-e + 14 units of u
+    of 0, each term rounded up; the floors take 6.4 for the cube (|E4| < 3.5),
+    1.5 for the square, 2.4 for q'U' (e - F >= 10) and 1.5 for its shift.
+    jacobi is |R| rounded up to 2^-(F+64) and that bound, both at E4's scale.
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
@@ -162,20 +177,28 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     lam, e = frame.lam(wp)
     th = _theta(frame, wp)
     F = th.F
-    e4 = th.e4_fixed()[0]
+    (e4, d4), (e6, d6), (u, du) = th.e4_fixed(), th.e6_fixed(), th.u_fixed()
     q, de = th.q_fixed()
-    dk = _mul(q, th.u_fixed()[0], F)
+    dk = _mul(q, u, F)
+    r0, r1 = (c - s - (1728 * d >> de - F)
+              for c, s, d in zip(_mul(_sqr(e4, F), e4, F), _sqr(e6, F), dk))
+    root = math.isqrt(n := r0 * r0 + r1 * r1 << 128)   # |R| 2^(F+64), floored
+    a4, a6, au, aq = (abs(z[0]) + abs(z[1]) + d for z, d in ((e4, d4), (e6, d6), (u, du), (q, 0)))
+    bound = (-(-3 * a4 * a4 * d4 >> 2 * F) - (-2 * a6 * d6 >> F)
+             - (-1728 * (aq * du + 6 * au) >> de) + 14)
     l2 = _mul(lam, lam, 0)
     l4 = _mul(l2, l2, 0)
     l6 = _mul(l4, l2, 0)
     with mp.workprec(prec):
         return WeierstrassModel(
             A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
-            B=_rounded(_mul(l6, th.e6_fixed()[0], 0), 6 * e - F, prec, 864),
+            B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
             delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
             j=_rounded(_j_pair(e4, dk, de, F), -F, prec),
             source_tau=tau if isinstance(tau, QuadraticSurd) else +_render(frame.tau, wp),
             scale=mp.mpc(1), precision_bits=prec,
+            jacobi=(mp.make_mpf(from_man_exp(root + (root * root < n), -F - 64)),
+                    mp.make_mpf(from_man_exp(bound, -F))),
         )
 
 
@@ -541,5 +564,5 @@ def twist_model(model: WeierstrassModel, u) -> WeierstrassModel:
     with mp.workprec(prec):
         return WeierstrassModel(
             A=+a, B=+b, delta=+delta, j=model.j,
-            source_tau=model.source_tau, scale=+scale, precision_bits=prec,
+            source_tau=model.source_tau, scale=+scale, precision_bits=prec, jacobi=model.jacobi,
         )

@@ -77,13 +77,6 @@ __all__ = [
 ]
 
 
-def _horner(coeffs, q):
-    acc = mp.mpf(0)
-    for cn in reversed(coeffs):
-        acc = acc * q + cn
-    return acc
-
-
 def _from_fixed(s, F: int):
     """The fixed-point pair s as an mpc, exactly."""
     return mp.make_mpc((from_man_exp(s[0], -F), from_man_exp(s[1], -F)))
@@ -865,14 +858,12 @@ def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
     leading coefficient a, so |j(tau)| <= 2^L with L = _log2_root_bound(disc,
     a); hcp_bits is at least the class polynomial's working precision from
     _hcp_precision, so hcp_bits >= B + log2(4h + 8) + 62 with B the
-    coefficient bound.  j is asked for at wp + 64 bits (_residual_precision),
-    |H(j)| is evaluated at wp + 32 bits, and its error bound has two parts:
-
-    - Horner rounding, (4h + 8) max(1, |j|)^h max|c_k| 2^-(wp+32), is below
-      2^(log2(4h + 8) + hL + B - wp - 32); wp >= hcp_bits + hL + prec/4
-      makes it at most 2^-(prec/4 + 94).
-    - The error of j times |H'(j)| <= h(h+1) 2^(B + (h-1)L): j carries an
-      error bound below 2^-(wp+64), and this part is smaller still.
+    coefficient bound.  j is asked for at wp + 64 bits (_residual_precision)
+    and H(j) is evaluated by Horner at wp + 32 bits.  With S = max(1, |j|)^h
+    max|c_k|, its rounding, (4h + 8) S 2^-(wp+32), is below
+    2^(log2(4h + 8) + hL + B - wp - 32), at most 2^-(prec/4 + 94) as
+    wp >= hcp_bits + hL + prec/4; j's error (below 2^-(wp+64)) reaches H(j)
+    times |H'| <= sum k |c_k| max(1, |j|)^(k-1) <= h(h+1)/2 S, to first order.
 
     wp is also at least prec, the precision at which j is reported.
     """
@@ -880,10 +871,12 @@ def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
     jp = _residual_precision(h, disc, a, hcp_bits, prec)
     ev = j_value_with_bound(tau, jp)
     with mp.workprec(jp - 32):
-        deriv = abs(_horner([n * cn for n, cn in enumerate(coeffs)][1:], ev.j))
         scale = max(mp.mpf(1), abs(ev.j)) ** h * max(abs(cn) for cn in coeffs)
-        err = deriv * ev.error_bound + (4 * h + 8) * scale * mp.mpf(2) ** (32 - jp)
-        return ev, abs(_horner(coeffs, ev.j)), err
+        err = (h * (h + 1) // 2 * ev.error_bound + (4 * h + 8) * mp.mpf(2) ** (32 - jp)) * scale
+        acc = mp.mpf(0)
+        for cn in reversed(coeffs):
+            acc = acc * ev.j + cn
+        return ev, abs(acc), err
 
 
 def _float_above(x) -> float:

@@ -1,7 +1,6 @@
 """Tests for the command-line envelope, exit codes, and the HCP cache."""
 
 import argparse
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -253,16 +252,48 @@ class TestWeber:
         cert = env["certificates"][0]
         assert cert["name"] == "wp_ode_max_residual" and cert["passed"]
 
-    def test_model_j_certificate_fails_on_wrong_model(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("field", ["t4", "s2"])
+    def test_jacobi_certificate_fails_on_perturbed_kernel(self, capsys, monkeypatch, field):
+        # theta_4^4 enters E6 (and E4 and U); S2^4 enters U alone, so Delta = q U
         import attrarith.elliptic as elliptic
+        from attrarith.modular import _theta
 
-        right = elliptic.model_from_tau
-        monkeypatch.setattr(elliptic, "model_from_tau",
-                            lambda tau, prec: dataclasses.replace(right(tau, prec),
-                                                                  j=-right(tau, prec).j))
+        def perturbed(frame, wp):
+            th = _theta(frame, wp)
+            re, im = getattr(th, field)
+            return th._replace(**{field: (re + (1 << (th.F - 200)), im)})
+
+        monkeypatch.setattr(elliptic, "_theta", perturbed)
         env = invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "2")
         cert = env["certificates"][1]
-        assert cert["name"] == "model_j_matches_modular" and cert["passed"] is False
+        assert cert["name"] == "jacobi_identity_residual" and cert["passed"] is False
+        assert exact(cert["value"]) > 2**100 * exact(cert["bound"])
+
+    def test_one_kernel_run_per_call(self, capsys, monkeypatch):
+        import attrarith.elliptic as elliptic
+        import attrarith.modular as modular
+
+        kernel, calls = modular._theta, []
+
+        def spy(frame, wp):
+            calls.append(wp)
+            return kernel(frame, wp)
+
+        monkeypatch.setattr(modular, "_theta", spy)
+        monkeypatch.setattr(elliptic, "_theta", spy)
+        invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "3")
+        assert len(calls) == 1
+
+    def test_model_gate_exit_2(self, capsys):
+        # tau = i sqrt(2.08 * 10^8): the model alone would work at 131 086 bits,
+        # refused from the frame before any kernel runs; 2.07 * 10^8 is admitted
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "weber", "--p2", "1", "--q2", "208000000", "--pq", "0",
+                                "--n", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("attrarith weber: the model's working precision prec + ceil(mag) + 96 "
+                       "must be at most 131072 bits, got 131086\n")
 
     @pytest.mark.parametrize("charge, n", [((2, 3, 1), 6), ((1, 1, 0), 4), ((2, 2, 1), 3)])
     def test_values_per_x_print_as_per_point(self, capsys, charge, n):
@@ -321,7 +352,7 @@ class TestWeber:
         env = invoke_json(capsys, "weber", "--p2", "1", "--q2", "1600", "--pq", "0",
                           "--n", "2")
         names = [c["name"] for c in env["certificates"]]
-        assert names == ["wp_ode_max_residual", "model_j_matches_modular"]
+        assert names == ["wp_ode_max_residual", "jacobi_identity_residual"]
         assert all(c["passed"] for c in env["certificates"])
         ref = invoke_json(capsys, "jval", "--tau", "0,40")
         with mp.workprec(320):
@@ -369,18 +400,17 @@ class TestBoundsPrintAsBounds:
             assert exact(res["certificates"][0]["value"]) >= bound, (tau, prec)
 
     def test_weber_certificate_bounds(self, capsys):
-        # the bounds _cmd_weber compares against, formed as it forms them at 256 bits
+        # the bounds _cmd_weber compares against: 2^-118 and the model's Jacobi bound
         from attrarith.attractor import ChargeData, attractor_point
+        from attrarith.elliptic import model_from_tau
 
         for charge in ((2, 3, 1), (1, 1, 0), (2, 2, 1)):
             p2, q2, pq = (str(v) for v in charge)
             env = invoke_json(capsys, "weber", "--p2", p2, "--q2", q2, "--pq", pq, "--n", "3")
-            ev = j_value_with_bound(attractor_point(ChargeData(*charge)).tau, 256)
-            with mp.workprec(288):
-                j_bound = ev.error_bound + mp.mpf(2) ** -255 * (1 + abs(ev.j))
-            ode, jcert = env["certificates"]
+            model = model_from_tau(attractor_point(ChargeData(*charge)).tau, 256)
+            ode, jacobi = env["certificates"]
             assert exact(ode["bound"]) >= Fraction(1, 2**118), charge
-            assert exact(jcert["bound"]) >= exact(j_bound), charge
+            assert exact(jacobi["bound"]) >= exact(model.jacobi[1]), charge
 
 
 class TestCurve:
@@ -631,10 +661,10 @@ GOLDEN_ARGV = {
 
 GOLDEN_SHA256 = {
     "attract": "35005b88891428abf09ba5231bbbb1965d11ac625ada64521e9cba8e9a1e56fe",
-    "certify": "060d650dff6d57561e7374ac47c1522c3d7a175fb5aed10a0d45f8d1db05f677",
+    "certify": "74f589dce7137d8b2e0d3cf066885580836f87601ae6c039b2571656ae4ab09d",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "a5559e5ec044a675513111ee058bb962acbd8b39d8aaf66f955380a2909a3222",
-    "weber": "51f251608c6ab9297f26c1fc04922dfc0bd1fd5570fb4c53f9c5559f84432079",
+    "weber": "7a5d19b37dde83033e2fc96c2e0b95c21f027461e9dc4a68883be96dce964885",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",

@@ -145,9 +145,10 @@ def jval_argv(draw):
 
 @st.composite
 def weber_argv(draw):
-    # tau = i sqrt(5.3 * 10^7) is just past the 2^17-bit working precision gate
+    # tau = i sqrt(2.08 * 10^8) is just past the model's 2^17-bit working precision
+    # gate at the default 256 bits, and admitted, about 2 s, at 64 and 128
     n = draw(st.integers(2, 5) | st.integers(-1, 5) | st.sampled_from([50, 51]))
-    charge = charge_flags(draw, 30, [(1, 53 * 10**6, 0), (1, 10**11 + 1, 0)])
+    charge = charge_flags(draw, 30, [(1, 208 * 10**6, 0), (1, 10**11 + 1, 0)])
     return ["weber", *charge, "--n", n, *prec_flags(draw), *flags(draw)]
 
 
@@ -212,7 +213,7 @@ def test_weber_exits_cleanly(argv):
     ["certify", "--p2", 1, "--q2", 1000001, "--pq", 0],
     ["certify", "--p2", 1, "--q2", 11500, "--pq", 0],
     ["attract", "--p2", 1, "--q2", 100000000001, "--pq", 0],
-    ["weber", "--p2", 1, "--q2", 53 * 10**6, "--pq", 0, "--n", 2],
+    ["weber", "--p2", 1, "--q2", 208 * 10**6, "--pq", 0, "--n", 2],
     ["resolve", "--n", 1000000000, "--q", 999999999],
     ["resolve", "--n", 300002, "--q", 300001],
     ["curve", "--d", 354, "--k", 1, "--l", 1],

@@ -191,6 +191,28 @@ class TestHighLattices:
             model_from_tau(QuadraticSurd(0, 10**400, 1, -4), 64)
 
 
+class TestJacobiIdentity:
+    """E4^3 - E6^2 = 1728 Delta on the model's own kernel integers: the residual
+    stays within its certified bound, far below 2^-prec."""
+
+    @pytest.mark.parametrize("tau", [
+        attractor_point(ChargeData(2, 3, 1)).tau,
+        attractor_point(ChargeData(1, 1, 0)).tau,
+        attractor_point(ChargeData(1, 1600, 0)).tau,
+        attractor_point(ChargeData(2, 2, 1)).tau,   # rho + 1, where E4 = 0
+        mp.mpc("-0.4999", "0.8661"),                # near rho
+        mp.mpc("0.31", "1.7"),
+    ])
+    def test_residual_within_bound(self, tau):
+        for prec in (64, 256):
+            residual, bound = model_from_tau(tau, prec).jacobi
+            assert residual <= bound < mp.mpf(2) ** -prec, (tau, prec)
+
+    def test_twist_keeps_the_check(self):
+        m = model_from_tau(mp.mpc("0.31", "1.7"), 192)
+        assert twist_model(m, mp.mpc("0.7", "-1.9")).jacobi is m.jacobi
+
+
 class TestTorsionPoints:
     def test_two_torsion_roots_of_cubic(self):
         m = model_from_tau(mp.mpc('0.3', '1.7'), prec=256)
