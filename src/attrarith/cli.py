@@ -26,7 +26,7 @@ import mpmath as mp
 from mpmath.libmp import from_rational, mpf_pos, round_ceiling, round_nearest, to_rational, to_str
 
 from .arith import QuadraticSurd
-from .attractor import ChargeData, attractor_point, entropy_invariant
+from .attractor import ChargeData, attractor_point, discriminant, entropy_invariant
 from .errors import AttrarithError, ComputationFailure
 
 _DEFAULT_PREC = 256
@@ -36,9 +36,12 @@ _MAX_PREC = 8192
 # take about 0.9 s on one core, and the cost grows with points times bits
 _MAX_WEBER_N = 50
 _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
-# largest working precision (modular._j_precision) of jval and of weber's model: on one
-# core about 1.5 s for jval --tau=0,14400 (130 801 bits), 2 s for weber at 130 771 bits
+# largest working precision (modular._j_precision) of jval: on one core about 1.5 s
+# for jval --tau=0,14400 (130 801 bits)
 _MAX_JVAL_WORK = 2**17
+# largest |D| = |pq^2 - p2*q2| of a charge: attractor_point's exact surd factors D
+# by trial division up to sqrt|D|, about 0.3 s at 10^13 on one core (1 s at 10^14)
+_MAX_CHARGE_DISC = 10**13
 # largest |disc| of a class polynomial (|4D| for certify and attract): the reduced
 # forms take O(|disc|) steps to enumerate, about 1.6 s at 4 * 10^7 on one core
 _MAX_CLASS_DISC = 40_000_000
@@ -146,22 +149,23 @@ def _charge_from_args(args) -> tuple[ChargeData, dict]:
             raise ValueError("--p2, --q2 and --pq are all required")
         c = ChargeData(args.p2, args.q2, args.pq)
         inputs = {"p2": str(args.p2), "q2": str(args.q2), "pq": str(args.pq)}
+    _require_disc(discriminant(c), "|D|", _MAX_CHARGE_DISC)
     return c, inputs
 
 
-def _require_class_disc(disc: int, name: str):
-    """Refuse a discriminant whose reduced forms would take too long to list."""
-    if abs(disc) > _MAX_CLASS_DISC:
-        raise ValueError(f"{name} must be at most {_MAX_CLASS_DISC}, got {abs(disc)}")
+def _require_disc(disc: int, name: str, cap: int = _MAX_CLASS_DISC):
+    """Refuse a discriminant past cap: by default one whose reduced forms would
+    take too long to list."""
+    if abs(disc) > cap:
+        raise ValueError(f"{name} must be at most {cap}, got {abs(disc)}")
 
 
-def _class_polynomial_gate(disc: int, name: str):
-    """(h, working precision) of the class polynomial of disc, refusing one past
-    the caps before any j is computed."""
+def _class_polynomial_gate(disc: int):
+    """(h, working precision) of the class polynomial of disc, whose |disc| the
+    caller has checked, refusing one past the h * c cap before any j is computed."""
     from .arith import class_group_forms
     from .modular import _hcp_precision
 
-    _require_class_disc(disc, name)
     forms = class_group_forms(disc)
     bits, wp = _hcp_precision(disc, forms)
     if len(forms) * bits > _MAX_HCP_BITS:
@@ -172,8 +176,8 @@ def _class_polynomial_gate(disc: int, name: str):
 
 def _cmd_attract(args, prec: int):
     c, inputs = _charge_from_args(args)
+    _require_disc(4 * discriminant(c), "|4D|")
     ap = attractor_point(c)
-    _require_class_disc(4 * ap.D, "|4D|")
     f = ap.form
     result = {
         "tau": _surd_str(ap.tau),
@@ -197,8 +201,9 @@ def _cmd_certify(args, prec: int):
     from .modular import _frame, _j_precision, _residual_precision, certify_attractor_cm
 
     c, inputs = _charge_from_args(args)
+    _require_disc(4 * discriminant(c), "|4D|")
     ap = attractor_point(c)
-    h, hcp_wp = _class_polynomial_gate(4 * ap.D, "|4D|")
+    h, hcp_wp = _class_polynomial_gate(4 * ap.D)
     # the certificate asks for j at the root at _residual_precision bits
     jp = _residual_precision(h, 4 * ap.D, ap.form.a, hcp_wp, prec)
     work = _j_precision(_frame(ap.tau, jp), jp)
@@ -232,7 +237,8 @@ def _cmd_hcp(args, prec: int):
                           store_hcp_cache)
 
     disc = args.disc
-    _class_polynomial_gate(disc, "|disc|")
+    _require_disc(disc, "|disc|")
+    _class_polynomial_gate(disc)
     coeffs = None
     if args.cache:
         directory = os.path.dirname(os.path.abspath(args.cache))
@@ -275,8 +281,7 @@ def _cmd_jval(args, prec: int):
 
     tau = _parse_pair(args.tau, prec, "--tau")
     work = _j_precision(_frame(tau, prec), prec)
-    # past 10^7 bits j_value_with_bound itself refuses the height as intractable
-    if _MAX_JVAL_WORK < work <= 10_000_000:
+    if work > _MAX_JVAL_WORK:
         raise ValueError(f"working precision prec + ceil(mag) + 14 must be at most "
                          f"{_MAX_JVAL_WORK} bits, got {work}")
     ev = j_value_with_bound(tau, prec)
@@ -293,8 +298,7 @@ def _cmd_jval(args, prec: int):
 
 
 def _cmd_weber(args, prec: int):
-    from .elliptic import _MODEL_BITS, model_from_tau, torsion_points, weber_function
-    from .modular import _frame, _j_precision
+    from .elliptic import model_from_tau, torsion_points, weber_function
 
     if args.n > _MAX_WEBER_N:
         raise ValueError(f"--n must be at most {_MAX_WEBER_N}, got {args.n}")
@@ -305,11 +309,7 @@ def _cmd_weber(args, prec: int):
     c, inputs = _charge_from_args(args)
     inputs["n"] = str(args.n)
     ap = attractor_point(c)
-    # the model's theta kernel, the one run per call, shares the jval cap
-    work = _j_precision(_frame(ap.tau, prec), prec + _MODEL_BITS)
-    if work > _MAX_JVAL_WORK:
-        raise ValueError(f"the model's working precision prec + ceil(mag) + 96 must be at "
-                         f"most {_MAX_JVAL_WORK} bits, got {work}")
+    # the model's kernel runs at prec + 104 bits; its frame refuses an intractable height
     model = model_from_tau(ap.tau, prec=prec)
     # the Weber value and the residual's cubic depend on x alone, which the
     # partners +-P share, so each is computed once per distinct x

@@ -44,10 +44,7 @@ from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest
 
 from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import (_cos_sin_pi, _frame, _j_pair, _j_precision, _mul, _quotient_pair,
-                      _render, _sqr, _theta)
-
-_MODEL_BITS = 82   # model_from_tau's kernel runs at j's working precision for prec + 82
+from .modular import _cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _render, _sqr, _theta
 
 __all__ = [
     "WeierstrassModel",
@@ -126,9 +123,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     lam^12 = (2 pi)^12/mu^12.  Neither delta nor j is formed from the
     cancelling expressions on the left, which lose about mag bits,
     2^mag = 1/|q| at tau'.  The kernel runs on the exact tau' at
-    wp = prec + ceil(mag) + 96, the working precision of j at prec + 82 bits
-    (_j_precision), and lam comes from mu's exact integers (_Frame.lam)
-    within relative 2^-(wp+1), so lam^k is within relative
+    wp = prec + 104 bits at any height, and lam comes from mu's exact
+    integers (_Frame.lam) within relative 2^-(wp+1), so lam^k is within relative
     e_k = (1 + 2^-(wp+1))^k - 1 < 0.51 k 2^-wp; nothing is rendered but tau
     when it is not a QuadraticSurd, to give source_tau.  The powers of lam
     and their products with the kernel's integers are exact, and each
@@ -138,8 +134,7 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     j_value_with_bound certifies), and j is rounded to prec bits once; their
     certified bounds are not formed here, as the ones below hold for them.
 
-    Bounds before that rounding, with u = 2^-F the kernel's unit and
-    mag >= 7.85 on the fundamental domain:
+    Bounds before that rounding, with u = 2^-F the kernel's unit:
     - delta.  The kernel's Delta = q U is within relative 370 2^-wp
       (derived for j_value_with_bound), and with e_12 < 6.2 2^-wp delta is
       within relative 2^(8.6-wp) <= 2^-(prec+95).
@@ -150,11 +145,9 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
       2^-(prec+87) (|B| + L6), L6 = |lam|^6/864 = 2 pi^6/(27 |mu|^6).
     - j.  j is within 2^(10.3-wp) (1 + |j|) however high the point (derived
       for j_value_with_bound), so within 2^-(prec+93) (1 + |j|).
-    No bound needs the ceil(mag) bits of wp; they keep the height gate
-    below.
     Rounding each component to nearest then moves a field z by at most
-    2^-prec of its modulus.  A height that would need more than 10^7 bits
-    raises PrecisionExhausted (from _Frame.lam) before any computing.
+    2^-prec of its modulus.  A reduced point whose mag passes 10^7 bits
+    raises PrecisionExhausted (from _frame) before any computing.
 
     Jacobi's identity E4^3 - E6^2 = 1728 Delta checks E4, E6 and Delta = q U
     on the kernel's own integers with no second run, and is the one check on
@@ -173,15 +166,15 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     frame = _frame(tau, prec)
-    wp = _j_precision(frame, prec + _MODEL_BITS)
+    wp = prec + 104
     lam, e = frame.lam(wp)
     th = _theta(frame, wp)
     F = th.F
     (e4, d4), (e6, d6), (u, du) = th.e4_fixed(), th.e6_fixed(), th.u_fixed()
     q, de = th.q_fixed()
     dk = _mul(q, u, F)
-    r0, r1 = (c - s - (1728 * d >> de - F)
-              for c, s, d in zip(_mul(_sqr(e4, F), e4, F), _sqr(e6, F), dk))
+    cube = _mul(_sqr(e4, F), e4, F)
+    r0, r1 = (c - s - (1728 * d >> de - F) for c, s, d in zip(cube, _sqr(e6, F), dk))
     root = math.isqrt(n := r0 * r0 + r1 * r1 << 128)   # |R| 2^(F+64), floored
     a4, a6, au, aq = (abs(z[0]) + abs(z[1]) + d for z, d in ((e4, d4), (e6, d6), (u, du), (q, 0)))
     bound = (-(-3 * a4 * a4 * d4 >> 2 * F) - (-2 * a6 * d6 >> F)
@@ -194,7 +187,7 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
             A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
             B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
             delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
-            j=_rounded(_j_pair(e4, dk, de, F), -F, prec),
+            j=_rounded(_j_pair(cube, dk, de), -F, prec),
             source_tau=tau if isinstance(tau, QuadraticSurd) else +_render(frame.tau, wp),
             scale=mp.mpc(1), precision_bits=prec,
             jacobi=(mp.make_mpf(from_man_exp(root + (root * root < n), -F - 64)),
@@ -293,8 +286,11 @@ def _rounded(z, e: int, prec: int, d: int = 1):
 
 
 def _within(z, c: int, t: int) -> bool:
-    """|z - c| < 2^-t for an mpc z and an integer c, decided on z's integers."""
+    """|z - c| < 2^-t for an mpc z and an integer c, decided on z's integers;
+    false at once when z's top bit puts |z| >= 2 max(|c|, 2^-t) >= |c| + 2^-t."""
     (zr, zi), e = _man_exp(z)
+    if max(abs(zr), abs(zi)).bit_length() - 1 + e > max(abs(c).bit_length(), -t):
+        return False
     g = min(e, 0)
     norm = ((zr << (e - g)) - (c << -g)) ** 2 + (zi << (e - g)) ** 2
     s = -2 * (t + g)   # |z - c|^2 = norm 2^(2g) < 2^(-2t) iff norm < 2^s

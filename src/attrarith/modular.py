@@ -22,12 +22,14 @@ reach the result.  Delta = q U with q = r^2 is then relative, and so is the
 one quotient j = E4^3/(q U) (_j_pair, with its bound from _j_quotient): the
 bound is 2^(10.3-wp) (1 + |j|) at any height, so one rule,
 wp = p + ceil(mag) + 14 (_j_precision), puts j within 2^-p; j_value_with_bound,
-the Weierstrass models, the class-polynomial roots and the command-line gates
-all read it.  The frame also gives lam = 2 pi i/mu on integers (_Frame.lam),
-from which elliptic scales the kernel's integers into Weierstrass models and
-torsion points; E4, E6 and Delta reach users only there, as the model's A, B
-and Delta.  On top of j sit Hilbert class polynomials, with one evaluation
-per pair of complex-conjugate roots, each asked of j_value_with_bound with
+the class-polynomial roots and the jval and certify gates read it, and the
+Weierstrass models, bounded relative to each field, take p + 104 at any height.
+The frame, which refuses a reduced point past 10^7 bits of mag, also gives
+lam = 2 pi i/mu on integers (_Frame.lam), from which elliptic scales the
+kernel's integers into Weierstrass models and torsion points; E4, E6 and Delta
+reach users only there, as the model's A, B and Delta.  On top of j sit
+Hilbert class polynomials, with one evaluation per pair of complex-conjugate
+roots, each asked of j_value_with_bound with
 the reduced form itself for ceil(mag) - 2 bits below its relative target,
 and the product formed on integers; and the algebraic-integer certificate
 for attractor points.  Their working precision comes from Enge's proven
@@ -253,8 +255,8 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
     Rounding, in ulps u = 2^-F.  r comes from the frame's exact integers
     (_Frame.expjpi), floored once to rbits = F + 4 + h fractional bits from a
     value within 0.03 units of 2^-rbits of r at the exact tau'.  As
-    |r| = 2^-L with h <= L < h + 1.01 (for any mag below the 10^7 cap, which
-    no caller evaluates), that pair is r at relative precision, above
+    |r| = 2^-L with h <= L < h + 1.01 (up to the 10^7-bit cap on mag, where
+    h's margin is 0.005 bits), that pair is r at relative precision, above
     2^(F+2) units in modulus, and _Theta keeps it for Delta = r^2 U.
     Shifted down by h bits (a floor of a floor is one floor) it is 16 r at F
     bits, and further down r at any coarser scale, in each case within
@@ -275,11 +277,11 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
     g_(n-1) = g_n + 2(n-1)h, so its error reaches r^n in units of 2^-g_n
     shrunk by |r| 2^-6, and r^n stays within |r| 1.6 + 0.005 + sqrt(2)
     < 1.6 of exact, as r^1 = r is.  The terms r^(n^2) and r^(n(n+1)) and the
-    sums stay at F bits.  By the choice of M, (M-1)^2 L < wp + 1, so for
-    n < M, n(n-1)h < wp + 1 - L and g_n >= 10.  The first factor t of each
-    term's product has |t| <= |r|^(n(n-1)) + 2u <= 2^-(n(n-1)h) + 2u, so the
-    error of r^n reaches the product as at most 1.6 |t| 2^-g_n < 0.41 u, and
-    |t| <= |r|^(n^2) + 2u makes it below 0.03 u for r^(n(n+1)).  A factor t
+    sums stay at F bits.  By the choice of M, (M-1)^2 L < wp + 1 unless M = 2,
+    so for 2 <= n < M, n(n-1)h < wp + 1 - L and g_n >= 10.  The first factor
+    t of each term's product has |t| <= |r|^(n(n-1)) + 2u <= 2^-(n(n-1)h) + 2u,
+    so the error of r^n reaches the product as at most 1.6 |t| 2^-g_n < 0.41 u,
+    and |t| <= |r|^(n^2) + 2u makes it below 0.03 u for r^(n(n+1)).  A factor t
     within e u then gives a product within (|r|^n e + 0.41 + sqrt(2)) u.
     Starting from r^(1^2) = r within 1.6: r^(n^2) is within 2|r| + 0.41 +
     sqrt(2) < 1.96, r^(n(n+1)) within 1.96|r| + 0.03 + sqrt(2) < 1.58, so every
@@ -372,7 +374,7 @@ def _render(tau, prec: int):
 # frame squares integers of this size, about 0.05 s each at 2^20 bits in
 # CPython 3.11
 _MAX_EXACT_BITS = 1 << 20
-# most bits at which a frame evaluates anything
+# most bits of mag a frame admits, and at which it evaluates anything
 _MAX_FRAME_BITS = 10_000_000
 
 
@@ -400,7 +402,7 @@ _IDENTITY = ((1, 0), (0, 1))
 class _Frame(NamedTuple):
     """Fundamental-domain frame of an input tau, shared by j, the Weierstrass
     model and the torsion points: the reduction matrix ((a,b),(c,d)), the
-    bits mag of 1/|q| at the reduced point, capped at 10^7, and the reduced
+    bits mag of 1/|q| at the reduced point, at most 10^7, and the reduced
     point tau' = (r + s sqrt(disc))/n as the exact integers red = (r, s, n);
     unless the matrix is the identity, also mu = c tau + d as such a triple.
 
@@ -500,10 +502,9 @@ def _frame(tau, prec: int) -> _Frame:
     of the form f = (n^2, -2rn, r^2 - s^2 disc), of discriminant
     4 n^2 s^2 disc, and reduce_form finds M with g = f(M) reduced.  The root
     (-g.b + 2ns sqrt(disc))/(2 g.a) of g is tau' = M^-1 tau, so the matrix
-    is M^-1, and mu = c tau + d follows exactly.  The height
-    Im tau' = (s/n) sqrt|disc| of the reduced triple is capped at 10^7
-    before it turns float; the cap on mag, reached from a height of 1.1e6,
-    keeps every working precision finite.
+    is M^-1, and mu = c tau + d follows exactly.  A reduced point whose mag
+    passes 10^7 bits, a height of about 1.1e6, raises PrecisionExhausted
+    before any evaluation, and before a height of 10^7 or more turns float.
     """
     if isinstance(tau, BinaryQuadraticForm):
         if not tau.is_positive_definite():
@@ -530,10 +531,13 @@ def _frame(tau, prec: int) -> _Frame:
 
 
 def _mag(s: int, n: int, disc: int) -> float:
-    """Bits of 1/|q| at height (s/n) sqrt|disc|, the height capped at 10^7
-    before it turns float and the bits at 10^7."""
-    height = (s / n if s < 10**7 * n else 1e7) * math.sqrt(-disc)
-    return min(2 * math.pi * height * math.log2(math.e), _MAX_FRAME_BITS)
+    """Bits of 1/|q| at height (s/n) sqrt|disc|, refusing more than 10^7."""
+    if s >= 10**7 * n:
+        raise PrecisionExhausted("reduced height above 10^7 is intractable")
+    height = s / n * math.sqrt(-disc)
+    if (mag := 2 * math.pi * height * math.log2(math.e)) > _MAX_FRAME_BITS:
+        raise PrecisionExhausted(f"reduced height {height:g} is intractable")
+    return mag
 
 
 def _j_precision(frame: _Frame, prec: int) -> int:
@@ -542,17 +546,16 @@ def _j_precision(frame: _Frame, prec: int) -> int:
     return prec + math.ceil(frame.mag) + 14
 
 
-def _j_pair(e4, d, e: int, F: int):
-    """j = E4^3/Delta as an integer pair with F fractional bits, from E4's
-    pair at F bits and Delta's pair d at e bits (_Theta.delta): the cube
-    from two floored products, then E4^3 2^F conj(d)/|d|^2 times 2^e by one
-    floor division.  A Delta that floored to zero raises
-    PrecisionExhausted."""
+def _j_pair(cube, d, e: int):
+    """j = E4^3/Delta as an integer pair at the scale of cube, E4^3's pair
+    (two floored products of E4's, _j_quotient), from Delta's pair d at e bits
+    (_Theta.delta): E4^3 conj(d)/|d|^2 times 2^e by one floor division.  A
+    Delta that floored to zero raises PrecisionExhausted."""
     dr, di = d
     norm = dr * dr + di * di
     if not norm:
         raise PrecisionExhausted("cannot certify Delta away from zero")
-    cr, ci = _mul(_sqr(e4, F), e4, F)
+    cr, ci = cube
     return ((cr * dr + ci * di) << e) // norm, ((ci * dr - cr * di) << e) // norm
 
 
@@ -581,7 +584,7 @@ def _j_quotient(e4, delta, F: int):
     low = _modulus_bounds(d)[0] - err
     if not low > 0:
         raise PrecisionExhausted("cannot certify Delta away from zero")
-    jr, ji = _j_pair(e4, d, e, F)
+    jr, ji = _j_pair(_mul(_sqr(e4, F), e4, F), d, e)
     # in units of 2^-F, each -(-x // y) and -(-x >> k) a ceiling
     d43 = -(-3 * (_modulus_bounds(e4)[1] + d4) ** 2 * d4 >> 2 * F) + 8
     dj = -(-((d43 << e) + (_modulus_bounds((jr, ji))[1] + 2) * err) // low) + 2

@@ -223,6 +223,14 @@ class TestJval:
         assert err == ("attrarith jval: working precision prec + ceil(mag) + 14 must be "
                        "at most 131072 bits, got 2266451\n")
 
+    def test_work_cap_below_frame_cap_exit_2(self, capsys):
+        # ceil(mag) = 9 998 387 is under the frame's 10^7 bits, so the gate, not
+        # the library, refuses the working precision 8192 + 9 998 387 + 14
+        code, out, err = invoke(capsys, "jval", "--tau=0,1103000", "--prec", "8192")
+        assert code == 2 and out == ""
+        assert err == ("attrarith jval: working precision prec + ceil(mag) + 14 must be "
+                       "at most 131072 bits, got 10006593\n")
+
     def test_benchmark_pool_under_work_cap(self, monkeypatch):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -284,16 +292,27 @@ class TestWeber:
         invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "3")
         assert len(calls) == 1
 
-    def test_model_gate_exit_2(self, capsys):
-        # tau = i sqrt(2.08 * 10^8): the model alone would work at 131 086 bits,
-        # refused from the frame before any kernel runs; 2.07 * 10^8 is admitted
+    @pytest.mark.parametrize("q2", [208 * 10**6, 12 * 10**11])
+    def test_high_model_admitted(self, capsys, q2):
+        # tau = i sqrt(q2): the model's kernel works at prec + 104 bits at any
+        # height, so neither a height of 14 422 nor one of 1.1 * 10^6, just
+        # under the frame's 10^7-bit cap on mag, costs a working precision
         start = time.perf_counter()
-        code, out, err = invoke(capsys, "weber", "--p2", "1", "--q2", "208000000", "--pq", "0",
-                                "--n", "2")
+        env = invoke_json(capsys, "weber", "--p2", "1", "--q2", str(q2), "--pq", "0",
+                          "--n", "2")
         assert time.perf_counter() - start < 1
-        assert code == 2 and out == ""
-        assert err == ("attrarith weber: the model's working precision prec + ceil(mag) + 96 "
-                       "must be at most 131072 bits, got 131086\n")
+        assert [c["name"] for c in env["certificates"]] == ["wp_ode_max_residual",
+                                                          "jacobi_identity_residual"]
+        assert all(c["passed"] for c in env["certificates"])
+
+    def test_intractable_height_exit_3(self, capsys):
+        # tau = i sqrt(1.3 * 10^12), mag 1.03 * 10^7 bits: refused by the frame
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "weber", "--p2", "1", "--q2", str(13 * 10**11),
+                                "--pq", "0", "--n", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "intractable" in err
 
     @pytest.mark.parametrize("charge, n", [((2, 3, 1), 6), ((1, 1, 0), 4), ((2, 2, 1), 3)])
     def test_values_per_x_print_as_per_point(self, capsys, charge, n):
@@ -664,14 +683,14 @@ GOLDEN_SHA256 = {
     "certify": "74f589dce7137d8b2e0d3cf066885580836f87601ae6c039b2571656ae4ab09d",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "a5559e5ec044a675513111ee058bb962acbd8b39d8aaf66f955380a2909a3222",
-    "weber": "7a5d19b37dde83033e2fc96c2e0b95c21f027461e9dc4a68883be96dce964885",
+    "weber": "976197d71ad438e8986f580da26886f0c1405f58d1d72f12881a49cc754c5b62",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",
     "sk-check": "a6fa28114f63cc884ed48a4004ce96bf855beacad3f1421b0a5959b2a90a0312",
     "flow": "27dc279eeaff3345a1d3c05f7052aa22676308beb05b09b5a2f3f3670a6d350c",
     "hcp --csv": "1f33e8ce4d4f85f6b0deff93b5757bed4fd59796fc13d9a89a0b616430854c25",
-    "weber --csv": "b02c38cd33e30975a80814045c6868e96cf3b7b1317e9b9b7e70a46200410ec1",
+    "weber --csv": "a37faccd7f71d426efa3cb49cddb6c0d5f9afa0c4af38610dec10e0e808fbbe4",
     "curve --csv": "321012dcae8c4a22e99b010fcb851ac8244ff0ba8299bb87c770398c18470e87",
     "resolve --csv": "7ebdf7e1c80b6526665505903546884316c219857a37d31cb23652fe12357abd",
     "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 import warnings
 
 import pytest
@@ -145,10 +146,11 @@ def jval_argv(draw):
 
 @st.composite
 def weber_argv(draw):
-    # tau = i sqrt(2.08 * 10^8) is just past the model's 2^17-bit working precision
-    # gate at the default 256 bits, and admitted, about 2 s, at 64 and 128
+    # the frame refuses a reduced height past about 1.1 * 10^6 (10^7 bits of mag):
+    # tau = i sqrt(1.2 * 10^12) is just under it, and i sqrt(1.3 * 10^12) past it
     n = draw(st.integers(2, 5) | st.integers(-1, 5) | st.sampled_from([50, 51]))
-    charge = charge_flags(draw, 30, [(1, 208 * 10**6, 0), (1, 10**11 + 1, 0)])
+    charge = charge_flags(draw, 30, [(1, 10**11 + 1, 0), (1, 12 * 10**11, 0),
+                                     (1, 13 * 10**11, 0)])
     return ["weber", *charge, "--n", n, *prec_flags(draw), *flags(draw)]
 
 
@@ -213,7 +215,7 @@ def test_weber_exits_cleanly(argv):
     ["certify", "--p2", 1, "--q2", 1000001, "--pq", 0],
     ["certify", "--p2", 1, "--q2", 11500, "--pq", 0],
     ["attract", "--p2", 1, "--q2", 100000000001, "--pq", 0],
-    ["weber", "--p2", 1, "--q2", 208 * 10**6, "--pq", 0, "--n", 2],
+    ["weber", "--p2", 2, "--q2", 3, "--pq", 1, "--n", 51],
     ["resolve", "--n", 1000000000, "--q", 999999999],
     ["resolve", "--n", 300002, "--q", 300001],
     ["curve", "--d", 354, "--k", 1, "--l", 1],
@@ -223,6 +225,13 @@ def test_weber_exits_cleanly(argv):
     ["fermat", "--d", 1000, "--dim", 10**12],
     ["fermat", "--d", 1000, "--dim", 450, "--hodge"],
     ["fermat", "--d", 2 * 10**6, "--dim", 0, "--hodge"],
+    # |D| = 10^20 + 1: refused before attractor_point factors D by trial division
+    ["attract", "--p2", 1, "--q2", 10**20 + 1, "--pq", 0],
+    ["certify", "--p2", 1, "--q2", 10**20 + 1, "--pq", 0],
+    ["weber", "--p2", 1, "--q2", 10**20 + 1, "--pq", 0, "--n", 2],
+    ["flow", "--p2", 1, "--q2", 10**20 + 1, "--pq", 0, "--tau0", "0,1"],
 ])
 def test_past_the_gate_exits_2(argv):
+    start = time.perf_counter()
     assert exits_cleanly(argv) == 2
+    assert time.perf_counter() - start < 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_man_exp, fzero, to_rational
 
 from attrarith.arith import QuadraticSurd
 from attrarith.attractor import ChargeData, attractor_point
@@ -14,6 +14,7 @@ from attrarith.elliptic import (
     TorsionPoint,
     _lambert_count,
     _torsion_kernel,
+    _within,
     WeierstrassModel,
     model_from_tau,
     torsion_points,
@@ -176,6 +177,35 @@ class TestHighLattices:
                 series = series * q + cn
             want = (2 * mp.pi) ** 12 * series
             assert abs(m.delta - want) <= mp.mpf(2) ** -200 * abs(want)
+
+    @pytest.mark.parametrize("tau", [QuadraticSurd(1, 1, 2, -3),   # rho + 1
+                                     mp.mpc(0, 100), mp.mpc(0, 10**5)])
+    def test_kernel_works_at_prec_plus_104(self, monkeypatch, tau):
+        import attrarith.elliptic as elliptic
+        from attrarith.modular import _theta
+
+        calls = []
+
+        def spy(frame, wp):
+            calls.append(wp)
+            return _theta(frame, wp)
+
+        monkeypatch.setattr(elliptic, "_theta", spy)
+        for prec in (64, 256):
+            model_from_tau(tau, prec)
+        assert calls == [168, 360]
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_j_relative_far_above_the_working_precision(self, prec):
+        # mag = 9065 bits, far above the kernel's prec + 104: j is within
+        # 2^-(prec+93) (1 + |j|) before its rounding, which adds 2^-prec |j|
+        tau = mp.mpc(0.25, 1000)
+        m = model_from_tau(tau, prec)
+        ev = j_value_with_bound(tau, prec)
+        with mp.workprec(prec + 64):
+            bound = (mp.mpf(2) ** -(prec + 93) * (1 + abs(ev.j))
+                     + mp.mpf(2) ** -prec * abs(m.j) + ev.error_bound)
+            assert abs(m.j - ev.j) <= bound
 
     def test_intractable_height_refused_before_computing(self, monkeypatch):
         def no_kernel(*args):
@@ -492,6 +522,23 @@ class TestWeberFunction:
                         want = mp.mpc(mp.ldexp(c0, e), mp.ldexp(c1, e)) * p.x**k
                     with mp.workprec(prec):
                         assert weber_function(m, p) == +want, (tau, n, p.lattice_coords)
+
+    def test_within_matches_exact_comparison(self):
+        # the top-bit exit must agree with |z - c|^2 < 2^-2t on exact rationals,
+        # also for t <= 0, where the window around c is wider than 1
+        def exact_within(z, c, t):
+            re, im = (Fraction(*to_rational(v._mpf_)) for v in (z.real, z.imag))
+            return (re - c) ** 2 + im ** 2 < Fraction(2) ** (-2 * t)
+
+        for c in (0, 1, 1728):
+            for t in (-64, -11, -1, 0, 1, 8, 64):
+                for k in range(-70, 80):
+                    for m in (1, 3, 7):
+                        for sign in (1, -1):
+                            z = mp.make_mpc((from_man_exp(sign * m, k - 2), fzero))
+                            assert _within(z, c, t) == exact_within(z, c, t), (z, c, t)
+        huge = mp.make_mpc((from_man_exp(1, 10**7), from_man_exp(1, 10**7)))
+        assert not _within(huge, 1728, 64)
 
     def test_case_decided_on_integers(self):
         # |j| < 2^-(prec/4) and |j - 1728| < 2^-(prec/4) are decided on j's
