@@ -43,19 +43,29 @@ def euler_phi(n: int) -> int:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write |n| = s^2 * m with m squarefree; returns (s, sign(n)*m)."""
+    """Write |n| = s^2 * m with m squarefree; returns (s, sign(n)*m).
+
+    Trial division runs only while p^3 <= m for what is left of |n|: each
+    prime p found is divided out, its square into s and an odd power's last
+    factor into the core.  The cofactor m then has no prime below p and
+    m < p^3, so at most two prime factors: it is a square exactly when one
+    integer square root says so, and squarefree otherwise.
+    """
     if n == 0:
         return 1, 0
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    s = 1
-    p = 2
-    while p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            s *= p
+    m, s, core, p = abs(n), 1, 1, 2
+    while p * p * p <= m:
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        s *= p ** (k // 2)
+        core *= p ** (k % 2)
         p += 1 if p == 2 else 2
-    return s, sign * m
+    r = math.isqrt(m)
+    if r * r == m:
+        s, m = s * r, 1
+    return s, (1 if n > 0 else -1) * core * m
 
 
 @dataclass(frozen=True)

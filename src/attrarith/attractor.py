@@ -105,17 +105,25 @@ class AttractorPoint:
         return len(class_group_forms(4 * self.D))
 
 
-def attractor_point(c: ChargeData) -> AttractorPoint:
-    """Exact attractor modulus tau = (pq + sqrt(D))/p2 with its reduced form.
-
-    The associated form (p2, -2pq, q2) has discriminant 4D and tau as its
-    upper-half-plane root.
-    """
+def _attractor_disc(c: ChargeData) -> int:
+    """D of a charge that has an attractor point: DegenerateCharge unless
+    p2 > 0, NotAttractor unless D < 0.  No surd is formed, so D is not factored."""
     if c.p2 <= 0:
         raise DegenerateCharge(f"p2 must be positive, got {c.p2}")
     D = discriminant(c)
     if D >= 0:
         raise NotAttractor(f"discriminant {D} >= 0: no attractor point")
+    return D
+
+
+def attractor_point(c: ChargeData) -> AttractorPoint:
+    """Exact attractor modulus tau = (pq + sqrt(D))/p2 with its reduced form.
+
+    The associated form (p2, -2pq, q2) has discriminant 4D and tau as its
+    upper-half-plane root.  The surd factors D once and keeps its squarefree
+    part as tau.disc.
+    """
+    D = _attractor_disc(c)
     tau = QuadraticSurd(c.pq, 1, c.p2, D)
     form, _ = reduce_form(BinaryQuadraticForm(c.p2, -2 * c.pq, c.q2))
     return AttractorPoint(tau=tau, D=D, form=form)
@@ -125,9 +133,9 @@ def entropy_invariant(c: ChargeData, prec: int = 256):
     """sqrt(|D|): the minimum of the central charge density |Z|^2 over the half-plane."""
     import mpmath as mp
 
-    at = attractor_point(c)
+    D = _attractor_disc(c)
     with mp.workprec(prec):
-        return mp.sqrt(-at.D)
+        return mp.sqrt(-D)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import mpmath as mp
@@ -40,8 +41,14 @@ _MAX_WEBER_WORK = (_MAX_WEBER_N**2 - 1) * _DEFAULT_PREC
 # for jval --tau=0,14400 (130 801 bits)
 _MAX_JVAL_WORK = 2**17
 # largest |D| = |pq^2 - p2*q2| of a charge: attractor_point's exact surd factors D
-# by trial division up to sqrt|D|, about 0.3 s at 10^13 on one core (1 s at 10^14)
-_MAX_CHARGE_DISC = 10**13
+# by trial division up to |D|^(1/3), about 0.2 s at a prime near 10^18 on one
+# core (0.6 to 0.8 s near 10^20)
+_MAX_CHARGE_DISC = 10**18
+# most decimal places from the lowest to the highest digit of an RE,IM pair,
+# 10^39456 < 2^(2^17): a pair of random 39455-digit decimals takes about 0.55 s
+# in jval on one core; one at the 2^20 bits the frame admits for an mpc takes
+# about 20 s, as its integers are dense, unlike an mpc's power-of-two denominator
+_MAX_DECIMAL_DIGITS = 39_456
 # largest |disc| of a class polynomial (|4D| for certify and attract): the reduced
 # forms take O(|disc|) steps to enumerate, about 1.6 s at 4 * 10^7 on one core
 _MAX_CLASS_DISC = 40_000_000
@@ -116,15 +123,26 @@ def _dec_f(v) -> str:
     return repr(float(v))
 
 
-def _parse_pair(text: str, prec: int, flag: str):
+def _parse_pair(text: str, flag: str):
+    """RE,IM as two exact Decimals, refused, before any integer is formed from
+    them, unless both are finite and the pair spans at most
+    _MAX_DECIMAL_DIGITS places."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"{flag}: expected RE,IM, got {text!r}")
-    with mp.workprec(prec + 32):
-        z = mp.mpc(mp.mpf(parts[0].strip()), mp.mpf(parts[1].strip()))
-    if not mp.isfinite(z):
+    try:
+        pair = tuple(Decimal(v.strip()) for v in parts)
+    except InvalidOperation:
+        raise ValueError(f"{flag}: RE and IM must be decimal numbers, got {text!r}") from None
+    if not all(v.is_finite() for v in pair):
         raise ValueError(f"{flag}: RE and IM must be finite, got {text!r}")
-    return z
+    places = [v.as_tuple() for v in pair]
+    span = (max(1, *(len(t.digits) + t.exponent for t in places))
+            - min(0, *(t.exponent for t in places)))
+    if span > _MAX_DECIMAL_DIGITS:
+        raise ValueError(f"{flag}: RE,IM must span at most {_MAX_DECIMAL_DIGITS} decimal "
+                         f"places, got {span}")
+    return pair
 
 
 def _int_csv(text: str) -> tuple:
@@ -279,7 +297,8 @@ def _cmd_hcp(args, prec: int):
 def _cmd_jval(args, prec: int):
     from .modular import _frame, _j_precision, j_value_with_bound
 
-    tau = _parse_pair(args.tau, prec, "--tau")
+    re, im = _parse_pair(args.tau, "--tau")
+    tau = Fraction(re) + Fraction(im) * QuadraticSurd(0, 1)   # exact, disc -1
     work = _j_precision(_frame(tau, prec), prec)
     if work > _MAX_JVAL_WORK:
         raise ValueError(f"working precision prec + ceil(mag) + 14 must be at most "
@@ -474,7 +493,9 @@ def _cmd_flow(args, prec: int):
     if args.max_steps > _MAX_FLOW_STEPS:
         raise ValueError(f"--max-steps must be at most {_MAX_FLOW_STEPS}, got {args.max_steps}")
     c, inputs = _charge_from_args(args)
-    tau0 = complex(_parse_pair(args.tau0, 64, "--tau0"))
+    tau0 = complex(*(float(v) for v in _parse_pair(args.tau0, "--tau0")))
+    if not (math.isfinite(tau0.real) and math.isfinite(tau0.imag)):
+        raise ValueError(f"--tau0: RE and IM must lie in the double range, got {args.tau0!r}")
     cfg = FlowConfig(step=args.step, tol=args.tol, max_steps=args.max_steps)
     res = flow_integrate(c, tau0, cfg)
     table = export_trajectory(res, args.trace) if args.trace else None

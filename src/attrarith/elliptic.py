@@ -18,13 +18,14 @@ neither is a difference of large terms; j is the kernel's fixed-point
 quotient that j_value_with_bound forms; Jacobi's identity checks them.
 Torsion points come from the Lambert form of the q-series for the
 Weierstrass functions at the reduced point, taken at the model's source
-point (an exact QuadraticSurd stays one).  Every input of the series is a
-product of powers of two values, e^(2 pi i tau'/n), taken by the frame
-straight from the exact integers of tau', and e^(2 pi i/n), both in fixed
-point.  The Lambert sums depend on a point only through its reduced row
-and, by a power of e^(2 pi i/n), through m mod n: each row sums its terms
-once into n buckets, and each pair +-P folds the buckets with its powers of
-e^(2 pi i/n) and adds its leading term, all on fixed-point integers.
+point, the input exactly as the model was built from it.  Every input of
+the series is a product of powers of two values, e^(2 pi i tau'/n), taken
+by the frame straight from the exact integers of tau', and e^(2 pi i/n),
+both in fixed point.  The Lambert sums depend on a point only through its
+reduced row and, by a power of e^(2 pi i/n), through m mod n: each row sums
+its terms once into n buckets, and each pair +-P folds the buckets with its
+powers of e^(2 pi i/n) and adds its leading term, all on fixed-point
+integers.
 Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
 is the case selection that cancels exactly that freedom: its constant is
 an exact quotient of the fields' integers, and constant * x^k is formed
@@ -42,9 +43,8 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest, to_fixed
 
-from .arith import QuadraticSurd
 from .errors import AmbiguousCase, OutOfRange, ZeroTwist
-from .modular import _cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _render, _sqr, _theta
+from .modular import _cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _sqr, _theta
 
 __all__ = [
     "WeierstrassModel",
@@ -60,15 +60,16 @@ __all__ = [
 class WeierstrassModel:
     """y^2 = x^3 + Ax + B with its discriminant, j, source point and twist scale.
 
-    source_tau is the input point: a QuadraticSurd exactly as given, any other
-    value rendered to precision_bits.
+    source_tau is the input point as modular._frame took it: a QuadraticSurd,
+    a BinaryQuadraticForm or an mpc exactly as given, any other value the mpc
+    made of it at precision_bits.  The torsion points are taken at it.
     """
 
     A: mp.mpc
     B: mp.mpc
     delta: mp.mpc
     j: mp.mpc
-    source_tau: mp.mpc | QuadraticSurd
+    source_tau: object
     scale: mp.mpc
     precision_bits: int
     jacobi: tuple | None = None   # Jacobi's identity: (residual, bound), see model_from_tau
@@ -125,14 +126,15 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     2^mag = 1/|q| at tau'.  The kernel runs on the exact tau' at
     wp = prec + 104 bits at any height, and lam comes from mu's exact
     integers (_Frame.lam) within relative 2^-(wp+1), so lam^k is within relative
-    e_k = (1 + 2^-(wp+1))^k - 1 < 0.51 k 2^-wp; nothing is rendered but tau
-    when it is not a QuadraticSurd, to give source_tau.  The powers of lam
-    and their products with the kernel's integers are exact, and each
-    component of A, B and delta is rounded to prec bits once (A and B with
-    their division by 48 and 864).  Delta = q U and j = E4^3/Delta are the
-    kernel's relative Delta and quotient (modular._j_pair, the pair
-    j_value_with_bound certifies), and j is rounded to prec bits once; their
-    certified bounds are not formed here, as the ones below hold for them.
+    e_k = (1 + 2^-(wp+1))^k - 1 < 0.51 k 2^-wp, and no point is rendered:
+    source_tau is the frame's input point, so the torsion points are taken
+    at the tau that A, B and j belong to.  The powers of lam and their
+    products with the kernel's integers are exact, and each component of A,
+    B and delta is rounded to prec bits once (A and B with their division by
+    48 and 864).  Delta = q U and j = E4^3/Delta are the kernel's relative
+    Delta and quotient (modular._j_pair, the pair j_value_with_bound
+    certifies), and j is rounded to prec bits once; their certified bounds
+    are not formed here, as the ones below hold for them.
 
     Bounds before that rounding, with u = 2^-F the kernel's unit:
     - delta.  The kernel's Delta = q U is within relative 370 2^-wp
@@ -188,7 +190,7 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
             B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
             delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
             j=_rounded(_j_pair(cube, dk, de), -F, prec),
-            source_tau=tau if isinstance(tau, QuadraticSurd) else +_render(frame.tau, wp),
+            source_tau=frame.tau,
             scale=mp.mpc(1), precision_bits=prec,
             jacobi=(mp.make_mpf(from_man_exp(root + (root * root < n), -F - 64)),
                     mp.make_mpf(from_man_exp(bound, -F))),
@@ -385,7 +387,9 @@ def _torsion_kernel(frame, n: int, m_max: int, wp: int) -> _TorsionKernel:
 def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     """The n^2 - 1 nonzero n-torsion points, ordered by lattice coordinates.
 
-    Coordinates (a/n, b/n) refer to the lattice of source_tau; internally the
+    Coordinates (a/n, b/n) refer to the lattice of source_tau, which
+    modular._frame takes exactly, as model_from_tau did: so the frame, tau'
+    and mu are the ones the model's A and B came from.  Internally the
     point is moved to the reduced lattice of tau' by the unimodular change of
     basis, to reduced coordinates (ar, br) in [0, n), and evaluated there,
     then scaled back by lam = 2 pi i scale/mu: x = lam^2 X and y = lam^3 Y/2,

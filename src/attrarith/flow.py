@@ -44,7 +44,7 @@ import mpmath as mp
 import numpy as np
 
 from .arith import QuadraticSurd
-from .attractor import AttractorPoint, ChargeData, attractor_point
+from .attractor import AttractorPoint, ChargeData, _attractor_disc, attractor_point
 from .errors import DegenerateCharge, NonConvergence, NotUpperHalfPlane, OutOfRange
 
 __all__ = [
@@ -230,7 +230,7 @@ def _rows(g: _Geodesic, n: int, step: float) -> np.ndarray:
 def flow_step(state: FlowState, c: ChargeData, config: FlowConfig = None) -> FlowState:
     """The exact flow from state over sigma = config.step; state.Z2 is not read."""
     step = (config or FlowConfig()).step
-    row = _rows(_geodesic(c, attractor_point(c).D, state.tau), 1, step)[1]
+    row = _rows(_geodesic(c, _attractor_disc(c), state.tau), 1, step)[1]
     rho = state.rho + float(np.exp(-state.U) * row[0])
     return FlowState(rho=rho, U=state.U + float(row[1]),
                      tau=complex(row[2], row[3]), Z2=float(row[4]))

@@ -54,8 +54,7 @@ import mpmath as mp
 from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_neg, pi_fixed,
                           round_nearest, to_fixed)
 
-from .arith import (BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form,
-                    squarefree_decompose)
+from .arith import BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form
 from .attractor import AttractorPoint, ChargeData, attractor_point
 from .errors import (
     InvalidDiscriminant,
@@ -359,17 +358,6 @@ class JEvaluation(NamedTuple):
     working_prec: int
 
 
-def _render(tau, prec: int):
-    """Input tau at the requested precision; surds and forms' roots
-    re-render exactly."""
-    if isinstance(tau, BinaryQuadraticForm):
-        tau = tau.root()
-    if isinstance(tau, QuadraticSurd):
-        return tau.to_mpc(prec)
-    with mp.workprec(prec):
-        return mp.mpc(tau)
-
-
 # most bits from the lowest to the highest set bit of an input mpc: the exact
 # frame squares integers of this size, about 0.05 s each at 2^20 bits in
 # CPython 3.11
@@ -405,6 +393,8 @@ class _Frame(NamedTuple):
     bits mag of 1/|q| at the reduced point, at most 10^7, and the reduced
     point tau' = (r + s sqrt(disc))/n as the exact integers red = (r, s, n);
     unless the matrix is the identity, also mu = c tau + d as such a triple.
+    tau is the input as _frame took it: a QuadraticSurd, BinaryQuadraticForm
+    or mpc exactly as given, any other value the mpc _frame made of it.
 
     No point is rendered: expjpi takes e^(pi i m tau') straight from red,
     and lam takes 2 pi i/mu straight from mu."""
@@ -491,16 +481,17 @@ def _frame(tau, prec: int) -> _Frame:
     Every input is taken exactly as tau = (r + s sqrt(disc))/n on integers:
     a QuadraticSurd as it is, a positive definite BinaryQuadraticForm
     (a, b, c) as its root (-b + sqrt(disc))/(2a) with no surd formed (any
-    other form raises NotUpperHalfPlane), any other value as the dyadic
-    rationals of its mpc components (disc = -1; a value that is not an mpc
-    is made one at prec bits).  Non-finite input raises OutOfRange, an mpc
-    spanning more than 2^20 bits raises PrecisionExhausted before any
-    integer of that size is formed, and Im tau <= 0 raises
-    NotUpperHalfPlane.  A point in the closed fundamental domain
-    (|r| <= n/2 and r^2 - s^2 disc >= n^2) is its own reduced point, with
-    the identity matrix.  Any other point is the root
-    of the form f = (n^2, -2rn, r^2 - s^2 disc), of discriminant
-    4 n^2 s^2 disc, and reduce_form finds M with g = f(M) reduced.  The root
+    other form raises NotUpperHalfPlane), an mpc as the dyadic rationals of
+    its components (disc = -1), whatever its precision, and any other value
+    as the mpc it makes at prec bits: prec picks no point but that one.  An
+    exact rational point, such as a decimal, comes as a surd of disc -1.
+    Non-finite input raises OutOfRange, an mpc spanning more than 2^20 bits
+    raises PrecisionExhausted before any integer of that size is formed, and
+    Im tau <= 0 raises NotUpperHalfPlane.  A point in the closed fundamental
+    domain (|r| <= n/2 and r^2 - s^2 disc >= n^2) is its own reduced point,
+    with the identity matrix.  Any other point is the root of the form
+    f = (n^2, -2rn, r^2 - s^2 disc), of discriminant 4 n^2 s^2 disc, and
+    reduce_form finds M with g = f(M) reduced.  The root
     (-g.b + 2ns sqrt(disc))/(2 g.a) of g is tau' = M^-1 tau, so the matrix
     is M^-1, and mu = c tau + d follows exactly.  A reduced point whose mag
     passes 10^7 bits, a height of about 1.1e6, raises PrecisionExhausted
@@ -516,7 +507,8 @@ def _frame(tau, prec: int) -> _Frame:
         r, s = x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)
     else:
         if not isinstance(tau, mp.mpc):
-            tau = _render(tau, prec)
+            with mp.workprec(prec):
+                tau = mp.mpc(tau)
         (r, s, n), disc = _dyadic(tau), -1
     if s <= 0:
         raise NotUpperHalfPlane(f"Im tau <= 0 at tau = {tau}")
@@ -531,10 +523,15 @@ def _frame(tau, prec: int) -> _Frame:
 
 
 def _mag(s: int, n: int, disc: int) -> float:
-    """Bits of 1/|q| at height (s/n) sqrt|disc|, refusing more than 10^7."""
-    if s >= 10**7 * n:
-        raise PrecisionExhausted("reduced height above 10^7 is intractable")
-    height = s / n * math.sqrt(-disc)
+    """Bits of 1/|q| at height (s/n) sqrt|disc|, refusing more than 10^7 bits.
+
+    A height of 10^7 or more, s^2 |disc| >= 10^14 n^2, is refused on the
+    integers, so no float is formed from a huge s/n or disc; below it the
+    height is the square root of one correctly rounded integer quotient."""
+    num, den = s * s * -disc, n * n
+    if num >= 10**14 * den:
+        raise PrecisionExhausted("reduced height of 10^7 or more is intractable")
+    height = math.sqrt(num / den)
     if (mag := 2 * math.pi * height * math.log2(math.e)) > _MAX_FRAME_BITS:
         raise PrecisionExhausted(f"reduced height {height:g} is intractable")
     return mag
@@ -814,12 +811,6 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
     )
 
 
-def _field_discriminant(D: int) -> int:
-    """Fundamental discriminant of Q(sqrt(D)) for D < 0."""
-    _, core = squarefree_decompose(D)
-    return core if core % 4 == 1 else 4 * core
-
-
 @dataclass(frozen=True)
 class CMCertificate:
     """Numeric witness that j of an attractor point is an algebraic integer.
@@ -902,7 +893,8 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
     hcp = hilbert_class_polynomial(disc)
     ev, value, err = _root_residual(hcp.coeffs, at.tau, at.form.a, disc,
                                     hcp.precision_bits, prec)
-    field_disc = _field_discriminant(at.D)
+    core = at.tau.disc   # the squarefree part of D, kept by the surd
+    field_disc = core if core % 4 == 1 else 4 * core
     f2 = disc // field_disc
     conductor = math.isqrt(f2)
     assert conductor * conductor == f2

@@ -66,6 +66,12 @@ def dyadic_surd(z) -> QuadraticSurd:
     return QuadraticSurd.from_rational(fraction(z.real)) + fraction(z.imag) * i
 
 
+def squarefree_brute(n: int) -> tuple[int, int]:
+    """(s, m) with n = s^2 m and m squarefree: s is the largest k with k^2 | n."""
+    s = max(k for k in range(1, math.isqrt(abs(n)) + 1) if n % (k * k) == 0)
+    return s, n // (s * s)
+
+
 def forms_brute(disc: int, bound: int = 64) -> list[tuple[int, int, int]]:
     """Reduced forms of a discriminant by scanning a box of (a, b) pairs."""
     out = []

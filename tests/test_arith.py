@@ -17,7 +17,7 @@ from attrarith.arith import (
 )
 from attrarith.errors import InvalidDiscriminant, NotPositiveDefinite
 
-from oracles import forms_brute, phi_sieve, random_sl2, reduce_root_exact
+from oracles import forms_brute, phi_sieve, random_sl2, reduce_root_exact, squarefree_brute
 
 
 class TestEulerPhi:
@@ -51,6 +51,28 @@ class TestSquarefree:
             assert s * s * m == n
             for p in range(2, 100):
                 assert m % (p * p) != 0 or abs(m) < p * p
+
+    def test_against_brute_force(self):
+        rng = random.Random(2311)
+        cases = [n for n in range(-3000, 3001) if n]
+        cases += [rng.randrange(-10**7, 10**7) or 1 for _ in range(200)]
+        for n in cases:
+            assert squarefree_decompose(n) == squarefree_brute(n), n
+
+    @pytest.mark.parametrize("n, want", [
+        # once trial division stops at the cube root, the cofactor is a prime,
+        # a prime square or a product of two distinct primes
+        (-(10007**2) * 99991, (10007, -99991)),
+        (-(99991**2) * 10007, (99991, -10007)),
+        (-(10007**2) * 10009**2, (10007 * 10009, -1)),
+        (-10007 * 10009 * 99991, (1, -10007 * 10009 * 99991)),
+        (-(3**3) * 10007**2, (3 * 10007, -3)),
+        (-(2**5) * 999983 * 1000003, (4, -2 * 999983 * 1000003)),
+        (-(10007**3), (10007, -10007)),
+        (-(1000003**2), (1000003, -1)),
+    ])
+    def test_crafted_cofactors(self, n, want):
+        assert squarefree_decompose(n) == want
 
 
 class TestReduceForm:

@@ -19,8 +19,10 @@ from mpmath.libmp import to_rational
 
 import attrarith.cli as cli
 import attrarith.flow as flow_mod
+from attrarith.arith import QuadraticSurd
 from attrarith.cli import run
 from attrarith.modular import _frame, _j_precision, j_value, j_value_with_bound
+from oracles import j_dense, reduce_root_exact
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "precision_bits"}
 
@@ -39,6 +41,12 @@ def invoke_json(capsys, *argv):
     return env
 
 
+def exact_tau(text: str) -> QuadraticSurd:
+    """The point `jval --tau=text` evaluates j at: its two decimals exactly."""
+    re, im = cli._parse_pair(text, "--tau")
+    return Fraction(re) + Fraction(im) * QuadraticSurd(0, 1)
+
+
 class TestAttract:
     def test_unit_charge_example(self, capsys):
         env = invoke_json(capsys, "attract", "--p2", "1", "--q2", "1", "--pq", "0")
@@ -55,6 +63,17 @@ class TestAttract:
         assert env["result"]["form"] == {"a": "2", "b": "2", "c": "3"}
         assert env["result"]["class_number"] == "2"
         assert all(c["passed"] for c in env["certificates"])
+
+    @pytest.mark.parametrize("cmd, calls", [("attract", 1), ("certify", 2)])
+    def test_d_factored_once_per_point(self, capsys, monkeypatch, cmd, calls):
+        # attract's entropy and certify's field discriminant form no surd of
+        # their own; certify_attractor_cm builds its own point
+        import attrarith.arith as arith
+
+        seen, factor = [], arith.squarefree_decompose
+        monkeypatch.setattr(arith, "squarefree_decompose", lambda n: seen.append(n) or factor(n))
+        invoke_json(capsys, cmd, "--p2", "2", "--q2", "3", "--pq", "1")
+        assert seen == [-5] * calls
 
     def test_vector_charge(self, capsys, tmp_path):
         gram = tmp_path / "gram.json"
@@ -189,20 +208,42 @@ class TestJval:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "intractable" in err
 
-    def test_exact_size_cap_exit_3(self, capsys):
+    def test_exact_size_cap_exit_2(self, capsys):
+        # 10^-1000000 spans 1 000 001 decimal places, past the 39 456 whose
+        # integers stay within 2^17 bits: refused before any integer is formed
+        start = time.perf_counter()
         code, out, err = invoke(capsys, "jval", "--tau", "0,1e-1000000")
-        assert code == 3 and out == ""
-        assert err == ("attrarith jval: computation failed: "
-                       "tau spans 3322217 bits, more than 1048576\n")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("attrarith jval: --tau: RE,IM must span at most 39456 decimal "
+                       "places, got 1000001\n")
+
+    @staticmethod
+    def assert_at_exact_point(env, text, prec):
+        # the printed j lies within its bound, plus its rounding for print, of
+        # the oracle's j at the exact decimal point, reduced on Fractions
+        red, _ = reduce_root_exact(exact_tau(text))
+        ref, ref_bound = j_dense(red.to_mpc(prec + 256), prec)
+        with mp.workprec(prec + 256):
+            j = mp.mpc(env["result"]["j"]["re"], env["result"]["j"]["im"])
+            printing = mp.ldexp(abs(j.real) + abs(j.imag), -(prec + 6))
+            bound = mp.mpf(env["result"]["error_bound"])
+            assert abs(j - ref) <= bound + printing + ref_bound, (text, prec)
+        return bound
 
     def test_deep_point_within_bound(self, capsys):
-        # reduced exactly; the reference is mpmath's kleinj after a 6000-bit reduction
+        # tau reduces exactly to about 10^-100 + i, where j is near 1728
         env = invoke_json(capsys, "jval", "--tau=1e-100,1e-200")
-        j, bound = env["result"]["j"], mp.mpf(env["result"]["error_bound"])
-        with mp.workprec(256):
-            ref = mp.mpc("1712.0178199847212424", "-0.40485499451098208866")
-            assert bound < mp.mpf(2) ** -256
-            assert abs(mp.mpc(j["re"], j["im"]) - ref) <= bound + mp.mpf(10) ** -16
+        assert self.assert_at_exact_point(env, "1e-100,1e-200", 256) < mp.mpf(2) ** -256
+
+    @pytest.mark.parametrize("tau, prec", [("1e-100,1e-200", 256), ("1e-100,1e-200", 320),
+                                           ("1e-100,1e-200", 512), ("1000000000.1,1", 64),
+                                           ("1000000000.1,1", 128)])
+    def test_exact_decimal_point(self, capsys, tau, prec):
+        # --prec sets the bound, not the point: j at each precision is j at
+        # the typed decimals, so the runs agree with one another within their bounds
+        env = invoke_json(capsys, "jval", f"--tau={tau}", "--prec", str(prec))
+        self.assert_at_exact_point(env, tau, prec)
 
     def test_deep_bound_prints_at_top_precision(self, capsys):
         # |j| is about e^(2000 pi) = 10^2728.6 and its bound an mpf of 9078
@@ -241,8 +282,7 @@ class TestJval:
         assert len(pool) == 24
         for argv in pool:
             prec = int(argv[argv.index("--prec") + 1])
-            tau = cli._parse_pair(argv[1].split("=", 1)[1], prec, "--tau")
-            work = _j_precision(_frame(tau, prec), prec)
+            work = _j_precision(_frame(exact_tau(argv[1].split("=", 1)[1]), prec), prec)
             assert work <= cli._MAX_JVAL_WORK, argv
 
     def test_bad_tau_exit_2(self, capsys):
@@ -413,7 +453,7 @@ class TestBoundsPrintAsBounds:
             prec = rng.randrange(64, 513)
             tau = f"{rng.uniform(-1, 1):.12f},{rng.uniform(0.3, 3):.12f}"
             res = invoke_json(capsys, "jval", f"--tau={tau}", "--prec", str(prec))
-            ev = j_value_with_bound(cli._parse_pair(tau, prec, "--tau"), prec)
+            ev = j_value_with_bound(exact_tau(tau), prec)
             bound = exact(ev.error_bound)
             assert exact(res["result"]["error_bound"]) >= bound, (tau, prec)
             assert exact(res["certificates"][0]["value"]) >= bound, (tau, prec)
@@ -528,6 +568,13 @@ class TestFlow:
                           "--tau0", "0,1")
         assert listed == []
         assert all(c["passed"] is True for c in env["certificates"])
+
+    def test_tau0_past_double_range_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "flow", "--p2", "2", "--q2", "3", "--pq", "1",
+                                "--tau0", "1e400,1")
+        assert code == 2 and out == ""
+        assert err == ("attrarith flow: --tau0: RE and IM must lie in the double range, "
+                       "got '1e400,1'\n")
 
     def test_nonconvergence_exit_3(self, capsys):
         code, _, err = invoke(capsys, "flow", "--p2", "1", "--q2", "1", "--pq", "0",

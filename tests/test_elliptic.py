@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import from_man_exp, fzero, to_rational
 
-from attrarith.arith import QuadraticSurd
+from attrarith.arith import BinaryQuadraticForm, QuadraticSurd
 from attrarith.attractor import ChargeData, attractor_point
 from attrarith.elliptic import (
     TorsionPoint,
@@ -216,9 +216,13 @@ class TestHighLattices:
             model_from_tau(mp.mpc(0, 1e7))
 
     def test_surd_height_past_float_range_refused(self):
-        # y = 10^400 is too large for a float; the height is clamped first
+        # y = 10^400 is too large for a float; the height is refused on integers first
         with pytest.raises(PrecisionExhausted):
             model_from_tau(QuadraticSurd(0, 10**400, 1, -4), 64)
+
+    def test_form_disc_past_float_range_refused(self):
+        with pytest.raises(PrecisionExhausted, match="intractable"):
+            model_from_tau(BinaryQuadraticForm(1, 1, 10**400), 64)
 
 
 class TestJacobiIdentity:
@@ -414,6 +418,30 @@ class TestTorsionAtExactPoint:
         assert m.source_tau == tau and twist_model(m, 3).source_tau == tau
         assert isinstance(model_from_tau(mp.mpc(0.5, 1.5), 128).source_tau, mp.mpc)
 
+    @staticmethod
+    def cubic_residual(model, n):
+        # max over the points of |(2y)^2 - (4x^3 + 4Ax + 4B)| / max(|x|^3, |B|)
+        with mp.workprec(model.precision_bits + 64):
+            return max(abs((2 * p.y) ** 2 - 4 * (p.x**3 + model.A * p.x + model.B))
+                       / max(abs(p.x) ** 3, abs(model.B)) for p in torsion_points(model, n))
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_long_mpc_points_on_the_model(self, prec):
+        # tau held at 2048 bits: the points are taken at that tau, which A and
+        # B come from, not at tau rounded to prec, so they lie on the curve at
+        # rounding level
+        with mp.workprec(2048):
+            tau = mp.mpc(mp.mpf(3) / 7 + mp.mpf(3) ** -50, mp.mpf(1) / 1100)
+        m = model_from_tau(tau, prec)
+        assert m.source_tau is tau
+        assert self.cubic_residual(m, 3) < mp.mpf(2) ** -(prec - 6)
+
+    def test_form_kept_as_source_point(self):
+        f = BinaryQuadraticForm(3, 5, 7)   # its root lies outside the fundamental domain
+        m = model_from_tau(f, 128)
+        assert m.source_tau is f and _frame(f, 128).mu is not None
+        assert self.cubic_residual(m, 3) < mp.mpf(2) ** -(128 - 6)
+
     def test_surd_source_never_rendered(self, monkeypatch):
         # a surd source point reaches the model and the torsion points exactly:
         # only mu is rendered, from its own integers
@@ -421,8 +449,6 @@ class TestTorsionAtExactPoint:
             raise AssertionError("tau was rendered")
 
         monkeypatch.setattr(QuadraticSurd, "to_mpc", fail)
-        monkeypatch.setattr("attrarith.modular._render", fail)
-        monkeypatch.setattr("attrarith.elliptic._render", fail)
         tau = QuadraticSurd(3, 1, 10, -19)
         assert _frame(tau, 128).mu is not None
         m = model_from_tau(tau, 128)

@@ -285,7 +285,6 @@ class TestFrameExponential:
             raise AssertionError("a point was rendered")
 
         monkeypatch.setattr(QuadraticSurd, "to_mpc", fail)
-        monkeypatch.setattr("attrarith.modular._render", fail)
         for disc in (-3, -4, -23, -479, -1000):
             hilbert_class_polynomial(disc)
         for tau in (QuadraticSurd(3, 1, 2, -7), mp.mpc("-7.3", "0.05")):
@@ -349,9 +348,15 @@ class TestJValue:
             j_value(mp.mpc(0, 1), 32)
 
     def test_surd_height_past_float_range_refused(self):
-        # y = 10^400 is too large for a float; the height is clamped first
+        # y = 10^400 is too large for a float; the height is refused on integers first
         with pytest.raises(PrecisionExhausted):
             j_value_with_bound(QuadraticSurd(0, 10**400, 1, -4), 64)
+
+    def test_form_disc_past_float_range_refused(self):
+        # s^2 |disc| >= 10^14 n^2 is decided on integers, so a disc of
+        # -4 10^400 - 1 never turns float
+        with pytest.raises(PrecisionExhausted, match="intractable"):
+            j_value_with_bound(BinaryQuadraticForm(1, 1, 10**400), 64)
 
     def test_modular_invariance(self):
         rng = random.Random(5005)
