@@ -56,9 +56,9 @@ _MAX_CLASS_DISC = 40_000_000
 # bits (Enge's bound): the cost grows like (h c)^1.5, and h c = 697 476
 # (hcp --disc -184024) takes about 0.9 s on one core
 _MAX_HCP_BITS = 700_000
-# largest working precision of the certify j evaluation at the attractor root:
-# 32765 bits with h c = 642 980 (certify --p2 3 --q2 1592 --pq 1) take about
-# 1.5 s on one core
+# largest working precision of the certify j evaluation at the attractor root,
+# 16 bits past the relative target modular._residual_precision: 32558 bits with
+# h c = 642 980 (certify --p2 3 --q2 1592 --pq 1) take about 1.2 s on one core
 _MAX_CERTIFY_WORK = 2**15
 # largest resolve step count: 300 000 steps take about 1.7 s on one core
 _MAX_HJ_STEPS = 300_000
@@ -216,15 +216,14 @@ def _cmd_attract(args, prec: int):
 
 
 def _cmd_certify(args, prec: int):
-    from .modular import _frame, _j_precision, _residual_precision, certify_attractor_cm
+    from .modular import _residual_precision, certify_attractor_cm
 
     c, inputs = _charge_from_args(args)
     _require_disc(4 * discriminant(c), "|4D|")
     ap = attractor_point(c)
     h, hcp_wp = _class_polynomial_gate(4 * ap.D)
-    # the certificate asks for j at the root at _residual_precision bits
-    jp = _residual_precision(h, 4 * ap.D, ap.form.a, hcp_wp, prec)
-    work = _j_precision(_frame(ap.tau, jp), jp)
+    # the certificate's j kernel works 16 bits past its relative target
+    work = _residual_precision(h, 4 * ap.D, ap.form.a, hcp_wp, prec) + 16
     if work > _MAX_CERTIFY_WORK:
         raise ValueError(f"the certificate's j working precision must be at most "
                          f"{_MAX_CERTIFY_WORK} bits, got {work}")
@@ -242,9 +241,9 @@ def _cmd_certify(args, prec: int):
     }
     certs = [{
         "name": "class_polynomial_root",
-        "residual": _dec_f(cert.value),
-        "error_bound": _dec_f(cert.error_bound),
-        "tolerance": _dec_f(cert.tolerance),
+        "residual": _dec_bound(cert.value),
+        "error_bound": _dec_bound(cert.error_bound),
+        "tolerance": _dec_bound(cert.tolerance),
         "passed": bool(cert.passed),
     }]
     return inputs, result, certs
@@ -256,7 +255,7 @@ def _cmd_hcp(args, prec: int):
 
     disc = args.disc
     _require_disc(disc, "|disc|")
-    _class_polynomial_gate(disc)
+    h, _ = _class_polynomial_gate(disc)
     coeffs = None
     if args.cache:
         directory = os.path.dirname(os.path.abspath(args.cache))
@@ -275,9 +274,6 @@ def _cmd_hcp(args, prec: int):
         if args.cache:
             cache[disc] = coeffs
             store_hcp_cache(args.cache, cache)
-        h = res.class_number
-    else:
-        h = len(coeffs) - 1  # hcp_record_valid matched the degree to the form count
     if args.csv:
         return ["power", "coeff"], enumerate(coeffs)
     inputs = {"disc": str(disc), "cache": args.cache}
@@ -298,12 +294,12 @@ def _cmd_jval(args, prec: int):
     from .modular import _frame, _j_precision, j_value_with_bound
 
     re, im = _parse_pair(args.tau, "--tau")
-    tau = Fraction(re) + Fraction(im) * QuadraticSurd(0, 1)   # exact, disc -1
-    work = _j_precision(_frame(tau, prec), prec)
+    frame = _frame(Fraction(re) + Fraction(im) * QuadraticSurd(0, 1), prec)   # exact, disc -1
+    work = _j_precision(frame, prec)
     if work > _MAX_JVAL_WORK:
         raise ValueError(f"working precision prec + ceil(mag) + 14 must be at most "
                          f"{_MAX_JVAL_WORK} bits, got {work}")
-    ev = j_value_with_bound(tau, prec)
+    ev = j_value_with_bound(frame, prec)
     inputs = {"tau": args.tau}
     result = {
         "j": _dec_c(ev.j, prec),

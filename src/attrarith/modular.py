@@ -30,13 +30,16 @@ kernel's integers into Weierstrass models and torsion points; E4, E6 and Delta
 reach users only there, as the model's A, B and Delta.  On top of j sit
 Hilbert class polynomials, with one evaluation per pair of complex-conjugate
 roots, each asked of j_value_with_bound with
-the reduced form itself for ceil(mag) - 2 bits below its relative target,
-and the product formed on integers; and the algebraic-integer certificate
-for attractor points.  Their working precision comes from Enge's proven
-bound on the class-polynomial coefficients (A. Enge, Math. Comp. 78 (2009)):
-with |j(tau) - 1/q| <= 2079 on the fundamental domain, every coefficient of
-H_D is at most C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079), so the
-working precision always rounds to the exact coefficients and the
+the reduced form itself for ceil(mag) - 2 bits below its relative target
+(_root_j), and the product formed on integers; and the algebraic-integer
+certificate for attractor points, and the check of a cached class
+polynomial, which take j at a reduced form from _root_j in the same way and
+evaluate H(j) by Horner on its integers, with the bound and the verdict on
+integers too (_root_residual).  Their working precision comes from Enge's
+proven bound on the class-polynomial coefficients (A. Enge, Math. Comp. 78
+(2009)): with |j(tau) - 1/q| <= 2079 on the fundamental domain, every
+coefficient of H_D is at most C(h, h//2) * prod_forms (e^(pi sqrt|D|/a) + 2079),
+so the working precision always rounds to the exact coefficients and the
 rounding-residual gate stays a safety check that the bound keeps unreachable.
 """
 
@@ -51,8 +54,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_neg, pi_fixed,
-                          round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_cos_sin_pi, mpf_exp, mpf_lt, mpf_mul,
+                          mpf_neg, pi_fixed, round_nearest, to_fixed)
 
 from .arith import BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form
 from .attractor import AttractorPoint, ChargeData, attractor_point
@@ -359,8 +362,9 @@ class JEvaluation(NamedTuple):
 
 
 # most bits from the lowest to the highest set bit of an input mpc: the exact
-# frame squares integers of this size, about 0.05 s each at 2^20 bits in
-# CPython 3.11
+# frame squares integers of this size, about 0.04 s each at 2^20 bits in
+# CPython 3.11, so j at a dense 2^20-bit point takes about 0.4 s in the
+# fundamental domain and 1.3 s where the point needs reducing
 _MAX_EXACT_BITS = 1 << 20
 # most bits of mag a frame admits, and at which it evaluates anything
 _MAX_FRAME_BITS = 10_000_000
@@ -418,11 +422,13 @@ class _Frame(NamedTuple):
         relative margin (far above the float error of mag), so each factor
         needs only p = bits + 9 - k bits, at least 16, for the product to
         reach 2^-(bits+9).  t is floored to p fractional bits from the exact
-        integers, by an integer square root and one floor division, which
-        together floor once, and y = pi t takes pi with enough guard bits
-        that it errs by less than 4.7 2^-p in all: that moves e^(-y) by less
-        than 4.8 2^-p relative, and mpmath's exponential at p bits adds one
-        ulp, 2^-(p-1).  The angle goes through _cos_sin_pi: x is split
+        integers, by one floor division and an integer square root of the
+        quotient, which together floor once (floor(sqrt(z)) = isqrt(floor(z))
+        for z >= 0): the root is taken of an integer the size of t^2 2^(2p),
+        not of the input's long integers.  y = pi t takes pi with enough
+        guard bits that it errs by less than 4.7 2^-p in all: that moves
+        e^(-y) by less than 4.8 2^-p relative, and mpmath's exponential at
+        p bits adds one ulp, 2^-(p-1).  The angle goes through _cos_sin_pi: x is split
         exactly on the integers into k/2 + d with |d| <= 1/4, d is floored
         to p fractional bits, and cos and sin of pi d are rotated by i^k,
         exactly.  That errs by pi 2^-p in the angle, as flooring x itself
@@ -442,7 +448,7 @@ class _Frame(NamedTuple):
         r, s, n = self.red
         num, den = m.numerator, m.denominator * n
         p = max(16, bits + 9 - math.floor(float(m) * self.mag / 2 * (1 - 1e-9)))
-        t = math.isqrt((num * s) ** 2 * -self.disc << 2 * p) // den
+        t = math.isqrt(((num * s) ** 2 * -self.disc << 2 * p) // (den * den))
         w = max(p, t.bit_length()) + 2
         e = mpf_exp(from_man_exp(-(t * pi_fixed(w) >> w), -p), p, round_nearest)
         # not mpf_cos_sin_pi(x): for about half of all x, mpmath's pure-Python
@@ -477,6 +483,8 @@ class _Frame(NamedTuple):
 
 def _frame(tau, prec: int) -> _Frame:
     """The frame of tau; the caller then picks its working precision from mag.
+    A _Frame is returned as it is, so a caller that framed tau to choose its
+    precision hands on the frame and tau is not framed twice.
 
     Every input is taken exactly as tau = (r + s sqrt(disc))/n on integers:
     a QuadraticSurd as it is, a positive definite BinaryQuadraticForm
@@ -497,6 +505,8 @@ def _frame(tau, prec: int) -> _Frame:
     passes 10^7 bits, a height of about 1.1e6, raises PrecisionExhausted
     before any evaluation, and before a height of 10^7 or more turns float.
     """
+    if isinstance(tau, _Frame):
+        return tau
     if isinstance(tau, BinaryQuadraticForm):
         if not tau.is_positive_definite():
             raise NotUpperHalfPlane(f"form {tau} has no root in the upper half plane")
@@ -592,16 +602,16 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     """j(tau) = E4^3/Delta plus a certified bound on its absolute error,
     below 2^-prec.
 
-    tau is an mpc-compatible value, a QuadraticSurd, or a positive definite
-    BinaryQuadraticForm standing for its root (-b + sqrt(disc))/(2a).
-    _frame takes it exactly and fixes the matrix and the magnitude 2^mag of
-    1/q at the reduced point, with no reduction at all for a point already
-    in the closed fundamental domain, such as the root of a reduced form.
-    The theta kernel works at wp = prec + ceil(mag) + 14 bits (_j_precision)
-    and takes r straight from the frame's exact integers, so no point is
-    rendered.  j is
-    the kernel's quotient E4^3/(q U) at F fractional bits, with its bound
-    (_j_quotient), and converts to mpc exactly.
+    tau is an mpc-compatible value, a QuadraticSurd, a positive definite
+    BinaryQuadraticForm standing for its root (-b + sqrt(disc))/(2a), or the
+    _Frame that _frame made of one of them.  _frame takes it exactly and
+    fixes the matrix and the magnitude 2^mag of 1/q at the reduced point,
+    with no reduction at all for a point already in the closed fundamental
+    domain, such as the root of a reduced form.  The theta kernel works at
+    wp = prec + ceil(mag) + 14 bits (_j_precision) and takes r straight from
+    the frame's exact integers, so no point is rendered.  j is the kernel's
+    quotient E4^3/(q U) at F fractional bits, with its bound (_j_quotient),
+    and converts to mpc exactly.
 
     The bound is relative in all but E4's error.  With |q| = 2^-mag and
     u = 2^-F, the kernel's err u is below 11 2^-wp (12 tail u <= 6.5 2^-wp
@@ -815,9 +825,12 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
 class CMCertificate:
     """Numeric witness that j of an attractor point is an algebraic integer.
 
-    The class polynomial of the form discriminant 4D, evaluated at j(tau) at
-    high precision, must vanish to within tolerance 2^(-prec/4); conductor
-    and field label record which class field the value generates.
+    The class polynomial of the form discriminant 4D, evaluated on integers
+    at j of the attractor's reduced form (_root_residual), must vanish to
+    within tolerance 2^-(prec//4): value bounds the computed |H_4D(j)| from
+    above and error_bound its distance from H_4D at the exact j, and all
+    three are exact dyadic mpfs, compared exactly.  Conductor and field
+    label record which class field the value generates.
     """
 
     charge: ChargeData
@@ -829,77 +842,99 @@ class CMCertificate:
     class_number: int
     j: mp.mpc
     hcp: HCPResult
-    value: float           # |H_4D(j(tau))|
-    error_bound: float     # propagated evaluation error on that value, rounded up
-    tolerance: float
+    value: mp.mpf          # |H_4D(j)| as computed, rounded up
+    error_bound: mp.mpf    # its distance from H_4D(j(tau)), rounded up
+    tolerance: mp.mpf      # 2^-(prec//4)
     precision_bits: int
 
     @property
     def passed(self) -> bool:
-        return self.value + self.error_bound < self.tolerance
+        return mpf_lt(mpf_add(self.value._mpf_, self.error_bound._mpf_), self.tolerance._mpf_)
 
 
 def _residual_precision(h: int, disc: int, a: int, hcp_bits: int, prec: int) -> int:
-    """The precision _root_residual asks j for: its wp plus 64 bits."""
+    """The relative precision p at which _root_residual asks _root_j for j;
+    the kernel then works at p + 16 bits."""
     return max(prec, hcp_bits + math.ceil(h * _log2_root_bound(disc, a)) + prec // 4) + 64
 
 
-def _root_residual(coeffs, tau, a: int, disc: int, hcp_bits: int, prec: int):
-    """j at tau and |H(j)| with its error bound, at a precision that lets
-    |H(j)| + error fall below 2^-(prec/4) when H(j(tau)) = 0.
+def _root_residual(coeffs, f, disc: int, hcp_bits: int, prec: int):
+    """H(j) on integers at j of the root of the reduced form f of
+    discriminant disc, for H the integer polynomial coeffs (ascending):
+    (j^, value, err, G), j^ the pair of _root_j at G fractional bits, value
+    at least the modulus of H(j^) as computed and err at least its distance
+    from H at the exact j, both integers in units of 2^-G.
 
-    tau is a root of a form of discriminant disc whose reduced form has
-    leading coefficient a, so |j(tau)| <= 2^L with L = _log2_root_bound(disc,
-    a); hcp_bits is at least the class polynomial's working precision from
-    _hcp_precision, so hcp_bits >= B + log2(4h + 8) + 62 with B the
-    coefficient bound.  j is asked for at wp + 64 bits (_residual_precision)
-    and H(j) is evaluated by Horner at wp + 32 bits.  With S = max(1, |j|)^h
-    max|c_k|, its rounding, (4h + 8) S 2^-(wp+32), is below
-    2^(log2(4h + 8) + hL + B - wp - 32), at most 2^-(prec/4 + 94) as
-    wp >= hcp_bits + hL + prec/4; j's error (below 2^-(wp+64)) reaches H(j)
-    times |H'| <= sum k |c_k| max(1, |j|)^(k-1) <= h(h+1)/2 S, to first order.
+    j is asked of _root_j within 2^-p (1 + |j|), p = _residual_precision,
+    and floored to G = p + 32 bits; as p >= ceil(h L) + 64 >= ceil(mag) + 64
+    (L below), the request is never raised to j_value_with_bound's 64-bit
+    floor, so the kernel works at p + 16 bits.  With J above |j^| 2^G (_modulus_bounds), j^'s error d
+    satisfies d <= 2^-p (1 + |j^| + d) + sqrt(2) 2^-G, so
+    d 2^G <= dj = ceil((2^G + J) 2^-p) + 2, since 2^G + J < 2^(2p-2); and
+    R = J + dj is above both |j| and |j^| in units of 2^-G.
 
-    wp is also at least prec, the precision at which j is reported.
+    Horner runs on the integers: acc = c_h, then acc = floor(acc j^) + c_k
+    (_mul, both components floored, within sqrt(2) units).  Each floor
+    reaches the result times |j^| per later step, so the computed value is
+    within sqrt(2) sum_(i<h) |j^|^i units of H(j^).  At the exact j,
+    H(j) - H(j^) = (j - j^) sum_k c_k sum_(i<k) j^i j^^(k-1-i), at most
+    d sum_k k |c_k| R^(k-1).  So
+
+        err = sum_(k=1..h) (k |c_k| dj + 2) R^(k-1),
+
+    formed by Horner with R rounded up to 64 fractional bits and every step
+    rounded up; value is the ceiling of the computed modulus, so
+    value + err bounds |H(j)| from above.
+
+    When H = H_disc, so that H(j) = 0, value <= err and
+    value + err < 2^-(prec//4 + 128) 2^G.  With
+    L = _log2_root_bound(disc, f.a), |j| <= 2^L (Enge 2009, L > 11), so
+    dj 2^-G < 1.01 2^(L-p) and R^(k-1) < 1.01 2^((h-1)L); the coefficients
+    are below 2^B, and hcp_bits >= B + log2(h + 1) + 2h + 64 (_hcp_precision).
+    So err 2^-G < 1.03 2^(hL+B-p) h(h+1)/2 + 3.1 h 2^((h-1)L-G), and
+    p >= hcp_bits + hL + prec//4 + 64 puts the first part below
+    0.52 h 2^-(2h+128+prec//4) and the second far below it.  p >= prec + 64
+    also puts j within 2^-(prec+64) (1 + |j|), below the prec bits at which
+    it is reported.
     """
     h = len(coeffs) - 1
-    jp = _residual_precision(h, disc, a, hcp_bits, prec)
-    ev = j_value_with_bound(tau, jp)
-    with mp.workprec(jp - 32):
-        scale = max(mp.mpf(1), abs(ev.j)) ** h * max(abs(cn) for cn in coeffs)
-        err = (h * (h + 1) // 2 * ev.error_bound + (4 * h + 8) * mp.mpf(2) ** (32 - jp)) * scale
-        acc = mp.mpf(0)
-        for cn in reversed(coeffs):
-            acc = acc * ev.j + cn
-        return ev, abs(acc), err
-
-
-def _float_above(x) -> float:
-    """The smallest double at or above the mpf x >= 0 (mpf comparison is exact)."""
-    d = float(x)
-    return math.nextafter(d, math.inf) if mp.mpf(d) < x else d
+    p = _residual_precision(h, disc, f.a, hcp_bits, prec)
+    G = p + 32
+    j = _root_j(f, disc, p, G)
+    acc = (coeffs[-1] << G, 0)
+    for cn in reversed(coeffs[:-1]):
+        ar, ai = _mul(acc, j, G)
+        acc = (ar + (cn << G), ai)
+    J = _modulus_bounds(j)[1]
+    dj = -(-((1 << G) + J) >> p) + 2
+    R = -(-(J + dj) >> (G - 64))   # above |j| and |j^| in units of 2^-64
+    err = 0
+    for k in range(h, 0, -1):
+        err = -(-err * R >> 64) + k * abs(coeffs[k]) * dj + 2
+    n = acc[0] ** 2 + acc[1] ** 2
+    return j, math.isqrt(n - 1) + 1 if n else 0, err, G
 
 
 def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
-    """Certify |H_4D(j(tau_pq))| < 2^(-prec/4) for the attractor point of c.
+    """Certify |H_4D(j(tau_pq))| < 2^-(prec//4) for the attractor point of c.
 
-    The working precision is chosen by _root_residual from the class
-    polynomial's coefficient bound and the bound on |j| at the attractor's
-    reduced form.
+    j is taken at the attractor's reduced form, whose root is tau's reduced
+    point, and _root_residual chooses the precision from the class
+    polynomial's coefficient bound and the bound on |j| at that root.
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
     at = attractor_point(c)
     disc = 4 * at.D
     hcp = hilbert_class_polynomial(disc)
-    ev, value, err = _root_residual(hcp.coeffs, at.tau, at.form.a, disc,
-                                    hcp.precision_bits, prec)
+    j, value, err, G = _root_residual(hcp.coeffs, at.form, disc, hcp.precision_bits, prec)
     core = at.tau.disc   # the squarefree part of D, kept by the surd
     field_disc = core if core % 4 == 1 else 4 * core
     f2 = disc // field_disc
     conductor = math.isqrt(f2)
     assert conductor * conductor == f2
     with mp.workprec(prec):
-        j_out = +ev.j
+        j_out = +_from_fixed(j, G)
     return CMCertificate(
         charge=c,
         point=at,
@@ -910,9 +945,9 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
         class_number=hcp.class_number,
         j=j_out,
         hcp=hcp,
-        value=float(value),
-        error_bound=_float_above(err),
-        tolerance=float(mp.mpf(2) ** (-(prec // 4))),
+        value=mp.make_mpf(from_man_exp(value, -G)),
+        error_bound=mp.make_mpf(from_man_exp(err, -G)),
+        tolerance=mp.make_mpf(from_man_exp(1, -(prec // 4))),
         precision_bits=prec,
     )
 
@@ -942,8 +977,8 @@ def hcp_record_valid(disc: int, coeffs) -> bool:
         return False
     far = [f for f in forms if math.pi * math.sqrt(-disc) / f.a >= _LN_CACHE_J_FLOOR]
     f = max(far, key=lambda form: form.a, default=forms[0])
-    _, value, err = _root_residual(coeffs, f, f.a, disc, _hcp_precision(disc, forms)[1], 64)
-    return value + err < 2.0**-16
+    _, value, err, G = _root_residual(coeffs, f, disc, _hcp_precision(disc, forms)[1], 64)
+    return value + err < 1 << (G - 16)
 
 
 def load_hcp_cache(path) -> dict[int, tuple]:

@@ -175,6 +175,17 @@ class TestHcp:
         assert len(err.splitlines()) == 1 and "fails its check" in err
         assert json.loads(cache.read_text())[0]["coeffs"] == env["result"]["coeffs"]
 
+    def test_wrong_degree_record_fails_degree_certificate(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # the class number comes from the form count, not from the record
+        cache = tmp_path / "hcp.json"
+        cache.write_text(json.dumps([{"disc": "-23", "coeffs": ["5", "1"]}]))
+        monkeypatch.setattr("attrarith.modular.hcp_record_valid", lambda disc, coeffs: True)
+        env = invoke_json(capsys, "hcp", "--disc", "-23", "--cache", str(cache))
+        assert env["result"]["degree"] == "1" and env["result"]["class_number"] == "3"
+        assert env["certificates"][0] == {"name": "degree_equals_class_number",
+                                          "passed": False}
+
     def test_missing_cache_directory_fails_before_computing(self, capsys, tmp_path,
                                                             monkeypatch):
         def fail(*args, **kwargs):
@@ -187,7 +198,64 @@ class TestHcp:
         assert len(err.splitlines()) == 1 and "does not exist" in err
 
 
+class TestCertify:
+    @staticmethod
+    def residual_spy(monkeypatch):
+        import attrarith.modular as modular
+
+        seen, root_residual = [], modular._root_residual
+        monkeypatch.setattr(modular, "_root_residual",
+                            lambda *a: seen.append(root_residual(*a)) or seen[-1])
+        return seen
+
+    @pytest.mark.parametrize("prec", [4300, 8192])
+    @pytest.mark.parametrize("charge", [(2, 3, 1), (1, 1, 0)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_passes_at_top_precisions(self, capsys, monkeypatch, charge, prec):
+        # 2^-(prec//4) is below the least double past prec = 4299; the
+        # verdict and the printed numbers are exact dyadics
+        seen = self.residual_spy(monkeypatch)
+        p2, q2, pq = (str(v) for v in charge)
+        env = invoke_json(capsys, "certify", "--p2", p2, "--q2", q2, "--pq", pq,
+                          "--prec", str(prec))
+        cert = env["certificates"][0]
+        assert cert["passed"] is True
+        _, value, err, G = seen[-1]
+        for key, v in (("residual", Fraction(value, 1 << G)),
+                       ("error_bound", Fraction(err, 1 << G)),
+                       ("tolerance", Fraction(1, 1 << prec // 4))):
+            got = Fraction(Decimal(cert[key]))
+            assert got >= v and (got == 0) == (v == 0), key
+
+    def test_kernel_works_at_the_gate(self, capsys, monkeypatch):
+        import attrarith.modular as modular
+        from attrarith.attractor import ChargeData, attractor_point
+
+        seen, j_eval = [], modular.j_value_with_bound
+        monkeypatch.setattr(modular, "j_value_with_bound",
+                            lambda tau, prec: seen.append(j_eval(tau, prec)) or seen[-1])
+        for charge, prec in (((2, 3, 1), 256), ((3, 5, 2), 1024), ((1, 59, 1), 64)):
+            seen.clear()
+            p2, q2, pq = (str(v) for v in charge)
+            invoke_json(capsys, "certify", "--p2", p2, "--q2", q2, "--pq", pq,
+                        "--prec", str(prec))
+            ap = attractor_point(ChargeData(*charge))
+            h, hcp_wp = cli._class_polynomial_gate(4 * ap.D)
+            work = modular._residual_precision(h, 4 * ap.D, ap.form.a, hcp_wp, prec) + 16
+            assert seen[-1].working_prec == work, charge
+
+
 class TestJval:
+    def test_point_framed_once(self, capsys, monkeypatch):
+        import attrarith.modular as modular
+
+        calls, mag = [], modular._mag
+        monkeypatch.setattr(modular, "_mag", lambda *a: calls.append(a) or mag(*a))
+        for tau in ("0.25,1.5", "3.7,0.01", "0,1"):
+            calls.clear()
+            invoke_json(capsys, "jval", f"--tau={tau}")
+            assert len(calls) == 1, tau
+
     def test_square_lattice(self, capsys):
         env = invoke_json(capsys, "jval", "--tau", "0,1")
         with mp.workprec(256):
@@ -727,7 +795,7 @@ GOLDEN_ARGV = {
 
 GOLDEN_SHA256 = {
     "attract": "35005b88891428abf09ba5231bbbb1965d11ac625ada64521e9cba8e9a1e56fe",
-    "certify": "74f589dce7137d8b2e0d3cf066885580836f87601ae6c039b2571656ae4ab09d",
+    "certify": "d24bd9df825bc1bca4180b4d99584c891c8676fd84e082ffa63e9209e623c71e",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "a5559e5ec044a675513111ee058bb962acbd8b39d8aaf66f955380a2909a3222",
     "weber": "976197d71ad438e8986f580da26886f0c1405f58d1d72f12881a49cc754c5b62",

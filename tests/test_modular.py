@@ -1,17 +1,22 @@
 """Tests for the theta kernel, j evaluation, class polynomials, CM certificates."""
 
+import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from attrarith import modular
 from attrarith.arith import BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form
-from attrarith.attractor import ChargeData
+from attrarith.attractor import ChargeData, attractor_point
 from attrarith.cli import run
 from attrarith.elliptic import model_from_tau, torsion_points
 from attrarith.errors import (
@@ -197,6 +202,29 @@ class TestReduceToFundamental:
 
 class TestFrameExponential:
     """_Frame.expjpi: e^(pi i m tau') from the frame's exact integers."""
+
+    def test_one_small_square_root(self):
+        # floor(sqrt(y)) = isqrt(floor(y)) for y >= 0, so t = floor(sqrt(x D 2^2p)/d)
+        # comes from the square root of the quotient, not of the numerator
+        rng = random.Random(2024)
+        for _ in range(10_000):
+            x = rng.getrandbits(rng.randrange(1, 400))
+            d = rng.getrandbits(rng.randrange(1, 300)) + 1
+            y = x * (rng.getrandbits(rng.randrange(1, 60)) + 1) << 2 * rng.randrange(16, 400)
+            assert math.isqrt(y) // d == math.isqrt(y // (d * d))
+
+    def test_dense_point_at_the_exact_cap(self):
+        # tau = 1/4 + 2^-(2^20 - 4) + 3i/2 spans 2^20 - 3 bits: its frame's
+        # integers are that long, and j there is j at 1/4 + 3i/2 to far below
+        # the bound
+        with mp.workprec(2**20):
+            tau = mp.mpc(mp.mpf(0.25) + mp.ldexp(1, 4 - 2**20), 1.5)
+        start = time.perf_counter()
+        ev = j_value_with_bound(tau, 64)
+        assert time.perf_counter() - start < 1
+        ref = j_value_with_bound(QuadraticSurd(Fraction(1, 4), Fraction(3, 2)), 128)
+        with mp.workprec(256):
+            assert abs(ev.j - ref.j) <= ev.error_bound + ref.error_bound + mp.ldexp(1, -1000)
 
     LOW, HIGH = -mp.mpf("1.03"), mp.mpf("0.03")
 
@@ -756,6 +784,19 @@ class TestRootContract:
         assert surds == []
 
 
+def _benchmark_charges():
+    """The charges of the benchmark's pool (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+        return workloads.charge_pool()
+    finally:
+        del sys.modules[spec.name]
+
+
 def _is_ambiguous(f):
     return f.b == 0 or f.b == f.a or f.a == f.c
 
@@ -850,6 +891,40 @@ class TestCertifyCM:
             cert = certify_attractor_cm(ChargeData(p2, q2, pq), 192)
             assert cert.passed, (p2, q2, pq)
 
+    @pytest.mark.parametrize("charge", [(1, 1, 0), (2, 3, 1), (3, 5, 2)],
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_moved_coefficient_fails(self, monkeypatch, charge):
+        # |j| >= 1 at these roots, so moving c_k by 1 moves H(j) by |j|^k >= 1
+        true = hilbert_class_polynomial(4 * attractor_point(ChargeData(*charge)).D)
+        for k in range(len(true.coeffs) - 1):
+            for delta in (-1, 1):
+                coeffs = list(true.coeffs)
+                coeffs[k] += delta
+                moved = dataclasses.replace(true, coeffs=tuple(coeffs))
+                monkeypatch.setattr(modular, "hilbert_class_polynomial", lambda disc: moved)
+                assert not certify_attractor_cm(ChargeData(*charge), 256).passed, (k, delta)
+
+    def test_horner_bound_against_mpmath(self):
+        # H(j) on integers, checked against H in mpmath 256 bits past j's
+        # relative target: at the j^ it was computed at (the rounding part of
+        # the bound), and at j itself (the part for j's error)
+        charges = [(1, 1, 0), (2, 3, 1), (2, 2, 0), (1, 6, 1), (3, 5, 2), (1, 11, 1),
+                   (1, 100, 0), (1, 89, 0), (1, 59, 1), *_benchmark_charges()]
+        for charge in charges:
+            at = attractor_point(ChargeData(*charge))
+            hcp = hilbert_class_polynomial(4 * at.D)
+            j, value, err, G = modular._root_residual(hcp.coeffs, at.form, 4 * at.D,
+                                                      hcp.precision_bits, 256)
+            p = G - 32
+            ref = j_value_with_bound(at.form, p + 256)
+            with mp.workprec(p + 256):
+                at_j_hat = mp.polyval(hcp.coeffs[::-1], _from_fixed(j, G))
+                at_j = mp.polyval(hcp.coeffs[::-1], ref.j)
+                unit = mp.ldexp(1, -G)
+                assert abs(abs(at_j_hat) - value * unit) <= (err + 1) * unit, charge
+                assert abs(at_j_hat - at_j) <= err * unit, charge
+                assert abs(at_j) <= (value + err) * unit, charge
+
     def test_principal_attractor_points(self):
         # each attractor is the root of its principal form, where |j| is
         # largest and evaluating H at j cancels the most bits
@@ -860,26 +935,28 @@ class TestCertifyCM:
 
 
 class TestCertifyBoundRoundsUp:
-    """The stored error_bound is the smallest double at or above the mpf bound."""
+    """The printed error_bound, read back, is at least the integer bound."""
 
     @pytest.mark.parametrize("charge", [(2, 3, 1), (1, 1, 0), (2, 2, 1), (3, 5, 1), (3, 4, 1),
                                         (1, 5, 0), (1, 6, 1), (2, 3, 0)],
                              ids=lambda c: "-".join(map(str, c)))
-    def test_error_bound_is_a_bound(self, monkeypatch, charge):
+    def test_error_bound_is_a_bound(self, monkeypatch, capsys, charge):
         seen = []
         root_residual = modular._root_residual
 
         def spy(*args):
             out = root_residual(*args)
-            seen.append(out[2])
+            seen.append(out)
             return out
 
         monkeypatch.setattr(modular, "_root_residual", spy)
-        cert = certify_attractor_cm(ChargeData(*charge), 256)
-        _, man, exp, _ = seen[-1]._mpf_
-        exact = Fraction(man) * Fraction(2) ** exp
-        assert Fraction(cert.error_bound) >= exact
-        assert Fraction(math.nextafter(cert.error_bound, 0)) < exact
+        p2, q2, pq = (str(v) for v in charge)
+        assert run(["certify", "--p2", p2, "--q2", q2, "--pq", pq]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificates"][0]
+        _, value, err, G = seen[-1]
+        assert Fraction(cert["error_bound"]) >= Fraction(err, 1 << G)
+        assert Fraction(cert["residual"]) >= Fraction(value, 1 << G)
+        assert cert["passed"] is True
 
 
 class TestHcpCache:
