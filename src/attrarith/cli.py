@@ -350,13 +350,18 @@ def _cmd_weber(args, prec: int):
             "weber": _dec_c(w, prec),
         } for a, b, x, y, w in rows],
     }
+    # the residual is a difference of terms rounded at prec bits, so its bound
+    # scales with the largest of them, and at least 1; partners +-P share x
+    # and |y|, so one look per x finds it
     with mp.workprec(prec + 32):
-        cubic = {}
-        for _, _, x, _, _ in rows:
+        cubic, scale = {}, mp.mpf(1)
+        for _, _, x, y, _ in rows:
             if x._mpc_ not in cubic:
-                cubic[x._mpc_] = 4 * x**3 + 4 * model.A * x + 4 * model.B
+                x3, ax, b = 4 * x**3, 4 * model.A * x, 4 * model.B
+                cubic[x._mpc_] = x3 + ax + b
+                scale = max(scale, abs(x3), abs(ax), abs(b), abs(2 * y) ** 2)
         worst = max(abs((2 * y) ** 2 - cubic[x._mpc_]) for _, _, x, y, _ in rows)
-    bound = mp.mpf(2) ** (-prec // 2 + 10)
+    bound = mp.ldexp(scale, -prec // 2 + 10)
     residual, jacobi_bound = model.jacobi   # |E4^3 - E6^2 - 1728 Delta| at tau', certified
     certs = [{
         "name": "wp_ode_max_residual",

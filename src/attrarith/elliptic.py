@@ -27,9 +27,9 @@ its terms once into n buckets, and each pair +-P folds the buckets with its
 powers of e^(2 pi i/n) and adds its leading term, all on fixed-point
 integers.
 Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
-is the case selection that cancels exactly that freedom: its constant is
-an exact quotient of the fields' integers, and constant * x^k is formed
-exactly and rounded once.
+cancels exactly that freedom: its case k comes from the reduced point's
+integers, its constant is an exact quotient of the fields' integers, and
+constant * x^k is formed exactly and rounded once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest, to_fixed
 
-from .errors import AmbiguousCase, OutOfRange, ZeroTwist
+from .errors import OutOfRange, ZeroTwist
 from .modular import _cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _sqr, _theta
 
 __all__ = [
@@ -79,27 +79,28 @@ class WeierstrassModel:
         """(constant, k) of the Weber function constant * x^k, the constant as
         integers ((re, im), e) with value (re + im i) 2^e.
 
-        Generic curves use (AB/delta, 1); j = 1728 uses (A^2/delta, 2); j = 0
-        uses (B/delta, 3), each decided within 2^-(prec/4) on the exact
-        integers of j.  Both degeneracies at once is impossible, so that
-        signals the model's precision is broken.  The constant is the exact
-        quotient of the fields' integers floored to within relative
-        2^-(prec+32).
+        k is the order of the stabiliser of the reduced point tau' in
+        SL2(Z) over +-1, read off the exact integers (r, s, n) and disc of
+        tau' = (r + s sqrt(disc))/n that modular._frame gives for source_tau:
+        k = 2 at tau' = i (r = 0 and s^2 |disc| = n^2), k = 3 at rho or
+        rho + 1 (2|r| = n and 4 s^2 |disc| = 3 n^2), and k = 1 otherwise.
+        Aut(E) is mu_2k, so constant * x^k, with constant AB/delta, A^2/delta
+        and B/delta for k = 1, 2 and 3, is the coordinate it leaves invariant.
+        An mpc has Re and Im in Q, so its reduced point is never rho.  The
+        constant is the exact quotient of the fields' integers floored to
+        within relative 2^-(prec+32).
         """
-        prec = self.precision_bits
-        j_is_zero = _within(self.j, 0, prec // 4)
-        j_is_1728 = _within(self.j, 1728, prec // 4)
-        if j_is_zero and j_is_1728:
-            raise AmbiguousCase(
-                "model j is within tolerance of both 0 and 1728; raise precision")
+        frame = _frame(self.source_tau, self.precision_bits)
+        r, s, n = frame.red
+        ss, nn = s * s * -frame.disc, n * n
         a, b, delta = _man_exp(self.A), _man_exp(self.B), _man_exp(self.delta)
-        if j_is_1728:
+        if r == 0 and ss == nn:
             num, k = _exact_product(a, a), 2
-        elif j_is_zero:
+        elif 2 * abs(r) == n and 4 * ss == 3 * nn:
             num, k = b, 3
         else:
             num, k = _exact_product(a, b), 1
-        return _quotient(num, delta, max(prec, 53) + 32), k
+        return _quotient(num, delta, max(self.precision_bits, 53) + 32), k
 
 
 @dataclass(frozen=True)
@@ -285,18 +286,6 @@ def _rounded(z, e: int, prec: int, d: int = 1):
         return mp.make_mpc(tuple(from_man_exp(v, e, prec, round_nearest) for v in z))
     den = from_int(d)
     return mp.make_mpc(tuple(mpf_div(from_man_exp(v, e), den, prec, round_nearest) for v in z))
-
-
-def _within(z, c: int, t: int) -> bool:
-    """|z - c| < 2^-t for an mpc z and an integer c, decided on z's integers;
-    false at once when z's top bit puts |z| >= 2 max(|c|, 2^-t) >= |c| + 2^-t."""
-    (zr, zi), e = _man_exp(z)
-    if max(abs(zr), abs(zi)).bit_length() - 1 + e > max(abs(c).bit_length(), -t):
-        return False
-    g = min(e, 0)
-    norm = ((zr << (e - g)) - (c << -g)) ** 2 + (zi << (e - g)) ** 2
-    s = -2 * (t + g)   # |z - c|^2 = norm 2^(2g) < 2^(-2t) iff norm < 2^s
-    return norm < 1 << s if s >= 0 else norm == 0
 
 
 def _powers(z, count: int, F: int):

@@ -3,6 +3,8 @@
 Validation errors reject bad inputs; ComputationFailure subclasses signal
 that a numerical procedure could not meet its accuracy/termination contract
 (the CLI maps the former to exit code 2 and the latter to exit code 3).
+Every class but those two bases is raised somewhere in the package, so none
+names a case that cannot arise; tests/test_package.py checks that.
 """
 
 
@@ -79,10 +81,6 @@ class PrecisionExhausted(ComputationFailure):
 
 
 class RoundingFailed(ComputationFailure):
-    pass
-
-
-class AmbiguousCase(ComputationFailure):
     pass
 
 

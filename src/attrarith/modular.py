@@ -522,23 +522,24 @@ def _frame(tau, prec: int) -> _Frame:
         (r, s, n), disc = _dyadic(tau), -1
     if s <= 0:
         raise NotUpperHalfPlane(f"Im tau <= 0 at tau = {tau}")
-    if 2 * abs(r) <= n and r * r - s * s * disc >= n * n:
+    ss, nn = s * s * -disc, n * n
+    if 2 * abs(r) <= n and r * r + ss >= nn:
         mat, mu = _IDENTITY, None
     else:
-        form, ((p, q), (u, v)) = reduce_form(
-            BinaryQuadraticForm(n * n, -2 * r * n, r * r - s * s * disc))
+        form, ((p, q), (u, v)) = reduce_form(BinaryQuadraticForm(nn, -2 * r * n, r * r + ss))
         mat, mu = ((v, -q), (-u, p)), (p * n - u * r, -u * s, n)
         r, s, n = -form.b, 2 * n * s, 2 * form.a
-    return _Frame(tau, mat, _mag(s, n, disc), disc, (r, s, n), mu)
+        ss, nn = 4 * nn * ss, n * n   # (2ns)^2 |disc| and the new n^2
+    return _Frame(tau, mat, _mag(ss, nn), disc, (r, s, n), mu)
 
 
-def _mag(s: int, n: int, disc: int) -> float:
-    """Bits of 1/|q| at height (s/n) sqrt|disc|, refusing more than 10^7 bits.
+def _mag(num: int, den: int) -> float:
+    """Bits of 1/|q| at the height sqrt(num/den), num = s^2 |disc| and
+    den = n^2 for tau' = (r + s sqrt(disc))/n, refusing more than 10^7 bits.
 
-    A height of 10^7 or more, s^2 |disc| >= 10^14 n^2, is refused on the
-    integers, so no float is formed from a huge s/n or disc; below it the
-    height is the square root of one correctly rounded integer quotient."""
-    num, den = s * s * -disc, n * n
+    A height of 10^7 or more, num >= 10^14 den, is refused on the integers,
+    so no float is formed from a huge s/n or disc; below it the height is
+    the square root of one correctly rounded integer quotient."""
     if num >= 10**14 * den:
         raise PrecisionExhausted("reduced height of 10^7 or more is intractable")
     height = math.sqrt(num / den)
@@ -723,7 +724,7 @@ def _root_j(f, disc: int, prec: int, G: int):
     runs on the integers of b and of the floored pair (jr, ji), with
     J = max(|jr|, |ji|) - 1.
     """
-    ev = j_value_with_bound(f, max(64, prec + 2 - math.ceil(_mag(1, 2 * f.a, disc))))
+    ev = j_value_with_bound(f, max(64, prec + 2 - math.ceil(_mag(-disc, 4 * f.a * f.a))))
     re, im = ev.j._mpc_
     jr, ji = to_fixed(re, G), to_fixed(im, G)
     man, exp = ev.error_bound.man_exp

@@ -89,6 +89,16 @@ class TestAttract:
                               "--pq", "0", "--p", "1,0")
         assert code == 2
 
+    def test_both_charge_forms_exit_2(self, capsys, tmp_path):
+        # the vector form alone is a valid charge; with the scalars too it is refused
+        gram = tmp_path / "gram.json"
+        gram.write_text("[[2, 0], [0, 4]]")
+        code, out, err = invoke(capsys, "attract", "--gram", str(gram), "--p", "1,0",
+                                "--q", "0,1", "--p2", "1", "--q2", "1", "--pq", "0")
+        assert code == 2 and out == ""
+        assert err == ("attrarith attract: give either --p2/--q2/--pq or --gram/--p/--q, "
+                       "not both\n")
+
     def test_degenerate_charge_exit_2(self, capsys):
         code, _, err = invoke(capsys, "attract", "--p2", "0", "--q2", "1", "--pq", "0")
         assert code == 2 and "p2" in err
@@ -360,6 +370,12 @@ class TestJval:
         assert code == 2
 
 
+    def test_unparsable_tau_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "jval", "--tau=abc,1")
+        assert code == 2 and out == ""
+        assert err == "attrarith jval: --tau: RE and IM must be decimal numbers, got 'abc,1'\n"
+
+
 class TestWeber:
     def test_two_torsion_count_and_certificate(self, capsys):
         env = invoke_json(capsys, "weber", "--p2", "1", "--q2", "1", "--pq", "0",
@@ -440,6 +456,28 @@ class TestWeber:
             worst = max(abs((2 * p.y) ** 2 - (4 * p.x**3 + 4 * model.A * p.x + 4 * model.B))
                         for p in pts)
         assert env["certificates"][0]["value"] == cli._dec(worst, 64)
+
+    @pytest.mark.parametrize("charge", [(100000, 100001, 0), (2000, 2001, -1000)])
+    def test_case_does_not_depend_on_precision(self, capsys, charge):
+        # j is 1728 + 6.2e-7 and -1.1e-6 there: the Weber function is the generic
+        # one at every precision, so 64 bits print the 256-bit values to 64 bits
+        argv = ["weber", *(f"--{k}={v}" for k, v in zip(("p2", "q2", "pq"), charge)), "--n", "2"]
+        low = invoke_json(capsys, *argv, "--prec", "64")["result"]["points"]
+        high = invoke_json(capsys, *argv, "--prec", "256")["result"]["points"]
+        with mp.workprec(256):
+            for p, q in zip(low, high):
+                w, want = (mp.mpc(r["weber"]["re"], r["weber"]["im"]) for r in (p, q))
+                assert abs(w - want) <= mp.ldexp(abs(want), -62), (p, q)
+
+    @pytest.mark.parametrize("p2, n", [(10**6, 3), (10**10, 2)])
+    def test_curve_certificate_at_large_scale(self, capsys, p2, n):
+        # |4x^3| reaches 3.9e21 and 1.1e33: the residual of terms rounded at
+        # 64 bits is far above 2^-22 there, and the bound scales with them
+        env = invoke_json(capsys, "weber", "--p2", str(p2), "--q2", "1", "--pq", "0",
+                          "--n", str(n), "--prec", "64")
+        ode = env["certificates"][0]
+        assert ode["name"] == "wp_ode_max_residual" and ode["passed"]
+        assert exact(ode["value"]) > 2**-22
 
     def test_csv(self, capsys):
         code, out, _ = invoke(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
@@ -798,7 +836,7 @@ GOLDEN_SHA256 = {
     "certify": "d24bd9df825bc1bca4180b4d99584c891c8676fd84e082ffa63e9209e623c71e",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
     "jval": "a5559e5ec044a675513111ee058bb962acbd8b39d8aaf66f955380a2909a3222",
-    "weber": "976197d71ad438e8986f580da26886f0c1405f58d1d72f12881a49cc754c5b62",
+    "weber": "b4fc72c26884f725ea736873c1142653105e019c29cd3bc5daef47847c1c140e",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",

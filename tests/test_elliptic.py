@@ -6,15 +6,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_man_exp, fzero, to_rational
 
 from attrarith.arith import BinaryQuadraticForm, QuadraticSurd
 from attrarith.attractor import ChargeData, attractor_point
 from attrarith.elliptic import (
-    TorsionPoint,
     _lambert_count,
     _torsion_kernel,
-    _within,
     WeierstrassModel,
     model_from_tau,
     torsion_points,
@@ -22,7 +19,6 @@ from attrarith.elliptic import (
     weber_function,
 )
 from attrarith.errors import (
-    AmbiguousCase,
     NotUpperHalfPlane,
     OutOfRange,
     PrecisionExhausted,
@@ -43,6 +39,11 @@ class TestModelFromTau:
             assert abs(m.B) < mp.mpf(10) ** -25
             assert abs(m.j - 1728) < mp.mpf(10) ** -40
             assert abs(mp.im(m.A)) < mp.mpf(10) ** -40
+
+    def test_precision_below_64_refused(self):
+        with pytest.raises(OutOfRange, match="at least 64 bits, got 63"):
+            model_from_tau(mp.mpc(0, 1), 63)
+        assert model_from_tau(mp.mpc(0, 1), 64).precision_bits == 64
 
     def test_hexagonal_lattice(self):
         rho = QuadraticSurd(1, 1, 2, -3)
@@ -549,57 +550,27 @@ class TestWeberFunction:
                     with mp.workprec(prec):
                         assert weber_function(m, p) == +want, (tau, n, p.lattice_coords)
 
-    def test_within_matches_exact_comparison(self):
-        # the top-bit exit must agree with |z - c|^2 < 2^-2t on exact rationals,
-        # also for t <= 0, where the window around c is wider than 1
-        def exact_within(z, c, t):
-            re, im = (Fraction(*to_rational(v._mpf_)) for v in (z.real, z.imag))
-            return (re - c) ** 2 + im ** 2 < Fraction(2) ** (-2 * t)
-
-        for c in (0, 1, 1728):
-            for t in (-64, -11, -1, 0, 1, 8, 64):
-                for k in range(-70, 80):
-                    for m in (1, 3, 7):
-                        for sign in (1, -1):
-                            z = mp.make_mpc((from_man_exp(sign * m, k - 2), fzero))
-                            assert _within(z, c, t) == exact_within(z, c, t), (z, c, t)
-        huge = mp.make_mpc((from_man_exp(1, 10**7), from_man_exp(1, 10**7)))
-        assert not _within(huge, 1728, 64)
-
     def test_case_decided_on_integers(self):
-        # |j| < 2^-(prec/4) and |j - 1728| < 2^-(prec/4) are decided on j's
-        # integers: in a 16-bit context mpmath's abs would round
-        # 2^-32 - 2^-62 up to the tolerance 2^-32 itself
-        def case(j):
-            return WeierstrassModel(A=mp.mpc(1), B=mp.mpc(1), delta=mp.mpc(-16 * 31), j=j,
-                                    source_tau=mp.mpc(0, 1), scale=mp.mpc(1),
-                                    precision_bits=128).weber_case[1]
-
-        just_in, out = (1 << 30) - 1, 1 << 30   # 2^-32 - 2^-62 and 2^-32, in units of 2^-62
-        with mp.workprec(16):
-            for j, k in (((1728 << 62) + just_in, 2), ((1728 << 62) + out, 1),
-                         ((1728 << 62) - just_in, 2), (just_in, 3), (-out, 1), (0, 3)):
-                assert case(mp.make_mpc((from_man_exp(j, -62), fzero))) == k, j
-            assert case(mp.make_mpc((from_man_exp(1, -33), from_man_exp(-1, -33)))) == 3
-            assert case(mp.make_mpc((from_man_exp(1728, 0), from_man_exp(out, -62)))) == 1
-
-    def test_ambiguous_case(self):
-        tiny = mp.mpf(2) ** -200
-        broken = WeierstrassModel(
-            A=mp.mpc(1), B=mp.mpc(1), delta=mp.mpc(-16 * 31), j=mp.mpc(tiny),
-            source_tau=mp.mpc(0, 1), scale=mp.mpc(1), precision_bits=64,
-        )
-        p = TorsionPoint((Fraction(1, 2), Fraction(0, 1)), mp.mpc(1), mp.mpc(0))
-        assert mp.isfinite(weber_function(broken, p))
-        # with any positive precision the tolerance windows around 0 and 1728
-        # are disjoint; a nonsensical precision widens them until they overlap,
-        # which is what a precision failure upstream would look like
-        really_broken = WeierstrassModel(
-            A=broken.A, B=broken.B, delta=broken.delta, j=mp.mpc(864),
-            source_tau=broken.source_tau, scale=broken.scale, precision_bits=-64,
-        )
-        with pytest.raises(AmbiguousCase):
-            weber_function(really_broken, p)
+        # k is read off the reduced point's integers, never off j: 2 at i, 3 at
+        # rho or rho + 1, and 1 at every other point however near them; a
+        # twisted model keeps its case
+        table = ((mp.mpc(0, 1), 128, 2),
+                 (mp.mpc(1, 1), 128, 2),                         # reduces to i
+                 (BinaryQuadraticForm(1, 1, 1), 128, 3),
+                 (QuadraticSurd(1, 1, 2, -3), 256, 3),           # rho + 1
+                 (BinaryQuadraticForm(3, 3, 1), 128, 3),         # reduces to rho
+                 (mp.mpc(0, 2), 128, 1),
+                 (mp.mpc(0, 1 + mp.mpf(2) ** -40), 256, 1),      # |j - 1728| ~ 2^-65
+                 (QuadraticSurd(1, 1, 2, -5), 128, 1))
+        for tau, prec, k in table:
+            m = model_from_tau(tau, prec)
+            assert m.weber_case[1] == k, tau
+            assert twist_model(m, mp.mpc("0.7", "1.9")).weber_case[1] == k, tau
+        # a model at i has k = 2 whatever its j says
+        hand = WeierstrassModel(A=mp.mpc(1), B=mp.mpc(1), delta=mp.mpc(-16 * 31),
+                                j=mp.mpc(864), source_tau=mp.mpc(0, 1), scale=mp.mpc(1),
+                                precision_bits=128)
+        assert hand.weber_case[1] == 2
 
 
 class TestTwistModel:

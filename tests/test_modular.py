@@ -226,6 +226,14 @@ class TestFrameExponential:
         with mp.workprec(256):
             assert abs(ev.j - ref.j) <= ev.error_bound + ref.error_bound + mp.ldexp(1, -1000)
 
+    def test_span_past_the_cap_refused(self):
+        # 2^-(2^20) + i spans 2^20 + 1 bits: refused before its integers are
+        # formed, though it lies in the fundamental domain at height 1
+        tau = mp.mpc(mp.ldexp(1, -2**20), 1)
+        for call in (lambda: _dyadic(tau), lambda: j_value_with_bound(tau, 64)):
+            with pytest.raises(PrecisionExhausted, match="spans 1048577 bits"):
+                call()
+
     LOW, HIGH = -mp.mpf("1.03"), mp.mpf("0.03")
 
     @pytest.fixture(autouse=True)
@@ -775,7 +783,7 @@ class TestRootContract:
             # the kernel works at p + 16 bits, with no term for the height
             # unless j_value_with_bound's 64-bit floor on the request binds
             for f, wp in calls:
-                mag = math.ceil(modular._mag(1, 2 * f.a, disc))
+                mag = math.ceil(modular._mag(-disc, 4 * f.a * f.a))
                 assert wp == max(p + 16, 78 + mag), (disc, f)
             # the cache check hands j_value_with_bound its form as well
             calls.clear()
@@ -863,6 +871,11 @@ class TestCertifyCM:
         assert cert.conductor == 1
         assert cert.field_label == "Hilbert class field"
         assert cert.field_disc == -4
+
+    def test_precision_below_64_refused(self):
+        with pytest.raises(OutOfRange, match="at least 64 bits, got 63"):
+            certify_attractor_cm(ChargeData(1, 1, 0), 63)
+        assert certify_attractor_cm(ChargeData(1, 1, 0), 64).passed
 
     def test_disc_minus_20(self):
         cert = certify_attractor_cm(ChargeData(2, 3, 1), 256)
@@ -971,6 +984,22 @@ class TestHcpCache:
 
     def test_missing_file(self, tmp_path):
         assert load_hcp_cache(tmp_path / "absent.json") == {}
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        # a write that fails part way leaves the old file's bytes and no temp file
+        path = tmp_path / "cache.json"
+        store_hcp_cache(path, {-4: (-1728, 1)})
+        old = path.read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('[{"disc": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(modular.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="no space"):
+            store_hcp_cache(path, {-4: (-1728, 1), -20: (-681472000, -1264000, 1)})
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
     def test_corrupt_file_ignored(self, tmp_path, capsys):
         path = tmp_path / "cache.json"
