@@ -12,7 +12,10 @@ tau':
 with X = p/(2 pi i)^2 and Y = p'/(2 pi i)^3 at tau' (lam times the twist
 scale for a twisted model).  _Frame.lam takes lam from mu's exact integers
 in fixed point; its powers and their products with the kernel's integers
-are exact, and each component is rounded to the model's precision once.
+are exact, and each component is rounded to the model's precision once, on
+the integers (modular._to_mpf), to nearest with ties to even: the bits of
+mpmath's round_nearest.  The model holds the frame it was built with, so its
+torsion points, Weber values and twists do not frame the point again.
 delta and j = E4^3/Delta come from the kernel's Delta, as j_value does, so
 neither is a difference of large terms; j is the kernel's fixed-point
 quotient that j_value_with_bound forms; Jacobi's identity checks them.
@@ -35,16 +38,16 @@ constant * x^k is formed exactly and rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, mpc_neg, mpf_div, round_nearest, to_fixed
+from mpmath.libmp import mpc_neg, to_fixed
 
 from .errors import OutOfRange, ZeroTwist
-from .modular import _cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _sqr, _theta
+from .modular import _cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _sqr, _theta, _to_mpf
 
 __all__ = [
     "WeierstrassModel",
@@ -62,7 +65,10 @@ class WeierstrassModel:
 
     source_tau is the input point as modular._frame took it: a QuadraticSurd,
     a BinaryQuadraticForm or an mpc exactly as given, any other value the mpc
-    made of it at precision_bits.  The torsion points are taken at it.
+    made of it at precision_bits.  The torsion points are taken at it.  The
+    model holds the frame model_from_tau made of it (_frame, left out of
+    equality and repr), so weber_case and torsion_points do not frame the
+    point again and twist_model hands the frame on.
     """
 
     A: mp.mpc
@@ -73,6 +79,15 @@ class WeierstrassModel:
     scale: mp.mpc
     precision_bits: int
     jacobi: tuple | None = None   # Jacobi's identity: (residual, bound), see model_from_tau
+    _frame: object = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def frame(self):
+        """The modular._frame of source_tau at precision_bits: the one the
+        model was built with, or, for a model built by hand, framed here."""
+        if self._frame is not None:
+            return self._frame
+        return _frame(self.source_tau, self.precision_bits)
 
     @cached_property
     def weber_case(self):
@@ -90,7 +105,7 @@ class WeierstrassModel:
         constant is the exact quotient of the fields' integers floored to
         within relative 2^-(prec+32).
         """
-        frame = _frame(self.source_tau, self.precision_bits)
+        frame = self.frame
         r, s, n = frame.red
         ss, nn = s * s * -frame.disc, n * n
         a, b, delta = _man_exp(self.A), _man_exp(self.B), _man_exp(self.delta)
@@ -193,8 +208,9 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
             j=_rounded(_j_pair(cube, dk, de), -F, prec),
             source_tau=frame.tau,
             scale=mp.mpc(1), precision_bits=prec,
-            jacobi=(mp.make_mpf(from_man_exp(root + (root * root < n), -F - 64)),
-                    mp.make_mpf(from_man_exp(bound, -F))),
+            jacobi=(mp.make_mpf(_to_mpf(root + (root * root < n), -F - 64)),
+                    mp.make_mpf(_to_mpf(bound, -F))),
+            _frame=frame,
         )
 
 
@@ -281,11 +297,23 @@ def _quotient(x, y, bits: int):
 
 def _rounded(z, e: int, prec: int, d: int = 1):
     """The mpc (re + im i) 2^e/d for an integer pair z = (re, im) and a
-    nonzero integer d, each component rounded to nearest at prec bits once."""
+    nonzero integer d, each component rounded to nearest at prec bits once,
+    ties to even, on the integers (modular._to_mpf): the bits of mpmath's
+    round_nearest.  For d != 1 the quotient |v| 2^k // |d| is taken with
+    k = prec + 3 + bits(d) - bits(v), so it has at least prec + 3 bits, and
+    a nonzero remainder sets its last bit, below the guard bit: that bit
+    then stands for the rest of the exact quotient, which is never a tie,
+    and one rounding gives the bits of mpmath's division at round_nearest."""
     if d == 1:
-        return mp.make_mpc(tuple(from_man_exp(v, e, prec, round_nearest) for v in z))
-    den = from_int(d)
-    return mp.make_mpc(tuple(mpf_div(from_man_exp(v, e), den, prec, round_nearest) for v in z))
+        return mp.make_mpc(tuple(_to_mpf(v, e, prec) for v in z))
+    out = []
+    for v in z:
+        k = prec + 3 + d.bit_length() - v.bit_length()
+        q, r = divmod(abs(v) << k, abs(d)) if k >= 0 else divmod(abs(v), abs(d) << -k)
+        if r:
+            q |= 1
+        out.append(_to_mpf(q if (v < 0) == (d < 0) else -q, e - k, prec))
+    return mp.make_mpc(tuple(out))
 
 
 def _powers(z, count: int, F: int):
@@ -486,7 +514,7 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
         raise OutOfRange(f"torsion order must be >= 2, got {n}")
     prec = model.precision_bits
     wp = prec + 96
-    frame = _frame(model.source_tau, prec)
+    frame = model.frame
     lam, e = _exact_product(frame.lam(wp), _man_exp(model.scale))
     (ma, mb), (mc, md) = frame.mat
     layout = []   # (source coords, representative, sign of y)
@@ -540,10 +568,16 @@ def weber_function(model: WeierstrassModel, point: TorsionPoint):
 
 
 def twist_model(model: WeierstrassModel, u) -> WeierstrassModel:
-    """Quadratic-twist isomorphism (x,y) -> (u^2 x, u^3 y): A, B, delta rescale."""
+    """Quadratic-twist isomorphism (x,y) -> (u^2 x, u^3 y): A, B, delta rescale.
+
+    The twisted model keeps the source point and its frame.  u = 0 raises
+    ZeroTwist, and a u with an infinite or NaN component raises OutOfRange.
+    """
     prec = model.precision_bits
     with mp.workprec(prec + 32):
         uu = mp.mpc(u)
+        if not mp.isfinite(uu):
+            raise OutOfRange(f"twist scale must be finite, got {uu}")
         if uu == 0:
             raise ZeroTwist("twist scale must be nonzero")
         a = model.A * uu**4
@@ -554,4 +588,5 @@ def twist_model(model: WeierstrassModel, u) -> WeierstrassModel:
         return WeierstrassModel(
             A=+a, B=+b, delta=+delta, j=model.j,
             source_tau=model.source_tau, scale=+scale, precision_bits=prec, jacobi=model.jacobi,
+            _frame=model._frame,
         )

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_cos_sin_pi, mpf_exp, mpf_lt, mpf_mul,
+from mpmath.libmp import (mpf_add, mpf_cos_sin_pi, mpf_exp, mpf_lt, mpf_mul,
                           mpf_neg, pi_fixed, round_nearest, to_fixed)
 
 from .arith import BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form
@@ -81,9 +81,35 @@ __all__ = [
 ]
 
 
+def _to_mpf(v: int, e: int, prec: int | None = None):
+    """The integer v times 2^e as a normalized mpf tuple (sign, man, exp, bc),
+    exactly when prec is None, else rounded to nearest at prec bits with
+    ties to even: the bits that mpmath gives v 2^e at prec and round_nearest.
+
+    The rounding runs on the integers: with n = bc - prec bits to drop, the
+    kept bits are v >> n, the guard bit is bit n - 1, and a set guard bit
+    rounds up when the kept bits are odd or any lower bit is set (a tie
+    otherwise).  Trailing zeros are then stripped, so a carry to 2^prec
+    ends as the mantissa 1.
+    """
+    if not v:
+        return 0, 0, 0, 0
+    sign = 0
+    if v < 0:
+        sign, v = 1, -v
+    if prec is not None and (n := v.bit_length() - prec) > 0:
+        t = v >> (n - 1)
+        up = t & 1 and (t & 2 or (v & -v).bit_length() < n)
+        v = (t >> 1) + 1 if up else t >> 1
+        e += n
+    z = (v & -v).bit_length() - 1
+    v >>= z
+    return sign, v, e + z, v.bit_length()
+
+
 def _from_fixed(s, F: int):
     """The fixed-point pair s as an mpc, exactly."""
-    return mp.make_mpc((from_man_exp(s[0], -F), from_man_exp(s[1], -F)))
+    return mp.make_mpc((_to_mpf(s[0], -F), _to_mpf(s[1], -F)))
 
 
 def _mul(x, y, F: int):
@@ -131,7 +157,7 @@ def _cos_sin_pi(a: int, b: int, p: int):
     """
     k = (4 * a + b) // (2 * b)
     d = ((2 * a - k * b) << p) // (2 * b)
-    c, s = mpf_cos_sin_pi(from_man_exp(d, -p), p, round_nearest)
+    c, s = mpf_cos_sin_pi(_to_mpf(d, -p), p, round_nearest)
     k %= 4
     if k == 1:
         return mpf_neg(s), c
@@ -450,7 +476,7 @@ class _Frame(NamedTuple):
         p = max(16, bits + 9 - math.floor(float(m) * self.mag / 2 * (1 - 1e-9)))
         t = math.isqrt(((num * s) ** 2 * -self.disc << 2 * p) // (den * den))
         w = max(p, t.bit_length()) + 2
-        e = mpf_exp(from_man_exp(-(t * pi_fixed(w) >> w), -p), p, round_nearest)
+        e = mpf_exp(_to_mpf(-(t * pi_fixed(w) >> w), -p), p, round_nearest)
         # not mpf_cos_sin_pi(x): for about half of all x, mpmath's pure-Python
         # cos/sin reduces x into a negative mantissa and then runs at ~2p bits
         c, sn = _cos_sin_pi(num * r, den, p)
@@ -655,7 +681,7 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
             f"j error bound {mp.nstr(mp.ldexp(dj, -F), 5)} misses 2^-{prec} target")
     return JEvaluation(
         j=_from_fixed(j, F),
-        error_bound=mp.make_mpf(from_man_exp(dj, -F)),
+        error_bound=mp.make_mpf(_to_mpf(dj, -F)),
         truncation_order=th.terms,
         working_prec=wp,
     )
@@ -946,9 +972,9 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
         class_number=hcp.class_number,
         j=j_out,
         hcp=hcp,
-        value=mp.make_mpf(from_man_exp(value, -G)),
-        error_bound=mp.make_mpf(from_man_exp(err, -G)),
-        tolerance=mp.make_mpf(from_man_exp(1, -(prec // 4))),
+        value=mp.make_mpf(_to_mpf(value, -G)),
+        error_bound=mp.make_mpf(_to_mpf(err, -G)),
+        tolerance=mp.make_mpf(_to_mpf(1, -(prec // 4))),
         precision_bits=prec,
     )
 

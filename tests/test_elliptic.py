@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from attrarith import elliptic
 from attrarith.arith import BinaryQuadraticForm, QuadraticSurd
 from attrarith.attractor import ChargeData, attractor_point
 from attrarith.elliptic import (
@@ -594,6 +595,12 @@ class TestTwistModel:
         with pytest.raises(ZeroTwist):
             twist_model(m, 0)
 
+    @pytest.mark.parametrize("u", [mp.inf, mp.nan, mp.mpc(1, mp.inf)])
+    def test_non_finite_twist_rejected(self, u):
+        m = model_from_tau(mp.mpc("0.31", "1.7"), prec=128)
+        with pytest.raises(OutOfRange, match="finite"):
+            twist_model(m, u)
+
     def test_torsion_coordinates_scale(self):
         m = model_from_tau(mp.mpc('0.25', '1.4'), prec=192)
         u = mp.mpc('1.3', '-0.4')
@@ -622,6 +629,41 @@ class TestTwistModel:
                                  key=lambda z: (mp.re(z), mp.im(z)))
                 for a, b in zip(base, twisted):
                     assert abs(a - b) < bound
+
+
+class TestModelFrame:
+    """A model holds the frame model_from_tau made, so its torsion points,
+    Weber values and twists do not frame the point again."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        frame = elliptic._frame
+        monkeypatch.setattr(elliptic, "_frame", lambda *a: calls.append(a) or frame(*a))
+        return calls
+
+    @pytest.mark.parametrize("tau", [attractor_point(ChargeData(8, 8, -3)).tau,
+                                     mp.mpc("3.31", "0.17"), mp.mpc(0, 1)])
+    def test_point_framed_once(self, monkeypatch, tau):
+        calls = self.spy(monkeypatch)
+        m = model_from_tau(tau, 128)
+        for model in (m, twist_model(m, mp.mpc("0.7", "-1.9"))):
+            [weber_function(model, p) for p in torsion_points(model, 3)]
+        assert len(calls) == 1
+
+    def test_frame_left_out_of_equality_and_repr(self):
+        tau = mp.mpc("3.31", "0.17")
+        a, b = model_from_tau(tau, 128), model_from_tau(tau, 128)
+        assert a == b and a.frame is not b.frame and a.frame == _frame(tau, 128)
+        assert "frame" not in repr(a)
+
+    def test_hand_built_model_frames_its_point(self, monkeypatch):
+        tau, prec = mp.mpc("0.31", "1.7"), 192
+        a, b, delta, j = model_mpmath(tau, prec)
+        hand = WeierstrassModel(a, b, delta, j, tau, mp.mpc(1), prec)   # positional, no frame
+        calls = self.spy(monkeypatch)
+        [weber_function(hand, p) for p in torsion_points(hand, 2)]
+        assert len(calls) == 1 and hand.frame == _frame(tau, prec)
 
 
 def series_at(alpha, zeta, n, ar, br, counts):

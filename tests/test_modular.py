@@ -13,12 +13,13 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 
 from attrarith import modular
 from attrarith.arith import BinaryQuadraticForm, QuadraticSurd, class_group_forms, reduce_form
 from attrarith.attractor import ChargeData, attractor_point
 from attrarith.cli import run
-from attrarith.elliptic import model_from_tau, torsion_points
+from attrarith.elliptic import _rounded, model_from_tau, torsion_points
 from attrarith.errors import (
     InvalidDiscriminant,
     NotAttractor,
@@ -37,6 +38,7 @@ from attrarith.modular import (
     _mul,
     _sqr,
     _theta,
+    _to_mpf,
     certify_attractor_cm,
     hcp_record_valid,
     hilbert_class_polynomial,
@@ -349,6 +351,62 @@ class TestFixedPointHelpers:
                         assert abs(c - mp.cospi(x)) <= tol and abs(s - mp.sinpi(x)) <= tol
                     if (2 * a) % b == 0:
                         assert (c, s) == (mp.cospi(x), mp.sinpi(x)), (a, b)
+
+
+class TestIntegerRounding:
+    """_to_mpf and elliptic._rounded give mpmath's bits: from_man_exp at
+    round_nearest (ties to even) or exactly, and mpf_div for the divisors of
+    A and B."""
+
+    PRECS = (53, 64, 256, 1000)
+
+    def test_random_against_from_man_exp(self):
+        rng = random.Random(2604)
+        for _ in range(20000):
+            v = rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 2001))
+            e = rng.randrange(-4000, 4000)
+            assert _to_mpf(v, e) == libmp.from_man_exp(v, e), (v, e)
+            for prec in self.PRECS:
+                want = libmp.from_man_exp(v, e, prec, libmp.round_nearest)
+                assert _to_mpf(v, e, prec) == want, (v, e, prec)
+
+    def test_constructed_cases(self):
+        cases = [0]
+        for prec in self.PRECS:
+            for drop in (1, 2, 3, 17, 300):
+                half = 1 << drop - 1
+                for kept in (1 << prec - 1, (1 << prec - 1) + 1, (1 << prec) - 1, (1 << prec) - 2):
+                    # a tie with even and odd kept bits, and just off a tie
+                    cases += [(kept << drop) + half, (kept << drop) + half - 1,
+                              (kept << drop) + half + 1, kept << drop]
+            cases += [(1 << k) - 1 for k in range(prec - 2, prec + 70)]   # carries to 2^prec
+            cases += [(1 << prec - 1) | 1, 3, 1]   # bc <= prec: kept exactly
+        for v in cases:
+            for sign in (1, -1):
+                for e in (0, -77, -1100):
+                    assert _to_mpf(sign * v, e) == libmp.from_man_exp(sign * v, e), v
+                    for prec in self.PRECS:
+                        want = libmp.from_man_exp(sign * v, e, prec, libmp.round_nearest)
+                        assert _to_mpf(sign * v, e, prec) == want, (sign * v, e, prec)
+        assert _to_mpf(0, 5, 53) == libmp.fzero
+        assert _to_mpf(-(1 << 60) + 1, 0, 53) == (1, 1, 60, 1)   # rounds up to -2^60
+
+    def test_division_against_mpf_div(self):
+        rng = random.Random(2605)
+        for d in (-48, 864):
+            den = libmp.from_int(d)
+            for _ in range(10000):
+                z = tuple(rng.choice((-1, 0, 1)) * rng.getrandbits(rng.randrange(1, 2001))
+                          for _ in range(2))
+                e = rng.randrange(-3000, 3000)
+                prec = rng.choice(self.PRECS)
+                want = tuple(libmp.mpf_div(libmp.from_man_exp(v, e), den, prec,
+                                           libmp.round_nearest) for v in z)
+                assert _rounded(z, e, prec, d)._mpc_ == want, (z, e, prec, d)
+            for v in (0, d, 3 * d, 3 << 400, (1 << 1000) - 1):   # exact quotients and long ones
+                for prec in self.PRECS:
+                    want = libmp.mpf_div(libmp.from_man_exp(v, -7), den, prec, libmp.round_nearest)
+                    assert _rounded((v, -v), -7, prec, d)._mpc_ == (want, libmp.mpf_neg(want))
 
 
 class TestJValue:
