@@ -9,7 +9,10 @@ A subcommand is declared in one place, build_parser: its flags, its handler
 and whether it has a tabular form.  The parser is built once per process.
 A handler only computes: it returns (inputs, result, certificates), or a CSV
 (header, rows) under --csv.  run alone renders, the envelope from the
-subcommand name and the precision, or the CSV table.
+subcommand name and the precision, or the CSV table.  One renderer, _render,
+writes every envelope in the bytes of json.dumps at an indent of 2 with
+ensure_ascii off: CPython 3.11's C encoder ignores an indent, so json.dumps
+would hand the envelope to its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import mpmath as mp
 from mpmath.libmp import from_rational, mpf_pos, round_ceiling, round_nearest, to_rational, to_str
@@ -60,12 +64,12 @@ _MAX_HCP_BITS = 700_000
 # 16 bits past the relative target modular._residual_precision: 32558 bits with
 # h c = 642 980 (certify --p2 3 --q2 1592 --pq 1) take about 1.2 s on one core
 _MAX_CERTIFY_WORK = 2**15
-# largest resolve step count: 300 000 steps take about 1.7 s on one core
+# largest resolve step count: 300 000 steps take about 0.25 s on one core
 _MAX_HJ_STEPS = 300_000
 # largest flow --max-steps, which bounds the rows a converging flow builds
 _MAX_FLOW_STEPS = 10**6
 # largest curve d * a, a = d/k: it bounds the (r, s) pass and the unit group;
-# d = 350, k = l = 1 takes about 1.1 s on one core, 2.0 s with --orbits
+# d = 350, k = l = 1 takes about 0.55 s on one core, 0.9 s with --orbits
 _MAX_CURVE_WORK = 125_000
 # largest fermat (n + 2) * bit_length(d - 1): the count is below 2^14284 < 10^4300,
 # so it prints under Python's 4300-digit int-to-str limit
@@ -621,6 +625,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _render(o, pad: str = "\n") -> str:
+    """o in the bytes json.dumps writes at an indent of 2 with ensure_ascii off.
+
+    Strings and dict keys (which must be str) go through the C escaper
+    json.dumps uses, containers keep their order, and any other value, such
+    as a float, is handed to json.dumps, so it renders or raises as there.
+    """
+    if isinstance(o, str):
+        return encode_basestring(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [encode_basestring(v) if v.__class__ is str else _render(v, inner) for v in o]
+        ) + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring(k) + ": " + _render(v, inner) for k, v in o.items()]
+        ) + pad + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    return json.dumps(o)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -643,9 +680,8 @@ def run(argv=None) -> int:
             sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
         else:
             inputs, result, certificates = out
-            print(json.dumps({"command": args.cmd, "inputs": inputs, "result": result,
-                              "certificates": certificates, "precision_bits": prec},
-                             indent=2, ensure_ascii=False))
+            print(_render({"command": args.cmd, "inputs": inputs, "result": result,
+                           "certificates": certificates, "precision_bits": prec}))
         sys.stdout.flush()
     except ComputationFailure as exc:
         print(f"attrarith {args.cmd}: computation failed: {exc}", file=sys.stderr)

@@ -89,10 +89,11 @@ def hj_reconstruct(steps) -> Fraction:
     steps = list(steps)
     if not steps or any(b < 2 for b in steps):
         raise InvalidStep(f"steps must be a nonempty all->=2 list, got {steps}")
-    val = Fraction(steps[-1])
+    # p/q is the tail's value as integer continuants: b - 1/(p/q) = (b p - q)/p
+    p, q = steps[-1], 1
     for b in reversed(steps[:-1]):
-        val = b - 1 / val
-    return val
+        p, q = b * p - q, p
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)

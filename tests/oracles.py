@@ -398,6 +398,14 @@ def rk4_trajectory(p2, q2, pq, x0, y0, h0, tol, max_steps):
     return RK4_MAX_STEPS, n, traj
 
 
+def continued_fraction_fractions(steps) -> Fraction:
+    """[b1,...,bs] = b1 - 1/(b2 - 1/(...)) by the Fraction recursion, innermost first."""
+    val = Fraction(steps[-1])
+    for b in reversed(steps[:-1]):
+        val = b - 1 / val
+    return val
+
+
 def tuple_counts_conv(d: int, k: int) -> list[int]:
     """counts[j] = #{(a_1..a_k) in [1,d-1]^k : sum = j mod d}, by cyclic convolution."""
     base = [0] + [1] * (d - 1)

@@ -883,6 +883,76 @@ class TestGoldenStdout:
         assert self.digest(capsys, argv) == GOLDEN_SHA256["hcp --cache"]  # hit
 
 
+# strings a renderer must escape as json.dumps does: quotes, backslashes, control
+# characters, and non-ASCII text, which stays as it is under ensure_ascii=False
+RENDER_TEXT = ["", "a", "tau", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "−", "√", "·",
+               "(1 + 1·√−5)/2", "é", "\u2028", "𝔥", 'say "−1"\\n']
+
+
+def random_tree(rng, depth):
+    """A random JSON value: nested dicts, lists and tuples, empty ones among
+    them, over strings, bools, None and ints of either sign."""
+    if depth and rng.random() < 0.7:
+        size = rng.choice([0, 1, 2, 3, 6])
+        shape = rng.choice([dict, list, tuple])
+        if shape is dict:
+            keys = ["".join(rng.choices(RENDER_TEXT, k=3)) for _ in range(size)]
+            return {k: random_tree(rng, depth - 1) for k in keys}
+        return shape(random_tree(rng, depth - 1) for _ in range(size))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "".join(rng.choices(RENDER_TEXT, k=rng.randrange(4)))
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.randrange(-10**30, 10**30) >> rng.randrange(100)
+    return rng.choice([0, -1, 1, 256])
+
+
+# envelopes outside GOLDEN_ARGV, so their layout is checked too
+RENDER_ARGV = [
+    ("curve", "--d", "12", "--k", "2", "--l", "3", "--orbits"),
+    ("weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "4"),
+    ("hcp", "--disc", "-479"),
+    ("resolve", "--n", "17", "--q", "3", "--genus", "1"),
+    ("fermat", "--d", "6", "--dim", "2", "--hodge"),
+    ("flow", "--p2", "1", "--q2", "2", "--pq", "0", "--tau0", "0.3,0.8", "--trace", "t.csv"),
+    ("certify", "--p2", "1", "--q2", "5", "--pq", "0"),
+    ("jval", "--tau=-0.3,0.9"),
+]
+
+
+class TestRender:
+    """cli._render writes the bytes of json.dumps(indent=2, ensure_ascii=False)."""
+
+    @staticmethod
+    def dumps(o):
+        return json.dumps(o, indent=2, ensure_ascii=False)
+
+    def test_random_trees(self):
+        rng = random.Random(4242)
+        for _ in range(400):
+            tree = random_tree(rng, rng.randrange(1, 6))
+            assert cli._render(tree) == self.dumps(tree), tree
+
+    def test_empty_and_top_level_values(self):
+        for o in ({}, [], (), [[]], {"": {}}, "", "−√·", True, False, None, -7, 2**100):
+            assert cli._render(o) == self.dumps(o)
+
+    def test_other_values_as_json_dumps(self):
+        o = {"f": [0.1, -0.0, 1e300, float("inf"), float("nan")]}
+        assert cli._render(o) == self.dumps(o)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._render({"x": [object()]})
+
+    @pytest.mark.parametrize("argv", RENDER_ARGV, ids=" ".join)
+    def test_stdout_is_indent2_json(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        assert out == self.dumps(json.loads(out)) + "\n"
+
+
 # pairs of runs that differ only in optional flags or in the environment
 REUSE_STEPS = [
     (("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2", "--trace", "t.csv"),

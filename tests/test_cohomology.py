@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from oracles import hodge_numbers_conv, tuple_counts_conv
+from oracles import continued_fraction_fractions, hodge_numbers_conv, tuple_counts_conv
 
 from attrarith.cohomology import (
     HJResolution,
@@ -57,6 +58,20 @@ class TestHJ:
                 res = hj_expand(n, q)
                 assert all(b >= 2 for b in res.steps)
                 assert hj_reconstruct(res.steps) == Fraction(n, q)
+
+    def test_reconstruct_matches_fraction_recursion(self):
+        rng = random.Random(1093)
+        cases = [(300001, 300000)]   # 300 000 steps, the CLI's resolve cap
+        while len(cases) < 300:
+            n = rng.randrange(2, 10**rng.randrange(1, 16))
+            q = rng.randrange(1, n)
+            if math.gcd(n, q) == 1 and hj_length(n, q) <= 10**4:
+                cases.append((n, q))
+        for n, q in cases:
+            steps = hj_expand(n, q).steps
+            value = hj_reconstruct(steps)
+            assert type(value) is Fraction
+            assert value == continued_fraction_fractions(steps) == Fraction(n, q), (n, q)
 
     def test_length_from_regular_continued_fraction(self):
         # 1 + (a_2 + a_4 + ...) - [m even] for n/q = [a_1; ..., a_m]
