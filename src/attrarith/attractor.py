@@ -32,6 +32,17 @@ def _bilinear(u: Sequence[int], v: Sequence[int], gram) -> int:
     return sum(gram[i][j] * u[i] * v[j] for i in range(len(u)) for j in range(len(v)))
 
 
+def _integers(values, what: str) -> tuple:
+    """values as a tuple of ints, refusing anything but a list or tuple of
+    them; the message names only types, so it stays one short line."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {type(values).__name__}")
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} entries must be integers, got {type(x).__name__}")
+    return tuple(values)
+
+
 def _check_gram(gram, dim: int):
     if len(gram) != dim or any(len(row) != dim for row in gram):
         raise ValueError(f"Gram matrix must be {dim}x{dim}")
@@ -71,9 +82,14 @@ class ChargeData:
 
     @classmethod
     def from_vectors(cls, p: Sequence[int], q: Sequence[int], gram) -> "ChargeData":
-        p = tuple(int(x) for x in p)
-        q = tuple(int(x) for x in q)
-        g = tuple(tuple(int(x) for x in row) for row in gram)
+        """The charge of the vectors p, q under the square Gram matrix gram.
+
+        Each must be a list or tuple of integers (gram one of rows): a float,
+        a bool, a str or None raises ValueError and is never truncated."""
+        p, q = _integers(p, "charge vector"), _integers(q, "charge vector")
+        if not isinstance(gram, (list, tuple)):
+            raise ValueError(f"Gram matrix must be a list of rows, got {type(gram).__name__}")
+        g = tuple(_integers(row, "Gram matrix row") for row in gram)
         if len(p) != len(q):
             raise ValueError("charge vectors must have equal length")
         _check_gram(g, len(p))

@@ -68,8 +68,9 @@ _MAX_CERTIFY_WORK = 2**15
 _MAX_HJ_STEPS = 300_000
 # largest flow --max-steps, which bounds the rows a converging flow builds
 _MAX_FLOW_STEPS = 10**6
-# largest curve d * a, a = d/k: it bounds the (r, s) pass and the unit group;
-# d = 350, k = l = 1 takes about 0.55 s on one core, 0.9 s with --orbits
+# largest curve d * a, a = d/k: it bounds the (r, s) pass and the unit groups of
+# the levels, which divide d; d = 350, k = l = 1 takes about 0.45 s on one core,
+# 0.8 s with --orbits
 _MAX_CURVE_WORK = 125_000
 # largest fermat (n + 2) * bit_length(d - 1): the count is below 2^14284 < 10^4300,
 # so it prints under Python's 4300-digit int-to-str limit
@@ -319,6 +320,10 @@ def _cmd_jval(args, prec: int):
 def _cmd_weber(args, prec: int):
     from .elliptic import model_from_tau, torsion_points, weber_function
 
+    # refused first: the cap below reads n^2 - 1, which misreports a negative n,
+    # and torsion_points would refuse it only after the model is built
+    if args.n < 2:
+        raise ValueError(f"torsion order must be >= 2, got {args.n}")
     if args.n > _MAX_WEBER_N:
         raise ValueError(f"--n must be at most {_MAX_WEBER_N}, got {args.n}")
     work = (args.n * args.n - 1) * prec
@@ -330,14 +335,14 @@ def _cmd_weber(args, prec: int):
     ap = attractor_point(c)
     # the model's kernel runs at prec + 104 bits; its frame refuses an intractable height
     model = model_from_tau(ap.tau, prec=prec)
-    # the Weber value and the residual's cubic depend on x alone, which the
-    # partners +-P share, so each is computed once per distinct x
-    rows, webers = [], {}
+    # the partners +-P share x, and so the Weber value: one entry per
+    # distinct x keeps (x, y, Weber value) for the first of them
+    rows, entries = [], {}
     for p in torsion_points(model, args.n):
         a, b = (int(v * args.n) for v in p.lattice_coords)
-        if p.x._mpc_ not in webers:
-            webers[p.x._mpc_] = weber_function(model, p)
-        rows.append((a, b, p.x, p.y, webers[p.x._mpc_]))
+        if p.x._mpc_ not in entries:
+            entries[p.x._mpc_] = p.x, p.y, weber_function(model, p)
+        rows.append((a, b, p.x, p.y, entries[p.x._mpc_][2]))
     if args.csv:
         return (["a", "b", "x_re", "x_im", "y_re", "y_im", "weber_re", "weber_im"],
                 [[a, b, *(_dec(v, prec) for z in (x, y, w) for v in (mp.re(z), mp.im(z)))]
@@ -356,15 +361,13 @@ def _cmd_weber(args, prec: int):
     }
     # the residual is a difference of terms rounded at prec bits, so its bound
     # scales with the largest of them, and at least 1; partners +-P share x
-    # and |y|, so one look per x finds it
+    # and (2y)^2, so one entry per x gives both
     with mp.workprec(prec + 32):
-        cubic, scale = {}, mp.mpf(1)
-        for _, _, x, y, _ in rows:
-            if x._mpc_ not in cubic:
-                x3, ax, b = 4 * x**3, 4 * model.A * x, 4 * model.B
-                cubic[x._mpc_] = x3 + ax + b
-                scale = max(scale, abs(x3), abs(ax), abs(b), abs(2 * y) ** 2)
-        worst = max(abs((2 * y) ** 2 - cubic[x._mpc_]) for _, _, x, y, _ in rows)
+        b, scale, worst = 4 * model.B, mp.mpf(1), mp.mpf(0)
+        for x, y, _ in entries.values():
+            x3, ax = 4 * x**3, 4 * model.A * x
+            scale = max(scale, abs(x3), abs(ax), abs(b), abs(2 * y) ** 2)
+            worst = max(worst, abs((2 * y) ** 2 - (x3 + ax + b)))
     bound = mp.ldexp(scale, -prec // 2 + 10)
     residual, jacobi_bound = model.jacobi   # |E4^3 - E6^2 - 1728 Delta| at tau', certified
     certs = [{
@@ -382,16 +385,17 @@ def _cmd_weber(args, prec: int):
 
 
 def _cmd_curve(args, prec: int):
-    from .jacobian import CurveSignature, decompose_jacobian, genus
+    from .jacobian import CurveSignature, decompose_jacobian
 
     sig = CurveSignature(args.d, args.k, args.l)
     if sig.d * sig.a > _MAX_CURVE_WORK:
         raise ValueError(f"d * (d/k) must be at most {_MAX_CURVE_WORK}, got {sig.d * sig.a}")
     factors = decompose_jacobian(sig)
-    g = genus(sig)
     if args.csv:
         return (["factor", "level", "dimension", "orbit_size"],
                 [[i, f.level, f.dimension, len(f.orbit)] for i, f in enumerate(factors)])
+    # the orbits partition the forms, of which there are twice the genus
+    g = sum(len(f.orbit) for f in factors) // 2
     inputs = {"d": str(args.d), "k": str(args.k), "l": str(args.l)}
     recs = []
     for f in factors:

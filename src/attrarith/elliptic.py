@@ -200,18 +200,18 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     l2 = _mul(lam, lam, 0)
     l4 = _mul(l2, l2, 0)
     l6 = _mul(l4, l2, 0)
-    with mp.workprec(prec):
-        return WeierstrassModel(
-            A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
-            B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
-            delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
-            j=_rounded(_j_pair(cube, dk, de), -F, prec),
-            source_tau=frame.tau,
-            scale=mp.mpc(1), precision_bits=prec,
-            jacobi=(mp.make_mpf(_to_mpf(root + (root * root < n), -F - 64)),
-                    mp.make_mpf(_to_mpf(bound, -F))),
-            _frame=frame,
-        )
+    # every field is rounded on the integers, so no mpmath context is read
+    return WeierstrassModel(
+        A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
+        B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
+        delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
+        j=_rounded(_j_pair(cube, dk, de), -F, prec),
+        source_tau=frame.tau,
+        scale=mp.mpc(1), precision_bits=prec,
+        jacobi=(mp.make_mpf(_to_mpf(root + (root * root < n), -F - 64)),
+                mp.make_mpf(_to_mpf(bound, -F))),
+        _frame=frame,
+    )
 
 
 def _lambert_count(ratio_bits: float, wp: int) -> int:

@@ -150,16 +150,21 @@ def decompose_jacobian(sig: CurveSignature) -> list[AbelianFactor]:
     """Partition the form basis into unit-group orbits, one abelian factor each.
 
     Factors are keyed by the lexicographically smallest orbit member; the CM
-    set is computed from that representative.  Dimensions sum to the genus.
+    set is computed from that representative.  The orbits partition the
+    forms, so the orbit sizes sum to twice the genus.
     In lex order, the first form no orbit covers yet is a new orbit's minimum.
-    Every seed is a valid index and every unit a unit, so the orbit is the
-    componentwise image that star_action would check and return, and the
-    units of each level are listed once per call.
+    Its orbit under (Z/d)* is the image of (Z/level)*, level = d/g: with
+    (r, ks, lt) = g (u, v, w), a r mod d = g (a u mod level), and k (a s mod
+    d/k) and l (a t mod d/l) are g (a v mod level) and g (a w mod level).  So
+    the componentwise image that star_action would check and return depends
+    only on a mod level, and every unit mod level lifts to one mod d.  As
+    gcd(u, v, w, level) = 1, distinct units mod level give distinct images,
+    so each orbit element is formed once, from the units of the seed's
+    level, which also give its CM set and are listed once per level per call.
     """
     if not isinstance(sig, CurveSignature):
         sig = CurveSignature(*sig)
     d, da, db = sig.d, sig.a, sig.b
-    units = ResidueSystem.of(d).units
     level_units = {}
     covered = set()
     factors = []
@@ -167,16 +172,17 @@ def decompose_jacobian(sig: CurveSignature) -> list[AbelianFactor]:
         if seed in covered:
             continue
         r, s, t = seed
-        orbit = sorted({FormIndex(a * r % d, a * s % da, a * t % db) for a in units})
-        covered.update(orbit)
         lev = _level(seed, sig)
         if lev not in level_units:
             level_units[lev] = ResidueSystem.of(lev).units
+        units = level_units[lev]
+        orbit = sorted(FormIndex(a * r % d, a * s % da, a * t % db) for a in units)
+        covered.update(orbit)
         factors.append(AbelianFactor(
             orbit=tuple(orbit),
             level=lev,
             dimension=euler_phi(lev) // 2,
-            cm_set=tuple(_cm_set(seed, sig, lev, level_units[lev])),
+            cm_set=tuple(_cm_set(seed, sig, lev, units)),
         ))
     return factors
 

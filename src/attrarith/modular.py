@@ -29,10 +29,10 @@ lam = 2 pi i/mu on integers (_Frame.lam), from which elliptic scales the
 kernel's integers into Weierstrass models and torsion points; E4, E6 and Delta
 reach users only there, as the model's A, B and Delta.  On top of j sit
 Hilbert class polynomials, with one evaluation per pair of complex-conjugate
-roots, each asked of j_value_with_bound with
-the reduced form itself for ceil(mag) - 2 bits below its relative target
-(_root_j), and the product formed on integers; and the algebraic-integer
-certificate for attractor points, and the check of a cached class
+roots, each asked of j_value_with_bound with the reduced form's frame, formed
+once, for ceil(mag) - 2 bits below its relative target (_root_j), and the
+product formed on integers; and the algebraic-integer certificate for
+attractor points, and the check of a cached class
 polynomial, which take j at a reduced form from _root_j in the same way and
 evaluate H(j) by Horner on its integers, with the bound and the verdict on
 integers too (_root_residual).  Their working precision comes from Enge's
@@ -733,14 +733,16 @@ class HCPResult:
     precision_bits: int
 
 
-def _root_j(f, disc: int, prec: int, G: int):
-    """j at the root of the reduced form f of discriminant disc, within
-    2^-prec (1 + |j|), floored to an integer pair with G fractional bits.
+def _root_j(f, prec: int, G: int):
+    """j at the root of the reduced form f, within 2^-prec (1 + |j|),
+    floored to an integer pair with G fractional bits.
 
-    j_value_with_bound takes the form's integers as they are (the root
-    (-b + sqrt(disc))/(2a) lies in the closed fundamental domain) and, asked
-    for p' bits, works at wp = p' + ceil(mag) + 14 (_j_precision), where j
-    errs by less than 2^(10.3-wp) (1 + |j|) at any height.  So p' is
+    _frame takes the form's integers as they are (the root
+    (-b + sqrt(disc))/(2a) lies in the closed fundamental domain, so the
+    matrix is the identity and no surd is formed), and that frame, with its
+    mag, is handed to j_value_with_bound, which, asked for p' bits, works at
+    wp = p' + ceil(mag) + 14 (_j_precision), where j errs by less than
+    2^(10.3-wp) (1 + |j|) at any height.  So p' is
     prec + 2 - ceil(mag): wp is then prec + 16 and the bound below
     2^(-5.7-prec) (1 + |j|), or 78 + ceil(mag) where p' would fall below the
     64 bits it accepts.  The certified bound b it returns must satisfy
@@ -750,7 +752,8 @@ def _root_j(f, disc: int, prec: int, G: int):
     runs on the integers of b and of the floored pair (jr, ji), with
     J = max(|jr|, |ji|) - 1.
     """
-    ev = j_value_with_bound(f, max(64, prec + 2 - math.ceil(_mag(-disc, 4 * f.a * f.a))))
+    frame = _frame(f, prec)
+    ev = j_value_with_bound(frame, max(64, prec + 2 - math.ceil(frame.mag)))
     re, im = ev.j._mpc_
     jr, ji = to_fixed(re, G), to_fixed(im, G)
     man, exp = ev.error_bound.man_exp
@@ -775,7 +778,8 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
     residual required below 0.25.  wp and the coefficient bits
     c = ceil(B + log2(h+1)) come from _hcp_precision.  Every root is
     evaluated by _root_j at relative precision: j_value_with_bound is handed
-    the reduced form itself, so no surd is formed, and J_i is certified
+    the reduced form's frame, formed once from its integers, so no surd is
+    formed and mag is computed once per root, and J_i is certified
     within eps (1 + |J_i|), eps = 2^-p, p = max(64, c + 24), then floored to
     G bits.  The kernel works at p + 16 bits (78 + ceil(mag) where
     j_value_with_bound's 64-bit floor on the request binds, at high roots of
@@ -821,7 +825,7 @@ def hilbert_class_polynomial(disc: int) -> HCPResult:
     for f in forms:
         if f.b < 0:
             continue   # the partner of (a, -b, c), which carries both roots
-        jr, ji = _root_j(f, disc, root_prec, G)
+        jr, ji = _root_j(f, root_prec, G)
         if f.b == 0 or f.b == f.a or f.a == f.c:
             low = (-jr,)
         else:
@@ -893,10 +897,11 @@ def _root_residual(coeffs, f, disc: int, hcp_bits: int, prec: int):
     from H at the exact j, both integers in units of 2^-G.
 
     j is asked of _root_j within 2^-p (1 + |j|), p = _residual_precision,
-    and floored to G = p + 32 bits; as p >= ceil(h L) + 64 >= ceil(mag) + 64
-    (L below), the request is never raised to j_value_with_bound's 64-bit
-    floor, so the kernel works at p + 16 bits.  With J above |j^| 2^G (_modulus_bounds), j^'s error d
-    satisfies d <= 2^-p (1 + |j^| + d) + sqrt(2) 2^-G, so
+    and floored to G = p + 32 bits; _root_j hands f's frame to
+    j_value_with_bound, and as p >= ceil(h L) + 64 >= ceil(mag) + 64 (L
+    below), the request is never raised to its 64-bit floor, so the kernel
+    works at p + 16 bits.  With J above |j^| 2^G (_modulus_bounds), j^'s
+    error d satisfies d <= 2^-p (1 + |j^| + d) + sqrt(2) 2^-G, so
     d 2^G <= dj = ceil((2^G + J) 2^-p) + 2, since 2^G + J < 2^(2p-2); and
     R = J + dj is above both |j| and |j^| in units of 2^-G.
 
@@ -927,7 +932,7 @@ def _root_residual(coeffs, f, disc: int, hcp_bits: int, prec: int):
     h = len(coeffs) - 1
     p = _residual_precision(h, disc, f.a, hcp_bits, prec)
     G = p + 32
-    j = _root_j(f, disc, p, G)
+    j = _root_j(f, p, G)
     acc = (coeffs[-1] << G, 0)
     for cn in reversed(coeffs[:-1]):
         ar, ai = _mul(acc, j, G)
@@ -947,7 +952,9 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
 
     j is taken at the attractor's reduced form, whose root is tau's reduced
     point, and _root_residual chooses the precision from the class
-    polynomial's coefficient bound and the bound on |j| at that root.
+    polynomial's coefficient bound and the bound on |j| at that root.  The
+    reported j is that pair with each component rounded to nearest at prec
+    bits on its integers (_to_mpf).
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
@@ -960,8 +967,6 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
     f2 = disc // field_disc
     conductor = math.isqrt(f2)
     assert conductor * conductor == f2
-    with mp.workprec(prec):
-        j_out = +_from_fixed(j, G)
     return CMCertificate(
         charge=c,
         point=at,
@@ -970,7 +975,7 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
         conductor=conductor,
         field_label="Hilbert class field" if conductor == 1 else "ring class field",
         class_number=hcp.class_number,
-        j=j_out,
+        j=mp.make_mpc(tuple(_to_mpf(v, -G, prec) for v in j)),
         hcp=hcp,
         value=mp.make_mpf(_to_mpf(value, -G)),
         error_bound=mp.make_mpf(_to_mpf(err, -G)),

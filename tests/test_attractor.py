@@ -102,6 +102,20 @@ class TestChargeVectors:
         c = ChargeData.from_vectors((1, 0), (0, 1), ((2, 0), (0, 2)))
         assert (c.p2, c.q2, c.pq) == (2, 2, 0)
 
+    @pytest.mark.parametrize("p, q, gram", [
+        ((1.5, 0), (0, 1), ((2, 0), (0, 2))),
+        ((1, 0), (0, True), ((2, 0), (0, 2))),
+        ((1, 0), (0, 1), ((2.0, 0), (0, 2))),
+        ((1, 0), (0, 1), ((2, "0"), ("0", 2))),
+        ((1, 0), (0, 1), ((2, None), (None, 2))),
+        ((1, 0), (0, 1), None),
+        ((1, 0), (0, 1), ((2, 0), 2)),
+    ])
+    def test_non_integers_refused(self, p, q, gram):
+        # never truncated by int(): 1.5 is not read as 1, nor True as 1
+        with pytest.raises(ValueError):
+            ChargeData.from_vectors(p, q, gram)
+
     def test_consistency_enforced(self):
         with pytest.raises(ValueError):
             ChargeData(1, 2, 0, p_vec=(1, 0), q_vec=(0, 1), gram=((2, 0), (0, 2)))

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -81,6 +82,17 @@ class TestAttract:
         env = invoke_json(capsys, "attract", "--gram", str(gram),
                           "--p", "1,0", "--q", "0,1")
         assert env["result"]["disc"] == "-8"
+
+    @pytest.mark.parametrize("text", ["[[2, 1.5], [1.5, 2]]", "[[2, true], [true, 2]]", "null",
+                                      "5", "[[2, 1], 3]", "[[2, null], [null, 2]]"])
+    def test_gram_of_non_integers_exit_2(self, capsys, tmp_path, text):
+        # neither truncated to [[2, 1], [1, 2]] nor ended in a traceback
+        gram = tmp_path / "gram.json"
+        gram.write_text(text)
+        code, out, err = invoke(capsys, "attract", "--gram", str(gram),
+                                "--p", "1,0", "--q", "0,1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("attrarith attract: Gram matrix")
 
     def test_missing_and_conflicting_flags(self, capsys):
         code, _, err = invoke(capsys, "attract", "--p2", "1")
@@ -401,6 +413,20 @@ class TestWeber:
         assert cert["name"] == "jacobi_identity_residual" and cert["passed"] is False
         assert exact(cert["value"]) > 2**100 * exact(cert["bound"])
 
+    @pytest.mark.parametrize("n", ["-60", "-3", "0", "1"])
+    def test_order_below_two_refused_first(self, capsys, monkeypatch, n):
+        # before the (n^2 - 1) * prec cap, which -60 would fail, and before
+        # the attractor's model is built
+        import attrarith.elliptic as elliptic
+
+        calls = []
+        monkeypatch.setattr(elliptic, "model_from_tau", lambda *a, **k: calls.append(a))
+        code, out, err = invoke(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1",
+                                "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"attrarith weber: torsion order must be >= 2, got {n}\n"
+        assert calls == []
+
     def test_one_kernel_run_per_call(self, capsys, monkeypatch):
         import attrarith.elliptic as elliptic
         import attrarith.modular as modular
@@ -591,6 +617,33 @@ class TestCurve:
     def test_invalid_signature_exit_2(self, capsys):
         code, _, err = invoke(capsys, "curve", "--d", "4", "--k", "2", "--l", "2")
         assert code == 2
+
+    def test_forms_enumerated_once(self, capsys, monkeypatch):
+        # the genus comes from the orbits, which partition the forms
+        import attrarith.jacobian as jacobian
+
+        calls, enumerate_forms = [], jacobian.enumerate_forms
+        monkeypatch.setattr(jacobian, "enumerate_forms",
+                            lambda sig: calls.append(sig) or enumerate_forms(sig))
+        for argv in (("--d", "12", "--k", "2", "--l", "3"), ("--d", "60", "--k", "4", "--l", "5",
+                                                              "--orbits")):
+            calls.clear()
+            invoke_json(capsys, "curve", *argv)
+            assert len(calls) == 1, argv
+
+    def test_genus_matches_library(self, capsys):
+        from attrarith.jacobian import genus
+
+        for d in range(2, 41):
+            divs = [k for k in range(1, d + 1) if d % k == 0]
+            for k in divs:
+                for l in divs:
+                    if math.gcd(k, l) != 1:
+                        continue
+                    env = invoke_json(capsys, "curve", "--d", str(d), "--k", str(k),
+                                      "--l", str(l))
+                    assert env["result"]["genus"] == str(genus((d, k, l))), (d, k, l)
+                    assert env["certificates"][0]["passed"] is True
 
 
 class TestResolve:
@@ -821,6 +874,10 @@ GOLDEN_ARGV = {
     "flow --csv": ("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2",
                    "--csv"),
     "curve --orbits": ("curve", "--d", "4", "--k", "1", "--l", "1", "--orbits"),
+    "curve --d 60 --k 4 --l 5 --orbits": ("curve", "--d", "60", "--k", "4", "--l", "5",
+                                          "--orbits"),
+    "weber --p2 2 --q2 3 --pq 1 --n 4 --prec 64": ("weber", "--p2", "2", "--q2", "3", "--pq",
+                                                   "1", "--n", "4", "--prec", "64"),
     "resolve --genus": ("resolve", "--n", "5", "--q", "2", "--genus", "2"),
     "fermat --hodge": ("fermat", "--d", "5", "--dim", "3", "--hodge"),
     "flow --trace": ("flow", "--p2", "2", "--q2", "3", "--pq", "1", "--tau0", "0,1.2",
@@ -849,6 +906,10 @@ GOLDEN_SHA256 = {
     "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",
     "flow --csv": "0363665332cc096f80203463fd1b459f8dbfba6828cfc531ed98a7f548f9d46b",
     "curve --orbits": "36e0e20cf499e1cb65d54d10bb00c9942471f4f117a6ab4dc5b980ea90a6ff76",
+    "curve --d 60 --k 4 --l 5 --orbits":
+        "0b3317fbc044340ffbae46fae96c25e79782d312a9356f28a40fd771940e1325",
+    "weber --p2 2 --q2 3 --pq 1 --n 4 --prec 64":
+        "52590da4a5f5e98bcaa2633d4384dcf8dbd1b44d6e1e69f27558f98a3825d2be",
     "resolve --genus": "f3558d243b45591ad980940843785bcf87637df58bafaef8f1abb8eefe082a1c",
     "fermat --hodge": "0d6bfd7a99da641738f2b2ab472ea5f6c41284fccd97a2d015ddb98cb26d3892",
     "flow --trace": "abba57763500d9b1a970c401025d1aeea653325d8fe4fac6786ac7f0058e9509",

@@ -149,8 +149,10 @@ class TestDecompose:
             assert all(orbit[0] == min(orbit) for orbit in orbits), sig
 
     def test_matches_public_star_action_and_cm_set(self):
-        # the orbit loop maps its already-valid seeds without re-checking them
-        for sig in all_signatures(40):
+        # the orbit loop maps its already-valid seeds without re-checking them,
+        # by the units of each seed's level; 210 = 2 3 5 7 has levels of every
+        # squarefree shape
+        for sig in [*all_signatures(40), CurveSignature(210, 1, 1)]:
             got = [(f.orbit, f.level, f.dimension, f.cm_set) for f in decompose_jacobian(sig)]
             assert got == decompose_jacobian_public(sig), sig
 

@@ -804,7 +804,7 @@ class TestRootContract:
             for f in forms:
                 if f.b < 0:
                     continue
-                jr, ji = modular._root_j(f, disc, prec, G)
+                jr, ji = modular._root_j(f, prec, G)
                 ref = j_value_with_bound(QuadraticSurd(-f.b, 1, 2 * f.a, disc), prec + 256)
                 with mp.workprec(ref.working_prec + 64):
                     got = mp.mpc(mp.ldexp(jr, -G), mp.ldexp(ji, -G))
@@ -812,6 +812,20 @@ class TestRootContract:
                     tol = (mp.ldexp(1 + abs(ref.j), -prec) + mp.ldexp(2, -G)
                            + ref.error_bound)
                     assert abs(got - ref.j) <= tol, (disc, f)
+
+    def test_one_mag_per_root(self, monkeypatch):
+        # _root_j frames each form once and hands the frame on, so the
+        # height's bits are computed once per root
+        calls, mag = [], modular._mag
+        monkeypatch.setattr(modular, "_mag", lambda num, den: calls.append(num) or mag(num, den))
+        for disc in (-3, -23, -479, -971):
+            forms = class_group_forms(disc)
+            calls.clear()
+            coeffs = hilbert_class_polynomial(disc).coeffs
+            assert len(calls) == len([f for f in forms if f.b >= 0]), disc
+            calls.clear()
+            assert hcp_record_valid(disc, coeffs)
+            assert len(calls) == 1, disc
 
     def test_rounding_residuals_below_promise(self):
         for disc in self.DISCS:
@@ -837,16 +851,19 @@ class TestRootContract:
             p = max(64, modular._hcp_precision(disc, forms)[0] + 24)
             calls.clear()
             coeffs = hilbert_class_polynomial(disc).coeffs
-            assert [tau for tau, _ in calls] == [f for f in forms if f.b >= 0]
+            # each root's frame, with the identity matrix, framed from the form
+            assert all(_is_form_frame(fr) for fr, _ in calls)
+            assert [fr.tau for fr, _ in calls] == [f for f in forms if f.b >= 0]
             # the kernel works at p + 16 bits, with no term for the height
             # unless j_value_with_bound's 64-bit floor on the request binds
-            for f, wp in calls:
+            for fr, wp in calls:
+                f = fr.tau
                 mag = math.ceil(modular._mag(-disc, 4 * f.a * f.a))
                 assert wp == max(p + 16, 78 + mag), (disc, f)
-            # the cache check hands j_value_with_bound its form as well
+            # the cache check hands j_value_with_bound its form's frame as well
             calls.clear()
             assert hcp_record_valid(disc, coeffs)
-            assert [type(tau) for tau, _ in calls] == [BinaryQuadraticForm]
+            assert [_is_form_frame(fr) for fr, _ in calls] == [True]
         assert surds == []
 
 
@@ -861,6 +878,12 @@ def _benchmark_charges():
         return workloads.charge_pool()
     finally:
         del sys.modules[spec.name]
+
+
+def _is_form_frame(fr):
+    """fr is the _Frame of a form's root, with the identity matrix."""
+    return (isinstance(fr, modular._Frame) and isinstance(fr.tau, BinaryQuadraticForm)
+            and fr.mat == ((1, 0), (0, 1)) and fr.mu is None)
 
 
 def _is_ambiguous(f):
@@ -898,7 +921,8 @@ class TestConjugatePairing:
             seen.clear()
             hilbert_class_polynomial(disc)
             forms = class_group_forms(disc)
-            assert seen == [f for f in forms if f.b >= 0]
+            assert all(_is_form_frame(fr) for fr in seen)
+            assert [fr.tau for fr in seen] == [f for f in forms if f.b >= 0]
             assert len(seen) < len(forms) or all(_is_ambiguous(f) for f in forms)
 
     def test_all_forms_ambiguous_minus_420(self):
@@ -1101,7 +1125,9 @@ class TestHcpCache:
 
         monkeypatch.setattr("attrarith.modular.j_value_with_bound", spy)
         assert hcp_record_valid(-479, hilbert_class_polynomial(-479).coeffs)
-        tau, prec = seen[-1]
+        frame, prec = seen[-1]
+        assert _is_form_frame(frame)
+        tau = frame.tau
         assert tau in (BinaryQuadraticForm(5, 1, 24), BinaryQuadraticForm(5, -1, 24))
         assert abs(j_value(tau, 64)) >= 2**17
         assert prec < 1400
