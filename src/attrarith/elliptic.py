@@ -79,6 +79,7 @@ class WeierstrassModel:
     scale: mp.mpc
     precision_bits: int
     jacobi: tuple | None = None   # Jacobi's identity: (residual, bound), see model_from_tau
+    quartic: tuple | None = None  # Jacobi's quartic at r^4: (residual, bound), the same
     _frame: object = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -180,6 +181,13 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     of 0, each term rounded up; the floors take 6.4 for the cube (|E4| < 3.5),
     1.5 for the square, 2.4 for q'U' (e - F >= 10) and 1.5 for its shift.
     jacobi is |R| rounded up to 2^-(F+64) and that bound, both at E4's scale.
+
+    The kernel derives theta_2^4 and S2^4 from theta_3 and theta_4 by
+    Jacobi's quartic at r (modular._theta), so R above vanishes up to
+    rounding whatever the r^4-level sums S2(Q), S3(Q) and S4(Q) are.  quartic
+    checks those sums: |theta_3(Q)^4 - theta_2(Q)^4 - theta_4(Q)^4| at
+    Q = r^4, formed and bounded on the kernel's integers (_Theta.quartic)
+    and rounded up in the same way, with its bound.
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
@@ -193,7 +201,6 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     dk = _mul(q, u, F)
     cube = _mul(_sqr(e4, F), e4, F)
     r0, r1 = (c - s - (1728 * d >> de - F) for c, s, d in zip(cube, _sqr(e6, F), dk))
-    root = math.isqrt(n := r0 * r0 + r1 * r1 << 128)   # |R| 2^(F+64), floored
     a4, a6, au, aq = (abs(z[0]) + abs(z[1]) + d for z, d in ((e4, d4), (e6, d6), (u, du), (q, 0)))
     bound = (-(-3 * a4 * a4 * d4 >> 2 * F) - (-2 * a6 * d6 >> F)
              - (-1728 * (aq * du + 6 * au) >> de) + 14)
@@ -208,10 +215,18 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
         j=_rounded(_j_pair(cube, dk, de), -F, prec),
         source_tau=frame.tau,
         scale=mp.mpc(1), precision_bits=prec,
-        jacobi=(mp.make_mpf(_to_mpf(root + (root * root < n), -F - 64)),
-                mp.make_mpf(_to_mpf(bound, -F))),
+        jacobi=_certificate((r0, r1), bound, F),
+        quartic=_certificate(*th.quartic(), F),
         _frame=frame,
     )
+
+
+def _certificate(res, bound: int, F: int):
+    """(residual, bound) as mpfs from an integer pair res and an integer bound,
+    both in units of 2^-F: |res| rounded up to 2^-(F+64), and the bound."""
+    root = math.isqrt(n := res[0] ** 2 + res[1] ** 2 << 128)   # |res| 2^64, floored
+    return (mp.make_mpf(_to_mpf(root + (root * root < n), -F - 64)),
+            mp.make_mpf(_to_mpf(bound, -F)))
 
 
 def _lambert_count(ratio_bits: float, wp: int) -> int:
@@ -588,5 +603,5 @@ def twist_model(model: WeierstrassModel, u) -> WeierstrassModel:
         return WeierstrassModel(
             A=+a, B=+b, delta=+delta, j=model.j,
             source_tau=model.source_tau, scale=+scale, precision_bits=prec, jacobi=model.jacobi,
-            _frame=model._frame,
+            quartic=model.quartic, _frame=model._frame,
         )

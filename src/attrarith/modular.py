@@ -5,9 +5,13 @@ the argument is reduced to the fundamental domain (by _frame, which the
 Weierstrass models and torsion points in elliptic share, and which takes
 every tau exactly: the matrix comes from arith.reduce_form on the integer
 form whose root is tau, and the reduced point tau' and its covariance
-factor are exact integers), three sparse theta sums of O(sqrt(bits)) terms
-give all three forms, each sum with a proven geometric tail bound and a
-rounding bound, inside a working precision chosen from the reduced height.
+factor are exact integers), three sparse theta sums at Q = r^4 of
+O(sqrt(bits)) terms give all three forms, each sum with a proven geometric
+tail bound and a rounding bound, inside a working precision chosen from the
+reduced height.  Only the r^(n^2) terms of theta_3 are summed, the even n as
+powers of Q and the odd n as r times powers of Q, in about half as many steps
+as n; theta_3 and theta_4 follow by the duplication 1 + 2 S3(Q) +- 2 r S2(Q),
+and theta_2^4 and S2^4 by Jacobi's quartic, in factored form (_theta).
 Only r = e^(pi i tau') comes from mpmath, through mpmath.libmp straight from
 the integers of tau', which is never rendered; it is taken at relative
 precision, and its angle is reduced exactly on those integers to at most
@@ -17,7 +21,7 @@ precision asked for.  The sums, their fourth powers and E4, E6 and
 U = Delta/q = (S2^4 theta_3^4 theta_4^4)^2, about 1 on the fundamental
 domain, run on fixed-point Python integers (the products _mul and _sqr also
 serve the torsion kernel in elliptic; a square takes two integer
-multiplications), each power r^n carried only to the bits that can still
+multiplications), each power Q^k carried only to the bits that can still
 reach the result.  Delta = q U with q = r^2 is then relative, and so is the
 one quotient j = E4^3/(q U) (_j_pair, with its bound from _j_quotient): the
 bound is 2^(10.3-wp) (1 + |j|) at any height, so one rule,
@@ -171,7 +175,7 @@ def _cos_sin_pi(a: int, b: int, p: int):
 class _Theta(NamedTuple):
     """The theta kernel at a reduced point: r = e^(pi i tau') at relative
     precision, and the fourth powers behind E4, E6 and U = Delta/q, with one
-    error bound.
+    error bound; and the r^4-level sums they come from, with theirs.
 
     r is an (re, im) integer pair scaled by 2^rbits, within sqrt(2) + 0.03
     units of exact and above 2^(F+2) units in modulus (see _theta).  The
@@ -179,7 +183,10 @@ class _Theta(NamedTuple):
     2^-F.  With |S2^4| < 1.018, |theta_2^4| < 1.08 and |theta_3^4|,
     |theta_4^4| < 1.7 on the fundamental domain, err >= 64 covers the products
     below, and each form's bound is first order in err with that slack,
-    rounded up.
+    rounded up.  Q = r^4, S2(Q), S3(Q) and S4(Q) are pairs scaled by 2^F,
+    within the three qerr (S2(Q); S3(Q) and S4(Q) each; Q) units of exact;
+    where the kernel forms no r^4 term, Q is (0, 0) and its bound is the
+    tail bound of S3(Q), above |Q| 2^F.
     """
 
     r: tuple      # r = e^(pi i tau'), scaled by 2^rbits
@@ -191,6 +198,11 @@ class _Theta(NamedTuple):
     F: int
     terms: int
     err: int      # bounds each |computed - exact|, plus slack for combining them
+    r4: tuple     # Q = r^4
+    s2q: tuple    # S2(Q) = sum_{k>=0} Q^(k(k+1))
+    s3q: tuple    # S3(Q) = sum_{k>=1} Q^(k^2)
+    s4q: tuple    # S4(Q) = sum_{k>=1} (-1)^k Q^(k^2)
+    qerr: tuple   # bounds on the errors of S2(Q), of S3(Q) and S4(Q) each, and of Q
 
     def e4_fixed(self):
         """E4 = (theta_2^8 + theta_3^8 + theta_4^8)/2 and its bound, in fixed point."""
@@ -210,8 +222,9 @@ class _Theta(NamedTuple):
         """U = (S2^4 theta_3^4 theta_4^4)^2 = Delta/q and its bound, in fixed point.
 
         Delta = (theta_2 theta_3 theta_4)^8/256 and theta_2^4 = 16 r S2^4, so
-        Delta = r^2 U = q U exactly.  S2^4 is within err/2 (4.1 E + 5 in the
-        terms of _theta), the other two within err, so S2^4 theta_3^4 is
+        Delta = r^2 U = q U exactly.  S2^4 is within err/2
+        (6.61 tb + 1.32 ta + 7.93 R + 8 in the terms of _theta), the other
+        two within err, so S2^4 theta_3^4 is
         within 1.87 err + sqrt(2) and below 1.73, the triple product within
         4.91 err + 3.9 and below 2.94, and its floored square within
         28.9 err + 25 < 30 err.
@@ -249,6 +262,43 @@ class _Theta(NamedTuple):
         u, du = self.u_fixed()
         return _mul(q, u, F), e, -(-(_modulus_bounds(q)[1] + 12) * du >> F) + 56
 
+    def quartic(self):
+        """Jacobi's quartic theta_3(Q)^4 = theta_2(Q)^4 + theta_4(Q)^4 at Q = r^4
+        on the kernel's r^4-level sums, as (R, bound): R the integer pair of
+        (1 + 2 S3)^4 - (1 + 2 S4)^4 - 16 Q S2^4 at F bits, S2, S3 and S4 at Q,
+        and bound above |R| at the exact sums in units of 2^-F.
+
+        With x3 = 1 + 2 S3 and x4 = 1 + 2 S4, x3^4 - x4^4 is formed as
+        (x3 - x4)(x3 + x4)(x3^2 + x4^2), x3 - x4 = 2 (S3 - S4) and x3 + x4
+        exact, so nothing of order 1 cancels.  At the exact sums R is 0.  Its
+        partial derivatives there are 8 x3^3, -8 x4^3, -64 Q S2^3 and -16 S2^4,
+        below 8.001, 8.001, 64.01 |Q| and 16.001 in modulus (|x3|, |x4| < 1.00004,
+        |S2| < 1 + 10^-9), so with ea, eb and eq the three qerr, the sums'
+        errors move R by at most 16.002 eb + 64.01 |Q| ea + 16.001 eq, and the
+        second-order terms by far less than eb.  The floors: sqrt(2) on
+        (x3 - x4)(x3 + x4) times |x3^2 + x4^2| < 2.0002, sqrt(2) on the next
+        product and on 16 Q S2^4, and below 0.01 for the squares, whose
+        errors reach R times factors of order |Q|: less than 6 in all.  So
+
+            bound = 17 (eb + eq) + ceil(65 Qhi ea 2^-F) + 6,
+
+        Qhi = the pair's modulus rounded up plus eq, above |Q| 2^F.  A move
+        of S3(Q) or S4(Q) by d moves R by about 8 d, one of S2(Q) by
+        64 |Q| d.
+        """
+        F = self.F
+        ea, eb, eq = self.qerr
+        one = 1 << F
+        (br, bi), (cr, ci) = self.s3q, self.s4q
+        x3, x4 = (one + 2 * br, 2 * bi), (one + 2 * cr, 2 * ci)
+        (pr, pi), (qr, qi) = _sqr(x3, F), _sqr(x4, F)
+        diff = _mul(_mul((2 * (br - cr), 2 * (bi - ci)), (x3[0] + x4[0], x3[1] + x4[1]), F),
+                    (pr + qr, pi + qi), F)
+        rhs = _mul(self.r4, _fourth(self.s2q, F), F - 4)
+        q_hi = _modulus_bounds(self.r4)[1] + eq
+        return ((diff[0] - rhs[0], diff[1] - rhs[1]),
+                17 * (eb + eq) - (-65 * q_hi * ea >> F) + 6)
+
 
 def _modulus_bounds(z):
     """Integers at most and above the modulus of the integer pair z, each
@@ -268,113 +318,167 @@ def _modulus_bounds(z):
 def _theta(frame: _Frame, wp: int) -> _Theta:
     """Theta kernel: the sparse sums behind E4, E6 and Delta at a reduced point.
 
-    With r = e^(pi i tau'), S2 = sum_{n>=0} r^(n(n+1)), S3 = sum_{n>=1} r^(n^2)
-    and S4 = sum_{n>=1} (-1)^n r^(n^2) are summed over n < M.  For n = 1,
-    r^n and r^(n^2) are r itself and one complex product forms r^2; for each
-    n >= 2, three form r^n = r^(n-1) r, r^(n^2) = r^(n(n-1)) r^n and
-    r^(n(n+1)) = r^(n^2) r^n.  Every omitted term is r^k for a distinct
-    k >= M^2, and M is the first count with |r|^(M^2) <= 2^-(wp+1), so each
-    tail is at most |r|^(M^2)/(1-|r|).  On the fundamental domain
-    Im tau' >= sqrt(3)/2 gives |r| < 0.0659, so the tail is below
-    1.071 * 2^-(M^2 log2(1/|r|)), computed in floats and rounded up to whole
-    ulps plus one: their relative error in the exponent is below 1e-8, and
-    the factor 1.071 exceeds 1/(1 - 0.0659) by more than that.
+    With r = e^(pi i tau'), theta_3 = sum_n r^(n^2) over all integers n is
+    summed over |n| < M, M the first count with |r|^(M^2) <= 2^-(wp+1), and
+    only those r^(n^2) terms are formed.  The even n = 2k give Q^(k^2) and the
+    odd n = 2k + 1 give r Q^(k(k+1)), for Q = r^4, so with the r^4-level sums
+    S2(Q) = sum_{k>=0} Q^(k(k+1)), S3(Q) = sum_{k>=1} Q^(k^2) and
+    S4(Q) = sum_{k>=1} (-1)^k Q^(k^2) the duplication (Borwein & Borwein,
+    Pi and the AGM, ch. 2) gives
 
-    Rounding, in ulps u = 2^-F.  r comes from the frame's exact integers
-    (_Frame.expjpi), floored once to rbits = F + 4 + h fractional bits from a
-    value within 0.03 units of 2^-rbits of r at the exact tau'.  As
-    |r| = 2^-L with h <= L < h + 1.01 (up to the 10^7-bit cap on mag, where
-    h's margin is 0.005 bits), that pair is r at relative precision, above
-    2^(F+2) units in modulus, and _Theta keeps it for Delta = r^2 U.
-    Shifted down by h bits (a floor of a floor is one floor) it is 16 r at F
-    bits, and further down r at any coarser scale, in each case within
-    sqrt(2) + 0.03 < 1.6 units of that scale.  No other value depends on
-    tau', so the kernel's bounds hold against the forms at the exact point.
-    Everything else runs on (re, im) Python integers, and each floored
-    product errs by at most sqrt(2) units of its own scale.  The loop's
-    products take three integer multiplications each, k = y_r (x_r + x_i),
-    re = k - x_i (y_r + y_i), im = k + x_r (y_i - y_r): the same integers as
+        theta_3, theta_4 = 1 + 2 S3(Q) +- 2 r S2(Q),
+
+    and Jacobi's quartic theta_2^4 = theta_3^4 - theta_4^4, with
+    theta_2^4 = 16 r S2^4 for S2 = sum_{n>=0} r^(n(n+1)) and
+    theta_3 - theta_4 = 4 r S2(Q), gives
+    S2^4 = S2(Q) (1 + 2 S3(Q)) (theta_3^2 + theta_4^2)/2 in factored form,
+    with no cancellation; theta_2^4 = (16 r) S2^4.  S3(Q) and S4(Q) run over
+    1 <= k <= K = (M-1)//2, the even n < M.  S2(Q) enters S2^4 without the
+    factor r, so it runs over its own count, k < K2, K2 the first with
+    |Q|^(K2(K2+1)) <= 2^-(wp+1) (K2 - 1 <= K, as 4k(k+1) > (2k)^2).  S4(Q)
+    reaches no output; it is summed, at two additions a term, for the
+    quartic theta_3(Q)^4 = theta_2(Q)^4 + theta_4(Q)^4 that the Weierstrass
+    model checks (_Theta.quartic), since with S2^4 and theta_2^4 derived
+    from the quartic at r, Jacobi's identity at tau' holds whatever S2(Q)
+    and S3(Q) are.  Where no r^4 term is due (K = 0, M = 2) Q is not
+    formed, and no product by S2(Q) = 1 or by 1 + 2 S3(Q) = 1 is taken.
+
+    Tails, in ulps u = 2^-F.  The omitted Q^(k^2), k > K, are r^m for
+    distinct m >= 4 (K+1)^2 >= M^2, so they sum to at most
+    tb = 1.071 2^(F - 4 (K+1)^2 L), L = log2(1/|r|); the omitted Q^(k(k+1)),
+    k >= K2, to at most ta = 1.071 2^(F - 4 K2 (K2+1) L).  Both are computed
+    in floats and rounded up to whole ulps plus one: on the fundamental
+    domain Im tau' >= sqrt(3)/2 gives |r| < 0.0659, the factor 1.071 exceeds
+    1/(1 - |r|) by more than the floats' relative error in the exponent, and
+    every omitted r^(n^2) of theta_3 has n >= M, so theta_3 and theta_4 lose
+    at most 2 tb + 2 |r| ta.  With M even, 2 K2 + 1 > M puts ta below
+    |r|^(2M) of the M^2 tail; with M odd, 2(K+1) = M + 1 does the same to tb.
+
+    Rounding.  r comes from the frame's exact integers (_Frame.expjpi),
+    floored once to rbits = F + 4 + h fractional bits from a value within
+    0.03 units of 2^-rbits of r at the exact tau', h <= L a whole number of
+    bits (the float L less a 10^-9 relative margin, floored).  As
+    |r| = 2^-L with h <= L < h + 1.01 (up to the 10^7-bit cap on mag), that
+    pair is r at relative precision, above 2^(F+2) units in modulus, and
+    _Theta keeps it for Delta = r^2 U; shifted down by h bits (a floor of a
+    floor is one floor) it is 16 r at F bits, within sqrt(2) + 0.03 < 1.45
+    units of any such scale.  Q is its square, floored to F + 4 + 2h bits
+    (within 2.9 + sqrt(2) units of exact), squared and floored to F + 4
+    bits: from a value within 8.7 2^-4h < 0.003 units of Q, so Q at F + 4
+    bits or any coarser scale is within sqrt(2) + 0.003 < 1.42 units.  No
+    other value depends on tau', so the kernel's bounds hold against the
+    forms at the exact point.
+    Everything runs on (re, im) Python integers, and each floored product
+    errs by at most sqrt(2) units of its own scale.  The loop's products take
+    three integer multiplications each, z = y_r (x_r + x_i),
+    re = z - x_i (y_r + y_i), im = z + x_r (y_i - y_r): the same integers as
     x_r y_r - x_i y_i and x_r y_i + x_i y_r, so they change no bound.
 
-    Term n has modulus |r|^(n^2), so only its top F - n^2 L bits can reach
-    u, L = log2(1/|r|), and the loop carries each power of r only that far.
-    h is a whole number of bits at most L: the float L less a 10^-9 relative
-    margin, far above its rounding error, floored; L > 3.92 on the domain,
-    so h >= 3.  r^n is held at g_n = F + 2 - n(n-1)h fractional bits, and r
-    at the same g_n.  For n >= 2, r^(n-1) sits on the finer scale
-    g_(n-1) = g_n + 2(n-1)h, so its error reaches r^n in units of 2^-g_n
-    shrunk by |r| 2^-6, and r^n stays within |r| 1.6 + 0.005 + sqrt(2)
-    < 1.6 of exact, as r^1 = r is.  The terms r^(n^2) and r^(n(n+1)) and the
-    sums stay at F bits.  By the choice of M, (M-1)^2 L < wp + 1 unless M = 2,
-    so for 2 <= n < M, n(n-1)h < wp + 1 - L and g_n >= 10.  The first factor
-    t of each term's product has |t| <= |r|^(n(n-1)) + 2u <= 2^-(n(n-1)h) + 2u,
-    so the error of r^n reaches the product as at most 1.6 |t| 2^-g_n < 0.41 u,
-    and |t| <= |r|^(n^2) + 2u makes it below 0.03 u for r^(n(n+1)).  A factor t
-    within e u then gives a product within (|r|^n e + 0.41 + sqrt(2)) u.
-    Starting from r^(1^2) = r within 1.6: r^(n^2) is within 2|r| + 0.41 +
-    sqrt(2) < 1.96, r^(n(n+1)) within 1.96|r| + 0.03 + sqrt(2) < 1.58, so every
-    power stays within 2, as it would at F bits throughout, and each sum of
-    at most M terms within 2M.  The two guard bits in g_n are what keep it
-    there: without them r^n's error would reach a product as up to 1.6 u.
+    Term k has modulus |Q|^(k^2), so only its top F - 4 k^2 L bits can reach
+    u, and the loop carries each power of Q only that far.  With H <= 4L the
+    whole bits of 1/|Q| (from the float mag, as h), Q^k is held at
+    g_k = F + 2 - k(k-1)H fractional bits, and Q at the same g_k.  For
+    k >= 2, Q^(k-1) sits on the finer scale g_(k-1) = g_k + 2(k-1)H, so its
+    error reaches Q^k shrunk by |Q| 2^-30, and Q^k stays within
+    1.42 |Q| + 10^-8 + sqrt(2) < 1.6 of exact, as Q^1 = Q is.  The terms
+    Q^(k^2) and Q^(k(k+1)) and the sums stay at F bits.  For 1 <= k <= K,
+    (2k)^2 L < wp + 1, so k(k-1)H < wp + 1 - 4L and g_k > 4L + 6.  The first
+    factor t of each term's product has |t| <= |Q|^(k(k-1)) + 2u
+    <= 2^-(k(k-1)H) + 2u, so the error of Q^k reaches the product as at most
+    1.6 |t| 2^-g_k < 0.41 u, and |t| <= |Q|^(k^2) + 2u makes it below 0.01 u
+    for Q^(k(k+1)).  A factor within e u then gives a product within
+    (|Q|^k e + 0.41 + sqrt(2)) u: from Q^(1^2) = Q within 1.42, every power
+    stays within 2, as it would at F bits throughout, and with R = 2K each
+    sum is within R of its truncation: S3(Q) and S4(Q) within R + tb of
+    exact and S2(Q) within R + ta (its K2 - 1 <= K formed terms; the term 1
+    is exact).
 
-    With E = tail + 2M the error of each sum, 1 + 2 S3 is within 2E and
-    below 1.1414 in modulus, so its square squared is within
-    8 (1.1414)^3 E + (2 (1.1414)^2 + 1) sqrt(2) < 12 E + 6, and the same
-    holds for theta_4^4.  S2^4 is within 4.1 E + 5, and
-    theta_2^4 = (16 r) S2^4 with |S2| < 1.0044 within 4.3 E + 8.
-    err = 12 E + 64 covers all of them, S2^4 twice over, and the remaining
-    slack covers the products that combine them into E4, E6 and U (at most
-    4 ulps each).  F = wp + ceil(log2 M) + 4 keeps the rounding part of err,
-    (24 M + 64) 2^-F, below (1.5 + 4/M) 2^-wp.
+    Assembly, with |r| < 0.0659, |S2(Q)| < 1 + 10^-9 and
+    |1 + 2 S3(Q)| < 1.00004.  2 r S2(Q) is one product of 16 r at F + 4 bits
+    (within 1.45/16 units) and S2(Q), floored to F bits, within
+    0.132 (R + ta) + 1.6 (where K2 = 1 it is a shift of r, within 1.45).  So
+    theta_3 and theta_4, below 1.1414 in modulus, are within
+    e = 2 tb + 0.132 ta + 2.132 R + 1.6, their squares (below 1.303) within
+    2.283 e + 1.42, and theta_3^4, theta_4^4 within 5.95 e + 5.12 <
+    11.9 tb + 0.79 ta + 12.7 R + 15.  S2(Q) (1 + 2 S3(Q)) is within
+    1.0001 (ta + 2 tb + 3 R) + 1.42, and its product with the half-sum of
+    the squares (below 1.018, within 2.283 e + 1.42), floored once, gives
+    S2^4 within 6.61 tb + 1.32 ta + 7.93 R + 8; theta_2^4 = (16 r) S2^4, with
+    |16 r| < 1.055 and |S2^4| < 1.018, within 6.97 tb + 1.4 ta + 8.4 R + 12.
+    err = 14 tb + 3 ta + 16 R + 64 covers all of them, S2^4 twice over, and
+    the remaining slack covers the products that combine them into E4, E6
+    and U (at most 4 ulps each).  With at most one of tb and ta above 2 + a
+    factor 10^-5 of 2^(F-wp), the tail part of err u is below 7.6 2^-wp;
+    F = wp + ceil(log2 M) + 4 keeps the rounding part, (16 R + 98) u with
+    R <= M - 1, below 3.1 2^-wp (at M = 2, where R = 0): err u < 11 2^-wp.
     """
     half_mag = frame.mag / 2   # bits in 1/|r|
-    M = max(2, math.ceil(math.sqrt((wp + 1) / half_mag)))
+    w = (wp + 1) / half_mag
+    M = max(2, math.ceil(math.sqrt(w)))
+    K2 = max(1, math.ceil((math.sqrt(1 + w) - 1) / 2))   # S2(Q) runs over k < K2
+    K = max((M - 1) // 2, K2 - 1)                        # S3(Q), S4(Q) over 1 <= k <= K
     F = wp + (M - 1).bit_length() + 4
     h = math.floor(half_mag * (1 - 1e-9))   # whole bits, at most log2(1/|r|)
     r = frame.expjpi(1, F + 4 + h)   # r at F + 4 + h bits: F + 4 bits relative
-    r16r, r16i = r16 = r[0] >> h, r[1] >> h   # 16 r at F bits, and r at F + 4
+    r16 = r[0] >> h, r[1] >> h       # 16 r at F bits, and r at F + 4
     one = 1 << F
-    # n = 1: r^1 at g_1 = F + 2 bits and r^(1^2) at F bits are shifts of the one floor
-    g = F + 2   # fractional bits of r^(n-1)
-    nr, ni, tr, ti = r16r >> 2, r16i >> 2, r16r >> 4, r16i >> 4
-    s3r, s3i, s4r, s4i = tr, ti, -tr, -ti
-    k = nr * (tr + ti)
-    tr, ti = (k - ti * (nr + ni)) >> g, (k + tr * (ni - nr)) >> g   # r^(1*2)
-    s2r, s2i = one + tr, ti
-    for n in range(2, M):
-        gn = F + 2 - n * (n - 1) * h
-        rr, ri = r16r >> (F + 4 - gn), r16i >> (F + 4 - gn)
-        k = rr * (nr + ni)
-        nr, ni = (k - ni * (rr + ri)) >> g, (k + nr * (ri - rr)) >> g   # r^n, gn bits
-        g = gn
-        ys, yd = nr + ni, ni - nr
-        k = nr * (tr + ti)
-        tr, ti = (k - ti * ys) >> g, (k + tr * yd) >> g   # r^(n^2)
-        s3r += tr
-        s3i += ti
-        if n % 2:
-            s4r -= tr
-            s4i -= ti
-        else:
-            s4r += tr
-            s4i += ti
-        k = nr * (tr + ti)
-        tr, ti = (k - ti * ys) >> g, (k + tr * yd) >> g   # r^(n(n+1))
-        s2r += tr
-        s2i += ti
-    tail = math.ceil(1.071 * 2.0 ** (F - M * M * half_mag)) + 1
-    s2 = _fourth((s2r, s2i), F)
-    return _Theta(
-        r=r,
-        rbits=F + 4 + h,
-        s2=s2,
-        t2=_mul(r16, s2, F),
-        t3=_fourth((one + 2 * s3r, 2 * s3i), F),
-        t4=_fourth((one + 2 * s4r, 2 * s4i), F),
-        F=F,
-        terms=M,
-        err=12 * (tail + 2 * M) + 64,
-    )
+    ar, ai, br, bi, cr, ci = one, 0, 0, 0, 0, 0   # S2(Q), S3(Q), S4(Q)
+    qr = qi = 0
+    if K:
+        qr, qi = _sqr(_sqr(r, F + 4), F + 4 + 4 * h)   # Q = r^4 at F + 4 bits
+        H = math.floor(2 * frame.mag * (1 - 1e-9))     # whole bits, at most log2(1/|Q|)
+        # k = 1: Q^1 at g_1 = F + 2 bits and Q^(1^2) at F bits are shifts of Q
+        g = F + 2
+        nr, ni, tr, ti = qr >> 2, qi >> 2, qr >> 4, qi >> 4
+        br, bi, cr, ci = tr, ti, -tr, -ti
+        if K > 1 or K2 > 1:
+            z = nr * (tr + ti)
+            tr, ti = (z - ti * (nr + ni)) >> g, (z + tr * (ni - nr)) >> g   # Q^(1*2)
+            if K2 > 1:
+                ar, ai = one + tr, ti
+        for k in range(2, K + 1):
+            gk = F + 2 - k * (k - 1) * H
+            rr, ri = qr >> (F + 4 - gk), qi >> (F + 4 - gk)
+            z = rr * (nr + ni)
+            nr, ni = (z - ni * (rr + ri)) >> g, (z + nr * (ri - rr)) >> g   # Q^k, gk bits
+            g = gk
+            ys, yd = nr + ni, ni - nr
+            z = nr * (tr + ti)
+            tr, ti = (z - ti * ys) >> g, (z + tr * yd) >> g   # Q^(k^2)
+            br += tr
+            bi += ti
+            if k % 2:
+                cr -= tr
+                ci -= ti
+            else:
+                cr += tr
+                ci += ti
+            if k < K or k < K2:
+                z = nr * (tr + ti)
+                tr, ti = (z - ti * ys) >> g, (z + tr * yd) >> g   # Q^(k(k+1))
+                if k < K2:
+                    ar += tr
+                    ai += ti
+    xr, xi = one + 2 * br, 2 * bi   # 1 + 2 S3(Q)
+    # 2 r S2(Q), a shift of r where S2(Q) = 1
+    yr, yi = _mul(r16, (ar, ai), F + 3) if K2 > 1 else (r16[0] >> 3, r16[1] >> 3)
+    sq3, sq4 = _sqr((xr + yr, xi + yi), F), _sqr((xr - yr, xi - yi), F)   # theta_3^2, theta_4^2
+    both = sq3[0] + sq4[0], sq3[1] + sq4[1]
+    # S2^4 = S2(Q) (1 + 2 S3(Q)) (theta_3^2 + theta_4^2)/2, with no product by a 1
+    if K2 > 1:
+        s2 = _mul(_mul((ar, ai), (xr, xi), F), both, F + 1)
+    elif K:
+        s2 = _mul((xr, xi), both, F + 1)
+    else:
+        s2 = both[0] >> 1, both[1] >> 1
+    tb = math.ceil(1.071 * 2.0 ** (F - 4 * (K + 1) ** 2 * half_mag)) + 1
+    ta = math.ceil(1.071 * 2.0 ** (F - 4 * K2 * (K2 + 1) * half_mag)) + 1
+    # positional, in field order (r, rbits, s2, t2, t3, t4, F, terms, err, r4,
+    # s2q, s3q, s4q, qerr): in CPython 3.11 the keyword call costs 0.8 us more,
+    # a tenth of the integer work at M = 3
+    return _Theta(r, F + 4 + h, s2, _mul(r16, s2, F), _sqr(sq3, F), _sqr(sq4, F), F, M,
+                  14 * tb + 3 * ta + 32 * K + 64, (qr >> 4, qi >> 4), (ar, ai), (br, bi),
+                  (cr, ci), (2 * (K2 - 1) + ta, 2 * K + tb, 2 if K else tb))
 
 
 class JEvaluation(NamedTuple):
@@ -383,7 +487,7 @@ class JEvaluation(NamedTuple):
 
     j: mp.mpc
     error_bound: mp.mpf
-    truncation_order: int  # terms of each theta sum
+    truncation_order: int  # M: theta_3's terms r^(n^2), |n| < M
     working_prec: int
 
 
@@ -641,12 +745,12 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     and converts to mpc exactly.
 
     The bound is relative in all but E4's error.  With |q| = 2^-mag and
-    u = 2^-F, the kernel's err u is below 11 2^-wp (12 tail u <= 6.5 2^-wp
-    and the rounding part below 4.25 2^-wp; the kernel carries r^n at fewer
-    bits than F, but keeps every power of r within 2 u, so err is what it
-    would be at F bits throughout).  So E4 errs by d4 u < 55 2^-wp and U by
-    du u < 330 2^-wp; with |U| > 0.9 on the fundamental domain
-    (|Delta| > 0.9 |q|), Delta is within relative 370 2^-wp < 2^-(wp-9),
+    u = 2^-F, the kernel's err u is below 11 2^-wp (its tail part below
+    7.6 2^-wp and its rounding part below 3.1 2^-wp; the kernel carries Q^k,
+    Q = r^4, at fewer bits than F, but keeps every power of Q within 2 u, so
+    err is what it would be at F bits throughout).  So E4 errs by
+    d4 u < 55 2^-wp and U by du u < 330 2^-wp; with |U| > 0.9 on the
+    fundamental domain (|Delta| > 0.9 |q|), Delta is within relative 370 2^-wp < 2^-(wp-9),
     less than 2^-wp of it from q's error and the floors (the 56 units of
     _Theta.delta over a pair above 1.8 2^F, with F >= wp + 5).  The cube's
     error, 3 |E4|^2 d4 u + 8 u, over |Delta| is at most
@@ -905,45 +1009,52 @@ def _root_residual(coeffs, f, disc: int, hcp_bits: int, prec: int):
     d 2^G <= dj = ceil((2^G + J) 2^-p) + 2, since 2^G + J < 2^(2p-2); and
     R = J + dj is above both |j| and |j^| in units of 2^-G.
 
-    Horner runs on the integers: acc = c_h, then acc = floor(acc j^) + c_k
-    (_mul, both components floored, within sqrt(2) units).  Each floor
-    reaches the result times |j^| per later step, so the computed value is
-    within sqrt(2) sum_(i<h) |j^|^i units of H(j^).  At the exact j,
+    Horner runs on the integers with the partial values at A = G - c
+    fractional bits, c = hcp_bits - 2h - 64, at least the coefficients' B
+    bits (below; A = G where c is negative): acc = c_h, then
+    acc = floor(acc j^) + c_k (_mul of acc at A bits and j^ at G bits,
+    floored to A bits, both components within sqrt(2) units of 2^-A).
+    j's error needs G bits, as
+    H's coefficients multiply it, but the floors need only A: each reaches
+    the result times |j^| per later step, so the computed value is within
+    sqrt(2) 2^(G-A) sum_(i<h) |j^|^i units of H(j^).  At the exact j,
     H(j) - H(j^) = (j - j^) sum_k c_k sum_(i<k) j^i j^^(k-1-i), at most
     d sum_k k |c_k| R^(k-1).  So
 
-        err = sum_(k=1..h) (k |c_k| dj + 2) R^(k-1),
+        err = sum_(k=1..h) (k |c_k| dj + 2^(G-A+1)) R^(k-1),
 
     formed by Horner with R rounded up to 64 fractional bits and every step
-    rounded up; value is the ceiling of the computed modulus, so
-    value + err bounds |H(j)| from above.
+    rounded up; value is the ceiling of the computed modulus in units of
+    2^-G, so value + err bounds |H(j)| from above.
 
     When H = H_disc, so that H(j) = 0, value <= err and
     value + err < 2^-(prec//4 + 128) 2^G.  With
     L = _log2_root_bound(disc, f.a), |j| <= 2^L (Enge 2009, L > 11), so
     dj 2^-G < 1.01 2^(L-p) and R^(k-1) < 1.01 2^((h-1)L); the coefficients
     are below 2^B, and hcp_bits >= B + log2(h + 1) + 2h + 64 (_hcp_precision).
-    So err 2^-G < 1.03 2^(hL+B-p) h(h+1)/2 + 3.1 h 2^((h-1)L-G), and
+    So err 2^-G < 1.03 2^(hL+B-p) h(h+1)/2 + 2.1 h 2^((h-1)L-A).
     p >= hcp_bits + hL + prec//4 + 64 puts the first part below
-    0.52 h 2^-(2h+128+prec//4) and the second far below it.  p >= prec + 64
+    0.52 h 2^-(2h+128+prec//4), and A >= hL + prec//4 + 2h + 160 the second
+    below 2.1 h 2^-(L+2h+160+prec//4), far below the first.  p >= prec + 64
     also puts j within 2^-(prec+64) (1 + |j|), below the prec bits at which
     it is reported.
     """
     h = len(coeffs) - 1
     p = _residual_precision(h, disc, f.a, hcp_bits, prec)
     G = p + 32
+    s = max(0, hcp_bits - 2 * h - 64)   # the partial values carry A = G - s bits
     j = _root_j(f, p, G)
-    acc = (coeffs[-1] << G, 0)
+    acc = (coeffs[-1] << G - s, 0)
     for cn in reversed(coeffs[:-1]):
         ar, ai = _mul(acc, j, G)
-        acc = (ar + (cn << G), ai)
+        acc = (ar + (cn << G - s), ai)
     J = _modulus_bounds(j)[1]
     dj = -(-((1 << G) + J) >> p) + 2
     R = -(-(J + dj) >> (G - 64))   # above |j| and |j^| in units of 2^-64
     err = 0
     for k in range(h, 0, -1):
-        err = -(-err * R >> 64) + k * abs(coeffs[k]) * dj + 2
-    n = acc[0] ** 2 + acc[1] ** 2
+        err = -(-err * R >> 64) + k * abs(coeffs[k]) * dj + (2 << s)
+    n = acc[0] ** 2 + acc[1] ** 2 << 2 * s
     return j, math.isqrt(n - 1) + 1 if n else 0, err, G
 
 

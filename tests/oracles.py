@@ -167,26 +167,32 @@ def eisenstein_dense(zred, wp: int):
     return _horner(e4c, q), _horner(e6c, q), _horner(dc, q), tail + round_err, n
 
 
-def theta_reference(zred, F: int, M: int):
-    """(theta_2^4, theta_3^4, theta_4^4) from the sums the theta kernel truncates,
-    at 2F bits.
+def theta_reference(zred, F: int, M: int, wp: int):
+    """(theta_2^4, theta_3^4, theta_4^4, S2^4) from the sums the theta kernel
+    truncates, at 2F bits.
 
-    r = e^(pi i zred) at the exact zred, S2 = sum_{0<=n<M} r^(n(n+1)),
-    S3 = sum_{1<=n<M} r^(n^2) and S4 = sum_{1<=n<M} (-1)^n r^(n^2) are formed in
-    mpc arithmetic at 2F bits, so they differ from the kernel's fixed-point sums
-    by the kernel's rounding alone, that of r included.
+    r = e^(pi i zred) at the exact zred and Q = r^4.  S3(Q) = sum Q^(k^2) and
+    S4(Q) = sum (-1)^k Q^(k^2) run over 1 <= k <= (M-1)//2, the even n < M,
+    and S2(Q) = sum Q^(k(k+1)) over k >= 0 while |Q|^(k(k+1)) > 2^-(wp+1);
+    they are assembled by the duplication theta_3, theta_4 =
+    1 + 2 S3(Q) +- 2 r S2(Q) and Jacobi's quartic in factored form,
+    S2^4 = S2(Q) (1 + 2 S3(Q)) (theta_3^2 + theta_4^2)/2 and
+    theta_2^4 = 16 r S2^4, all in mpc arithmetic at 2F bits, so they differ
+    from the kernel's fixed-point values by the kernel's rounding alone, that
+    of r included.
     """
     with mp.workprec(2 * F):
         r = mp.expjpi(zred)
-        s2, s3, s4, rn, t = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1), mp.mpc(1)
-        for n in range(1, M):
-            rn *= r
-            t *= rn          # r^(n^2)
-            s3 += t
-            s4 += -t if n % 2 else t
-            t *= rn          # r^(n(n+1))
-            s2 += t
-        return 16 * r * s2**4, (1 + 2 * s3) ** 4, (1 + 2 * s4) ** 4
+        q = r**4
+        s3 = sum(q ** (k * k) for k in range(1, (M - 1) // 2 + 1))
+        s4 = sum((-1) ** k * q ** (k * k) for k in range(1, (M - 1) // 2 + 1))
+        s2, k = mp.mpc(1), 1
+        while abs(q) ** (k * (k + 1)) > mp.mpf(2) ** -(wp + 1):
+            s2 += q ** (k * (k + 1))
+            k += 1
+        t3, t4 = 1 + 2 * s3 + 2 * r * s2, 1 + 2 * s3 - 2 * r * s2
+        s2_4 = s2 * (1 + 2 * s3) * (t3**2 + t4**2) / 2
+        return 16 * r * s2_4, t3**4, t4**4, s2_4
 
 
 def j_dense(tau, prec: int):

@@ -340,7 +340,7 @@ class TestJval:
         # bits; rounded up to 128 bits before printing, it stays under the
         # interpreter's int-to-str limit
         env = invoke_json(capsys, "jval", "--tau=0,1000", "--prec", "8192")
-        assert env["result"]["error_bound"] == "8.83698346340662969028368109e-2469"
+        assert env["result"]["error_bound"] == "6.17937502667083526478624555e-2469"
         with mp.workprec(64):
             assert abs(mp.mpf(env["result"]["j"]["re"]) / mp.exp(2000 * mp.pi) - 1) < 1e-15
 
@@ -413,6 +413,27 @@ class TestWeber:
         assert cert["name"] == "jacobi_identity_residual" and cert["passed"] is False
         assert exact(cert["value"]) > 2**100 * exact(cert["bound"])
 
+    @pytest.mark.parametrize("field", ["s2q", "s3q", "s4q", "r4"])
+    def test_quartic_certificate_fails_on_perturbed_sums(self, capsys, monkeypatch, field):
+        # with theta_2^4 and S2^4 derived by Jacobi's quartic at r, Jacobi's
+        # identity holds whatever the r^4-level sums are; the quartic at
+        # Q = r^4 sees a move of any one of them, or of Q, by 2^-300 (S2(Q)
+        # through a factor 64 |Q| = 2^-14.3 here)
+        import attrarith.elliptic as elliptic
+        from attrarith.modular import _theta
+
+        def perturbed(frame, wp):
+            th = _theta(frame, wp)
+            re, im = getattr(th, field)
+            return th._replace(**{field: (re + (1 << (th.F - 300)), im)})
+
+        monkeypatch.setattr(elliptic, "_theta", perturbed)
+        env = invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "2")
+        jacobi, quartic = env["certificates"][1:]
+        assert jacobi["passed"] is True
+        assert quartic["name"] == "theta_quartic_residual" and quartic["passed"] is False
+        assert exact(quartic["value"]) > 2**30 * exact(quartic["bound"])
+
     @pytest.mark.parametrize("n", ["-60", "-3", "0", "1"])
     def test_order_below_two_refused_first(self, capsys, monkeypatch, n):
         # before the (n^2 - 1) * prec cap, which -60 would fail, and before
@@ -452,7 +473,8 @@ class TestWeber:
                           "--n", "2")
         assert time.perf_counter() - start < 1
         assert [c["name"] for c in env["certificates"]] == ["wp_ode_max_residual",
-                                                          "jacobi_identity_residual"]
+                                                          "jacobi_identity_residual",
+                                                          "theta_quartic_residual"]
         assert all(c["passed"] for c in env["certificates"])
 
     def test_intractable_height_exit_3(self, capsys):
@@ -543,7 +565,8 @@ class TestWeber:
         env = invoke_json(capsys, "weber", "--p2", "1", "--q2", "1600", "--pq", "0",
                           "--n", "2")
         names = [c["name"] for c in env["certificates"]]
-        assert names == ["wp_ode_max_residual", "jacobi_identity_residual"]
+        assert names == ["wp_ode_max_residual", "jacobi_identity_residual",
+                         "theta_quartic_residual"]
         assert all(c["passed"] for c in env["certificates"])
         ref = invoke_json(capsys, "jval", "--tau", "0,40")
         with mp.workprec(320):
@@ -591,7 +614,8 @@ class TestBoundsPrintAsBounds:
             assert exact(res["certificates"][0]["value"]) >= bound, (tau, prec)
 
     def test_weber_certificate_bounds(self, capsys):
-        # the bounds _cmd_weber compares against: 2^-118 and the model's Jacobi bound
+        # the bounds _cmd_weber compares against: 2^-118 and the model's
+        # Jacobi and quartic bounds
         from attrarith.attractor import ChargeData, attractor_point
         from attrarith.elliptic import model_from_tau
 
@@ -599,9 +623,19 @@ class TestBoundsPrintAsBounds:
             p2, q2, pq = (str(v) for v in charge)
             env = invoke_json(capsys, "weber", "--p2", p2, "--q2", q2, "--pq", pq, "--n", "3")
             model = model_from_tau(attractor_point(ChargeData(*charge)).tau, 256)
-            ode, jacobi = env["certificates"]
+            ode, jacobi, quartic = env["certificates"]
             assert exact(ode["bound"]) >= Fraction(1, 2**118), charge
             assert exact(jacobi["bound"]) >= exact(model.jacobi[1]), charge
+            assert exact(quartic["bound"]) >= exact(model.quartic[1]), charge
+            assert all(c["passed"] for c in env["certificates"]), charge
+
+    def test_weber_golden_passes_every_certificate(self, capsys):
+        # the golden charge at the floor precision: both Jacobi entries pass clean
+        env = invoke_json(capsys, "weber", "--p2", "2", "--q2", "3", "--pq", "1", "--n", "4",
+                          "--prec", "64")
+        assert [c["name"] for c in env["certificates"]][1:] == ["jacobi_identity_residual",
+                                                              "theta_quartic_residual"]
+        assert all(c["passed"] for c in env["certificates"])
 
 
 class TestCurve:
@@ -788,6 +822,14 @@ class TestGlobalFlags:
         env = invoke_json(capsys, "jval", "--tau", "0,2", "--prec", "192")
         assert env["precision_bits"] == 192
 
+    @pytest.mark.parametrize("value", ["1e3", "", "256 bits", "\n"])
+    def test_unparsable_env_precision_exit_2(self, capsys, monkeypatch, value):
+        # the message names the variable and the value it got, on one line
+        monkeypatch.setenv("ATTRARITH_PREC", value)
+        code, out, err = invoke(capsys, "hcp", "--disc", "-23")
+        assert code == 2 and out == ""
+        assert err == f"attrarith hcp: ATTRARITH_PREC must be an integer, got {value!r}\n"
+
     @pytest.mark.parametrize("argv", [
         ("jval", "--tau", "0.5,nan"),
         ("jval", "--tau", "inf,1"),
@@ -890,17 +932,17 @@ GOLDEN_ARGV = {
 
 GOLDEN_SHA256 = {
     "attract": "35005b88891428abf09ba5231bbbb1965d11ac625ada64521e9cba8e9a1e56fe",
-    "certify": "d24bd9df825bc1bca4180b4d99584c891c8676fd84e082ffa63e9209e623c71e",
+    "certify": "80f3fa41b8094b3372c8d1ae38c970485f0005ffbbde11724157911ff2711db0",
     "hcp": "e74a84812bd9838273e2b65ceaa4b97d271b9d51a2563dfff2eec36443d1de3a",
-    "jval": "a5559e5ec044a675513111ee058bb962acbd8b39d8aaf66f955380a2909a3222",
-    "weber": "b4fc72c26884f725ea736873c1142653105e019c29cd3bc5daef47847c1c140e",
+    "jval": "b6d3be1a5c9aaeecb553852a08f58415eea2e98310ff34ad25055da8d44ad7e4",
+    "weber": "7be05184601aa8ef019cfcc9047ace331f75116814c747db936ea3a6ee35d863",
     "curve": "84929edd82ac3590c89a3e193b5bd41887aee551e4a5e3989feaba8261d047aa",
     "resolve": "08c9b8ad4dc5b6e6191a569f76b5c9619640b582e0aebe4eafec368e70a93d19",
     "fermat": "18476ca695b97cab96bef6b4f714340bbdfc8745f4766e0ab44026d79d85afd2",
     "sk-check": "a6fa28114f63cc884ed48a4004ce96bf855beacad3f1421b0a5959b2a90a0312",
     "flow": "27dc279eeaff3345a1d3c05f7052aa22676308beb05b09b5a2f3f3670a6d350c",
     "hcp --csv": "1f33e8ce4d4f85f6b0deff93b5757bed4fd59796fc13d9a89a0b616430854c25",
-    "weber --csv": "a37faccd7f71d426efa3cb49cddb6c0d5f9afa0c4af38610dec10e0e808fbbe4",
+    "weber --csv": "b02c38cd33e30975a80814045c6868e96cf3b7b1317e9b9b7e70a46200410ec1",
     "curve --csv": "321012dcae8c4a22e99b010fcb851ac8244ff0ba8299bb87c770398c18470e87",
     "resolve --csv": "7ebdf7e1c80b6526665505903546884316c219857a37d31cb23652fe12357abd",
     "fermat --csv": "6cc2bd2405c30b2905c14d04e97335b0a26af6c40db5e2d44dcfd81714fbad54",
@@ -909,7 +951,7 @@ GOLDEN_SHA256 = {
     "curve --d 60 --k 4 --l 5 --orbits":
         "0b3317fbc044340ffbae46fae96c25e79782d312a9356f28a40fd771940e1325",
     "weber --p2 2 --q2 3 --pq 1 --n 4 --prec 64":
-        "52590da4a5f5e98bcaa2633d4384dcf8dbd1b44d6e1e69f27558f98a3825d2be",
+        "2f94abde5ad3e81829d6d07befea14156541bfdfc262109c5fd238fa70baf891",
     "resolve --genus": "f3558d243b45591ad980940843785bcf87637df58bafaef8f1abb8eefe082a1c",
     "fermat --hodge": "0d6bfd7a99da641738f2b2ab472ea5f6c41284fccd97a2d015ddb98cb26d3892",
     "flow --trace": "abba57763500d9b1a970c401025d1aeea653325d8fe4fac6786ac7f0058e9509",

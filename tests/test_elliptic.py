@@ -227,18 +227,21 @@ class TestHighLattices:
             model_from_tau(BinaryQuadraticForm(1, 1, 10**400), 64)
 
 
+IDENTITY_POINTS = [
+    attractor_point(ChargeData(2, 3, 1)).tau,
+    attractor_point(ChargeData(1, 1, 0)).tau,
+    attractor_point(ChargeData(1, 1600, 0)).tau,   # no r^4 term is due (M = 2)
+    attractor_point(ChargeData(2, 2, 1)).tau,   # rho + 1, where E4 = 0
+    mp.mpc("-0.4999", "0.8661"),                # near rho
+    mp.mpc("0.31", "1.7"),
+]
+
+
 class TestJacobiIdentity:
     """E4^3 - E6^2 = 1728 Delta on the model's own kernel integers: the residual
     stays within its certified bound, far below 2^-prec."""
 
-    @pytest.mark.parametrize("tau", [
-        attractor_point(ChargeData(2, 3, 1)).tau,
-        attractor_point(ChargeData(1, 1, 0)).tau,
-        attractor_point(ChargeData(1, 1600, 0)).tau,
-        attractor_point(ChargeData(2, 2, 1)).tau,   # rho + 1, where E4 = 0
-        mp.mpc("-0.4999", "0.8661"),                # near rho
-        mp.mpc("0.31", "1.7"),
-    ])
+    @pytest.mark.parametrize("tau", IDENTITY_POINTS)
     def test_residual_within_bound(self, tau):
         for prec in (64, 256):
             residual, bound = model_from_tau(tau, prec).jacobi
@@ -246,7 +249,20 @@ class TestJacobiIdentity:
 
     def test_twist_keeps_the_check(self):
         m = model_from_tau(mp.mpc("0.31", "1.7"), 192)
-        assert twist_model(m, mp.mpc("0.7", "-1.9")).jacobi is m.jacobi
+        t = twist_model(m, mp.mpc("0.7", "-1.9"))
+        assert t.jacobi is m.jacobi and t.quartic is m.quartic
+
+
+class TestThetaQuartic:
+    """theta_3(Q)^4 = theta_2(Q)^4 + theta_4(Q)^4 at Q = r^4 on the kernel's
+    r^4-level sums: the residual stays within its certified bound, far below
+    2^-prec."""
+
+    @pytest.mark.parametrize("tau", IDENTITY_POINTS)
+    def test_residual_within_bound(self, tau):
+        for prec in (64, 256):
+            residual, bound = model_from_tau(tau, prec).quartic
+            assert residual <= bound < mp.mpf(2) ** -prec, (tau, prec)
 
 
 class TestTorsionPoints:

@@ -611,7 +611,7 @@ class TestThetaKernelAgainstDenseOracle:
         points = [mp.mpc(0, 1), mp.mpc("0.5", "0.8660254037844386"), mp.mpc(0, 9)]
         points += [mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4)) for _ in range(5)]
         cases = [(zred, (256, 1024, 4096, 8192)[k % 4]) for k, zred in enumerate(points)]
-        # high points at the top precision, where r^n carries the fewest bits
+        # high points at the top precision, where the powers of r^4 carry the fewest bits
         cases += [(mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(4, 6)), 8192) for _ in range(2)]
         for zred, wp in cases:
             with mp.workprec(wp):
@@ -647,6 +647,33 @@ class TestThetaKernelAgainstDenseOracle:
                 with mp.workprec(ev.working_prec):
                     assert abs(ev.j - jo) <= ev.error_bound + bound, (tau, prec)
 
+    # (wp, Im tau', M, whether Q = r^4 is formed, whether S2(Q) has its Q^2
+    # term): M = 2 forms no r^4 term, M = 3 exactly one in S3(Q), and S2(Q)
+    # runs one term further than the odd n < M where |r|^8 > 2^-(wp+1)
+    FEW_TERMS = [(256, 15, 2, False, False), (256, 30, 2, False, False),
+                 (256, 8, 3, True, False), (256, 12, 3, True, False),
+                 (256, 6.5, 3, True, True), (1024, 60, 2, False, False),
+                 (1024, 40, 3, True, False), (1024, 26, 3, True, True)]
+
+    @pytest.mark.parametrize("wp, height, m, r4, q2", FEW_TERMS)
+    def test_no_or_one_r4_term(self, wp, height, m, r4, q2):
+        # the branches that skip r^4 and the products by S2(Q) = 1 and
+        # 1 + 2 S3(Q) = 1, against the dense q-series
+        with mp.workprec(wp):
+            zred = mp.mpc("0.1875", height)
+            th = _theta(kernel_frame(zred), wp)
+            assert th.terms == m
+            assert (th.r4 != (0, 0)) == r4 and (th.s2q != (1 << th.F, 0)) == q2
+            e4o, e6o, do, bound, _ = eisenstein_dense(zred, wp)
+            with mp.workprec(wp + 64):
+                q = mp.expjpi(2 * zred)
+                uo, ubound = do / q, bound / abs(q) * (1 + mp.mpf(2) ** -wp)
+            for (val, err), ref, refbound in ((th.e4_fixed(), e4o, bound),
+                                              (th.e6_fixed(), e6o, bound),
+                                              (th.u_fixed(), uo, ubound)):
+                val, err = _from_fixed(val, th.F), mp.ldexp(err, -th.F)
+                assert abs(val - ref) <= err + refbound, (zred, wp)
+
     def test_truncation_order_counts_theta_terms(self):
         # the theta sums stop at the first M with |r|^(M^2) <= 2^-(wp+1);
         # at tau = i, |r| = e^-pi
@@ -659,9 +686,10 @@ class TestThetaKernelRounding:
     def test_fourth_powers_within_rounding_bound(self):
         # against the identically truncated sums at the kernel's own r, only
         # the kernel's rounding separates the two, and the _theta docstring
-        # bounds it by the rounding part of err, (24 M + 64) u; r^n carries
-        # F + 2 - n(n-1)h bits, so the deep terms at 8192 bits, near rho and
-        # high in the domain, test that h never exceeds log2(1/|r|)
+        # bounds it by the rounding part of err, (16 R + 64) u with R twice
+        # the (M-1)//2 terms of S3(Q); Q^k carries F + 2 - k(k-1)H bits, so
+        # the deep terms at 8192 bits, near rho and high in the domain, test
+        # that H never exceeds log2(1/|Q|)
         rng = random.Random(1212)
         for wp in (256, 1024, 4096, 8192):
             with mp.workprec(wp):
@@ -670,12 +698,28 @@ class TestThetaKernelRounding:
                 points += [mp.mpc(x, y) for x, y in zip(xs[1:], (1.3, 4, 6))]
             for zred in points:
                 th = _theta(kernel_frame(zred), wp)
-                refs = theta_reference(zred, th.F, th.terms)
+                refs = theta_reference(zred, th.F, th.terms, wp)
+                rounding = 32 * ((th.terms - 1) // 2) + 64
                 with mp.workprec(2 * th.F):
                     u = mp.mpf(2) ** -th.F
                     for got, ref in zip((th.t2, th.t3, th.t4), refs):
                         ulps = abs(mp.mpc(*got) * u - ref) / u
-                        assert ulps <= 24 * th.terms + 64 <= th.err, (wp, zred, ulps)
+                        assert ulps <= rounding <= th.err, (wp, zred, ulps)
+
+    @pytest.mark.parametrize("wp, height, m, r4, q2", TestThetaKernelAgainstDenseOracle.FEW_TERMS)
+    def test_few_terms_within_rounding_bound(self, wp, height, m, r4, q2):
+        # where S2(Q) carries its Q^2 term, the term is 2^19 or more times the
+        # rounding part of err, and S2(Q) enters S2^4 without the factor r, so
+        # a kernel that left it out would miss the reference S2^4
+        with mp.workprec(wp):
+            zred = mp.mpc("0.1875", height)
+        th = _theta(kernel_frame(zred), wp)
+        refs = theta_reference(zred, th.F, th.terms, wp)
+        rounding = 32 * ((th.terms - 1) // 2) + 64
+        with mp.workprec(2 * th.F):
+            u = mp.mpf(2) ** -th.F
+            for got, ref in zip((th.t2, th.t3, th.t4, th.s2), refs):
+                assert abs(mp.mpc(*got) * u - ref) / u <= rounding <= th.err, (wp, zred)
 
 
 class TestHilbertClassPolynomial:
