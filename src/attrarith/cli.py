@@ -260,12 +260,18 @@ def _cmd_hcp(args, prec: int):
 
     disc = args.disc
     _require_disc(disc, "|disc|")
-    h, _ = _class_polynomial_gate(disc)
-    coeffs = None
     if args.cache:
+        # refused before any work: the cache is read with open() and replaced
+        # by a rename, which would block on a FIFO, fail on a directory and
+        # replace a device node with a regular file
         directory = os.path.dirname(os.path.abspath(args.cache))
         if not os.path.isdir(directory):
             raise ValueError(f"--cache: directory {directory} does not exist")
+        if os.path.exists(args.cache) and not os.path.isfile(args.cache):
+            raise ValueError(f"--cache: {args.cache} is not a regular file")
+    h, _ = _class_polynomial_gate(disc)
+    coeffs = None
+    if args.cache:
         cache = load_hcp_cache(args.cache)
         coeffs = cache.get(disc)
         if coeffs is not None and not hcp_record_valid(disc, coeffs):

@@ -13,8 +13,9 @@ with X = p/(2 pi i)^2 and Y = p'/(2 pi i)^3 at tau' (lam times the twist
 scale for a twisted model).  _Frame.lam takes lam from mu's exact integers
 in fixed point; its powers and their products with the kernel's integers
 are exact, and each component is rounded to the model's precision once, on
-the integers (modular._to_mpf), to nearest with ties to even: the bits of
-mpmath's round_nearest.  The model holds the frame it was built with, so its
+the integers (modular._to_mpc; _rounded for A and B, which divide by -48
+and 864 first), to nearest with ties to even: the bits of mpmath's
+round_nearest.  The model holds the frame it was built with, so its
 torsion points, Weber values and twists do not frame the point again.
 delta and j = E4^3/Delta come from the kernel's Delta, as j_value does, so
 neither is a difference of large terms; j is the kernel's fixed-point
@@ -29,7 +30,10 @@ reduced row and, by a power of e^(2 pi i/n), through m mod n: each row sums
 its terms once into n buckets, and each pair +-P folds the buckets with its
 powers of e^(2 pi i/n) and adds its leading term, all on fixed-point
 integers.
-Quadratic twists scale (A, B, x, y) by powers of u, and the Weber function
+Quadratic twists scale (A, B, x, y) by powers of u: u is read once at
+prec + 32 bits, and each twisted field is one rounding of the exact product
+of the field's integers (modular._from_mpc, the one decoder of an mpc) with
+a power of u's (modular._to_mpc, the one exit).  The Weber function
 cancels exactly that freedom: its case k comes from the reduced point's
 integers, its constant is an exact quotient of the fields' integers, and
 constant * x^k is formed exactly and rounded once.
@@ -47,7 +51,8 @@ import mpmath as mp
 from mpmath.libmp import mpc_neg, to_fixed
 
 from .errors import OutOfRange, ZeroTwist
-from .modular import _cos_sin_pi, _frame, _j_pair, _mul, _quotient_pair, _sqr, _theta, _to_mpf
+from .modular import (_cos_sin_pi, _frame, _from_mpc, _j_pair, _mul, _quotient_pair, _sqr,
+                      _theta, _to_mpc, _to_mpf)
 
 __all__ = [
     "WeierstrassModel",
@@ -109,7 +114,7 @@ class WeierstrassModel:
         frame = self.frame
         r, s, n = frame.red
         ss, nn = s * s * -frame.disc, n * n
-        a, b, delta = _man_exp(self.A), _man_exp(self.B), _man_exp(self.delta)
+        a, b, delta = _from_mpc(self.A), _from_mpc(self.B), _from_mpc(self.delta)
         if r == 0 and ss == nn:
             num, k = _exact_product(a, a), 2
         elif 2 * abs(r) == n and 4 * ss == 3 * nn:
@@ -211,8 +216,8 @@ def model_from_tau(tau, prec: int = 256) -> WeierstrassModel:
     return WeierstrassModel(
         A=_rounded(_mul(l4, e4, 0), 4 * e - F, prec, -48),
         B=_rounded(_mul(l6, e6, 0), 6 * e - F, prec, 864),
-        delta=_rounded(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
-        j=_rounded(_j_pair(cube, dk, de), -F, prec),
+        delta=_to_mpc(_mul(_mul(l6, l6, 0), dk, 0), 12 * e - de, prec),
+        j=_to_mpc(_j_pair(cube, dk, de), -F, prec),
         source_tau=frame.tau,
         scale=mp.mpc(1), precision_bits=prec,
         jacobi=_certificate((r0, r1), bound, F),
@@ -282,21 +287,6 @@ def _bucket_sums(b, d, count: int, n: int, F: int):
     return s0, s1, t0, t1
 
 
-def _man_exp(z):
-    """An mpc z as integers ((re, im), e) with z = (re + im i) 2^e."""
-    (s0, m0, e0, _), (s1, m1, e1, _) = z._mpc_
-    if s0:
-        m0 = -m0
-    if s1:
-        m1 = -m1
-    if not m1:
-        return (m0, 0), e0
-    if not m0:
-        return (0, m1), e1
-    e = min(e0, e1)
-    return (m0 << (e0 - e), m1 << (e1 - e)), e
-
-
 def _exact_product(x, y):
     """The exact product of two values ((re, im), e) held as integers."""
     return _mul(x[0], y[0], 0), x[1] + y[1]
@@ -310,17 +300,17 @@ def _quotient(x, y, bits: int):
     return q, e + ex - ey
 
 
-def _rounded(z, e: int, prec: int, d: int = 1):
+def _rounded(z, e: int, prec: int, d: int):
     """The mpc (re + im i) 2^e/d for an integer pair z = (re, im) and a
-    nonzero integer d, each component rounded to nearest at prec bits once,
-    ties to even, on the integers (modular._to_mpf): the bits of mpmath's
-    round_nearest.  For d != 1 the quotient |v| 2^k // |d| is taken with
-    k = prec + 3 + bits(d) - bits(v), so it has at least prec + 3 bits, and
-    a nonzero remainder sets its last bit, below the guard bit: that bit
-    then stands for the rest of the exact quotient, which is never a tie,
-    and one rounding gives the bits of mpmath's division at round_nearest."""
-    if d == 1:
-        return mp.make_mpc(tuple(_to_mpf(v, e, prec) for v in z))
+    nonzero integer d, the divisions of A by -48 and of B by 864, each
+    component rounded to nearest at prec bits once, ties to even, on the
+    integers (modular._to_mpf): the bits of mpmath's round_nearest.  The
+    quotient |v| 2^k // |d| is taken with k = prec + 3 + bits(d) - bits(v),
+    so it has at least prec + 3 bits, and a nonzero remainder sets its last
+    bit, below the guard bit: that bit then stands for the rest of the
+    exact quotient, which is never a tie, and one rounding gives the bits of
+    mpmath's division at round_nearest.  Without a division, modular._to_mpc
+    rounds."""
     out = []
     for v in z:
         k = prec + 3 + d.bit_length() - v.bit_length()
@@ -530,7 +520,7 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
     prec = model.precision_bits
     wp = prec + 96
     frame = model.frame
-    lam, e = _exact_product(frame.lam(wp), _man_exp(model.scale))
+    lam, e = _exact_product(frame.lam(wp), _from_mpc(model.scale))
     (ma, mb), (mc, md) = frame.mat
     layout = []   # (source coords, representative, sign of y)
     rows = {}     # reduced row ar -> the br of its representatives
@@ -559,7 +549,7 @@ def torsion_points(model: WeierstrassModel, n: int) -> list[TorsionPoint]:
         row = kernel.row(ar, *counts[ar])
         for br in brs:
             xs, ys = row.at(br)
-            x, y = _rounded(_mul(cx, xs, 0), ex, prec), _rounded(_mul(cy, ys, 0), ey, prec)
+            x, y = _to_mpc(_mul(cx, xs, 0), ex, prec), _to_mpc(_mul(cy, ys, 0), ey, prec)
             values[(ar, br)] = x, y, mp.make_mpc(mpc_neg(y._mpc_))
     fr = [Fraction(k, n) for k in range(n)]
     out = []
@@ -576,32 +566,42 @@ def weber_function(model: WeierstrassModel, point: TorsionPoint):
     product formed exactly on the integers of the constant and of x and each
     component rounded to prec once."""
     (c, e), k = model.weber_case
-    x, ex = _man_exp(point.x)
+    x, ex = _from_mpc(point.x)
     for _ in range(k):
         c = _mul(c, x, 0)
-    return _rounded(c, e + k * ex, max(model.precision_bits, 53))
+    return _to_mpc(c, e + k * ex, max(model.precision_bits, 53))
 
 
 def twist_model(model: WeierstrassModel, u) -> WeierstrassModel:
-    """Quadratic-twist isomorphism (x,y) -> (u^2 x, u^3 y): A, B, delta rescale.
+    """Quadratic-twist isomorphism (x,y) -> (u^2 x, u^3 y): A, B, delta and
+    scale rescale by u^4, u^6, u^12 and u.
 
-    The twisted model keeps the source point and its frame.  u = 0 raises
-    ZeroTwist, and a u with an infinite or NaN component raises OutOfRange.
+    u is read once as an mpc at prec + 32 bits, as are A, B, delta and
+    scale (exactly, as they are mpcs); u = 0 raises ZeroTwist, and a u with
+    an infinite or NaN component raises OutOfRange.  Its powers
+    and their products with the integers of A, B, delta and scale are exact
+    (modular._from_mpc), and each twisted field is that exact product
+    rounded once to prec bits (modular._to_mpc).  The twisted model keeps
+    j, the checks, the source point and its frame.
     """
     prec = model.precision_bits
     with mp.workprec(prec + 32):
-        uu = mp.mpc(u)
+        uu, a, b, delta, scale = (mp.mpc(v) for v in (u, model.A, model.B, model.delta,
+                                                       model.scale))
         if not mp.isfinite(uu):
             raise OutOfRange(f"twist scale must be finite, got {uu}")
         if uu == 0:
             raise ZeroTwist("twist scale must be nonzero")
-        a = model.A * uu**4
-        b = model.B * uu**6
-        delta = model.delta * uu**12
-        scale = mp.mpc(model.scale) * uu
-    with mp.workprec(prec):
-        return WeierstrassModel(
-            A=+a, B=+b, delta=+delta, j=model.j,
-            source_tau=model.source_tau, scale=+scale, precision_bits=prec, jacobi=model.jacobi,
-            quartic=model.quartic, _frame=model._frame,
-        )
+    u1 = _from_mpc(uu)
+    u2 = _exact_product(u1, u1)
+    u4 = _exact_product(u2, u2)
+    u6 = _exact_product(u4, u2)
+
+    def twisted(z, k):
+        return _to_mpc(*_exact_product(_from_mpc(z), k), prec)
+
+    return WeierstrassModel(
+        A=twisted(a, u4), B=twisted(b, u6), delta=twisted(delta, _exact_product(u6, u6)),
+        j=model.j, source_tau=model.source_tau, scale=twisted(scale, u1),
+        precision_bits=prec, jacobi=model.jacobi, quartic=model.quartic, _frame=model._frame,
+    )

@@ -111,9 +111,26 @@ def _to_mpf(v: int, e: int, prec: int | None = None):
     return sign, v, e + z, v.bit_length()
 
 
-def _from_fixed(s, F: int):
-    """The fixed-point pair s as an mpc, exactly."""
-    return mp.make_mpc((_to_mpf(s[0], -F), _to_mpf(s[1], -F)))
+def _to_mpc(z, e: int, prec: int | None = None):
+    """The integer pair z = (re, im) times 2^e as an mpc: exactly when prec
+    is None, else each component rounded once to nearest at prec bits, ties
+    to even (_to_mpf).  The one exit from the integers to an mpc."""
+    return mp.make_mpc((_to_mpf(z[0], e, prec), _to_mpf(z[1], e, prec)))
+
+
+def _from_mpc(z):
+    """A finite mpc z as integers ((re, im), e) with z = (re + im i) 2^e,
+    read off its mantissas and exponents: the one decoder of an mpc, the
+    inverse of _to_mpc.  e is the lower exponent of the nonzero components,
+    and 0 for z = 0."""
+    (s0, m0, e0, _), (s1, m1, e1, _) = z._mpc_
+    m0, m1 = -m0 if s0 else m0, -m1 if s1 else m1
+    if not m1:
+        return (m0, 0), e0
+    if not m0:
+        return (0, m1), e1
+    e = min(e0, e1)
+    return (m0 << (e0 - e), m1 << (e1 - e)), e
 
 
 def _mul(x, y, F: int):
@@ -173,24 +190,23 @@ def _cos_sin_pi(a: int, b: int, p: int):
 
 
 class _Theta(NamedTuple):
-    """The theta kernel at a reduced point: r = e^(pi i tau') at relative
-    precision, and the fourth powers behind E4, E6 and U = Delta/q, with one
-    error bound; and the r^4-level sums they come from, with theirs.
+    """The theta kernel at a reduced point: q = r^2 at relative precision,
+    r = e^(pi i tau'), and the fourth powers behind E4, E6 and U = Delta/q,
+    with one error bound; and the r^4-level sums they come from, with theirs.
 
-    r is an (re, im) integer pair scaled by 2^rbits, within sqrt(2) + 0.03
-    units of exact and above 2^(F+2) units in modulus (see _theta).  The
-    fourth powers are (re, im) integers scaled by 2^F and err is in units of
-    2^-F.  With |S2^4| < 1.018, |theta_2^4| < 1.08 and |theta_3^4|,
-    |theta_4^4| < 1.7 on the fundamental domain, err >= 64 covers the products
-    below, and each form's bound is first order in err with that slack,
-    rounded up.  Q = r^4, S2(Q), S3(Q) and S4(Q) are pairs scaled by 2^F,
+    q is an (re, im) integer pair scaled by 2^qbits (see q_fixed), formed
+    once by _theta, which squares it again for Q = r^4.  The fourth powers
+    are (re, im) integers scaled by 2^F and err is in units of 2^-F.  With
+    |S2^4| < 1.018, |theta_2^4| < 1.08 and |theta_3^4|, |theta_4^4| < 1.7 on
+    the fundamental domain, err >= 64 covers the products below, and each
+    form's bound is first order in err with that slack, rounded up.  Q = r^4, S2(Q), S3(Q) and S4(Q) are pairs scaled by 2^F,
     within the three qerr (S2(Q); S3(Q) and S4(Q) each; Q) units of exact;
     where the kernel forms no r^4 term, Q is (0, 0) and its bound is the
     tail bound of S3(Q), above |Q| 2^F.
     """
 
-    r: tuple      # r = e^(pi i tau'), scaled by 2^rbits
-    rbits: int
+    q: tuple      # q = r^2, r = e^(pi i tau'), scaled by 2^qbits
+    qbits: int
     s2: tuple     # S2^4
     t2: tuple     # theta_2^4 = 16 r S2^4
     t3: tuple     # theta_3^4 = (1 + 2 S3)^4
@@ -237,13 +253,14 @@ class _Theta(NamedTuple):
         units of the integer pair, whose modulus lies between 2^(F+1) and
         2^(F+4) + 6.
 
-        r at rbits bits is squared and floored to e = 2 rbits - F - 4
-        fractional bits.  Its pair is below 2^(F+4) + 2 in modulus, as
-        |r| <= 2^-h, and within 1.45 units, so that error reaches r^2 as
-        1.45 (2|r| + 1.45) < 3 (|r| + 2) units of 2^-(2 rbits), less than
-        3 (2^(F+4) + 4) 2^-(F+4) + sqrt(2) < 6 units of 2^-e in all.
+        _theta takes r at rbits = F + 4 + h fractional bits, squares it and
+        floors it to e = 2 rbits - F - 4 fractional bits.  r's pair is below
+        2^(F+4) + 2 in modulus, as |r| <= 2^-h, and within 1.45 units, so
+        that error reaches r^2 as 1.45 (2|r| + 1.45) < 3 (|r| + 2) units of
+        2^-(2 rbits), less than 3 (2^(F+4) + 4) 2^-(F+4) + sqrt(2) < 6 units
+        of 2^-e in all.
         """
-        return _sqr(self.r, self.F + 4), 2 * self.rbits - self.F - 4
+        return self.q, self.qbits
 
     def delta(self):
         """Delta = q U at relative precision, as (pair, e, err): Delta 2^e
@@ -359,12 +376,13 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
     0.03 units of 2^-rbits of r at the exact tau', h <= L a whole number of
     bits (the float L less a 10^-9 relative margin, floored).  As
     |r| = 2^-L with h <= L < h + 1.01 (up to the 10^7-bit cap on mag), that
-    pair is r at relative precision, above 2^(F+2) units in modulus, and
-    _Theta keeps it for Delta = r^2 U; shifted down by h bits (a floor of a
-    floor is one floor) it is 16 r at F bits, within sqrt(2) + 0.03 < 1.45
-    units of any such scale.  Q is its square, floored to F + 4 + 2h bits
-    (within 2.9 + sqrt(2) units of exact), squared and floored to F + 4
-    bits: from a value within 8.7 2^-4h < 0.003 units of Q, so Q at F + 4
+    pair is r at relative precision, above 2^(F+2) units in modulus;
+    shifted down by h bits (a floor of a floor is one floor) it is 16 r at
+    F bits, within sqrt(2) + 0.03 < 1.45 units of any such scale.  Its
+    square q = r^2, floored to F + 4 + 2h bits (within 2.9 + sqrt(2) units
+    of exact), is formed once, whatever K, and _Theta keeps it for
+    Delta = q U.  Q is q squared and floored to F + 4 bits: from a value
+    within 8.7 2^-4h < 0.003 units of Q, so Q at F + 4
     bits or any coarser scale is within sqrt(2) + 0.003 < 1.42 units.  No
     other value depends on tau', so the kernel's bounds hold against the
     forms at the exact point.
@@ -421,11 +439,12 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
     h = math.floor(half_mag * (1 - 1e-9))   # whole bits, at most log2(1/|r|)
     r = frame.expjpi(1, F + 4 + h)   # r at F + 4 + h bits: F + 4 bits relative
     r16 = r[0] >> h, r[1] >> h       # 16 r at F bits, and r at F + 4
+    q = _sqr(r, F + 4)               # q = r^2 at F + 4 + 2h bits
     one = 1 << F
     ar, ai, br, bi, cr, ci = one, 0, 0, 0, 0, 0   # S2(Q), S3(Q), S4(Q)
     qr = qi = 0
     if K:
-        qr, qi = _sqr(_sqr(r, F + 4), F + 4 + 4 * h)   # Q = r^4 at F + 4 bits
+        qr, qi = _sqr(q, F + 4 + 4 * h)                # Q = r^4 at F + 4 bits
         H = math.floor(2 * frame.mag * (1 - 1e-9))     # whole bits, at most log2(1/|Q|)
         # k = 1: Q^1 at g_1 = F + 2 bits and Q^(1^2) at F bits are shifts of Q
         g = F + 2
@@ -473,10 +492,10 @@ def _theta(frame: _Frame, wp: int) -> _Theta:
         s2 = both[0] >> 1, both[1] >> 1
     tb = math.ceil(1.071 * 2.0 ** (F - 4 * (K + 1) ** 2 * half_mag)) + 1
     ta = math.ceil(1.071 * 2.0 ** (F - 4 * K2 * (K2 + 1) * half_mag)) + 1
-    # positional, in field order (r, rbits, s2, t2, t3, t4, F, terms, err, r4,
+    # positional, in field order (q, qbits, s2, t2, t3, t4, F, terms, err, r4,
     # s2q, s3q, s4q, qerr): in CPython 3.11 the keyword call costs 0.8 us more,
     # a tenth of the integer work at M = 3
-    return _Theta(r, F + 4 + h, s2, _mul(r16, s2, F), _sqr(sq3, F), _sqr(sq4, F), F, M,
+    return _Theta(q, F + 4 + 2 * h, s2, _mul(r16, s2, F), _sqr(sq3, F), _sqr(sq4, F), F, M,
                   14 * tb + 3 * ta + 32 * K + 64, (qr >> 4, qi >> 4), (ar, ai), (br, bi),
                   (cr, ci), (2 * (K2 - 1) + ta, 2 * K + tb, 2 if K else tb))
 
@@ -501,16 +520,21 @@ _MAX_FRAME_BITS = 10_000_000
 
 
 def _dyadic(z):
-    """A finite mpc z as integers (r, s, n) with z = (r + s i)/n, n a power of two."""
+    """A finite mpc z as integers (r, s, n) with z = (r + s i)/n, n a power of two.
+
+    Finiteness and the span are checked on z's raw tuples, so no integer is
+    formed for a point that is refused.  The integers then come from the
+    decoder, _from_mpc, shifted to n = 2^-low, low the least of 0 and the
+    components' exponents (a zero component's exponent is 0)."""
     if not mp.isfinite(z):
         raise OutOfRange(f"tau must be finite, got {z}")
-    (rsign, rman, rexp, rbc), (isign, iman, iexp, ibc) = z._mpc_
+    (_, _, rexp, rbc), (_, _, iexp, ibc) = z._mpc_
     low = min(rexp, iexp, 0)
     bits = max(rexp + rbc, iexp + ibc, 1) - low
     if bits > _MAX_EXACT_BITS:
         raise PrecisionExhausted(f"tau spans {bits} bits, more than {_MAX_EXACT_BITS}")
-    return ((-rman if rsign else rman) << (rexp - low),
-            (-iman if isign else iman) << (iexp - low), 1 << -low)
+    (r, s), e = _from_mpc(z)
+    return r << (e - low), s << (e - low), 1 << -low
 
 
 def _require_tractable(bits: int):
@@ -742,7 +766,7 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
     wp = prec + ceil(mag) + 14 bits (_j_precision) and takes r straight from
     the frame's exact integers, so no point is rendered.  j is the kernel's
     quotient E4^3/(q U) at F fractional bits, with its bound (_j_quotient),
-    and converts to mpc exactly.
+    and converts to mpc exactly (_to_mpc).
 
     The bound is relative in all but E4's error.  With |q| = 2^-mag and
     u = 2^-F, the kernel's err u is below 11 2^-wp (its tail part below
@@ -784,7 +808,7 @@ def j_value_with_bound(tau, prec: int = 256) -> JEvaluation:
         raise PrecisionExhausted(
             f"j error bound {mp.nstr(mp.ldexp(dj, -F), 5)} misses 2^-{prec} target")
     return JEvaluation(
-        j=_from_fixed(j, F),
+        j=_to_mpc(j, -F),
         error_bound=mp.make_mpf(_to_mpf(dj, -F)),
         truncation_order=th.terms,
         working_prec=wp,
@@ -1065,7 +1089,7 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
     point, and _root_residual chooses the precision from the class
     polynomial's coefficient bound and the bound on |j| at that root.  The
     reported j is that pair with each component rounded to nearest at prec
-    bits on its integers (_to_mpf).
+    bits on its integers (_to_mpc).
     """
     if prec < 64:
         raise OutOfRange(f"precision must be at least 64 bits, got {prec}")
@@ -1086,7 +1110,7 @@ def certify_attractor_cm(c: ChargeData, prec: int = 256) -> CMCertificate:
         conductor=conductor,
         field_label="Hilbert class field" if conductor == 1 else "ring class field",
         class_number=hcp.class_number,
-        j=mp.make_mpc(tuple(_to_mpf(v, -G, prec) for v in j)),
+        j=_to_mpc(j, -G, prec),
         hcp=hcp,
         value=mp.make_mpf(_to_mpf(value, -G)),
         error_bound=mp.make_mpf(_to_mpf(err, -G)),

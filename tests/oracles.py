@@ -173,26 +173,39 @@ def theta_reference(zred, F: int, M: int, wp: int):
 
     r = e^(pi i zred) at the exact zred and Q = r^4.  S3(Q) = sum Q^(k^2) and
     S4(Q) = sum (-1)^k Q^(k^2) run over 1 <= k <= (M-1)//2, the even n < M,
-    and S2(Q) = sum Q^(k(k+1)) over k >= 0 while |Q|^(k(k+1)) > 2^-(wp+1);
+    and S2(Q) = sum Q^(k(k+1)) over k >= 0 while |Q^(k(k+1))| > 2^-(wp+1);
     they are assembled by the duplication theta_3, theta_4 =
     1 + 2 S3(Q) +- 2 r S2(Q) and Jacobi's quartic in factored form,
     S2^4 = S2(Q) (1 + 2 S3(Q)) (theta_3^2 + theta_4^2)/2 and
     theta_2^4 = 16 r S2^4, all in mpc arithmetic at 2F bits, so they differ
     from the kernel's fixed-point values by the kernel's rounding alone, that
-    of r included.
+    of r included.  Every power is formed by products at 2F bits: the
+    running Q^(k^2) = Q^((k-1)k) Q^k and Q^(k(k+1)) = Q^(k^2) Q^k, and
+    fourth powers as squares squared, where z ** n past n = 2 would go
+    through mpmath's log and exp at that precision.
     """
     with mp.workprec(2 * F):
         r = mp.expjpi(zred)
-        q = r**4
-        s3 = sum(q ** (k * k) for k in range(1, (M - 1) // 2 + 1))
-        s4 = sum((-1) ** k * q ** (k * k) for k in range(1, (M - 1) // 2 + 1))
-        s2, k = mp.mpc(1), 1
-        while abs(q) ** (k * (k + 1)) > mp.mpf(2) ** -(wp + 1):
-            s2 += q ** (k * (k + 1))
+        q = (r**2) ** 2
+        tiny = mp.mpf(2) ** -(wp + 1)
+        s2, s3, s4 = mp.mpc(1), 0, 0
+        qk = low = mp.mpc(1)   # Q^k and Q^((k-1)k) at k = 1
+        k, more = 1, True      # more: S2(Q) still takes terms
+        while more or k <= (M - 1) // 2:
+            qk *= q
+            sq = low * qk      # Q^(k^2)
+            low = sq * qk      # Q^(k(k+1))
+            if k <= (M - 1) // 2:
+                s3 += sq
+                s4 += sq if k % 2 == 0 else -sq
+            more = more and abs(low) > tiny
+            if more:
+                s2 += low
             k += 1
         t3, t4 = 1 + 2 * s3 + 2 * r * s2, 1 + 2 * s3 - 2 * r * s2
-        s2_4 = s2 * (1 + 2 * s3) * (t3**2 + t4**2) / 2
-        return 16 * r * s2_4, t3**4, t4**4, s2_4
+        sq3, sq4 = t3**2, t4**2
+        s2_4 = s2 * (1 + 2 * s3) * (sq3 + sq4) / 2
+        return 16 * r * s2_4, sq3**2, sq4**2, s2_4
 
 
 def j_dense(tau, prec: int):
@@ -277,15 +290,15 @@ def wp_direct(tau, a: int, b: int, n: int, prec: int):
 def model_mpmath(tau, prec: int):
     """(A, B, delta, j) of the Weierstrass model of Z + Z tau at prec bits, by
     the mpmath formula that elliptic.model_from_tau used before it formed the
-    fields from integer powers of 2 pi i/mu: the theta kernel's E4, E6, r
-    and U as exact mpc values, Delta = r^2 U, mu rendered at wp bits from
-    the frame's integers, and
+    fields from integer powers of 2 pi i/mu: the theta kernel's E4, E6,
+    q = r^2 and U as exact mpc values, Delta = q U, mu rendered at wp bits
+    from the frame's integers, and
 
         A = -(pi^4/3) E4/mu^4,   B = -(2 pi^6/27) E6/mu^6,
         delta = (2 pi)^12 Delta/mu^12,   j = E4^3/Delta,
 
     each formed at wp = prec + ceil(mag) + 96 and rounded to prec."""
-    from attrarith.modular import _frame, _from_fixed, _theta
+    from attrarith.modular import _frame, _theta, _to_mpc
 
     frame = _frame(tau, prec)
     wp = prec + math.ceil(frame.mag) + 96
@@ -296,9 +309,10 @@ def model_mpmath(tau, prec: int):
         else:
             r, s, n = frame.mu
             mu = mp.mpc(mp.mpf(r) / n, mp.mpf(s) / n * mp.sqrt(-frame.disc))
-        e4, e6, u = (_from_fixed(v, th.F) for v, _ in
+        e4, e6, u = (_to_mpc(v, -th.F) for v, _ in
                      (th.e4_fixed(), th.e6_fixed(), th.u_fixed()))
-        dk = _from_fixed(th.r, th.rbits) ** 2 * u
+        q, e = th.q_fixed()
+        dk = _to_mpc(q, -e) * u
         a = -mp.pi**4 / 3 * e4 / mu**4
         b = -2 * mp.pi**6 / 27 * e6 / mu**6
         delta = (2 * mp.pi) ** 12 * dk / mu**12

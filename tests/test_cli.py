@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import time
@@ -218,6 +219,42 @@ class TestHcp:
         code, out, err = invoke(capsys, "hcp", "--disc", "-23", "--cache", str(path))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "does not exist" in err
+
+    def test_cache_at_directory_fails_before_computing(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before checking the cache path")
+
+        monkeypatch.setattr("attrarith.modular.hilbert_class_polynomial", fail)
+        path = tmp_path / "dir"
+        path.mkdir()
+        code, out, err = invoke(capsys, "hcp", "--disc", "-23", "--cache", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"attrarith hcp: --cache: {path} is not a regular file"]
+        assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_cache_at_fifo_fails_without_opening_it(self, tmp_path):
+        # in a subprocess with a timeout: opening a FIFO to read it blocks until
+        # a writer comes, so a run that opened it would hang, not fail
+        fifo = tmp_path / "hcp.json"
+        os.mkfifo(fifo)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "attrarith.cli", "hcp", "--disc", "-23", "--cache", str(fifo)],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"attrarith hcp: --cache: {fifo} is not a regular file"]
+        assert list(tmp_path.iterdir()) == [fifo] and stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_json_flag_is_the_default(self, capsys):
+        code, plain, _ = invoke(capsys, "hcp", "--disc", "-23")
+        assert code == 0
+        code, flagged, _ = invoke(capsys, "hcp", "--disc", "-23", "--json")
+        assert code == 0 and flagged == plain
+        code, out, err = invoke(capsys, "hcp", "--disc", "-23", "--json", "--csv")
+        assert code == 2 and out == "" and "not allowed with" in err
 
 
 class TestCertify:

@@ -606,6 +606,28 @@ class TestTwistModel:
         assert t.delta == hand.delta * 4096
         assert t.j == hand.j
 
+    def test_fields_are_exact_products_rounded_once(self):
+        # u real, imaginary and complex, on twisted models too (scale != 1);
+        # mpmath's products at 16 prec + 512 bits are exact, and each field
+        # must be that product rounded once to prec bits
+        rng = random.Random(3002)
+        for k in range(24):
+            prec = (64, 128, 256)[k % 3]
+            with mp.workprec(prec):
+                tau = mp.mpc(rng.uniform(-1, 1), rng.uniform(0.3, 2))
+                u = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                u = (u, mp.mpc(u.real), mp.mpc(0, u.imag))[k % 3]
+            m = model_from_tau(tau, prec)
+            if k % 2:
+                m = twist_model(m, mp.mpc("0.7", "-1.9"))
+            t = twist_model(m, u)
+            with mp.workprec(16 * prec + 512):
+                u2 = u * u
+                u4, u6 = u2 * u2, u2 * u2 * u2
+                want = (m.A * u4, m.B * u6, m.delta * u6 * u6, m.scale * u)
+            with mp.workprec(prec):
+                assert (t.A, t.B, t.delta, t.scale) == tuple(+w for w in want), (tau, u, prec)
+
     def test_zero_twist_rejected(self):
         m = model_from_tau(mp.mpc(0, 1), prec=128)
         with pytest.raises(ZeroTwist):

@@ -34,10 +34,11 @@ from attrarith.modular import (
     _dyadic,
     _frame,
     _Frame,
-    _from_fixed,
+    _from_mpc,
     _mul,
     _sqr,
     _theta,
+    _to_mpc,
     _to_mpf,
     certify_attractor_cm,
     hcp_record_valid,
@@ -391,6 +392,25 @@ class TestIntegerRounding:
         assert _to_mpf(0, 5, 53) == libmp.fzero
         assert _to_mpf(-(1 << 60) + 1, 0, 53) == (1, 1, 60, 1)   # rounds up to -2^60
 
+    def test_decoder(self):
+        # real-only, imaginary-only and mixed mpcs: (re + im i) 2^e with e the
+        # lower exponent of the nonzero components
+        cases = [(mp.mpc(0), ((0, 0), 0)), (mp.mpc(12), ((3, 0), 2)),
+                 (mp.mpc(0, "-0.375"), ((0, -3), -3)), (mp.mpc(0, 2**70), ((0, 1), 70)),
+                 (mp.mpc("-0.5", 6), ((-1, 12), -1)), (mp.mpc(6, "-0.5"), ((12, -1), -1)),
+                 (mp.mpc(-(2**80), 3), ((-(2**80), 3), 0))]
+        for z, want in cases:
+            assert _from_mpc(z) == want, z
+        rng = random.Random(3001)
+        for _ in range(2000):
+            z = tuple(rng.choice((-1, 0, 1)) * rng.getrandbits(rng.randrange(1, 300))
+                      for _ in range(2))
+            e = rng.randrange(-500, 500)
+            (re, im), f = _from_mpc(_to_mpc(z, e))
+            assert re % 2 or im % 2 or re == im == 0, (z, e)
+            assert [Fraction(v) * Fraction(2) ** f for v in (re, im)] == \
+                [Fraction(v) * Fraction(2) ** e for v in z], (z, e)
+
     def test_division_against_mpf_div(self):
         rng = random.Random(2605)
         for d in (-48, 864):
@@ -410,6 +430,12 @@ class TestIntegerRounding:
 
 
 class TestJValue:
+    def test_python_complex_is_its_mpc(self):
+        # a value that is neither a surd, a form nor an mpc is taken as the
+        # mpc it makes at prec bits, which a float's 53 bits fit exactly
+        for tau, prec in ((0.31 + 1.7j, 64), (-3.25 + 0.04j, 256), (1j, 128)):
+            assert j_value_with_bound(tau, prec) == j_value_with_bound(mp.mpc(tau), prec), tau
+
     def test_form_stands_for_its_root(self):
         # a reduced form and one that needs reducing, both of disc -23
         for f in (BinaryQuadraticForm(2, 1, 3), BinaryQuadraticForm(3, 5, 4)):
@@ -627,12 +653,12 @@ class TestThetaKernelAgainstDenseOracle:
                                                   (th.e6_fixed(), e6o, bound),
                                                   (th.u_fixed(), uo, ubound)):
                     assert err < 1 << (th.F - wp + 16)
-                    val, err = _from_fixed(val, th.F), mp.ldexp(err, -th.F)
+                    val, err = _to_mpc(val, -th.F), mp.ldexp(err, -th.F)
                     assert abs(val - ref) <= err + refbound, (zred, wp)
                 # Delta = r^2 U from the kernel's relative pair, within its own
                 # bound, which is relative to |Delta|: about 2^-(wp-9) of it
                 val, e, err = th.delta()
-                val, err = _from_fixed(val, e), mp.ldexp(err, -e)
+                val, err = _to_mpc(val, -e), mp.ldexp(err, -e)
                 assert err < abs(val) * mp.mpf(2) ** (9 - wp), (zred, wp)
                 assert abs(val - do) <= err + bound, (zred, wp)
 
@@ -671,7 +697,7 @@ class TestThetaKernelAgainstDenseOracle:
             for (val, err), ref, refbound in ((th.e4_fixed(), e4o, bound),
                                               (th.e6_fixed(), e6o, bound),
                                               (th.u_fixed(), uo, ubound)):
-                val, err = _from_fixed(val, th.F), mp.ldexp(err, -th.F)
+                val, err = _to_mpc(val, -th.F), mp.ldexp(err, -th.F)
                 assert abs(val - ref) <= err + refbound, (zred, wp)
 
     def test_truncation_order_counts_theta_terms(self):
@@ -1057,7 +1083,7 @@ class TestCertifyCM:
             p = G - 32
             ref = j_value_with_bound(at.form, p + 256)
             with mp.workprec(p + 256):
-                at_j_hat = mp.polyval(hcp.coeffs[::-1], _from_fixed(j, G))
+                at_j_hat = mp.polyval(hcp.coeffs[::-1], _to_mpc(j, -G))
                 at_j = mp.polyval(hcp.coeffs[::-1], ref.j)
                 unit = mp.ldexp(1, -G)
                 assert abs(abs(at_j_hat) - value * unit) <= (err + 1) * unit, charge
